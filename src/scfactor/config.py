@@ -9,11 +9,13 @@ ConfigError with the offending location in the message.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError, GMapSyntaxError, ParseError, ScfactorError
 from .recurrence import FamilyInfo, GMap, Recurrence, build_family, fold_system
@@ -64,13 +66,22 @@ def read_config_file(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
+@functools.cache
+def _validator():
+    """A validator for the shipped schema, built once per process.
+
+    The schema itself is checked by the test suite, not on every job.
+    """
+    doc = schema()
+    return validator_for(doc)(doc)
+
+
 def validate_document(doc: dict) -> None:
     """Structural validation against the shipped schema."""
-    try:
-        jsonschema.validate(doc, schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    error = best_match(_validator().iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
 
 
 def _build_gmap(module: Module, gdoc: dict | None) -> GMap:

@@ -7,23 +7,33 @@ assume a commutative ring and raise NoncommutativeRing otherwise.
 unit_roots(P, Q) finds the common roots of P and Q that are units, reporting
 the method used and whether the search was exhaustive:
 
-* finite residue rings: direct scan over the units ("exhaustive-units")
+* residues mod a prime p ("exhaustive-units"): on raw ints, g = gcd(P, Q)
+  (monic P when Q = 0), h = gcd(g, x^p - x) with x^p taken modulo g, the
+  factor x divided out, and h split by gcd(h, (x + c)^((p-1)/2) - 1) for
+  c = 0, 1, 2, ... (Rabin; Cantor-Zassenhaus); multiplicities by deflation
+* residues mod a composite m ("exhaustive-units"): Horner on raw ints at
+  every unit, refused above MAX_COMPOSITE_MODULUS; multiplicities are
+  reported as 1. Moduli above rings.MAX_MODULUS are refused when the ring
+  is built, since primality is decided exactly only up to there.
 * exact fields (rationals, Gaussian rationals): monic gcd, then either read
-  off a degree-1 gcd ("field-gcd") or run a rational/Gaussian-integer
-  candidate search over the gcd ("rational-root")
+  off a degree-1 gcd ("field-gcd") or search the gcd for roots
+  ("rational-root"): over Q by lifting its roots modulo a small prime
+  p-adically and reconstructing them as fractions, over Q(i) by
+  Gaussian-integer divisor candidates
 * float complex: Durand-Kerner on P and on Q, then match the root sets
   ("numeric", not exhaustive)
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import NoncommutativeRing, NotAValidRoot, ParseError
-from .rings import El, FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring
+from .rings import (El, FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring,
+                    is_prime)
 
 
 class Poly:
@@ -254,22 +264,130 @@ class RootReport:
         return f"common unit roots: {body} [method {self.method}, {tail}]"
 
 
-def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
+# Raw-int polynomials over F_p: ascending coefficient lists in [0, p) with
+# no trailing zeros, so [] is the zero polynomial.
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] * inv % p
+        q[k] = c
+        if c:
+            for i in range(db + 1):
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p; a and b are not both zero."""
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mulmod_p(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod_p([c % p for c in out], f, p)[1]
+
+
+def _powmod_p(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e modulo f over F_p, by square-and-multiply (deg f >= 1)."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod_p(out, base, f, p)
+        e >>= 1
+        if e:
+            base = _mulmod_p(base, base, f, p)
+    return out
+
+
+def _minus_p(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _split_p(h: list[int], p: int, c: int, out: list[int]) -> None:
+    """Append the roots of h, a monic product of distinct x - r with r != 0.
+
+    gcd(h, (x + c)^((p-1)/2) - 1) collects the roots r with r + c a nonzero
+    square; c runs 0, 1, 2, ... until h splits. A c that failed to split h
+    cannot split a factor of h either, so both factors go on from c + 1.
+    Over F_2 h is at most x - 1 and never reaches the loop.
+    """
+    while len(h) > 2:
+        w = _minus_p(_powmod_p([c, 1], (p - 1) // 2, h, p), [1], p)
+        a = _gcd_p(h, w, p)
+        c += 1
+        if 1 < len(a) < len(h):
+            _split_p(a, p, c, out)
+            h = _divmod_p(h, a, p)[0]
+    if len(h) == 2:
+        out.append(-h[0] % p)
+
+
+def _roots_mod_p(f: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero f, ascending (Rabin 1980).
+
+    h = gcd(f, x^p - x) is the product of x - r over the roots r; x^p is
+    taken modulo f. The root 0 is divided out before h is split.
+    """
+    if len(f) < 2:
+        return []
+    h = _gcd_p(f, _minus_p(_powmod_p([0, 1], p, f, p), [0, 1], p), p)
     roots = []
-    notes = []
-    for u in ring.units():
-        if not P(u).is_zero:
-            continue
-        if not Q.is_zero and not Q(u).is_zero:
-            continue
-        if ring.is_prime:
-            mp = _root_multiplicity(P, u)
-            mult = mp if Q.is_zero else min(mp, _root_multiplicity(Q, u))
-        else:
-            mult = 1
-        roots.append((u, mult))
-    if not ring.is_prime and roots:
-        notes.append("composite modulus: multiplicities reported as 1")
+    if h[0] == 0:  # h is squarefree, so x divides it at most once
+        roots.append(0)
+        h = h[1:]
+    _split_p(h, p, 0, roots)
+    return sorted(roots)
+
+
+def _eval_mod(cs: list[int], x: int, m: int) -> int:
+    """Horner evaluation of ascending integer coefficients at x, mod m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+# Composite moduli are scanned unit by unit; above this the scan is refused.
+MAX_COMPOSITE_MODULUS = 10**6
+
+
+def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
+    m = ring.m
+    pc = [c.v for c in P.coeffs]
+    qc = [c.v for c in Q.coeffs]
+    if ring.is_prime:
+        roots = []
+        for r in _roots_mod_p(_gcd_p(pc, qc, m), m):
+            if r:
+                u = El(ring, r)
+                mp = _root_multiplicity(P, u)
+                roots.append((u, mp if Q.is_zero else min(mp, _root_multiplicity(Q, u))))
+        return RootReport(roots, "exhaustive-units", True)
+    if m > MAX_COMPOSITE_MODULUS:
+        raise ParseError(
+            f"root search over composite modulus {m} is refused: the unit scan "
+            f"is limited to moduli up to {MAX_COMPOSITE_MODULUS}")
+    roots = [(El(ring, u), 1) for u in range(1, m)
+             if _eval_mod(pc, u, m) == 0 and (not qc or _eval_mod(qc, u, m) == 0)
+             and math.gcd(u, m) == 1]
+    notes = ["composite modulus: multiplicities reported as 1"] if roots else []
     return RootReport(roots, "exhaustive-units", True, notes)
 
 
@@ -283,26 +401,50 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _rational_reconstruct(r: int, M: int, H: int) -> Fraction | None:
+    """a/b with |a|, |b| <= H and a = b*r (mod M), unique when M > 2*H^2."""
+    r0, r1, s0, s1 = M, r, 0, 1
+    while r1 > H:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > H:
+        return None
+    return Fraction(r1, s1)
+
+
 def _rational_root_candidates(g: Poly) -> list[Fraction]:
-    """Candidate nonzero rational roots of g by the rational root theorem."""
-    ring = g.ring
-    den_lcm = 1
-    for c in g.coeffs:
-        den_lcm = den_lcm * c.v.denominator // math.gcd(den_lcm, c.v.denominator)
-    ints = [int(c.v * den_lcm) for c in g.coeffs]
-    s = 0
-    while s < len(ints) and ints[s] == 0:
-        s += 1
-    ints = ints[s:]
-    if not ints:
-        return []
-    a0, lead = ints[0], ints[-1]
-    cands = set()
-    for p in _int_divisors(a0):
-        for q in _int_divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+    """Candidate rational roots of g (g(0) != 0), by p-adic lifting (Loos 1983).
+
+    f is the squarefree part of g with denominators cleared. Modulo the least
+    prime p that divides neither its leading coefficient nor its
+    discriminant, every rational root a/b of f reduces to a simple root of f
+    mod p. Each such root is Hensel-lifted until p^N > 2*H^2, where
+    H = max(|f(0)|, |lead f|) bounds |a| and |b|, and rational reconstruction
+    recovers a/b. Callers keep only the candidates that are exact roots.
+    """
+    sf = divmod_poly(g, poly_gcd(g, g.derivative()))[0]
+    den = math.lcm(*(c.v.denominator for c in sf.coeffs))
+    f = [int(c.v * den) for c in sf.coeffs]
+    df = [i * c for i, c in enumerate(f)][1:]
+    # For p not dividing lead f, p divides disc f exactly when f mod p has a
+    # repeated factor, that is when gcd(f, f') mod p is not constant.
+    p = 2
+    while f[-1] % p == 0 or len(_gcd_p(_trim([c % p for c in f]),
+                                       _trim([c % p for c in df]), p)) > 1:
+        p += 1
+        while not is_prime(p):
+            p += 1
+    H = max(abs(f[0]), abs(f[-1]))
+    out = []
+    for r in _roots_mod_p(_trim([c % p for c in f]), p):
+        M = p
+        while M <= 2 * H * H:
+            M *= M
+            r = (r - _eval_mod(f, r, M) * pow(_eval_mod(df, r, M), -1, M)) % M
+        rho = _rational_reconstruct(r, M, H)
+        if rho is not None:
+            out.append(rho)
+    return out
 
 
 def _gaussian_int_divisor_candidates(z: tuple[int, int]) -> list[tuple[int, int]]:

@@ -271,11 +271,39 @@ class Ring:
     def eq(self, a: El, b: El) -> bool:
         return self._eq(a.v, b.v)
 
-    def units(self):
-        raise NotImplementedError(f"{self} is not finite; cannot enumerate units")
-
     def fmt(self, v) -> str:
         raise NotImplementedError
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (OEIS A014233); moduli are refused from there on.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961980
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n <= MAX_MODULUS."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class IntegersMod(Ring):
@@ -286,8 +314,13 @@ class IntegersMod(Ring):
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 2:
             raise ParseError(f"modulus must be an integer >= 2, got {m!r}")
+        if m > MAX_MODULUS:
+            raise ParseError(
+                f"modulus {m} exceeds the limit {MAX_MODULUS}, "
+                "above which primality is not decided exactly")
         self.m = m
         self.kind = "integers-mod-m"
+        self.is_prime = is_prime(m)
 
     def _descriptor(self):
         return (self.kind, self.m)
@@ -297,20 +330,6 @@ class IntegersMod(Ring):
 
     def char(self):
         return self.m
-
-    @property
-    def is_prime(self) -> bool:
-        m = self.m
-        if m < 4:
-            return m in (2, 3)
-        if m % 2 == 0:
-            return False
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
 
     def from_int(self, n):
         return El(self, n % self.m)
@@ -349,9 +368,6 @@ class IntegersMod(Ring):
 
     def fmt(self, v):
         return str(v)
-
-    def units(self):
-        return [El(self, r) for r in range(1, self.m) if math.gcd(r, self.m) == 1]
 
 
 class Rationals(Ring):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from jsonschema.validators import validator_for
 
 from scfactor import ConfigError, RunOptions, build_job, load_job
 from scfactor.config import read_config_file, schema
@@ -199,6 +200,17 @@ class TestSchemaValidation:
 
     def test_schema_declares_2020_12(self):
         assert schema()["$schema"].endswith("2020-12/schema")
+
+    def test_shipped_schema_passes_check_schema(self):
+        # validate_document builds its validator without re-checking the schema
+        doc = schema()
+        validator_for(doc).check_schema(doc)
+
+    def test_huge_modulus_refused(self):
+        doc = zp_doc()
+        doc["ring"]["modulus"] = 10**25
+        with pytest.raises(ConfigError, match="bad ring: modulus .* exceeds the limit"):
+            build_job(doc)
 
 
 class TestFiles:

@@ -1,10 +1,19 @@
 """Polynomial arithmetic, deflation, and the unit-root searches."""
 
+import json
+import math
+import random
+import time
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from scfactor import NotAValidRoot, ParseError, Poly, deflate, durand_kerner, poly_gcd, unit_roots
+from scfactor import poly as poly_mod
+from scfactor.cli import main
 from scfactor.errors import NoncommutativeRing
-from scfactor.poly import verified_roots
+from scfactor.poly import MAX_COMPOSITE_MODULUS, verified_roots
 from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
                             Rationals, RationalQuaternions)
 
@@ -198,3 +207,236 @@ class TestVerifiedRoots:
         R = IntegersMod(12)
         with pytest.raises(NotAValidRoot):
             verified_roots(P(R, 0, 1), Poly(R, []), [R.el(4)])
+
+
+# ---------------------------------------------------------------------------
+# residue roots (gcd route mod p, raw-int scan mod m) against the old unit scan
+
+
+def _horner(cs, x, m):
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _scan_mult(cs, u, m):
+    """How often x - u divides cs over Z_m, by repeated synthetic division."""
+    count = 0
+    while cs and _horner(cs, u, m) == 0:
+        out, acc = [0] * (len(cs) - 1), 0
+        for i in range(len(cs) - 1, 0, -1):
+            acc = (acc * u + cs[i]) % m
+            out[i - 1] = acc
+        cs = out
+        count += 1
+    return count
+
+
+def _scan_unit_roots(pc, qc, m):
+    """Reference: evaluate P and Q at every unit of Z_m, as the seed did."""
+    prime = m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+    roots = []
+    for u in range(1, m):
+        if math.gcd(u, m) != 1 or _horner(pc, u, m) or (qc and _horner(qc, u, m)):
+            continue
+        if prime:
+            mult = _scan_mult(pc, u, m)
+            if qc:
+                mult = min(mult, _scan_mult(qc, u, m))
+        else:
+            mult = 1
+        roots.append((u, mult))
+    notes = ["composite modulus: multiplicities reported as 1"] if roots and not prime else []
+    return roots, notes
+
+
+def _from_roots(roots, cofactor, m):
+    """prod (x - r) * cofactor over Z_m, ascending raw ints."""
+    cs = [c % m for c in cofactor]
+    for r in roots:
+        cs = [((cs[i - 1] if i else 0) - r * (cs[i] if i < len(cs) else 0)) % m
+              for i in range(len(cs) + 1)]
+    return cs
+
+
+def _assert_matches_scan(R, pc, qc):
+    m = R.m
+    PP, QQ = Poly(R, pc), Poly(R, qc)
+    if PP.is_zero:
+        return
+    rr = unit_roots(PP, QQ)
+    want, notes = _scan_unit_roots([c.v for c in PP.coeffs], [c.v for c in QQ.coeffs], m)
+    assert [(r.v, mult) for r, mult in rr.roots] == want, (m, pc, qc)
+    assert (rr.method, rr.exhaustive, rr.notes) == ("exhaustive-units", True, notes)
+
+
+PRIMES_UNDER_200 = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+class TestResidueRootsAgainstScan:
+    @pytest.mark.parametrize("p", PRIMES_UNDER_200)
+    def test_random_planted_pairs(self, p):
+        R = IntegersMod(p)
+        rng = random.Random(p)
+        for case in range(12):
+            common = [rng.randrange(p) for _ in range(rng.randrange(4))]
+            if case % 3 == 0 and common:
+                common.append(common[0])             # repeated root
+            if case % 4 == 1:
+                common.append(0)                     # root 0 is not a unit
+            own = [rng.randrange(p) for _ in range(rng.randrange(3))]
+            pc = _from_roots(common + own,
+                             [rng.randrange(p) for _ in range(rng.randrange(3))] + [1], p)
+            if case % 4 == 0:
+                qc = []                              # Q = 0: no constraint
+            else:
+                qc = _from_roots(common[:rng.randrange(len(common) + 1)],
+                                 [rng.randrange(p)] + [rng.randrange(1, p)], p)
+            _assert_matches_scan(R, pc, qc)
+
+    @pytest.mark.parametrize("p", PRIMES_UNDER_200)
+    def test_random_dense_pairs(self, p):
+        R = IntegersMod(p)
+        rng = random.Random(1000 + p)
+        for _ in range(8):
+            pc = [rng.randrange(p) for _ in range(rng.randrange(1, 8))]
+            qc = [rng.randrange(p) for _ in range(rng.randrange(0, 7))]
+            _assert_matches_scan(R, pc, qc)
+
+    def test_every_polynomial_over_f2_and_f3(self):
+        for p in (2, 3):
+            R = IntegersMod(p)
+            for pc in product(range(p), repeat=4):
+                for qc in product(range(p), repeat=3):
+                    _assert_matches_scan(R, list(pc), list(qc))
+
+    def test_composites_match_scan(self):
+        rng = random.Random(7)
+        for m in (4, 6, 8, 9, 12, 15, 26, 49, 100, 221):
+            R = IntegersMod(m)
+            for _ in range(6):
+                pc = _from_roots([rng.randrange(m) for _ in range(2)],
+                                 [rng.randrange(m), 1], m)
+                qc = _from_roots([rng.randrange(m)], [1], m)
+                _assert_matches_scan(R, pc, qc)
+                _assert_matches_scan(R, pc, [])
+
+    def test_composite_modulus_cap(self):
+        R = IntegersMod(MAX_COMPOSITE_MODULUS + 2)
+        with pytest.raises(ParseError, match=str(MAX_COMPOSITE_MODULUS)):
+            unit_roots(P(R, 1, 1), Poly(R, []))
+
+
+# ---------------------------------------------------------------------------
+# rational roots by p-adic lifting against the divisor search it replaced
+
+
+def _int_divisors(n):
+    n = abs(n)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                   for d in (k, n // k)})
+
+
+def _divisor_candidates(g):
+    """Reference: every +-a/b with a | g(0) and b | lead g (rational root theorem)."""
+    den = math.lcm(*(c.v.denominator for c in g.coeffs))
+    ints = [int(c.v * den) for c in g.coeffs]
+    return sorted({Fraction(s * a, b) for a in _int_divisors(ints[0])
+                   for b in _int_divisors(ints[-1]) for s in (1, -1)})
+
+
+def _rational_poly(R, roots, cofactor):
+    cs = [Fraction(c) for c in cofactor]
+    for r in roots:
+        cs = [(cs[i - 1] if i else 0) - r * (cs[i] if i < len(cs) else 0)
+              for i in range(len(cs) + 1)]
+    return Poly(R, cs)
+
+
+class TestRationalRouteAgainstDivisors:
+    def test_random_small_coefficient_pairs(self, monkeypatch):
+        R = Rationals()
+        rng = random.Random(2024)
+        for case in range(300):
+            common = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(rng.randint(1, 3))]
+            if case % 3 == 0:
+                common.append(common[0])
+            own = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(rng.randint(0, 2))]
+            cof = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] + [rng.randint(1, 5)]
+            PP = _rational_poly(R, common + own, cof)
+            QQ = (Poly(R, []) if case % 4 == 0 else
+                  _rational_poly(R, common[:rng.randint(0, len(common))],
+                                 [rng.randint(-3, 3), rng.randint(1, 3)]))
+            got = unit_roots(PP, QQ)
+            with monkeypatch.context() as mp:
+                mp.setattr(poly_mod, "_rational_root_candidates", _divisor_candidates)
+                want = unit_roots(PP, QQ)
+            assert [(r.v, mult) for r, mult in got.roots] == \
+                [(r.v, mult) for r, mult in want.roots], (PP, QQ)
+            assert (got.method, got.exhaustive, got.notes) == \
+                (want.method, want.exhaustive, want.notes)
+
+    def test_large_roots_found_quickly(self):
+        R = Rationals()
+        big = Fraction(10**12 + 39, 7)
+        g = _rational_poly(R, [big, Fraction(-3, 5)], [-(10**24 + 7), 0, 1])
+        t0 = time.perf_counter()
+        rr = unit_roots(g * P(R, 2, 1), g)
+        assert time.perf_counter() - t0 < 2.0
+        assert [(r.v, mult) for r, mult in rr.roots] == [(Fraction(-3, 5), 1), (big, 1)]
+        assert rr.method == "rational-root" and rr.exhaustive
+
+
+# ---------------------------------------------------------------------------
+# whole jobs that the unit scan or the divisor search could not finish
+
+
+def _order3_job(tmp_path, ring, a, b):
+    doc = {"ring": ring, "module": {"dim": 1},
+           "recurrence": {"a": [str(v) for v in a], "b": [str(v) for v in b],
+                          "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+           "initial": ["1", "2", "3"]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("p", [10**9 + 7, 10**18 + 9])
+def test_factor_job_over_large_prime(tmp_path, capsys, p):
+    # P = (x - r1)(x - r2)(x - r3), Q = (x - r1)(x - r2): the chain takes
+    # r1 and r2 in ascending order and leaves r3 in the first-order factor.
+    r1, r2, r3 = 5, p - 3, 123456789
+    e1, e2, e3 = r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
+    a = [e1 % p, -e2 % p, e3 % p]
+    b = [1, -(r1 + r2) % p, r1 * r2 % p]
+    path = _order3_job(tmp_path, {"kind": "integers-mod-m", "modulus": p}, a, b)
+    t0 = time.perf_counter()
+    code = main(["factor", path, "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    out = capsys.readouterr()
+    assert code == 0 and "Traceback" not in out.err
+    steps = json.loads(out.out)["chain"]["steps"]
+    assert [st["rho"] for st in steps] == [str(r1), str(r2)]
+
+
+def test_rational_job_with_huge_irrational_gcd(tmp_path, capsys):
+    # P = x^3 - N x and Q = x^2 - N share x^2 - N, N = 10^24 + 7, which has
+    # no rational root; a divisor search would trial-divide up to 10^12.
+    n = 10**24 + 7
+    path = _order3_job(tmp_path, {"kind": "exact-rational"}, [0, n, 0], [1, 0, -n])
+    t0 = time.perf_counter()
+    code = main(["factor", path])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3
+    assert "method rational-root, exhaustive" in capsys.readouterr().out
+
+
+def test_composite_modulus_over_cap_exits_2(tmp_path, capsys):
+    m = 2 * 1000003
+    path = _order3_job(tmp_path, {"kind": "integers-mod-m", "modulus": m}, [0, 2, 1], [1, 0, -1])
+    assert main(["factor", path]) == 2
+    err = capsys.readouterr().err
+    assert str(MAX_COMPOSITE_MODULUS) in err and "Traceback" not in err

@@ -1,10 +1,12 @@
 """Element arithmetic, parsing, and formatting across the six rings."""
 
+import math
+
 import pytest
 
 from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
-from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
-                            Rationals, RationalQuaternions)
+from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
+                            Rationals, RationalQuaternions, is_prime)
 
 
 class TestIntegersMod:
@@ -18,13 +20,29 @@ class TestIntegersMod:
         with pytest.raises(DivisionByNonUnit):
             R.el(13).inverse()
 
-    def test_units_z12(self):
-        R = IntegersMod(12)
-        assert sorted(int(u.v) for u in R.units()) == [1, 5, 7, 11]
-
     def test_prime_flag(self):
         assert IntegersMod(11).is_prime
         assert not IntegersMod(12).is_prime
+
+    def test_is_prime_matches_trial_division(self):
+        for m in range(100_000):
+            want = m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+            assert is_prime(m) == want, m
+
+    def test_is_prime_rejects_pseudoprimes(self):
+        # Carmichael numbers, then the least strong pseudoprimes to the
+        # bases 2, 2..7 and 2..37 (the last is caught only by base 41).
+        for m in (561, 1105, 1729, 2465, 2821, 6601, 8911, 2047, 3215031751,
+                  318665857834031151167461):
+            assert not is_prime(m), m
+        for p in (10**9 + 7, 10**18 + 9, 2**61 - 1, 2**89 - 1):
+            assert is_prime(p), p
+
+    def test_modulus_limit(self):
+        assert IntegersMod(MAX_MODULUS).m == MAX_MODULUS
+        # MAX_MODULUS + 1 is a strong pseudoprime to every base used
+        with pytest.raises(ParseError, match=str(MAX_MODULUS)):
+            IntegersMod(MAX_MODULUS + 1)
 
     def test_char(self):
         assert IntegersMod(12).char() == 12
@@ -184,5 +202,5 @@ class TestElBasics:
 
     def test_sort_key_orders_units(self):
         R = IntegersMod(12)
-        keys = [u.sort_key() for u in R.units()]
+        keys = [R.el(u).sort_key() for u in (1, 5, 7, 11)]
         assert keys == sorted(keys)
