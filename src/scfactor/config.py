@@ -34,7 +34,6 @@ def schema() -> dict:
 class RunOptions:
     steps: int = 100
     horizon: int = 64
-    max_period: int = 16
     rel_tol: float | None = None
     seeds: list[list] | None = None
     roots: list[str] | None = None
@@ -134,7 +133,6 @@ def _parse_run(module: Module, rdoc: dict | None, k: int) -> RunOptions:
         return run
     run.steps = rdoc.get("steps", run.steps)
     run.horizon = rdoc.get("horizon", run.horizon)
-    run.max_period = rdoc.get("max_period", run.max_period)
     run.rel_tol = rdoc.get("rel_tol")
     if "roots" in rdoc:
         run.roots = list(rdoc["roots"])

@@ -195,7 +195,7 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
 # comparison
 
 
-def _deviation(module: Module, a: Vec, b: Vec) -> float:
+def _deviation(a: Vec, b: Vec) -> float:
     """Max componentwise distance, for float rings."""
     out = 0.0
     for x, y in zip(a.parts, b.parts):
@@ -275,9 +275,8 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
         b = rebuilt.value_at(n)
         compared += 1
         if is_float:
-            dev = _deviation(module, a, b)
-            scale = max(_deviation(module, a, module.zero),
-                        _deviation(module, b, module.zero), 1.0)
+            dev = _deviation(a, b)
+            scale = max(_deviation(a, module.zero), _deviation(b, module.zero), 1.0)
             max_dev = max(max_dev, dev)
             if dev > rel_tol * scale and first_div is None:
                 first_div = n

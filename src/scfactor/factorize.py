@@ -100,11 +100,6 @@ class FactorStep:
     certificate: UnitCertificate | None = None
     root_report: RootReport | None = None
 
-    def describe_alpha(self) -> str:
-        if self.rho is not None:
-            return f"rho = {self.rho}"
-        return f"alpha_n = {self.alpha}"
-
 
 @dataclass
 class FactorizationChain:
@@ -166,10 +161,6 @@ def _zeta_chain(rec: Recurrence, alpha: CoeffSeq, n: int, u0: Vec, probes) -> li
     return zetas
 
 
-def _apply_f(rec: Recurrence, n: int, values) -> Vec:
-    return rec.step(n, values)
-
-
 def criterion_check(rec: Recurrence, alpha: CoeffSeq, n: int,
                     u0_a: Vec, u0_b: Vec, probes) -> bool:
     """Does f_n(zeta chain) - alpha_n zeta_0 agree for two leading values?
@@ -183,7 +174,7 @@ def criterion_check(rec: Recurrence, alpha: CoeffSeq, n: int,
     outs = []
     for u0 in (u0_a, u0_b):
         zetas = _zeta_chain(rec, alpha, n, u0, probes)
-        val = _apply_f(rec, n, zetas) - alpha.at(n) * u0
+        val = rec.step(n, zetas) - alpha.at(n) * u0
         outs.append(val)
     return outs[0] == outs[1]
 
@@ -324,25 +315,16 @@ def linear_complete(rec: Recurrence, roots: list | None = None) -> Factorization
 # variable-coefficient route
 
 
-def _esa_rhs(rec: Recurrence, alpha_at, n: int) -> El:
-    """sum_i a_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1)."""
-    acc = rec.a[0].at(n)
-    prod = None
-    for i in range(1, rec.order):
-        prod = alpha_at(n - i) if prod is None else prod * alpha_at(n - i)
-        term = rec.a[i].at(n) * prod.inverse()
-        acc = acc + term
-    return acc
+def _row_sum(row, alpha_at, n: int) -> El:
+    """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) for a coefficient row.
 
-
-def _esb_value(rec: Recurrence, alpha_at, n: int) -> El:
-    """sum_i b_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1)."""
-    acc = rec.b[0].at(n)
+    For row rec.a this is the right side of ESa; for rec.b, the value of ESb.
+    """
+    acc = row[0].at(n)
     prod = None
-    for i in range(1, rec.order):
+    for i in range(1, len(row)):
         prod = alpha_at(n - i) if prod is None else prod * alpha_at(n - i)
-        term = rec.b[i].at(n) * prod.inverse()
-        acc = acc + term
+        acc = acc + row[i].at(n) * prod.inverse()
     return acc
 
 
@@ -388,12 +370,12 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
 
     for n in range(k, horizon + 1):
         if need_esb:
-            val = _esb_value(rec, alpha_hist, n)
+            val = _row_sum(rec.b, alpha_hist, n)
             if not val.is_zero:
                 raise CertificateFailure(
                     f"b-side sum is {val}, not 0, with alpha window "
                     f"{[str(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
-        nxt = _esa_rhs(rec, alpha_hist, n)
+        nxt = _row_sum(rec.a, alpha_hist, n)
         if not nxt.is_unit:
             raise CertificateFailure(f"alpha_{n} = {nxt} is not a unit", n=n)
         alphas.append(nxt)
@@ -417,14 +399,14 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     span = _lcm([period, coeff_period])
     for n in range(span):
         lhs = wrapped.at(n)
-        rhs = _esa_rhs(rec, wrapped.at, n)
+        rhs = _row_sum(rec.a, wrapped.at, n)
         if not (lhs == rhs):
             notes.append(
                 f"window recurs at {period} but the wrapped a-side identity fails at n={n}; "
                 "certificate stays horizon-bounded")
             return UnitCertificate(tuple(seed_els), tuple(alphas), "horizon-bounded",
                                    horizon, None, horizon, notes)
-        if need_esb and not _esb_value(rec, wrapped.at, n).is_zero:
+        if need_esb and not _row_sum(rec.b, wrapped.at, n).is_zero:
             notes.append(
                 f"window recurs at {period} but the wrapped b-side identity fails at n={n}; "
                 "certificate stays horizon-bounded")
@@ -498,12 +480,12 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
     alpha = CoeffSeq(alpha_vals).reduced()
     span = _lcm([alpha.period, rec.coeff_period])
     for n in range(span):
-        if not (alpha.at(n) == _esa_rhs(rec, alpha.at, n)):
+        if not (alpha.at(n) == _row_sum(rec.a, alpha.at, n)):
             diff = rec.a[0].at(n) - rec.a[1].at(n) * rec.b[1].at(n).inverse() * rec.b[0].at(n) \
                 + rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)
             raise CertificateFailure(
                 f"second-order closed condition fails: residual {diff}", n=n)
-        if not _esb_value(rec, alpha.at, n).is_zero:
+        if not _row_sum(rec.b, alpha.at, n).is_zero:
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
     cert = UnitCertificate(
         seed=(alpha.at(0),),

@@ -26,7 +26,6 @@ tuple tree (binary nodes fully parenthesized, unary children parenthesized).
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 
@@ -38,6 +37,11 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCS = ("inv", "tanh")
+
+# Deepest expression accepted, counting both the parser's nesting (parentheses,
+# unary minus, inv, tanh) and the depth of the AST, which long chains of binary
+# operators also grow. Evaluation and formatting recurse once per level.
+MAX_EXPR_DEPTH = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -65,6 +69,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -111,6 +116,15 @@ class _Parser:
                 return node
 
     def factor(self):
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise GMapSyntaxError(
+                f"expression nests deeper than {MAX_EXPR_DEPTH} levels", self.peek()[2])
+        node = self._factor()
+        self.depth -= 1
+        return node
+
+    def _factor(self):
         kind, val, pos = self.take()
         if kind == "int":
             return ("int", int(val))
@@ -144,7 +158,15 @@ def parse_expr(text: str):
     """Parse one expression into its AST tuple tree."""
     if not isinstance(text, str) or not text.strip():
         raise GMapSyntaxError("empty expression")
-    return _Parser(text).parse()
+    ast = _Parser(text).parse()
+    depth, stack = 0, [(ast, 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in node[1:] if isinstance(c, tuple))
+    if depth > MAX_EXPR_DEPTH:
+        raise GMapSyntaxError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+    return ast
 
 
 def validate_expr(ast, dim: int, seq_names, ring: Ring):

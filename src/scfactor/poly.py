@@ -17,9 +17,10 @@ the method used and whether the search was exhaustive:
   is built, since primality is decided exactly only up to there.
 * exact fields (rationals, Gaussian rationals): monic gcd, then either read
   off a degree-1 gcd ("field-gcd") or search the gcd for roots
-  ("rational-root"): over Q by lifting its roots modulo a small prime
-  p-adically and reconstructing them as fractions, over Q(i) by
-  Gaussian-integer divisor candidates
+  ("rational-root"): one route for Q and Q(i) lifts the roots of the gcd
+  modulo a small prime p-adically (over Q(i) p = 1 mod 4, under both
+  embeddings i -> +-s with s^2 = -1 mod p) until lead(g) times a root is
+  read off its symmetric residue, then keeps the exact roots
 * float complex: Durand-Kerner on P and on Q, then match the root sets
   ("numeric", not exhaustive)
 """
@@ -119,12 +120,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(self.ring, [self.coeffs[i] * self.ring.from_int(i)
                                 for i in range(1, len(self.coeffs))])
-
-    def shift_mul_x(self, s: int) -> "Poly":
-        """Multiply by x^s."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, [self.ring.zero] * s + list(self.coeffs))
 
     def low_zero_count(self) -> int:
         """Number of leading zero coefficients from x^0 up (x^s | P)."""
@@ -391,116 +386,89 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     return RootReport(roots, "exhaustive-units", True, notes)
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def _rational_root_candidates(g: Poly) -> list:
+    """Candidate roots of g over Q or Q(i) (g(0) != 0), by p-adic lifting (Loos 1983).
 
-
-def _rational_reconstruct(r: int, M: int, H: int) -> Fraction | None:
-    """a/b with |a|, |b| <= H and a = b*r (mod M), unique when M > 2*H^2."""
-    r0, r1, s0, s1 = M, r, 0, 1
-    while r1 > H:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > H:
-        return None
-    return Fraction(r1, s1)
-
-
-def _rational_root_candidates(g: Poly) -> list[Fraction]:
-    """Candidate rational roots of g (g(0) != 0), by p-adic lifting (Loos 1983).
-
-    f is the squarefree part of g with denominators cleared. Modulo the least
-    prime p that divides neither its leading coefficient nor its
-    discriminant, every rational root a/b of f reduces to a simple root of f
-    mod p. Each such root is Hensel-lifted until p^N > 2*H^2, where
-    H = max(|f(0)|, |lead f|) bounds |a| and |b|, and rational reconstruction
-    recovers a/b. Callers keep only the candidates that are exact roots.
+    f is the squarefree part of g with denominators cleared, so its
+    coefficients are a + b*i with integers a, b (b = 0 over Q). Z and Z[i]
+    are UFDs, so a root u/v in lowest terms has u | f(0) and v | lead f, and
+    c = lead(f) * root is an integer of Z or Z[i] with |c| <= |f(0)| |lead f|.
+    p is the least prime not dividing N(lead f) that keeps f squarefree mod p;
+    over Q(i) also p = 1 (mod 4), and f must stay squarefree under both
+    embeddings i -> s and i -> -s, where s^2 = -1 (mod p). The roots of each
+    embedding mod p are Hensel-lifted, with s, until M = p^N exceeds the
+    bound, and c is read off its symmetric residue mod M. Over Q(i) each pair
+    of roots c1, c2 of the two embeddings gives Re c = (c1 + c2)/2 and
+    Im c = (c1 - c2)/(2s). Returns Fraction payloads over Q and
+    (Fraction, Fraction) payloads over Q(i); callers keep only exact roots.
     """
     sf = divmod_poly(g, poly_gcd(g, g.derivative()))[0]
-    den = math.lcm(*(c.v.denominator for c in sf.coeffs))
-    f = [int(c.v * den) for c in sf.coeffs]
-    df = [i * c for i, c in enumerate(f)][1:]
-    # For p not dividing lead f, p divides disc f exactly when f mod p has a
-    # repeated factor, that is when gcd(f, f') mod p is not constant.
-    p = 2
-    while f[-1] % p == 0 or len(_gcd_p(_trim([c % p for c in f]),
-                                       _trim([c % p for c in df]), p)) > 1:
+    gauss = isinstance(g.ring, GaussianRationals)
+    parts = [c.v if gauss else (c.v, 0) for c in sf.coeffs]
+    den = math.lcm(*(x.denominator for v in parts for x in v))
+    re = [int(v[0] * den) for v in parts]
+    im = [int(v[1] * den) for v in parts]
+    norm_lead = re[-1] ** 2 + im[-1] ** 2
+    bound = 2 * math.isqrt((re[0] ** 2 + im[0] ** 2) * norm_lead) + 3
+
+    def embed(t: int, m: int) -> list[int]:  # f under i -> t, mod m
+        return [(a + b * t) % m for a, b in zip(re, im)]
+
+    def squarefree_mod(f: list[int], p: int) -> bool:
+        # p does not divide lead f, so p divides disc f exactly when f mod p
+        # has a repeated factor, that is when gcd(f, f') mod p is not constant.
+        return len(_gcd_p(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1
+
+    p = 1
+    while True:
         p += 1
-        while not is_prime(p):
-            p += 1
-    H = max(abs(f[0]), abs(f[-1]))
+        if not is_prime(p) or norm_lead % p == 0 or (gauss and p % 4 != 1):
+            continue
+        s = 0
+        if gauss:
+            z = 2
+            while (s := pow(z, (p - 1) // 4, p)) * s % p != p - 1:
+                z += 1
+        if all(squarefree_mod(embed(t, p), p) for t in {s, -s}):
+            break
+    M = p
+    while M <= bound:
+        M *= M
+        if gauss:  # Newton step keeps s^2 = -1 (mod M)
+            s = (s - (s * s + 1) * pow(2 * s, -1, M)) % M
+
+    def sym(c: int) -> int:  # symmetric residue mod M
+        c %= M
+        return c - M if 2 * c > M else c
+
+    lifted = []  # lead(f) * root mod M, per embedding
+    for t in (s, -s) if gauss else (0,):
+        f = embed(t, M)
+        df = [i * c for i, c in enumerate(f)][1:]
+        cs = []
+        for r in _roots_mod_p(_trim([c % p for c in f]), p):
+            m = p
+            while m < M:
+                m *= m
+                r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+            cs.append(f[-1] * r)
+        lifted.append(cs)
+    if not gauss:
+        return [Fraction(sym(c), re[-1]) for c in lifted[0]]
+    half, half_s = pow(2, -1, M), pow(2 * s, -1, M)
     out = []
-    for r in _roots_mod_p(_trim([c % p for c in f]), p):
-        M = p
-        while M <= 2 * H * H:
-            M *= M
-            r = (r - _eval_mod(f, r, M) * pow(_eval_mod(df, r, M), -1, M)) % M
-        rho = _rational_reconstruct(r, M, H)
-        if rho is not None:
-            out.append(rho)
+    for c1 in lifted[0]:
+        for c2 in lifted[1]:
+            x, y = sym((c1 + c2) * half), sym((c1 - c2) * half_s)
+            # (x + y*i) / lead f
+            out.append((Fraction(x * re[-1] + y * im[-1], norm_lead),
+                        Fraction(y * re[-1] - x * im[-1], norm_lead)))
     return out
-
-
-def _gaussian_int_divisor_candidates(z: tuple[int, int]) -> list[tuple[int, int]]:
-    """All Gaussian integers d with d | z (z != 0), via norm divisors."""
-    nz = z[0] * z[0] + z[1] * z[1]
-    out = []
-    for nd in _int_divisors(nz):
-        for x in range(0, math.isqrt(nd) + 1):
-            y2 = nd - x * x
-            y = math.isqrt(y2)
-            if y * y != y2:
-                continue
-            for cand in {(x, y), (x, -y), (y, x), (-y, x)}:
-                if cand == (0, 0):
-                    continue
-                # check cand | z exactly: z * conj(cand) / norm(cand) integral
-                re = z[0] * cand[0] + z[1] * cand[1]
-                im = z[1] * cand[0] - z[0] * cand[1]
-                if re % nd == 0 and im % nd == 0:
-                    out.append(cand)
-    return out
-
-
-def _gaussian_root_candidates(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Candidate nonzero roots in Q(i) via the Z[i] analogue of the rational
-    root theorem (Z[i] is a Euclidean domain, so the argument carries over)."""
-    den_lcm = 1
-    for c in g.coeffs:
-        for part in c.v:
-            den_lcm = den_lcm * part.denominator // math.gcd(den_lcm, part.denominator)
-    zs = [(int(c.v[0] * den_lcm), int(c.v[1] * den_lcm)) for c in g.coeffs]
-    s = 0
-    while s < len(zs) and zs[s] == (0, 0):
-        s += 1
-    zs = zs[s:]
-    if not zs:
-        return []
-    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    num_div = _gaussian_int_divisor_candidates(zs[0])
-    den_div = _gaussian_int_divisor_candidates(zs[-1])
-    cands = set()
-    for p in num_div:
-        for q in den_div:
-            nq = q[0] * q[0] + q[1] * q[1]
-            base = (
-                Fraction(p[0] * q[0] + p[1] * q[1], nq),
-                Fraction(p[1] * q[0] - p[0] * q[1], nq),
-            )
-            for u in units:
-                cands.add((base[0] * u[0] - base[1] * u[1], base[0] * u[1] + base[1] * u[0]))
-    return sorted(cands)
 
 
 def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
     ring = P.ring
-    g = poly_gcd(P, Q)
+    full = g = poly_gcd(P, Q)
     if g.is_zero or g.degree == 0:
         return RootReport([], "field-gcd", True)
     s = g.low_zero_count()
@@ -508,24 +476,12 @@ def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
     if s:
         g = Poly(ring, g.coeffs[s:])
         notes.append("dropped root 0 (not a unit)")
+    # g(0) != 0 from here, so no candidate that passes g(rho) = 0 is zero.
     if g.degree == 1:
         rho = -g.coeff(0) / g.coeff(1)
-        if rho.is_zero:
-            return RootReport([], "field-gcd", True, notes)
-        return RootReport([(rho, _root_multiplicity(poly_gcd(P, Q), rho))],
-                          "field-gcd", True, notes)
-    if isinstance(ring, Rationals):
-        cands = [ring.el(c) for c in _rational_root_candidates(g)]
-    elif isinstance(ring, GaussianRationals):
-        cands = [El(ring, c) for c in _gaussian_root_candidates(g)]
-    else:
-        raise ParseError(f"no exact root search implemented for {ring}")
-    roots = []
-    full = poly_gcd(P, Q)
-    for rho in cands:
-        if not g(rho).is_zero or rho.is_zero:
-            continue
-        roots.append((rho, _root_multiplicity(full, rho)))
+        return RootReport([(rho, _root_multiplicity(full, rho))], "field-gcd", True, notes)
+    roots = [(rho, _root_multiplicity(full, rho))
+             for rho in map(ring.el, _rational_root_candidates(g)) if g(rho).is_zero]
     roots.sort(key=lambda rm: rm[0].sort_key())
     return RootReport(roots, "rational-root", True, notes)
 

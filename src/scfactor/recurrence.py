@@ -316,8 +316,8 @@ def make_coeff(ring: Ring, entry) -> CoeffSeq:
     if isinstance(entry, list):
         if not entry:
             raise ParseError("a periodic coefficient needs at least one value")
-        return CoeffSeq(ring.parse(v) if isinstance(v, str) else ring.el(v) for v in entry)
-    return CoeffSeq.constant(ring.parse(entry) if isinstance(entry, str) else ring.el(entry))
+        return CoeffSeq(ring.el(v) for v in entry)
+    return CoeffSeq.constant(ring.el(entry))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +357,10 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
     """
     ring = module.ring
     if kind == "fsc":
-        r = ring.parse(params["r"]) if isinstance(params["r"], str) else ring.el(params["r"])
+        r = ring.el(params["r"])
         if not r.is_unit:
             raise ParseError(f"fsc parameter r must be a unit, got {r}")
-        btail = [ring.parse(v) if isinstance(v, str) else ring.el(v) for v in params["b"]]
+        btail = [ring.el(v) for v in params["b"]]
         if not btail:
             raise ParseError("fsc needs at least one b value")
         bfull = [ring.one] + btail + [ring.zero]
@@ -369,12 +369,12 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"r": r, "b": btail}, rec)
     if kind == "alsp":
-        a_list = [ring.parse(v) if isinstance(v, str) else ring.el(v) for v in params["a"]]
+        a_list = [ring.el(v) for v in params["a"]]
         if not a_list:
             raise ParseError("alsp needs at least one a value")
         if a_list[-1].is_zero:
             raise ParseError("alsp requires a nonzero last coefficient")
-        b = ring.parse(params["b"]) if isinstance(params["b"], str) else ring.el(params["b"])
+        b = ring.el(params["b"])
         if not b.is_unit:
             raise ParseError(f"alsp parameter b must be a unit, got {b}")
         a_row = a_list + [ring.zero]
@@ -382,9 +382,9 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_list, "b": b}, rec)
     if kind == "o2b":
-        a_row = [ring.parse(v) if isinstance(v, str) else ring.el(v) for v in params["a"]]
+        a_row = [ring.el(v) for v in params["a"]]
         j = params["j"]
-        b = ring.parse(params["b"]) if isinstance(params["b"], str) else ring.el(params["b"])
+        b = ring.el(params["b"])
         if not isinstance(j, int) or j < 0 or j + 1 >= len(a_row):
             raise ParseError(f"o2b gap j={j!r} must satisfy 0 <= j <= k-1")
         b_row = [ring.zero] * len(a_row)
@@ -393,7 +393,7 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_row, "j": j, "b": b}, rec)
     if kind == "linear":
-        a_row = [ring.parse(v) if isinstance(v, str) else ring.el(v) for v in params["a"]]
+        a_row = [ring.el(v) for v in params["a"]]
         forcing = GMap.constant_sequence(module, [module.parse(v) for v in params["c"]])
         b_row = [ring.zero] * len(a_row)
         rec = Recurrence(module, a_row, b_row, forcing)

@@ -268,9 +268,6 @@ class Ring:
     def _normalize(self, payload):
         raise ParseError(f"cannot interpret {payload!r} as an element of {self}")
 
-    def eq(self, a: El, b: El) -> bool:
-        return self._eq(a.v, b.v)
-
     def fmt(self, v) -> str:
         raise NotImplementedError
 

@@ -233,3 +233,16 @@ class TestErrors:
         code, _, err = run_cli(capsys, "factor", str(p))
         assert code == 2
         assert "config invalid" in err
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deeply_nested_expression(self, capsys, tmp_path, expr):
+        doc = {"ring": {"kind": "integers-mod-m", "modulus": 7}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", "2", "3"], "b": ["1", "1", "1"],
+                              "g": {"kind": "expression", "exprs": [expr]}},
+               "initial": ["1", "2", "3"]}
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "factor", str(p))
+        assert code == 2
+        assert "nests deeper than" in err and "Traceback" not in err

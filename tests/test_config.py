@@ -1,6 +1,7 @@
 """Config loading, schema validation, and job construction."""
 
 import json
+import re
 
 import pytest
 from jsonschema.validators import validator_for
@@ -35,15 +36,15 @@ class TestBuildJob:
     def test_run_defaults(self):
         job = build_job(zp_doc())
         assert job.run == RunOptions()
-        assert (job.run.steps, job.run.horizon, job.run.max_period) == (100, 64, 16)
+        assert (job.run.steps, job.run.horizon) == (100, 64)
         assert job.run.rel_tol is None
         assert job.run.seeds is None and job.run.roots is None
 
     def test_run_overrides(self):
         doc = zp_doc()
-        doc["run"] = {"steps": 7, "horizon": 20, "max_period": 4, "roots": ["25"]}
+        doc["run"] = {"steps": 7, "horizon": 20, "roots": ["25"]}
         job = build_job(doc)
-        assert (job.run.steps, job.run.horizon, job.run.max_period) == (7, 20, 4)
+        assert (job.run.steps, job.run.horizon) == (7, 20)
         assert job.run.roots == ["25"]
 
     def test_seeds_are_ring_scalars(self):
@@ -206,6 +207,12 @@ class TestSchemaValidation:
         doc = schema()
         validator_for(doc).check_schema(doc)
 
+    def test_removed_max_period_refused(self):
+        doc = zp_doc()
+        doc["run"] = {"steps": 7, "max_period": 4}
+        with pytest.raises(ConfigError, match="max_period"):
+            build_job(doc)
+
     def test_huge_modulus_refused(self):
         doc = zp_doc()
         doc["ring"]["modulus"] = 10**25
@@ -237,8 +244,8 @@ class TestFiles:
         assert job.module.dim == 2
         assert job.recurrence.order == 2
 
-    def test_docs_schema_copy_in_sync(self, configs_dir):
-        from importlib import resources
-        packaged = resources.files("scfactor").joinpath("config.schema.json").read_bytes()
-        docs = (configs_dir.parent / "docs" / "config.schema.json").read_bytes()
-        assert packaged == docs
+    def test_readme_run_keys_match_schema(self, configs_dir):
+        readme = (configs_dir.parent / "README.md").read_text()
+        bullet = re.search(r"^- `run`:(.*?)(?=^\S|^- |\Z)", readme, re.M | re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", bullet)) == \
+            set(schema()["properties"]["run"]["properties"])

@@ -3,8 +3,8 @@
 import pytest
 
 from scfactor import DivisionByNonUnit, GMapSyntaxError, TanhUnsupported
-from scfactor.gmap import (eval_expr, expr_identifiers, format_expr, parse_expr,
-                           validate_expr)
+from scfactor.gmap import (MAX_EXPR_DEPTH, eval_expr, expr_identifiers, format_expr,
+                           parse_expr, validate_expr)
 from scfactor.rings import FloatComplex, IntegersMod, Module, Rationals, RationalQuaternions
 
 
@@ -33,6 +33,16 @@ class TestParse:
             parse_expr("u1 $ u2")
         with pytest.raises(GMapSyntaxError):
             parse_expr("(u1")
+
+    def test_depth_limit(self):
+        n = MAX_EXPR_DEPTH - 1
+        assert parse_expr("(" * n + "u1" + ")" * n) == ("u", 1)
+        assert parse_expr("-" * n + "u1")[0] == "neg"
+        assert parse_expr("u1" + "+u1" * n)[0] == "add"
+        for text in ("(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1",
+                     "inv(" * 3000 + "u1" + ")" * 3000, "u1" + "+u1" * 3000):
+            with pytest.raises(GMapSyntaxError, match=f"deeper than {MAX_EXPR_DEPTH}"):
+                parse_expr(text)
 
 
 class TestValidate:

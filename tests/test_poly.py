@@ -391,6 +391,125 @@ class TestRationalRouteAgainstDivisors:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian-rational roots by p-adic lifting against the divisor search it replaced
+
+
+def _gaussian_int_divisors(z):
+    """One associate (re > 0, im >= 0) of every d in Z[i] with d | z (z != 0),
+    found among the Gaussian integers whose norm divides N(z)."""
+    nz = z[0] * z[0] + z[1] * z[1]
+    out = []
+    for nd in _int_divisors(nz):
+        for x in range(1, math.isqrt(nd) + 1):
+            y = math.isqrt(nd - x * x)
+            if y * y == nd - x * x and (z[0] * x + z[1] * y) % nd == 0 \
+                    and (z[1] * x - z[0] * y) % nd == 0:
+                out.append((x, y))
+    return out
+
+
+def _gaussian_divisor_candidates(g):
+    """Reference: every unit * a/b with a | g(0) and b | lead g in Z[i]."""
+    den = math.lcm(*(part.denominator for c in g.coeffs for part in c.v))
+    zs = [(int(c.v[0] * den), int(c.v[1] * den)) for c in g.coeffs]
+    cands = set()
+    for a in _gaussian_int_divisors(zs[0]):
+        for b in _gaussian_int_divisors(zs[-1]):
+            nb = b[0] * b[0] + b[1] * b[1]
+            re = Fraction(a[0] * b[0] + a[1] * b[1], nb)
+            im = Fraction(a[1] * b[0] - a[0] * b[1], nb)
+            for u in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                cands.add((re * u[0] - im * u[1], re * u[1] + im * u[0]))
+    return sorted(cands)
+
+
+def _poly_with_roots(R, roots, cofactor):
+    out = Poly(R, [R.el(c) for c in cofactor])
+    for r in roots:
+        out = out * Poly(R, [-R.el(r), R.one])
+    return out
+
+
+class TestGaussianRouteAgainstDivisors:
+    def test_random_small_coefficient_pairs(self, monkeypatch):
+        R = GaussianRationals()
+        rng = random.Random(2025)
+
+        def rand_root(lo, hi, den):
+            return (Fraction(rng.randint(lo, hi), rng.randint(1, den)),
+                    Fraction(rng.randint(lo, hi), rng.randint(1, den)))
+
+        for case in range(150):
+            common = [rand_root(-4, 4, 2) for _ in range(rng.randint(1, 2))]
+            if case % 3 == 0:
+                common.append(common[0])
+            if case % 5 == 0:
+                common.append((0, 0))
+            # With Q = 0 every root of P is common, so P needs no roots of its own.
+            own = [rand_root(-3, 3, 2) for _ in range(rng.randint(0, case % 4 and 1))]
+            cof = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                   for _ in range(rng.randint(0, 1))] + [(rng.randint(1, 2), rng.randint(0, 1))]
+            PP = _poly_with_roots(R, common + own, cof)
+            QQ = (Poly(R, []) if case % 4 == 0 else
+                  _poly_with_roots(R, common[:rng.randint(0, len(common))],
+                                 [(rng.randint(-3, 3), rng.randint(-2, 2)), (1, rng.randint(0, 1))]))
+            got = unit_roots(PP, QQ)
+            with monkeypatch.context() as mp:
+                mp.setattr(poly_mod, "_rational_root_candidates", _gaussian_divisor_candidates)
+                want = unit_roots(PP, QQ)
+            assert [(r.v, mult) for r, mult in got.roots] == \
+                [(r.v, mult) for r, mult in want.roots], (PP, QQ)
+            assert (got.method, got.exhaustive, got.notes) == \
+                (want.method, want.exhaustive, want.notes)
+
+    def test_large_roots_found_quickly(self):
+        R = GaussianRationals()
+        big = (Fraction(10**12 + 39, 7), Fraction(-(10**9 + 7), 3))
+        small = (Fraction(-3, 5), Fraction(2))
+        g = _poly_with_roots(R, [big, small], [(-(10**24 + 7), 0), (0, 0), (1, 0)])
+        t0 = time.perf_counter()
+        rr = unit_roots(g * P(R, 2, 1), g)
+        assert time.perf_counter() - t0 < 2.0
+        assert [(r.v, mult) for r, mult in rr.roots] == [(small, 1), (big, 1)]
+        assert rr.method == "rational-root" and rr.exhaustive
+
+
+class TestPadicLifting:
+    @pytest.mark.parametrize("ring, root", [
+        (Rationals(), 2**31 + 6),                   # p = 2: M = 2^32 is too small
+        (GaussianRationals(), (0, 5**16 - 10)),     # p = 5: M = 5^16 is too small
+    ], ids=["rational", "gaussian"])
+    def test_lift_reaches_the_bound(self, ring, root):
+        # g = (x - root)(x + 1) has |lead * root| = |g(0)|, so the root is read
+        # off correctly only once M exceeds twice its size, one squaring later.
+        g = _poly_with_roots(ring, [root, -1], [1])
+        rr = unit_roots(g * P(ring, 2, 1), g)
+        assert [r.v for r, _ in rr.roots] == sorted((ring.el(-1).v, ring.el(root).v))
+
+    @pytest.mark.parametrize("ring, roots, prime", [
+        # lead f = 5 after clearing denominators: 5 divides N(lead f)
+        (GaussianRationals(), [(Fraction(1, 5), 1), (2, 0)], 13),
+        # 2 and i collide mod 5 under i -> 2, though not under i -> 3
+        (GaussianRationals(), [(2, 0), (0, 1), (3, 1)], 13),
+        # two of 1, 7 and 31 collide mod 2, 3 and 5
+        (Rationals(), [1, 7, 31], 7),
+    ], ids=["gaussian-lead", "gaussian-one-embedding", "rational-discriminant"])
+    def test_prime_search_skips_bad_primes(self, monkeypatch, ring, roots, prime):
+        primes = []
+        real = poly_mod._roots_mod_p
+
+        def spy(f, p):
+            primes.append(p)
+            return real(f, p)
+
+        monkeypatch.setattr(poly_mod, "_roots_mod_p", spy)
+        g = _poly_with_roots(ring, roots, [1])
+        rr = unit_roots(g * P(ring, 1, 1), g)
+        assert set(primes) == {prime}
+        assert sorted(r.v for r, _ in rr.roots) == sorted(ring.el(r).v for r in roots)
+
+
+# ---------------------------------------------------------------------------
 # whole jobs that the unit scan or the divisor search could not finish
 
 
@@ -427,6 +546,18 @@ def test_rational_job_with_huge_irrational_gcd(tmp_path, capsys):
     # no rational root; a divisor search would trial-divide up to 10^12.
     n = 10**24 + 7
     path = _order3_job(tmp_path, {"kind": "exact-rational"}, [0, n, 0], [1, 0, -n])
+    t0 = time.perf_counter()
+    code = main(["factor", path])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3
+    assert "method rational-root, exhaustive" in capsys.readouterr().out
+
+
+def test_gaussian_job_with_huge_irrational_gcd(tmp_path, capsys):
+    # The same gcd x^2 - N over Q(i): a Gaussian divisor search would
+    # enumerate the divisors of N^2 = N(g(0)).
+    n = 10**24 + 7
+    path = _order3_job(tmp_path, {"kind": "gaussian-rational"}, [0, n, 0], [1, 0, -n])
     t0 = time.perf_counter()
     code = main(["factor", path])
     assert time.perf_counter() - t0 < 2.0
