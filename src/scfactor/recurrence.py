@@ -234,21 +234,39 @@ class Recurrence:
         """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""
         if len(window) != self.order:
             raise ValueError(f"window must hold {self.order} values, got {len(window)}")
-        acc = self.module.zero
-        for i in range(self.order):
-            ai = self.a[i].at(n)
-            if not ai.is_zero:
-                acc = acc + ai * window[i]
-        if self.g.is_zero:
-            return acc
-        if not self.g.uses_argument:
-            return acc + self.g.apply(n, self.module.zero)
-        arg = self.module.zero
-        for i in range(self.order):
-            bi = self.b[i].at(n)
-            if not bi.is_zero:
-                arg = arg + bi * window[i]
-        return acc + self.g.apply(n, arg)
+        ring = self.ring
+        acc = self._row_payloads(self.a, n, window)
+        if not self.g.is_zero:
+            if self.g.uses_argument:
+                arg = Vec(El(ring, v) for v in self._row_payloads(self.b, n, window))
+            else:
+                arg = self.module.zero
+            add = ring._add
+            acc = [add(s, t.v) for s, t in zip(acc, self.g.apply(n, arg).parts)]
+        return Vec(El(ring, v) for v in acc)
+
+    def _row_payloads(self, row, n: int, window) -> list:
+        """Payloads of sum_i row_i(n) * window[i], summed in index order.
+
+        Works on ring payloads directly: the simulation loop spends most of
+        its time here, and El/Vec wrappers per term would dominate it.
+        """
+        ring = self.ring
+        add, mul, eq = ring._add, ring._mul, ring._eq
+        zero = ring.zero.v
+        acc = [zero] * self.module.dim
+        for seq, x in zip(row, window):
+            c = seq.at(n).v
+            if eq(c, zero):
+                continue
+            parts = x.parts
+            if len(parts) != len(acc):
+                raise ValueError("vector dimension mismatch")
+            for j, p in enumerate(parts):
+                if p.ring is not ring and p.ring != ring:
+                    raise ValueError(f"mixed rings: {ring} and {p.ring}")
+                acc[j] = add(acc[j], mul(c, p.v))
+        return acc
 
     def char_pair(self) -> tuple[Poly, Poly]:
         """The pair (P, Q) for constant coefficients:

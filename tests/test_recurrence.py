@@ -99,6 +99,26 @@ class TestRecurrence:
         x4 = rec.step(3, [x3, x[2], x[1]])
         assert x4 == M.parse("1")
 
+    def test_step_scalars_act_on_the_left(self):
+        H = make_ring("rational-quaternion")
+        M = Module(H, 2)
+        rec = Recurrence(M, ["i", "0"], ["j", "0"],
+                         GMap.linear_scale(M, ["1"]))
+        out = rec.step(0, [M.parse(["j", "1"]), M.parse(["1", "1"])])
+        # x1 = i*x0 + j*x0 with x0 = (j, 1): (i*j + j*j, i + j) = (k - 1, i + j)
+        assert out == M.parse(["-1+k", "i+j"])
+
+    def test_step_refuses_foreign_windows(self, z7, rat):
+        rec = Recurrence(Module(z7, 1), ["1", "1"], ["0", "0"],
+                         GMap.zero(Module(z7, 1)))
+        with pytest.raises(ValueError):
+            rec.step(0, [Module(rat, 1).parse("1"), Module(z7, 1).parse("1")])
+        with pytest.raises(ValueError):
+            rec.step(0, [Module(z7, 2).parse(["1", "1"]),
+                         Module(z7, 1).parse("1")])
+        with pytest.raises(ValueError):
+            rec.step(0, [Module(z7, 1).parse("1")])
+
     def test_periodic_rows(self, z7):
         M = Module(z7, 1)
         rec = Recurrence(M, [["1", "2"], "0"], ["1", "0"], GMap.zero(M))
