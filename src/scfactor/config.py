@@ -61,7 +61,8 @@ def read_config_file(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on nesting deeper than the interpreter's stack
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 

@@ -8,6 +8,13 @@ offsets instead of padding.
 Breakdowns (division by a non-unit, tanh domain violations, non-finite
 floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
+
+Every run works on raw ring payloads: simulate iterates the recurrence's
+compiled kernel (Recurrence.kernel), simulate_chain and
+simulate_substitution rebuild the upper levels with the ring's payload
+operations, and verify_equivalence compares payloads with the ring's own
+equality. Values are wrapped into Vec elements once, when a Trajectory is
+returned.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DivisionByNonUnit, TanhUnsupported
 from .factorize import FactorizationChain, SubstitutionFactorization, level_name
 from .recurrence import Recurrence
-from .rings import FloatComplex, FloatQuaternions, Module, Vec
+from .rings import Module, Vec
 
 FLOAT_COMPARE_CAP = 500
 
@@ -50,44 +57,37 @@ class Trajectory:
         return self.values[n - self.start]
 
 
-def _is_finite(v: Vec) -> bool:
-    for c in v.parts:
-        payload = c.v
-        if isinstance(payload, complex):
-            if not (math.isfinite(payload.real) and math.isfinite(payload.imag)):
-                return False
-        elif isinstance(payload, tuple) and payload and isinstance(payload[0], float):
-            if not all(math.isfinite(x) for x in payload):
-                return False
-    return True
-
-
 def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
              level: str = "x") -> Trajectory:
     """Iterate the recurrence from its initial window.
 
     ``initial`` lists x_start .. x_{start+k} (oldest first). The result
     covers indices start .. start+k+steps unless a breakdown truncates it.
+    The run works on payloads through ``rec.kernel``; values are wrapped
+    into vectors once, when the trajectory is returned.
     """
     module = rec.module
-    window_size = rec.order
     init = [module.el(v) for v in initial]
-    if len(init) != window_size:
-        raise ConfigError(f"initial window must hold {window_size} value(s), got {len(init)}")
-    values = list(init)
+    if len(init) != rec.order:
+        raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(init)}")
+    step, finite = rec.kernel, rec.ring._finite
+    hist = [module.payloads(v) for v in init]
     breakdown = None
     for n in range(start + rec.k, start + rec.k + steps):
-        window = [values[-1 - i] for i in range(window_size)]
         try:
-            nxt = rec.step(n, window)
+            nxt = step(n, hist)
         except (DivisionByNonUnit, TanhUnsupported) as exc:
             breakdown = Breakdown(n + 1, str(exc))
             break
-        if not _is_finite(nxt):
+        if finite is not None and not all(map(finite, nxt)):
             breakdown = Breakdown(n + 1, "value is not finite")
             break
-        values.append(nxt)
-    return Trajectory(level, start, values, breakdown)
+        hist.append(nxt)
+    return Trajectory(level, start, [module.wrap(v) for v in hist], breakdown)
+
+
+def _propagated(below: Breakdown | None) -> Breakdown | None:
+    return None if below is None else Breakdown(below.index, f"propagated: {below.reason}")
 
 
 def transport(chain: FactorizationChain, initial) -> list[list[Vec]]:
@@ -133,29 +133,31 @@ class ChainRun:
 
 
 def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
-    """Run the deepest factor, then rebuild every level above it."""
+    """Run the deepest factor, then rebuild every level above it on payloads."""
     windows = transport(chain, initial)
     depth = len(chain.steps)
     k = chain.base.k
-    deepest = simulate(chain.final_factor, windows[depth], steps,
-                       start=depth, level=level_name(depth))
-    trajs = [deepest]
-    below = deepest
+    module = chain.base.module
+    add, mul = module.ring._add, module.ring._mul
+    below = simulate(chain.final_factor, windows[depth], steps,
+                     start=depth, level=level_name(depth))
+    end = below.end
+    trajs = [below]
+    deeper = [module.payloads(v) for v in below.values]
     for l in range(depth - 1, -1, -1):
-        step = chain.steps[l]  # relates level l (cofactor) to level l+1 (factor)
-        vals = list(windows[l])
-        traj = Trajectory(level_name(l), l, vals, None)
-        # w_{n+1} = alpha(n) * w_n + deeper_{n+1}, starting at n = k
-        n = k
-        while n + 1 < below.end:
-            cur = traj.values[-1]
-            traj.values.append(step.alpha.at(n) * cur + below.value_at(n + 1))
-            n += 1
-        if below.breakdown is not None:
-            traj.breakdown = Breakdown(below.breakdown.index,
-                                       f"propagated: {below.breakdown.reason}")
-        trajs.append(traj)
-        below = traj
+        # chain.steps[l] relates level l (cofactor) to level l+1 (factor)
+        alpha = [a.v for a in chain.steps[l].alpha.values]
+        period = len(alpha)
+        vals = [module.payloads(v) for v in windows[l]]
+        # w_{n+1} = alpha(n) * w_n + deeper_{n+1}, starting at n = k;
+        # deeper[i] is the level-(l+1) value at index l + 1 + i
+        for n in range(k, end - 1):
+            a = alpha[n % period]
+            vals.append([add(mul(a, w), d) for w, d in zip(vals[-1], deeper[n - l])])
+        below = Trajectory(level_name(l), l, [module.wrap(v) for v in vals],
+                           _propagated(below.breakdown))
+        trajs.append(below)
+        deeper = vals
     trajs.reverse()
     return ChainRun(trajs)
 
@@ -168,6 +170,7 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     accordingly and reconstruction is x_{n+1} = sum a_{j-1} x_{n+1-j} + s_{n+1}.
     """
     module = sub.base.module
+    add, mul = module.ring._add, module.ring._mul
     k = sub.k
     init = [module.el(v) for v in initial]
     if len(init) != k + 1:
@@ -176,18 +179,15 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     for j, c in enumerate(sub.sub_coeffs, start=1):
         s_k = s_k - c * init[k - j]
     s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
-    xs = list(init)
-    x_traj = Trajectory("x", 0, xs, None)
-    n = k
-    while n + 1 < s_traj.end:
-        acc = s_traj.value_at(n + 1)
-        for j, c in enumerate(sub.sub_coeffs, start=1):
-            acc = acc + c * xs[n + 1 - j]
+    s_vals = [module.payloads(v) for v in s_traj.values]  # s at index k + i
+    coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
+    xs = [module.payloads(v) for v in init]
+    for n in range(k, s_traj.end - 1):
+        acc = s_vals[n + 1 - k]
+        for j, c in coeffs:
+            acc = [add(s, mul(c, x)) for s, x in zip(acc, xs[n + 1 - j])]
         xs.append(acc)
-        n += 1
-    if s_traj.breakdown is not None:
-        x_traj.breakdown = Breakdown(s_traj.breakdown.index,
-                                     f"propagated: {s_traj.breakdown.reason}")
+    x_traj = Trajectory("x", 0, [module.wrap(v) for v in xs], _propagated(s_traj.breakdown))
     return ChainRun([x_traj, s_traj])
 
 
@@ -195,11 +195,10 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
 # comparison
 
 
-def _deviation(a: Vec, b: Vec) -> float:
-    """Max componentwise distance, for float rings."""
+def _deviation(a, b) -> float:
+    """Max componentwise distance between two payload lists, for float rings."""
     out = 0.0
-    for x, y in zip(a.parts, b.parts):
-        px, py = x.v, y.v
+    for px, py in zip(a, b):
         if isinstance(px, complex):
             out = max(out, abs(px - py))
         else:
@@ -251,7 +250,7 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     windows of that width).
     """
     ring = rec.ring
-    is_float = isinstance(ring, (FloatComplex, FloatQuaternions))
+    is_float = not ring.exact
     capped = False
     if is_float and steps > FLOAT_COMPARE_CAP:
         steps = FLOAT_COMPARE_CAP
@@ -265,24 +264,27 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
 
     if rel_tol is None:
         rel_tol = 1e-9
+    # both trajectories start at index 0, so pairs line up by position
     module = rec.module
-    stop = min(direct.end, rebuilt.end)
+    pairs = zip(map(module.payloads, direct.values), map(module.payloads, rebuilt.values))
+    compared = min(direct.end, rebuilt.end)
     first_div = None
-    max_dev = 0.0 if is_float else None
-    compared = 0
-    for n in range(stop):
-        a = direct.value_at(n)
-        b = rebuilt.value_at(n)
-        compared += 1
-        if is_float:
+    max_dev = None
+    if is_float:
+        zero = [ring.zero.v] * module.dim
+        max_dev = 0.0
+        for n, (a, b) in enumerate(pairs):
             dev = _deviation(a, b)
-            scale = max(_deviation(a, module.zero), _deviation(b, module.zero), 1.0)
+            scale = max(_deviation(a, zero), _deviation(b, zero), 1.0)
             max_dev = max(max_dev, dev)
             if dev > rel_tol * scale and first_div is None:
                 first_div = n
-        else:
-            if not (a == b) and first_div is None:
+    else:
+        eq = ring._eq
+        for n, (a, b) in enumerate(pairs):
+            if not all(map(eq, a, b)):
                 first_div = n
+                break
     db, cb = direct.breakdown, rebuilt.breakdown
     if db is None and cb is None:
         aligned = True

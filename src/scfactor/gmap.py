@@ -22,6 +22,11 @@ ASTs are plain tuples:
 
 format_expr renders a canonical string whose parse returns the identical
 tuple tree (binary nodes fully parenthesized, unary children parenthesized).
+
+compile_expr turns a tree into nested closures over the ring's payload
+operations (_add, _mul, _neg, _inv), so evaluation walks no tuples;
+GMap.kernel compiles each expression once. eval_expr is a wrapper for one
+evaluation on El values.
 """
 
 from __future__ import annotations
@@ -200,49 +205,77 @@ def expr_identifiers(ast) -> set[str]:
     return out
 
 
-def eval_expr(ast, ring: Ring, u, seqs, n: int) -> El:
-    """Evaluate one AST over ``ring``.
+def compile_expr(ast, ring: Ring, seqs):
+    """Compile one AST into a closure f(u, n) over ring payloads.
 
-    u: tuple of El (the argument vector components); seqs: name -> tuple of El
-    (periodic, indexed by n mod period); n: the current step index, attached
-    to division/tanh errors so the engine can record breakdown points.
+    u: sequence of payloads (the argument vector components); seqs: name ->
+    tuple of payloads (periodic, indexed by n mod period); n: the current step
+    index, attached to division/tanh errors so the engine can record
+    breakdown points. Products keep the operand order (left * right), and
+    ``/`` is right division left * right^-1.
     """
+    add, mul, neg, inv, fmt = ring._add, ring._mul, ring._neg, ring._inv, ring.fmt
     op = ast[0]
     if op == "int":
-        return ring.from_int(ast[1])
+        c = ring.from_int(ast[1]).v
+        return lambda u, n: c
     if op == "u":
-        return u[ast[1] - 1]
+        i = ast[1] - 1
+        return lambda u, n: u[i]
     if op == "seq":
         vals = seqs[ast[1]]
-        return vals[n % len(vals)]
+        period = len(vals)
+        return lambda u, n: vals[n % period]
+    if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
+        raise GMapSyntaxError(f"unknown AST node {op!r}")
+    f = compile_expr(ast[1], ring, seqs)
     if op == "neg":
-        return -eval_expr(ast[1], ring, u, seqs, n)
+        return lambda u, n: neg(f(u, n))
     if op == "inv":
-        val = eval_expr(ast[1], ring, u, seqs, n)
-        if not val.is_unit:
-            raise DivisionByNonUnit(f"inv of non-unit {val}", n=n)
-        return val.inverse()
+        def inverse(u, n):
+            val = f(u, n)
+            w = inv(val)
+            if w is None:
+                raise DivisionByNonUnit(f"inv of non-unit {fmt(val)}", n=n)
+            return w
+        return inverse
     if op == "tanh":
-        val = eval_expr(ast[1], ring, u, seqs, n)
-        if not isinstance(ring, FloatComplex):
-            raise TanhUnsupported(f"tanh is only available over float-complex, not {ring}", n=n)
-        z = val.v
-        if abs(z.imag) > ring.tol * max(1.0, abs(z.real)):
-            raise TanhUnsupported(f"tanh argument {val} has a non-negligible imaginary part", n=n)
-        return El(ring, complex(math.tanh(z.real), 0.0))
-    left = eval_expr(ast[1], ring, u, seqs, n)
-    right = eval_expr(ast[2], ring, u, seqs, n)
+        def tanh(u, n):
+            z = f(u, n)
+            if not isinstance(ring, FloatComplex):
+                raise TanhUnsupported(
+                    f"tanh is only available over float-complex, not {ring}", n=n)
+            if abs(z.imag) > ring.tol * max(1.0, abs(z.real)):
+                raise TanhUnsupported(
+                    f"tanh argument {fmt(z)} has a non-negligible imaginary part", n=n)
+            return complex(math.tanh(z.real), 0.0)
+        return tanh
+    g = compile_expr(ast[2], ring, seqs)
     if op == "add":
-        return left + right
+        return lambda u, n: add(f(u, n), g(u, n))
     if op == "sub":
-        return left - right
+        return lambda u, n: add(f(u, n), neg(g(u, n)))
     if op == "mul":
-        return left * right
-    if op == "div":
-        if not right.is_unit:
-            raise DivisionByNonUnit(f"division by non-unit {right}", n=n)
-        return left * right.inverse()
-    raise GMapSyntaxError(f"unknown AST node {op!r}")
+        return lambda u, n: mul(f(u, n), g(u, n))
+
+    def divide(u, n):
+        left, right = f(u, n), g(u, n)
+        w = inv(right)
+        if w is None:
+            raise DivisionByNonUnit(f"division by non-unit {fmt(right)}", n=n)
+        return mul(left, w)
+    return divide
+
+
+def eval_expr(ast, ring: Ring, u, seqs, n: int) -> El:
+    """Evaluate one AST over ``ring`` at step n.
+
+    u: the argument vector components (El); seqs: name -> tuple of El.
+    A wrapper over compile_expr for single evaluations.
+    """
+    payload_seqs = {name: tuple(e.v for e in vals) for name, vals in seqs.items()}
+    f = compile_expr(ast, ring, payload_seqs)
+    return El(ring, f([x.v for x in u], n))
 
 
 def format_expr(ast) -> str:

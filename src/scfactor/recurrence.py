@@ -18,10 +18,16 @@ GMap wraps the four supported shapes of g_n:
 Families (build_family) construct specific coefficient patterns that are
 known to reduce; fold_system merges d scalar recurrences sharing the same
 coefficient rows into one module recurrence.
+
+Recurrence.kernel and GMap.kernel are the step and the map compiled once,
+on first use, into functions on raw ring payloads; the simulation engine
+runs them directly. Recurrence.step and GMap.apply are thin wrappers that
+unwrap their Vec arguments, call the kernel and wrap the result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
 from dataclasses import dataclass
@@ -163,15 +169,34 @@ class GMap:
             return _lcm([len(v) for v in self.seqs.values()] or [1])
         return 1
 
-    def apply(self, n: int, w: Vec) -> Vec:
-        if self.kind == "zero":
-            return self.module.zero
-        if self.kind == "constant-sequence":
-            return self.vec_values[n % len(self.vec_values)]
-        if self.kind == "linear-scale":
-            return self.scalar_values[n % len(self.scalar_values)] * w
+    @functools.cached_property
+    def kernel(self):
+        """g_n on payloads, compiled once: kernel(n, w) maps the argument's
+        payload list w to a payload sequence. None for the zero map."""
         ring = self.module.ring
-        return Vec(gm.eval_expr(ast, ring, w.parts, self.seqs, n) for ast in self.exprs)
+        if self.kind == "zero":
+            return None
+        if self.kind == "constant-sequence":
+            forcing = tuple([e.v for e in v.parts] for v in self.vec_values)
+            period = len(forcing)
+            return lambda n, w: forcing[n % period]
+        mul = ring._mul
+        if self.kind == "linear-scale":
+            scales = tuple(c.v for c in self.scalar_values)
+            period = len(scales)
+
+            def scale(n, w):
+                c = scales[n % period]
+                return [mul(c, x) for x in w]
+            return scale
+        seqs = {name: tuple(e.v for e in vals) for name, vals in self.seqs.items()}
+        comps = tuple(gm.compile_expr(ast, ring, seqs) for ast in self.exprs)
+        return lambda n, w: [f(w, n) for f in comps]
+
+    def apply(self, n: int, w: Vec) -> Vec:
+        if self.kernel is None:
+            return self.module.zero
+        return self.module.wrap(self.kernel(n, self.module.payloads(w)))
 
     def describe(self) -> str:
         if self.kind == "zero":
@@ -230,43 +255,55 @@ class Recurrence:
     def b_is_zero(self) -> bool:
         return all(s.is_constant and s.at(0).is_zero for s in self.b)
 
-    def step(self, n: int, window) -> Vec:
-        """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""
-        if len(window) != self.order:
-            raise ValueError(f"window must hold {self.order} values, got {len(window)}")
-        ring = self.ring
-        acc = self._row_payloads(self.a, n, window)
-        if not self.g.is_zero:
-            if self.g.uses_argument:
-                arg = Vec(El(ring, v) for v in self._row_payloads(self.b, n, window))
-            else:
-                arg = self.module.zero
-            add = ring._add
-            acc = [add(s, t.v) for s, t in zip(acc, self.g.apply(n, arg).parts)]
-        return Vec(El(ring, v) for v in acc)
+    @functools.cached_property
+    def kernel(self):
+        """The step compiled once on payloads: kernel(n, hist) is x_{n+1},
+        where hist is a list of payload lists whose last k+1 entries are
+        x_{n-k} .. x_n (oldest first).
 
-    def _row_payloads(self, row, n: int, window) -> list:
-        """Payloads of sum_i row_i(n) * window[i], summed in index order.
-
-        Works on ring payloads directly: the simulation loop spends most of
-        its time here, and El/Vec wrappers per term would dominate it.
+        Coefficients act on the left (c * x). Per phase n mod coeff_period
+        only the nonzero (position, coefficient) pairs are kept; phases are
+        built on first use, so a long period costs no more than the steps
+        actually run.
         """
         ring = self.ring
         add, mul, eq = ring._add, ring._mul, ring._eq
         zero = ring.zero.v
-        acc = [zero] * self.module.dim
-        for seq, x in zip(row, window):
-            c = seq.at(n).v
-            if eq(c, zero):
-                continue
-            parts = x.parts
-            if len(parts) != len(acc):
-                raise ValueError("vector dimension mismatch")
-            for j, p in enumerate(parts):
-                if p.ring is not ring and p.ring != ring:
-                    raise ValueError(f"mixed rings: {ring} and {p.ring}")
-                acc[j] = add(acc[j], mul(c, p.v))
-        return acc
+        dim = self.module.dim
+        period = self.coeff_period
+        g = self.g.kernel
+
+        def terms(row, phase):
+            pairs = [(-1 - i, seq.at(phase).v) for i, seq in enumerate(row)]
+            return [(i, c) for i, c in pairs if not eq(c, zero)]
+
+        def row_sum(pairs, hist):
+            acc = [zero] * dim
+            for i, c in pairs:
+                acc = [add(s, mul(c, p)) for s, p in zip(acc, hist[i])]
+            return acc
+
+        phases = {}
+        reads_arg = self.g.uses_argument
+
+        def step(n, hist):
+            phase = n % period
+            rows = phases.get(phase)
+            if rows is None:
+                rows = phases[phase] = (terms(self.a, phase), terms(self.b, phase))
+            acc = row_sum(rows[0], hist)
+            if g is None:
+                return acc
+            arg = row_sum(rows[1], hist) if reads_arg else None
+            return [add(s, t) for s, t in zip(acc, g(n, arg))]
+        return step
+
+    def step(self, n: int, window) -> Vec:
+        """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""
+        if len(window) != self.order:
+            raise ValueError(f"window must hold {self.order} values, got {len(window)}")
+        hist = [self.module.payloads(x) for x in reversed(window)]
+        return self.module.wrap(self.kernel(n, hist))
 
     def char_pair(self) -> tuple[Poly, Poly]:
         """The pair (P, Q) for constant coefficients:

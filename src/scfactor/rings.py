@@ -216,6 +216,9 @@ class Ring:
 
     # payload ops, implemented by subclasses:
     #   _add, _neg, _mul, _inv (None when not a unit), _eq, _key, fmt, parse payload
+    # _finite: payload predicate that float rings set; None on exact rings
+    _finite = None
+
     def _descriptor(self) -> tuple:
         return (self.kind,)
 
@@ -495,6 +498,9 @@ class FloatComplex(Ring):
     def _mul(self, a, b):
         return a * b
 
+    def _finite(self, a):
+        return math.isfinite(a.real) and math.isfinite(a.imag)
+
     def _inv(self, a):
         if self._eq(a, 0j):
             return None
@@ -613,6 +619,9 @@ class FloatQuaternions(Ring):
 
     def _abs(self, a):
         return math.sqrt(sum(c * c for c in a))
+
+    def _finite(self, a):
+        return all(map(math.isfinite, a))
 
     def _inv(self, a):
         if self._eq(a, (0.0, 0.0, 0.0, 0.0)):
@@ -760,6 +769,21 @@ class Module:
         if not isinstance(entry, list) or len(entry) != self.dim:
             raise ParseError(f"vector literal must list {self.dim} component(s), got {entry!r}")
         return Vec(self.ring.parse(c) for c in entry)
+
+    def payloads(self, v: Vec) -> list:
+        """The component payloads of v, which must belong to this module."""
+        if not isinstance(v, Vec) or v.dim != self.dim:
+            raise ValueError("vector dimension mismatch")
+        ring = self.ring
+        for c in v.parts:
+            if c.ring is not ring and c.ring != ring:
+                raise ValueError(f"mixed rings: {ring} and {c.ring}")
+        return [c.v for c in v.parts]
+
+    def wrap(self, payloads) -> Vec:
+        """The vector with these component payloads."""
+        ring = self.ring
+        return Vec([El(ring, p) for p in payloads])
 
     def fmt(self, v: Vec) -> list[str]:
         return [str(c) for c in v.parts]

@@ -234,6 +234,13 @@ class TestErrors:
         assert code == 2
         assert "config invalid" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        p = tmp_path / "nested.json"
+        p.write_text('{"ring": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, _, err = run_cli(capsys, "factor", str(p))
+        assert code == 2
+        assert "not valid JSON" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("expr", ["(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1"],
                              ids=["parentheses", "unary-minus"])
     def test_deeply_nested_expression(self, capsys, tmp_path, expr):

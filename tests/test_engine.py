@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from scfactor import (Breakdown, ConfigError, GMap, Module, Recurrence,
-                      Trajectory, build_family, detect_period, factor_chain,
+from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
+                      FactorStep, GMap, Module, Recurrence, Trajectory, build_family, detect_period, factor_chain,
                       make_ring, simulate, simulate_chain,
                       simulate_substitution, substitution_factorization,
                       transport, trajectory_csv, trajectory_json_obj,
@@ -85,6 +85,46 @@ class TestSimulate:
         assert b.describe() == "breakdown at index 4: division by zero"
 
 
+class TestBreakdowns:
+    """Breakdown index and reason text of each kind, through simulate."""
+
+    def test_inv_of_non_unit_mod_p(self):
+        # x_{n+1} = x_n + 0*inv(x_n) + 1 counts up mod 7 until x_6 = 0
+        M = Module(make_ring("integers-mod-m", modulus=7), 1)
+        rec = Recurrence(M, ["1"], ["1"], GMap.expression(M, ["inv(u1)*0 + 1"], {}))
+        traj = simulate(rec, ["1"], 20)
+        assert traj.breakdown == Breakdown(7, "inv of non-unit 0")
+        assert [str(v) for v in traj.values] == ["1", "2", "3", "4", "5", "6", "0"]
+
+    def test_division_by_periodic_sum(self):
+        # d has period 2, e period 3; d[n] + e[n] = 2 + 9 = 0 mod 11 only at n = 5 mod 6
+        M = Module(make_ring("integers-mod-m", modulus=11), 1)
+        g = GMap.expression(M, ["c[n]*u1*u1/(d[n]+e[n]) + u1"],
+                            {"c": ["3", "4"], "d": ["1", "2"], "e": ["1", "1", "9"]})
+        rec = Recurrence(M, ["1", "1"], ["1", "0"], g)
+        traj = simulate(rec, ["1", "2"], 20)
+        assert traj.breakdown == Breakdown(6, "division by non-unit 0")
+        assert traj.end == 6
+
+    def test_tanh_off_the_real_axis(self):
+        # b is i at n = 2 mod 3, so the third step hands tanh an imaginary argument
+        M = Module(make_ring("float-complex"), 1)
+        rec = Recurrence(M, ["1"], [["1", "1", "i"]], GMap.expression(M, ["tanh(u1)"], {}))
+        traj = simulate(rec, ["0.5"], 20)
+        assert traj.breakdown == Breakdown(
+            3, "tanh argument 1.7073368995898281i has a non-negligible imaginary part")
+        assert [str(v) for v in traj.values] == ["0.5", "0.9621171572600098",
+                                                 "1.7073368995898281"]
+
+    def test_float_overflow_is_not_finite(self):
+        # x_{n+1} = x_n^2 from 10 passes 1e256 and overflows at index 9
+        M = Module(make_ring("float-complex"), 1)
+        rec = Recurrence(M, ["0"], ["1"], GMap.expression(M, ["u1*u1"], {}))
+        traj = simulate(rec, ["10"], 20)
+        assert traj.breakdown == Breakdown(9, "value is not finite")
+        assert str(traj.values[-1]) == "1.0000000000000005e+256"
+
+
 class TestTransport:
     def test_zp_windows(self):
         R = make_ring("integers-mod-m", modulus=26)
@@ -147,6 +187,21 @@ class TestChainRun:
         assert x40.parts[0].v == Fraction(813, 8)
         direct = simulate(rec, [["1", "1"], ["3", "2"]], 45)
         assert direct.value_at(40) == x40
+
+    def test_quaternion_rebuild_acts_on_the_left(self):
+        # cofactor x_{n+1} = i*x_n + t_{n+1}, factor t_{n+1} = j*t_n; so
+        # x_{n+1} = (i+j)*x_n - j*i*x_{n-1} = (i+j)*x_n + k*x_{n-1}.
+        # With x_1*i in place of i*x_1, x_2 would be -1 instead of -1+2k.
+        H = make_ring("rational-quaternion")
+        M = Module(H, 1)
+        base = Recurrence(M, ["i+j", "k"], ["0", "0"], GMap.zero(M))
+        factor = Recurrence(M, ["j"], ["0"], GMap.zero(M))
+        step = FactorStep("certificate", CoeffSeq.constant(H.parse("i")), factor)
+        run = simulate_chain(FactorizationChain(base, [step]), ["1", "j"], 4)
+        want = ["1", "j", "-1+2k", "-3j", "1-4k", "5j"]
+        assert [str(v) for v in run.reconstructed.values] == want
+        assert [str(v) for v in simulate(base, ["1", "j"], 4).values] == want
+        assert [str(v) for v in run.by_name()["t"].values] == ["-i+j", "-1+k", "i-j", "1-k", "-i+j"]
 
     def test_breakdown_propagates_upward(self):
         rec = ds_rec()
