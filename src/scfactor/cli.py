@@ -7,13 +7,14 @@ Four subcommands on a shared job-config format:
 * simulate  write trajectory files for the direct run and each chain level
 * certify   run the alpha recursion from a seed and report its status
 
-Exit codes: 0 success; 2 malformed config; 3 irreducible input or failed
-certificate; 4 trajectory verification failure.
+Exit codes: 0 success; 2 malformed config or an input past a stated limit;
+3 irreducible input or failed certificate; 4 trajectory verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -404,7 +405,9 @@ def _cmd_certify(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="scfactor",
         description="Factor nonlinear recurrences over rings and verify the "

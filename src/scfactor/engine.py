@@ -13,8 +13,15 @@ Every run works on raw ring payloads: simulate iterates the recurrence's
 compiled kernel (Recurrence.kernel), simulate_chain and
 simulate_substitution rebuild the upper levels with the ring's payload
 operations, and verify_equivalence compares payloads with the ring's own
-equality. Values are wrapped into Vec elements once, when a Trajectory is
-returned.
+equality. A Trajectory holds those payload lists and its module; its
+``values`` and ``value_at`` wrap payloads into Vec elements on read, and the
+serializers format payloads directly, so the verify path builds no Vec per
+simulated value.
+
+On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
+nonlinear map can double the size of the values every step. simulate refuses
+a value with a numerator or denominator longer than MAX_PAYLOAD_BITS bits by
+raising ConfigError (exit 2) instead of running on for hours.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ from .recurrence import Recurrence
 from .rings import Module, Vec
 
 FLOAT_COMPARE_CAP = 500
+# Largest bit length of a numerator or denominator that simulate accepts:
+# 2466 decimal digits, within Python's default limit of 4300 digits for
+# int-to-str conversion, so every accepted value can be written out.
+MAX_PAYLOAD_BITS = 1 << 13
 
 
 @dataclass
@@ -41,20 +52,27 @@ class Breakdown:
 
 @dataclass
 class Trajectory:
+    """payloads[i] lists the component payloads of the value at start + i."""
+
     level: str
     start: int
-    values: list[Vec]
+    module: Module
+    payloads: list[list]
     breakdown: Breakdown | None = None
 
     @property
     def end(self) -> int:
         """One past the largest produced index."""
-        return self.start + len(self.values)
+        return self.start + len(self.payloads)
+
+    @property
+    def values(self) -> list[Vec]:
+        return [self.module.wrap(p) for p in self.payloads]
 
     def value_at(self, n: int) -> Vec:
         if not (self.start <= n < self.end):
             raise IndexError(f"index {n} outside [{self.start}, {self.end})")
-        return self.values[n - self.start]
+        return self.module.wrap(self.payloads[n - self.start])
 
 
 def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
@@ -63,14 +81,14 @@ def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
 
     ``initial`` lists x_start .. x_{start+k} (oldest first). The result
     covers indices start .. start+k+steps unless a breakdown truncates it.
-    The run works on payloads through ``rec.kernel``; values are wrapped
-    into vectors once, when the trajectory is returned.
+    The run works on payloads through ``rec.kernel``. A value larger than
+    MAX_PAYLOAD_BITS on an exact ring raises ConfigError.
     """
     module = rec.module
     init = [module.el(v) for v in initial]
     if len(init) != rec.order:
         raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(init)}")
-    step, finite = rec.kernel, rec.ring._finite
+    step, finite, bits = rec.kernel, rec.ring._finite, rec.ring._bits
     hist = [module.payloads(v) for v in init]
     breakdown = None
     for n in range(start + rec.k, start + rec.k + steps):
@@ -82,8 +100,11 @@ def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
         if finite is not None and not all(map(finite, nxt)):
             breakdown = Breakdown(n + 1, "value is not finite")
             break
+        if bits is not None and max(map(bits, nxt)) > MAX_PAYLOAD_BITS:
+            raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
+                              f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
         hist.append(nxt)
-    return Trajectory(level, start, [module.wrap(v) for v in hist], breakdown)
+    return Trajectory(level, start, module, hist, breakdown)
 
 
 def _propagated(below: Breakdown | None) -> Breakdown | None:
@@ -143,7 +164,7 @@ def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
                      start=depth, level=level_name(depth))
     end = below.end
     trajs = [below]
-    deeper = [module.payloads(v) for v in below.values]
+    deeper = below.payloads
     for l in range(depth - 1, -1, -1):
         # chain.steps[l] relates level l (cofactor) to level l+1 (factor)
         alpha = [a.v for a in chain.steps[l].alpha.values]
@@ -154,8 +175,7 @@ def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
         for n in range(k, end - 1):
             a = alpha[n % period]
             vals.append([add(mul(a, w), d) for w, d in zip(vals[-1], deeper[n - l])])
-        below = Trajectory(level_name(l), l, [module.wrap(v) for v in vals],
-                           _propagated(below.breakdown))
+        below = Trajectory(level_name(l), l, module, vals, _propagated(below.breakdown))
         trajs.append(below)
         deeper = vals
     trajs.reverse()
@@ -179,7 +199,7 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     for j, c in enumerate(sub.sub_coeffs, start=1):
         s_k = s_k - c * init[k - j]
     s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
-    s_vals = [module.payloads(v) for v in s_traj.values]  # s at index k + i
+    s_vals = s_traj.payloads  # s at index k + i
     coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
     xs = [module.payloads(v) for v in init]
     for n in range(k, s_traj.end - 1):
@@ -187,7 +207,7 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
         for j, c in coeffs:
             acc = [add(s, mul(c, x)) for s, x in zip(acc, xs[n + 1 - j])]
         xs.append(acc)
-    x_traj = Trajectory("x", 0, [module.wrap(v) for v in xs], _propagated(s_traj.breakdown))
+    x_traj = Trajectory("x", 0, module, xs, _propagated(s_traj.breakdown))
     return ChainRun([x_traj, s_traj])
 
 
@@ -265,13 +285,12 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     if rel_tol is None:
         rel_tol = 1e-9
     # both trajectories start at index 0, so pairs line up by position
-    module = rec.module
-    pairs = zip(map(module.payloads, direct.values), map(module.payloads, rebuilt.values))
+    pairs = zip(direct.payloads, rebuilt.payloads)
     compared = min(direct.end, rebuilt.end)
     first_div = None
     max_dev = None
     if is_float:
-        zero = [ring.zero.v] * module.dim
+        zero = [ring.zero.v] * rec.module.dim
         max_dev = 0.0
         for n, (a, b) in enumerate(pairs):
             dev = _deviation(a, b)
@@ -337,8 +356,9 @@ def trajectory_csv(traj: Trajectory, module: Module) -> str:
     """CSV with header level,n,c0..c{d-1}; canonical element rendering."""
     header = "level,n," + ",".join(f"c{i}" for i in range(module.dim))
     lines = [header]
-    for off, v in enumerate(traj.values):
-        comps = ",".join(module.fmt(v))
+    fmt = module.ring.fmt
+    for off, v in enumerate(traj.payloads):
+        comps = ",".join(map(fmt, v))
         lines.append(f"{traj.level},{traj.start + off},{comps}")
     return "\n".join(lines) + "\n"
 
@@ -347,7 +367,7 @@ def trajectory_json_obj(traj: Trajectory, module: Module) -> dict:
     obj = {
         "level": traj.level,
         "start": traj.start,
-        "values": [module.fmt(v) for v in traj.values],
+        "values": [list(map(module.ring.fmt, v)) for v in traj.payloads],
         "breakdown": None,
     }
     if traj.breakdown is not None:

@@ -15,6 +15,11 @@ right division: ``a / b`` means ``a * b**-1``, which matters for quaternions.
 
 The left module M = R^d is represented by Vec (a tuple of elements) with a
 left scalar action ``r * v``.
+
+Rational-quaternion payloads are 4-tuples of normalised Fractions. Their
+product brings each operand over the lcm of its four denominators, runs the
+16 component products on ints and normalises each result once, instead of
+normalising through a gcd after every Fraction product and sum.
 """
 
 from __future__ import annotations
@@ -217,7 +222,10 @@ class Ring:
     # payload ops, implemented by subclasses:
     #   _add, _neg, _mul, _inv (None when not a unit), _eq, _key, fmt, parse payload
     # _finite: payload predicate that float rings set; None on exact rings
+    # _bits: payload size in bits, set on the exact rings whose values can
+    # grow without bound; None on residue and float rings
     _finite = None
+    _bits = None
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
@@ -370,10 +378,19 @@ class IntegersMod(Ring):
         return str(v)
 
 
+def _fraction_bits(q: Fraction) -> int:
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _fractions_bits(qs) -> int:
+    return max(map(_fraction_bits, qs))
+
+
 class Rationals(Ring):
     """The field of rationals, exact Fraction arithmetic."""
 
     kind = "exact-rational"
+    _bits = staticmethod(_fraction_bits)
 
     def from_int(self, n):
         return El(self, Fraction(n))
@@ -416,6 +433,7 @@ class GaussianRationals(Ring):
     """Q(i): pairs (re, im) of Fractions with complex multiplication."""
 
     kind = "gaussian-rational"
+    _bits = staticmethod(_fractions_bits)
 
     def from_int(self, n):
         return El(self, (Fraction(n), Fraction(0)))
@@ -536,6 +554,7 @@ class RationalQuaternions(Ring):
 
     kind = "rational-quaternion"
     commutative = False
+    _bits = staticmethod(_fractions_bits)
 
     def from_int(self, n):
         return El(self, (Fraction(n), Fraction(0), Fraction(0), Fraction(0)))
@@ -558,7 +577,14 @@ class RationalQuaternions(Ring):
         return tuple(-x for x in a)
 
     def _mul(self, a, b):
-        return _qmul(a, b)
+        """_qmul on the numerators over da = lcm(a's denominators) and
+        db = lcm(b's), each result normalised once as Fraction(n, da*db)."""
+        da = math.lcm(*[c.denominator for c in a])
+        db = math.lcm(*[c.denominator for c in b])
+        d = da * db
+        return tuple([Fraction(n, d) for n in _qmul(
+            [c.numerator * (da // c.denominator) for c in a],
+            [c.numerator * (db // c.denominator) for c in b])])
 
     def _inv(self, a):
         n = sum(c * c for c in a)

@@ -1,10 +1,11 @@
 """End-to-end command tests, run in process through cli.main."""
 
 import json
+import time
 
 import pytest
 
-from scfactor.cli import canonical_json, main
+from scfactor.cli import build_parser, canonical_json, main
 
 
 def run_cli(capsys, *argv):
@@ -253,3 +254,54 @@ class TestErrors:
         code, _, err = run_cli(capsys, "factor", str(p))
         assert code == 2
         assert "nests deeper than" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["exact-rational", "gaussian-rational",
+                                      "rational-quaternion"])
+    def test_growing_exact_values_refused(self, capsys, tmp_path, kind):
+        # g = u1*u1 doubles the bit length every step; P and Q share the root 1
+        doc = {"ring": {"kind": kind}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", "1", "0", "-1"], "b": ["1", "-1", "1", "-1"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "i" if kind == "rational-quaternion" else "2", "3", "1/3"],
+               "run": {"seeds": [["1", "1", "1"]]}}
+        p = tmp_path / "grow.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(p), "--json")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == ("error: value at index 15 exceeds the size limit of 8192 bits "
+                       "per numerator or denominator\n")
+
+    def test_simulate_writes_no_unprintable_value(self, capsys, tmp_path):
+        # x_n = 3^(2^n): x_12 has 6493 bits (1955 digits) and is written out;
+        # x_13 (12985 bits) is refused. Without the limit the run went on to
+        # x_20 and writing x_14 (7818 digits) raised ValueError from str().
+        doc = {"ring": {"kind": "exact-rational"}, "module": {"dim": 1},
+               "recurrence": {"a": ["0"], "b": ["1"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["3"]}
+        p = tmp_path / "square.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", str(p), "--steps", "12",
+                                 "--out", str(tmp_path / "ok"))
+        assert code == 0 and (tmp_path / "ok" / "x.csv").read_text().count("\n") == 14
+        code, out, err = run_cli(capsys, "simulate", str(p), "--steps", "20",
+                                 "--out", str(tmp_path / "big"))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "index 13 exceeds the size limit of 8192 bits" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_keeps_defaults_and_errors(self, capsys):
+        ap = build_parser()
+        assert ap.parse_args(["verify", "c.json", "--steps", "5"]).steps == 5
+        assert ap.parse_args(["verify", "c.json"]).steps is None
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "c.json", "--steps", "five"])
+            assert exc.value.code == 2
+            assert "invalid int value: 'five'" in capsys.readouterr().err

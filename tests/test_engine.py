@@ -298,6 +298,42 @@ class TestVerifyEquivalence:
         assert rep.max_deviation > 1.0
         assert "diverge first at index 28" in rep.describe()
 
+    def test_compares_without_wrapping(self, monkeypatch):
+        # both runs and the comparison stay on payloads; only reads of
+        # Trajectory.values or value_at wrap them into vectors
+        R = make_ring("integers-mod-m", modulus=11)
+        rec = golden_rec(R)
+        chain = factor_chain(rec)
+
+        def refuse(self, payloads):
+            raise AssertionError("verify_equivalence wrapped a payload")
+
+        monkeypatch.setattr(Module, "wrap", refuse)
+        rep = verify_equivalence(rec, chain, ["1", "2", "3"], 50)
+        assert rep.equal and rep.compared == 53
+
+
+class TestSizeLimit:
+    def test_growing_rational_run_refused(self):
+        # x_n = 3^(2^n) needs about 1.58 * 2^n bits: 6493 at n = 12, 12985 at 13
+        R = make_ring("exact-rational")
+        M = Module(R, 1)
+        rec = Recurrence(M, ["0"], ["1"], sq_map(M))
+        assert simulate(rec, ["3"], 12).payloads[-1] == [Fraction(3) ** 2 ** 12]
+        with pytest.raises(ConfigError, match="value at index 13 exceeds the size limit "
+                                              "of 8192 bits per numerator or denominator"):
+            simulate(rec, ["3"], 100)
+
+    @pytest.mark.parametrize("x0", [Fraction(2 ** 8186), Fraction(1, 2 ** 8186)])
+    def test_limit_is_inclusive(self, x0):
+        # x_{n+1} = 2 x_n: the numerator or denominator has 8187 + n bits
+        R = make_ring("exact-rational")
+        M = Module(R, 1)
+        rec = Recurrence(M, ["2" if x0 > 1 else "1/2"], ["0"], GMap.zero(M))
+        assert simulate(rec, [x0], 5).end == 6
+        with pytest.raises(ConfigError, match="index 6 exceeds"):
+            simulate(rec, [x0], 6)
+
 
 class TestDetectPeriod:
     def test_finds_least_period(self):
@@ -336,7 +372,7 @@ class TestSerialization:
     def test_csv_shape(self):
         R = make_ring("exact-rational")
         M = Module(R, 2)
-        traj = Trajectory("t", 1, [M.el(["2", "1"]), M.el(["6", "4"])])
+        traj = Trajectory("t", 1, M, [M.payloads(M.el(["2", "1"])), M.payloads(M.el(["6", "4"]))])
         assert trajectory_csv(traj, M) == (
             "level,n,c0,c1\n"
             "t,1,2,1\n"
@@ -345,7 +381,7 @@ class TestSerialization:
     def test_json_obj(self):
         R = make_ring("exact-rational")
         M = Module(R, 1)
-        traj = Trajectory("x", 0, [M.el("1"), M.el("5/2")],
+        traj = Trajectory("x", 0, M, [M.payloads(M.el("1")), M.payloads(M.el("5/2"))],
                           Breakdown(2, "division by a non-unit"))
         obj = trajectory_json_obj(traj, M)
         assert obj == {
@@ -355,8 +391,15 @@ class TestSerialization:
             "breakdown": {"index": 2, "reason": "division by a non-unit"},
         }
 
+    def test_json_obj_formats_ring_literals(self):
+        R = make_ring("rational-quaternion")
+        M = Module(R, 2)
+        traj = Trajectory("t", 1, M, [M.payloads(M.el(["1/2-i", "j+3/4k"]))])
+        assert trajectory_json_obj(traj, M)["values"] == [["1/2-i", "j+3/4k"]]
+        assert trajectory_csv(traj, M) == "level,n,c0,c1\nt,1,1/2-i,j+3/4k\n"
+
     def test_json_obj_no_breakdown(self):
         R = make_ring("exact-rational")
         M = Module(R, 1)
-        obj = trajectory_json_obj(Trajectory("x", 0, [M.el("3")]), M)
+        obj = trajectory_json_obj(Trajectory("x", 0, M, [M.payloads(M.el("3"))]), M)
         assert obj["breakdown"] is None

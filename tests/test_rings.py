@@ -1,12 +1,21 @@
 """Element arithmetic, parsing, and formatting across the six rings."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
 from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
-                            Rationals, RationalQuaternions, is_prime)
+                            Rationals, RationalQuaternions, _qmul, is_prime)
+
+# Components with zeros, signs, denominators sharing small prime factors, and
+# numerators far past one machine word.
+_DENOMS = st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36, 2**61 - 1, 6**40])
+_NUMERS = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-2**200, 2**200))
+_QCOMP = st.builds(Fraction, _NUMERS, _DENOMS)
+_QUAT = st.tuples(_QCOMP, _QCOMP, _QCOMP, _QCOMP)
 
 
 class TestIntegersMod:
@@ -134,6 +143,21 @@ class TestQuaternions:
         R = RationalQuaternions()
         for text in ["1-i+2j-k", "-1/2+1/2i", "j", "-k"]:
             assert R.parse(str(R.parse(text))) == R.parse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_QUAT, _QUAT)
+    @example((Fraction(0),) * 4, (Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)))
+    @example((Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+    def test_common_denominator_product_matches_fraction_product(self, a, b):
+        """_mul on one common denominator per operand equals the
+        componentwise Fraction product, normalised, in both orders."""
+        R = RationalQuaternions()
+        for x, y in ((a, b), (b, a)):
+            got = R._mul(x, y)
+            assert isinstance(got, tuple) and got == _qmul(x, y)
+            assert all(type(c) is Fraction for c in got)
+            assert [c.denominator for c in got] == [c.denominator for c in _qmul(x, y)]
 
 
 class TestMakeRing:
