@@ -10,7 +10,7 @@ floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
 
 Every run works on raw ring payloads: simulate iterates the recurrence's
-compiled kernel (Recurrence.kernel), simulate_chain and
+generated step function (Recurrence.kernel), simulate_chain and
 simulate_substitution rebuild the upper levels with the ring's payload
 operations, and verify_equivalence compares payloads with the ring's own
 equality. A Trajectory holds those payload lists and its module; its
@@ -20,8 +20,9 @@ simulated value.
 
 On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
 nonlinear map can double the size of the values every step. simulate refuses
-a value with a numerator or denominator longer than MAX_PAYLOAD_BITS bits by
-raising ConfigError (exit 2) instead of running on for hours.
+a value with a numerator or denominator longer than MAX_PAYLOAD_BITS bits
+(rings.MAX_PAYLOAD_BITS, which bounds certificate alphas too) by raising
+ConfigError (exit 2) instead of running on for hours.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DivisionByNonUnit, TanhUnsupported
 from .factorize import FactorizationChain, SubstitutionFactorization, level_name
 from .recurrence import Recurrence
-from .rings import Module, Vec
+from .rings import MAX_PAYLOAD_BITS, Module, Vec
 
 FLOAT_COMPARE_CAP = 500
-# Largest bit length of a numerator or denominator that simulate accepts:
-# 2466 decimal digits, within Python's default limit of 4300 digits for
-# int-to-str conversion, so every accepted value can be written out.
-MAX_PAYLOAD_BITS = 1 << 13
 
 
 @dataclass

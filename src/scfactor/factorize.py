@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from .errors import (
     CertificateFailure,
     CertificateNotPeriodic,
+    ConfigError,
     Irreducible,
     NoncommutativeRing,
     NotAValidRoot,
@@ -46,7 +47,20 @@ from .errors import (
 )
 from .poly import RootReport, deflate, unit_roots, verified_roots
 from .recurrence import CoeffSeq, Recurrence, _lcm
-from .rings import El, IntegersMod, Vec
+from .rings import MAX_PAYLOAD_BITS, El, IntegersMod, Vec
+
+# Largest common period (lcm of the coefficient and alpha periods) over which
+# a certificate-route factor is built or checked; each n costs a row of ring
+# arithmetic, so periods 2 to 17 (lcm 510510) would take over a second.
+MAX_COEFF_SPAN = 1 << 16
+
+
+def _span(*periods: int) -> int:
+    span = _lcm(periods)
+    if span > MAX_COEFF_SPAN:
+        raise ConfigError(f"common period {span} of the coefficients and alphas exceeds "
+                          f"the limit of {MAX_COEFF_SPAN}")
+    return span
 
 LEVEL_NAMES = ("x", "t", "r", "s", "w", "v")
 
@@ -319,12 +333,17 @@ def _row_sum(row, alpha_at, n: int) -> El:
     """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) for a coefficient row.
 
     For row rec.a this is the right side of ESa; for rec.b, the value of ESb.
+    On exact rings trailing zero coefficients add nothing, so the alpha
+    product stops at the last nonzero one.
     """
     acc = row[0].at(n)
+    coeffs = [seq.at(n) for seq in row[1:]]
+    while acc.ring.exact and coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
     prod = None
-    for i in range(1, len(row)):
+    for i, c in enumerate(coeffs, start=1):
         prod = alpha_at(n - i) if prod is None else prod * alpha_at(n - i)
-        acc = acc + row[i].at(n) * prod.inverse()
+        acc = acc + c * prod.inverse()
     return acc
 
 
@@ -356,6 +375,7 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
         raise ParseError(f"horizon must be at least {k + 1}")
 
     need_esb = rec.g.uses_argument
+    bits = ring._bits
     alphas: list[El] = list(seed_els)
 
     def alpha_hist(m: int) -> El:
@@ -376,6 +396,9 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
                     f"b-side sum is {val}, not 0, with alpha window "
                     f"{[str(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
         nxt = _row_sum(rec.a, alpha_hist, n)
+        if bits is not None and bits(nxt.v) > MAX_PAYLOAD_BITS:
+            raise ConfigError(f"alpha_{n} exceeds the size limit of {MAX_PAYLOAD_BITS} "
+                              "bits per numerator or denominator")
         if not nxt.is_unit:
             raise CertificateFailure(f"alpha_{n} = {nxt} is not a unit", n=n)
         alphas.append(nxt)
@@ -425,7 +448,7 @@ def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
     ring = rec.ring
     k = rec.k
     alpha = cert.alpha_seq()
-    span = _lcm([alpha.period, rec.coeff_period])
+    span = _span(alpha.period, rec.coeff_period)
 
     new_a: list[CoeffSeq] = []
     new_b: list[CoeffSeq] = []
@@ -471,7 +494,7 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
         raise ParseError("the shortcut applies to second-order recurrences only")
     if not rec.g.uses_argument:
         raise ParseError("the shortcut needs a map that reads its argument")
-    period = rec.coeff_period
+    period = _span(rec.coeff_period)
     for n in range(period):
         for row, name in ((rec.b[0], "b_0"), (rec.b[1], "b_1")):
             if not row.at(n).is_unit:

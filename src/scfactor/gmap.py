@@ -23,14 +23,19 @@ ASTs are plain tuples:
 format_expr renders a canonical string whose parse returns the identical
 tuple tree (binary nodes fully parenthesized, unary children parenthesized).
 
-compile_expr turns a tree into nested closures over the ring's payload
-operations (_add, _mul, _neg, _inv), so evaluation walks no tuples;
-GMap.kernel compiles each expression once. eval_expr is a wrapper for one
-evaluation on El values.
+Emitter writes trees as generated Python functions on ring payloads, with
+each ring's operations as source text (Ring.src_add and the other
+templates): operators on residues, rationals and complex floats, calls to
+payload functions on the other rings. Residues are reduced mod m lazily: at
+the outputs, before every inverse (so a breakdown names the reduced
+residue), and in products of more than MAX_LAZY_FACTORS factors.
+GMap.kernel and Recurrence.kernel are built on it; eval_expr is a wrapper
+for one evaluation on El values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -205,77 +210,129 @@ def expr_identifiers(ast) -> set[str]:
     return out
 
 
-def compile_expr(ast, ring: Ring, seqs):
-    """Compile one AST into a closure f(u, n) over ring payloads.
+# A product of more than this many residues is reduced mod m on the spot, so
+# lazy reduction keeps every intermediate int within a few times the size of m
+# however long the expression is.
+MAX_LAZY_FACTORS = 4
 
-    u: sequence of payloads (the argument vector components); seqs: name ->
-    tuple of payloads (periodic, indexed by n mod period); n: the current step
-    index, attached to division/tanh errors so the engine can record
-    breakdown points. Products keep the operand order (left * right), and
-    ``/`` is right division left * right^-1.
-    """
-    add, mul, neg, inv, fmt = ring._add, ring._mul, ring._neg, ring._inv, ring.fmt
-    op = ast[0]
-    if op == "int":
-        c = ring.from_int(ast[1]).v
-        return lambda u, n: c
-    if op == "u":
-        i = ast[1] - 1
-        return lambda u, n: u[i]
-    if op == "seq":
-        vals = seqs[ast[1]]
-        period = len(vals)
-        return lambda u, n: vals[n % period]
-    if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
-        raise GMapSyntaxError(f"unknown AST node {op!r}")
-    f = compile_expr(ast[1], ring, seqs)
-    if op == "neg":
-        return lambda u, n: neg(f(u, n))
-    if op == "inv":
-        def inverse(u, n):
-            val = f(u, n)
-            w = inv(val)
-            if w is None:
-                raise DivisionByNonUnit(f"inv of non-unit {fmt(val)}", n=n)
-            return w
-        return inverse
-    if op == "tanh":
-        def tanh(u, n):
-            z = f(u, n)
-            if not isinstance(ring, FloatComplex):
-                raise TanhUnsupported(
-                    f"tanh is only available over float-complex, not {ring}", n=n)
-            if abs(z.imag) > ring.tol * max(1.0, abs(z.real)):
-                raise TanhUnsupported(
-                    f"tanh argument {fmt(z)} has a non-negligible imaginary part", n=n)
-            return complex(math.tanh(z.real), 0.0)
-        return tanh
-    g = compile_expr(ast[2], ring, seqs)
-    if op == "add":
-        return lambda u, n: add(f(u, n), g(u, n))
-    if op == "sub":
-        return lambda u, n: add(f(u, n), neg(g(u, n)))
-    if op == "mul":
-        return lambda u, n: mul(f(u, n), g(u, n))
 
-    def divide(u, n):
-        left, right = f(u, n), g(u, n)
-        w = inv(right)
+def _checked_inverse(ring: Ring, what: str):
+    inv, fmt = ring._inv, ring.fmt
+
+    def checked(v, n):
+        w = inv(v)
         if w is None:
-            raise DivisionByNonUnit(f"division by non-unit {fmt(right)}", n=n)
-        return mul(left, w)
-    return divide
+            raise DivisionByNonUnit(f"{what} {fmt(v)}", n=n)
+        return w
+    return checked
+
+
+def _tanh(ring: Ring):
+    def tanh(z, n):
+        if not isinstance(ring, FloatComplex):
+            raise TanhUnsupported(f"tanh is only available over float-complex, not {ring}", n=n)
+        if abs(z.imag) > ring.tol * max(1.0, abs(z.real)):
+            raise TanhUnsupported(
+                f"tanh argument {ring.fmt(z)} has a non-negligible imaginary part", n=n)
+        return complex(math.tanh(z.real), 0.0)
+    return tanh
+
+
+class Emitter:
+    """Python source for one function on a ring's payloads, built line by line.
+
+    Values are bound in the namespace ``ns`` (K<i> literals, S<i> and P<i>
+    sequences and their periods, the ring's operations, ZERO, m, and DIV,
+    INV and TANH, which raise breakdowns carrying the step n), so the source
+    holds no config text. Each line is one operation into a fresh local t<i>,
+    in evaluation order, so no expression meets the parser's nesting limit.
+    Operands keep their order (left * right); ``/`` is left * right^-1.
+    """
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.ns = {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
+                   "ZERO": ring.zero.v, "m": ring.char(),
+                   "DIV": _checked_inverse(ring, "division by non-unit"),
+                   "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
+        self.lines: list[str] = []
+        self._ids = itertools.count()
+        self._seqs: dict = {}
+
+    def bind(self, value, prefix: str = "K") -> str:
+        name = f"{prefix}{next(self._ids)}"
+        self.ns[name] = value
+        return name
+
+    def let(self, text: str) -> str:
+        name = f"t{next(self._ids)}"
+        self.lines.append(f"{name} = {text}")
+        return name
+
+    def unpack(self, names, source: str) -> None:
+        self.lines.append(f"[{', '.join(names)}] = {source}")
+
+    def reduced(self, text: str) -> str:
+        fmt = self.ring.src_reduce
+        return text if fmt is None else fmt.format(text)
+
+    def seq(self, key, values) -> str:
+        """The value at step n of a periodic payload sequence, read once."""
+        if key not in self._seqs:
+            self._seqs[key] = self.bind(values[0]) if len(values) == 1 else \
+                self.let(f"{self.bind(tuple(values), 'S')}[n % {self.bind(len(values), 'P')}]")
+        return self._seqs[key]
+
+    def expr(self, ast, seqs) -> str:
+        """Emit one AST; returns the source of its value. u<i> reads the
+        local w<i-1>; seqs maps sequence names to payload tuples."""
+        return self._expr(ast, seqs)[0]
+
+    def _expr(self, ast, seqs):
+        """(source, factors): the value is at most a product of ``factors``
+        reduced values, up to sums, when the ring reduces lazily."""
+        ring, op = self.ring, ast[0]
+        if op == "int":
+            return self.bind(ring.from_int(ast[1]).v), 1
+        if op == "u":
+            return f"w{ast[1] - 1}", 1
+        if op == "seq":
+            return self.seq(ast[1], seqs[ast[1]]), 1
+        if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
+            raise GMapSyntaxError(f"unknown AST node {op!r}")
+        left, lf = self._expr(ast[1], seqs)
+        if op == "neg":
+            return self.let(ring.src_neg.format(left)), lf
+        if op in ("inv", "tanh"):
+            return self.let(f"{op.upper()}({self.reduced(left)}, n)"), 1
+        right, rf = self._expr(ast[2], seqs)
+        if op in ("add", "sub"):
+            fmt = ring.src_add if op == "add" else ring.src_sub
+            return self.let(fmt.format(left, right)), max(lf, rf)
+        if op == "div":
+            right, rf = self.let(f"DIV({self.reduced(right)}, n)"), 1
+        product = ring.src_mul.format(left, right)
+        if lf + rf > MAX_LAZY_FACTORS and ring.src_reduce is not None:
+            return self.let(self.reduced(product)), 1
+        return self.let(product), lf + rf
+
+    def function(self, params: str, result: str):
+        """Compile the lines as ``def kernel(params)`` returning ``result``."""
+        body = "".join(f"    {line}\n" for line in [*self.lines, f"return {result}"])
+        exec(compile(f"def kernel({params}):\n{body}", "<scfactor kernel>", "exec"), self.ns)
+        return self.ns["kernel"]
 
 
 def eval_expr(ast, ring: Ring, u, seqs, n: int) -> El:
     """Evaluate one AST over ``ring`` at step n.
 
     u: the argument vector components (El); seqs: name -> tuple of El.
-    A wrapper over compile_expr for single evaluations.
+    A wrapper that generates the expression's function for one evaluation.
     """
-    payload_seqs = {name: tuple(e.v for e in vals) for name, vals in seqs.items()}
-    f = compile_expr(ast, ring, payload_seqs)
-    return El(ring, f([x.v for x in u], n))
+    e = Emitter(ring)
+    e.unpack([f"w{i}" for i in range(len(u))], "w")
+    out = e.expr(ast, {name: tuple(x.v for x in vals) for name, vals in seqs.items()})
+    return El(ring, e.function("n, w", e.reduced(out))(n, [x.v for x in u]))
 
 
 def format_expr(ast) -> str:

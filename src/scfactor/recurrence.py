@@ -19,9 +19,11 @@ Families (build_family) construct specific coefficient patterns that are
 known to reduce; fold_system merges d scalar recurrences sharing the same
 coefficient rows into one module recurrence.
 
-Recurrence.kernel and GMap.kernel are the step and the map compiled once,
-on first use, into functions on raw ring payloads; the simulation engine
-runs them directly. Recurrence.step and GMap.apply are thin wrappers that
+Recurrence.kernel and GMap.kernel are the step and the map as generated
+Python functions on raw ring payloads (gmap.Emitter), built on first use;
+the step inlines g and is compiled once per zero pattern of the
+coefficient rows, not once per phase. The simulation engine runs the
+kernel directly. Recurrence.step and GMap.apply are thin wrappers that
 unwrap their Vec arguments, call the kernel and wrap the result.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import re as _re
+import types
 from dataclasses import dataclass
 
 from . import gmap as gm
@@ -169,29 +172,30 @@ class GMap:
             return _lcm([len(v) for v in self.seqs.values()] or [1])
         return 1
 
-    @functools.cached_property
-    def kernel(self):
-        """g_n on payloads, compiled once: kernel(n, w) maps the argument's
-        payload list w to a payload sequence. None for the zero map."""
-        ring = self.module.ring
+    def emit(self, e: gm.Emitter) -> list[str] | None:
+        """Emit g_n into ``e``, reading its argument from the locals w0 ..
+        w<d-1>; returns the source of each output component, unreduced, or
+        None for the zero map."""
+        ring, dim = self.module.ring, self.module.dim
         if self.kind == "zero":
             return None
         if self.kind == "constant-sequence":
-            forcing = tuple([e.v for e in v.parts] for v in self.vec_values)
-            period = len(forcing)
-            return lambda n, w: forcing[n % period]
-        mul = ring._mul
+            return [e.seq(j, tuple(v.parts[j].v for v in self.vec_values)) for j in range(dim)]
         if self.kind == "linear-scale":
-            scales = tuple(c.v for c in self.scalar_values)
-            period = len(scales)
+            c = e.seq(0, tuple(c.v for c in self.scalar_values))
+            return [ring.src_mul.format(c, f"w{j}") for j in range(dim)]
+        seqs = {name: tuple(x.v for x in vals) for name, vals in self.seqs.items()}
+        return [e.expr(ast, seqs) for ast in self.exprs]
 
-            def scale(n, w):
-                c = scales[n % period]
-                return [mul(c, x) for x in w]
-            return scale
-        seqs = {name: tuple(e.v for e in vals) for name, vals in self.seqs.items()}
-        comps = tuple(gm.compile_expr(ast, ring, seqs) for ast in self.exprs)
-        return lambda n, w: [f(w, n) for f in comps]
+    @functools.cached_property
+    def kernel(self):
+        """g_n on payloads, generated once: kernel(n, w) maps the argument's
+        payload list w to a payload list. None for the zero map."""
+        if self.kind == "zero":
+            return None
+        e = gm.Emitter(self.module.ring)
+        e.unpack([f"w{j}" for j in range(self.module.dim)], "w")
+        return e.function("n, w", f"[{', '.join(map(e.reduced, self.emit(e)))}]")
 
     def apply(self, n: int, w: Vec) -> Vec:
         if self.kernel is None:
@@ -257,46 +261,65 @@ class Recurrence:
 
     @functools.cached_property
     def kernel(self):
-        """The step compiled once on payloads: kernel(n, hist) is x_{n+1},
-        where hist is a list of payload lists whose last k+1 entries are
-        x_{n-k} .. x_n (oldest first).
+        """The step on payloads: kernel(n, hist) is x_{n+1}, where hist is a
+        list of payload lists whose last k+1 entries are x_{n-k} .. x_n
+        (oldest first).
 
-        Coefficients act on the left (c * x). Per phase n mod coeff_period
-        only the nonzero (position, coefficient) pairs are kept; phases are
-        built on first use, so a long period costs no more than the steps
-        actually run.
+        The step of phase n mod coeff_period is a generated function whose
+        parameters after (n, hist) are that phase's nonzero coefficients.
+        Its code depends only on which coefficients are nonzero, so it is
+        compiled once per zero pattern; each phase, built on first use,
+        shares that code with its own coefficient values as defaults.
         """
-        ring = self.ring
-        add, mul, eq = ring._add, ring._mul, ring._eq
-        zero = ring.zero.v
-        dim = self.module.dim
-        period = self.coeff_period
-        g = self.g.kernel
+        eq, zero, period = self.ring._eq, self.ring.zero.v, self.coeff_period
+        rows = self.a + self.b if self.g.uses_argument else self.a
+        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
+        templates: dict[tuple, types.FunctionType] = {}
+        phases: dict[int, types.FunctionType] = {}
 
-        def terms(row, phase):
-            pairs = [(-1 - i, seq.at(phase).v) for i, seq in enumerate(row)]
-            return [(i, c) for i, c in pairs if not eq(c, zero)]
+        def build(phase):
+            used = [(name, seq.at(phase).v) for name, seq in zip(names, rows)]
+            used = [(name, c) for name, c in used if not eq(c, zero)]
+            params = tuple(name for name, _ in used)
+            fn = templates.get(params) or templates.setdefault(params, self._generate(params))
+            return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__,
+                                      tuple(c for _, c in used))
 
-        def row_sum(pairs, hist):
-            acc = [zero] * dim
-            for i, c in pairs:
-                acc = [add(s, mul(c, p)) for s, p in zip(acc, hist[i])]
-            return acc
-
-        phases = {}
-        reads_arg = self.g.uses_argument
+        if period == 1:
+            return build(0)
 
         def step(n, hist):
             phase = n % period
-            rows = phases.get(phase)
-            if rows is None:
-                rows = phases[phase] = (terms(self.a, phase), terms(self.b, phase))
-            acc = row_sum(rows[0], hist)
-            if g is None:
-                return acc
-            arg = row_sum(rows[1], hist) if reads_arg else None
-            return [add(s, t) for s, t in zip(acc, g(n, arg))]
+            return (phases.get(phase) or phases.setdefault(phase, build(phase)))(n, hist)
         return step
+
+    def _generate(self, params):
+        """The step function whose nonzero coefficients are ``params``: a<i>
+        and b<i> stand for a_i(n) and b_i(n), and multiply x_{n-i} from the
+        left."""
+        ring, dim = self.ring, self.module.dim
+        e = gm.Emitter(ring)
+        for lag in sorted({int(c[1:]) for c in params}):
+            e.unpack([f"x{lag}_{j}" for j in range(dim)], f"hist[{-1 - lag}]")
+
+        def row_source(row, j):
+            # from the zero payload, as an accumulator would: on float rings
+            # 0.0 + -0.0 is 0.0, so the sign of a zero depends on it
+            acc = "ZERO"
+            for c in params:
+                if c[0] == row:
+                    acc = e.let(ring.src_add.format(acc, ring.src_mul.format(c, f"x{c[1:]}_{j}")))
+            return acc
+
+        outs = [row_source("a", j) for j in range(dim)]
+        if self.g.uses_argument:
+            for j in range(dim):
+                e.lines.append(f"w{j} = {e.reduced(row_source('b', j))}")
+        comps = self.g.emit(e)
+        if comps is not None:
+            outs = [ring.src_add.format(r, c) for r, c in zip(outs, comps)]
+        return e.function(", ".join(["n", "hist", *params]),
+                          f"[{', '.join(map(e.reduced, outs))}]")
 
     def step(self, n: int, window) -> Vec:
         """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""

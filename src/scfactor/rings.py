@@ -211,6 +211,13 @@ class El:
         return f"<{self.ring.fmt(self.v)} in {self.ring}>"
 
 
+# Largest bit length of a numerator or denominator accepted in a simulated
+# value or a certificate's alpha: 2466 decimal digits, within Python's default
+# limit of 4300 digits for int-to-str conversion, so every accepted value can
+# be written out.
+MAX_PAYLOAD_BITS = 1 << 13
+
+
 class Ring:
     """Base class: subclasses fill in payload-level operations."""
 
@@ -226,6 +233,17 @@ class Ring:
     # grow without bound; None on residue and float rings
     _finite = None
     _bits = None
+
+    # Source templates for generated step functions (gmap.Emitter). The base
+    # class calls the payload operations, which the generated code looks up
+    # as _add, _neg and _mul. src_reduce, when set, brings a value back to its
+    # canonical payload; it is applied to step outputs, map arguments and
+    # the operands of inverses.
+    src_add = "_add({}, {})"
+    src_sub = "_add({}, _neg({}))"
+    src_mul = "_mul({}, {})"
+    src_neg = "_neg({})"
+    src_reduce = None
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
@@ -314,10 +332,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class IntegersMod(Ring):
+class _PlainOps:
+    """Source templates for rings whose payloads take Python's operators."""
+
+    src_add = "({} + {})"
+    src_sub = "({} - {})"
+    src_mul = "({} * {})"
+    src_neg = "(-{})"
+
+
+class IntegersMod(_PlainOps, Ring):
     """Residue ring Z_m. Units are the residues coprime to m."""
 
     finite = True
+    src_reduce = "({} % m)"
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 2:
@@ -386,7 +414,7 @@ def _fractions_bits(qs) -> int:
     return max(map(_fraction_bits, qs))
 
 
-class Rationals(Ring):
+class Rationals(_PlainOps, Ring):
     """The field of rationals, exact Fraction arithmetic."""
 
     kind = "exact-rational"
@@ -474,7 +502,7 @@ class GaussianRationals(Ring):
         return _fmt_signed([(v[0], ""), (v[1], "i")])
 
 
-class FloatComplex(Ring):
+class FloatComplex(_PlainOps, Ring):
     """Machine complex numbers with relative-tolerance equality.
 
     eq(a, b) holds when |a - b| <= tol * max(|a|, |b|, 1). A value is a unit

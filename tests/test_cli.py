@@ -273,6 +273,40 @@ class TestErrors:
         assert err == ("error: value at index 15 exceeds the size limit of 8192 bits "
                        "per numerator or denominator\n")
 
+    def test_certify_refuses_growing_alphas(self, capsys, tmp_path):
+        # alpha_n = 1 + 1/alpha_{n-1} runs through ratios of Fibonacci numbers,
+        # which pass 8192 bits at n = 11801. Without the limit the run went on
+        # to the horizon and writing an alpha out raised ValueError from str().
+        doc = {"ring": {"kind": "exact-rational"}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", "1", "0"], "b": ["0", "0", "0"],
+                              "g": {"kind": "zero"}},
+               "initial": ["1", "1", "1"],
+               "run": {"horizon": 24000, "seeds": [["1", "1"]]}}
+        p = tmp_path / "fib.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "certify", str(p), "--json")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        assert err == ("error: alpha_11801 exceeds the size limit of 8192 bits "
+                       "per numerator or denominator\n")
+
+    def test_coefficient_period_limit(self, capsys, tmp_path):
+        # periods 34, 39, 55 and 7 have lcm 510510 = 2*3*5*7*11*13*17
+        rows = [[str(1 + i % 3) for i in range(p)] for p in (34, 39, 55, 7)]
+        doc = {"ring": {"kind": "integers-mod-m", "modulus": 101}, "module": {"dim": 1},
+               "recurrence": {"a": rows[:2], "b": rows[2:],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "2"]}
+        p = tmp_path / "periods.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert err == ("error: common period 510510 of the coefficients and alphas "
+                       "exceeds the limit of 65536\n")
+
     def test_simulate_writes_no_unprintable_value(self, capsys, tmp_path):
         # x_n = 3^(2^n): x_12 has 6493 bits (1955 digits) and is written out;
         # x_13 (12985 bits) is refused. Without the limit the run went on to

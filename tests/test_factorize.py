@@ -8,12 +8,13 @@ existed; tests compare against those frozen results.
 import pytest
 
 from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
-                      GMap, Irreducible, Module, NoncommutativeRing,
+                      ConfigError, GMap, Irreducible, Module, NoncommutativeRing,
                       NotIntegralDomain, ParseError, Recurrence,
                       build_family, build_variable_factor, criterion_check,
                       factor_chain, factor_once, make_ring, o2b_reducibility,
                       second_order_shortcut, substitution_factorization,
                       variable_certificate, variable_chain)
+from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate
 
 
 def sq_map(module):
@@ -206,6 +207,17 @@ class TestVariableCertificate:
         cert = variable_certificate(rec, [R.el(1)], horizon=10)
         assert cert.status == "horizon-bounded"
         with pytest.raises(CertificateNotPeriodic):
+            build_variable_factor(rec, cert)
+
+    def test_factor_span_limit(self):
+        # alpha period 256 against coefficient period 257: lcm 65792
+        R = make_ring("exact-rational")
+        M = Module(R, 1)
+        rec = Recurrence(M, [["1"] * 257, "1"], ["0", "0"], GMap.zero(M))
+        alphas = tuple(R.el(i) for i in range(1, 257))
+        cert = UnitCertificate(alphas[:1], alphas, "proved-periodic", 256, 256, 256)
+        assert 65792 > MAX_COEFF_SPAN
+        with pytest.raises(ConfigError, match="common period 65792 .* exceeds the limit"):
             build_variable_factor(rec, cert)
 
 

@@ -9,15 +9,17 @@ kernel must give bit-identical values, the same breakdown index and the
 same breakdown reason.
 """
 
+import builtins
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfactor import (Breakdown, DivisionByNonUnit, GMap, Module, Recurrence,
                       TanhUnsupported, make_ring, simulate)
-from scfactor.gmap import eval_expr, format_expr
-from scfactor.rings import El, Vec
+from scfactor.gmap import MAX_LAZY_FACTORS, eval_expr, format_expr, parse_expr
+from scfactor.rings import MAX_MODULUS, El, Vec
 
 # ---------------------------------------------------------------------------
 # reference: the element-level step
@@ -168,9 +170,9 @@ def asts(dim, tanh):
 
 
 @st.composite
-def cases(draw):
-    kind = draw(st.sampled_from(KINDS))
-    ring = make_ring(kind, modulus=draw(st.sampled_from([5, 6, 7, 12]))) \
+def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 12])):
+    kind = draw(kinds)
+    ring = make_ring(kind, modulus=draw(moduli)) \
         if kind == "integers-mod-m" else make_ring(kind)
     dim = draw(st.integers(min_value=1, max_value=2))
     order = draw(st.integers(min_value=1, max_value=3))
@@ -236,3 +238,104 @@ def test_kernel_matches_element_reference(case):
     for ast in rec.g.exprs or ():
         assert outcome(eval_expr, ast, ring, window[0].parts, rec.g.seqs, n) == \
             outcome(ref_eval, ast, ring, window[0].parts, rec.g.seqs, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(kinds=st.just("integers-mod-m"), moduli=st.integers(min_value=2, max_value=MAX_MODULUS)))
+def test_lazy_reduction_matches_reference_for_any_modulus(case):
+    # residues near m (drawn as -1, -2) make every unreduced product and sum
+    # a multi-digit int, so each missing or misplaced reduction shows
+    rec, window, n = case
+    want, want_breakdown = ref_simulate(rec, window, 6)
+    traj = simulate(rec, window, 6)
+    assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+    assert traj.breakdown == want_breakdown
+    assert outcome(rec.g.apply, n, window[0]) == outcome(ref_apply, rec.g, n, window[0])
+
+
+# ---------------------------------------------------------------------------
+# named cases of the generated code
+
+
+@pytest.mark.parametrize("u1", [1, 3])
+@pytest.mark.parametrize("text, message", [("inv(u1 + u1)", "inv of non-unit 2"),
+                                           ("1/(u1 + u1)", "division by non-unit 2")])
+def test_breakdown_prints_reduced_residue(u1, text, message):
+    # mod 4, u1 + u1 is 2 unreduced for u1 = 1 and 6 for u1 = 3; both print 2
+    R = make_ring("integers-mod-m", modulus=4)
+    M = Module(R, 1)
+    g = GMap.expression(M, [text])
+    assert outcome(eval_expr, parse_expr(text), R, [R.el(u1)], {}, 5) == \
+        ("DivisionByNonUnit", message, 5)
+    assert outcome(g.apply, 5, M.el([u1])) == ("DivisionByNonUnit", message, 5)
+    rec = Recurrence(M, ["0"], ["1"], g)
+    assert simulate(rec, [u1], 3).breakdown == Breakdown(1, message)
+
+
+def test_long_product_stays_exact_and_small(monkeypatch):
+    # 2^7 factors of u1 in a balanced tree, mod the largest accepted modulus:
+    # products of up to MAX_LAZY_FACTORS residues stay unreduced, so the
+    # products of 8 factors (16 of them) are reduced, then the products of 8
+    # reduced values (2), then the output
+    R = make_ring("integers-mod-m", modulus=MAX_MODULUS)
+    text = "u1"
+    for _ in range(7):
+        text = f"({text})*({text})"
+    sources = []
+    real_compile = builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
+    x = MAX_MODULUS - 2
+    assert eval_expr(parse_expr(text), R, [R.el(x)], {}, 0).v == pow(x, 2 ** 7, MAX_MODULUS)
+    assert MAX_LAZY_FACTORS == 4 and sources[0].count("% m") == 16 + 2 + 1
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_consts"):
+            yield from _code_objects(const)
+
+
+@pytest.mark.parametrize("kind", ["integers-mod-m", "exact-rational", "rational-quaternion"])
+def test_no_config_text_in_generated_code(kind):
+    ring = make_ring(kind, modulus=10 ** 12 + 39) if kind == "integers-mod-m" \
+        else make_ring(kind)
+    M = Module(ring, 2)
+    g = GMap.expression(M, ["zz_marker[n]*u1 + 987654321", "u2/(987654321 - zz_marker[n])"],
+                        {"zz_marker": ["987654321", "5"]})
+    rec = Recurrence(M, ["987654321", "1"], ["1", "987654321"], g)
+    for fn in (rec.kernel, g.kernel):
+        for code in _code_objects(fn.__code__):
+            text = [repr(x) for x in (*code.co_names, *code.co_consts, *code.co_varnames)]
+            assert not any("zz_marker" in t or "987654321" in t for t in text), text
+    # the generated step still computes the recurrence
+    window = [M.el(["1", "2"]), M.el(["3", "4"])]
+    assert outcome(rec.step, 0, window) == outcome(ref_step, rec, 0, window)
+
+
+def test_compiles_bounded_by_zero_patterns(monkeypatch):
+    # coprime periods 16, 9, 25, 7, 11 and 13: one phase per step for 2000
+    # steps (lcm 3603600), but only the zero patterns need their own code
+    R = make_ring("integers-mod-m", modulus=101)
+    M = Module(R, 1)
+    rows = [[str((i * i + p) % 5) for i in range(p)] for p in (16, 9, 25, 7, 11, 13)]
+    rec = Recurrence(M, rows[:3], rows[3:], GMap.expression(M, ["u1*u1 + 1"]))
+    assert rec.coeff_period == 3603600
+    compiles = []
+    real_compile = builtins.compile
+
+    def counting(*args, **kwargs):
+        compiles.append(args[0])
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    init = [M.el(["1"]), M.el(["2"]), M.el(["3"])]
+    traj = simulate(rec, init, 2000)
+    monkeypatch.undo()
+    patterns = {tuple(not seq.at(n).is_zero for seq in rec.a + rec.b)
+                for n in range(rec.k, rec.k + 2000)}
+    assert 1 <= len(compiles) <= len(patterns) < 2000
+    want, want_breakdown = ref_simulate(rec, init, 2000)
+    assert traj.breakdown is None and want_breakdown is None
+    assert [bits(v) for v in traj.values] == [bits(v) for v in want]
