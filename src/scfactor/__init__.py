@@ -17,8 +17,7 @@ from .engine import (Breakdown, ChainRun, EquivalenceReport, Trajectory,
 from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
                      DivisionByNonUnit, GMapSyntaxError, Irreducible,
                      NoncommutativeRing, NotAValidRoot, NotFoldable,
-                     NotIntegralDomain, ParseError, ScfactorError,
-                     TanhUnsupported)
+                     ParseError, ScfactorError, TanhUnsupported)
 from .factorize import (FactorStep, FactorizationChain, O2bVerdict,
                         SubstitutionFactorization, UnitCertificate,
                         build_variable_factor, criterion_check, factor_chain,
@@ -39,7 +38,7 @@ __all__ = [
     "CoeffSeq", "ConfigError", "DivisionByNonUnit", "El", "EquivalenceReport",
     "FactorStep", "FactorizationChain", "FamilyInfo", "GMap", "GMapSyntaxError",
     "Irreducible", "JobConfig", "Module", "NoncommutativeRing", "NotAValidRoot",
-    "NotFoldable", "NotIntegralDomain", "O2bVerdict", "ParseError", "Poly",
+    "NotFoldable", "O2bVerdict", "ParseError", "Poly",
     "Recurrence", "Ring", "RootReport", "RunOptions", "ScfactorError",
     "SubstitutionFactorization", "TanhUnsupported", "Trajectory",
     "UnitCertificate", "Vec", "build_family", "build_job",

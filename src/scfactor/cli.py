@@ -24,8 +24,8 @@ from .config import JobConfig, load_job
 from .engine import (Trajectory, simulate, simulate_chain, simulate_substitution,
                      trajectory_csv, trajectory_json_obj, verify_equivalence)
 from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
-                     GMapSyntaxError, Irreducible, NotFoldable, NotIntegralDomain,
-                     ParseError, ScfactorError)
+                     GMapSyntaxError, Irreducible, NotFoldable, ParseError,
+                     ScfactorError)
 from .factorize import (FactorizationChain, O2bVerdict, SubstitutionFactorization,
                         factor_chain, level_name, linear_complete,
                         o2b_reducibility, substitution_factorization,
@@ -205,7 +205,7 @@ def resolve_factorization(job: JobConfig) -> FactorOutcome:
     except Irreducible as exc:
         out.reason = str(exc)
         out.root_report = exc.report
-    except (CertificateFailure, CertificateNotPeriodic, NotIntegralDomain) as exc:
+    except (CertificateFailure, CertificateNotPeriodic) as exc:
         out.reason = str(exc)
     except ValueError as exc:
         out.reason = f"root search failed: {exc}"
@@ -405,6 +405,17 @@ def _cmd_certify(args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --steps: an int of at least 1, as run.steps in the schema."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it as it was."""
@@ -421,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="factor, simulate both forms, compare")
     p.add_argument("config")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive_int, default=None,
                    help="steps to simulate (default: run.steps from the config)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="write trajectory files per level")
     p.add_argument("config")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_positive_int, default=None)
     p.add_argument("--emit", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)

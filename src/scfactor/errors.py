@@ -54,10 +54,6 @@ class NoncommutativeRing(ScfactorError):
     """A polynomial-based operation was requested over a noncommutative ring."""
 
 
-class NotIntegralDomain(ScfactorError):
-    """A multi-step root chain was requested over a ring with zero divisors."""
-
-
 class NotAValidRoot(ScfactorError):
     """A claimed root is not a unit or does not annihilate the polynomial(s)."""
 

@@ -33,6 +33,7 @@ free leading value zeta_0 once the remaining zeta_j are pinned by probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -42,11 +43,10 @@ from .errors import (
     Irreducible,
     NoncommutativeRing,
     NotAValidRoot,
-    NotIntegralDomain,
     ParseError,
 )
-from .poly import RootReport, deflate, unit_roots, verified_roots
-from .recurrence import CoeffSeq, Recurrence, _lcm
+from .poly import RootReport, unit_roots, verified_roots
+from .recurrence import CoeffSeq, Recurrence
 from .rings import MAX_PAYLOAD_BITS, El, IntegersMod, Vec
 
 # Largest common period (lcm of the coefficient and alpha periods) over which
@@ -56,7 +56,7 @@ MAX_COEFF_SPAN = 1 << 16
 
 
 def _span(*periods: int) -> int:
-    span = _lcm(periods)
+    span = math.lcm(*periods)
     if span > MAX_COEFF_SPAN:
         raise ConfigError(f"common period {span} of the coefficients and alphas exceeds "
                           f"the limit of {MAX_COEFF_SPAN}")
@@ -200,9 +200,9 @@ def criterion_check(rec: Recurrence, alpha: CoeffSeq, n: int,
 def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> FactorStep:
     """One reduction step at a common unit root of the characteristic pair.
 
-    Validates rho (unit, annihilates P, annihilates Q unless Q = 0), builds
-    the factor coefficients by the Horner recursions, and cross-checks them
-    against synthetic division of P and Q.
+    Validates rho (unit, annihilates P, annihilates Q unless Q = 0) and
+    builds the factor coefficients by the Horner recursions, which are the
+    coefficients of P / (x - rho) and Q / (x - rho).
     """
     ring = rec.ring
     if not ring.commutative:
@@ -234,18 +234,6 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
         p.append(prev_p)
         q.append(prev_q)
 
-    # synthetic-division cross-check: deflating P must reproduce the p_i and,
-    # when Q is nonzero, deflating Q must reproduce the q_i
-    P1 = deflate(P, rho)
-    for i in range(k):
-        if not (P1.coeff(k - 1 - i) == p[i]):
-            raise NotAValidRoot("internal mismatch between Horner and deflation of P")
-    if not Q.is_zero:
-        Q1 = deflate(Q, rho)
-        for i in range(k):
-            if not (Q1.coeff(k - 1 - i) == q[i]):
-                raise NotAValidRoot("internal mismatch between Horner and deflation of Q")
-
     factor = Recurrence(rec.module, [-c for c in p], list(q), rec.g)
     return FactorStep(
         route="constant-root",
@@ -258,30 +246,21 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
     )
 
 
-def factor_chain(rec: Recurrence, max_steps: int | None = None,
-                 roots: list[El] | None = None) -> FactorizationChain:
+def factor_chain(rec: Recurrence, roots: list[El] | None = None) -> FactorizationChain:
     """Greedy chain of root-based reductions.
 
     Roots are re-searched at every level (which also picks up repeated
     roots). Raises Irreducible when not even one step exists. Over a residue
-    ring with composite modulus only one step is taken unless the caller
-    explicitly asks for more, in which case NotIntegralDomain explains why
-    the request is refused.
+    ring with composite modulus the chain stops after one step.
     """
     ring = rec.ring
     composite = isinstance(ring, IntegersMod) and not ring.is_prime
-    limit = max_steps if max_steps is not None else (1 if composite else rec.k)
-    limit = min(limit, rec.k)
     supplied = list(roots) if roots else None
 
     steps: list[FactorStep] = []
     notes: list[str] = []
     current = rec
-    while current.order > 1 and len(steps) < limit:
-        if composite and len(steps) >= 1:
-            raise NotIntegralDomain(
-                f"{ring} has zero divisors; root bookkeeping past one reduction "
-                "is unsound there, and more steps were explicitly requested")
+    while current.order > 1 and not (composite and steps):
         P, Q = current.char_pair()
         if supplied is not None:
             if not supplied:
@@ -300,7 +279,7 @@ def factor_chain(rec: Recurrence, max_steps: int | None = None,
         step = factor_once(current, rho, report)
         steps.append(step)
         current = step.factor
-    if composite and rec.k > 1 and max_steps is None and steps and current.order > 1:
+    if composite and steps and current.order > 1:
         notes.append(
             f"{ring} has a composite modulus: stopped after one reduction "
             "(repeated deflation needs an integral domain)")
@@ -405,38 +384,30 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
 
     coeff_period = rec.coeff_period
     period = None
-    for p in range(1, len(alphas) - k + 1):
-        if p % coeff_period != 0:
-            continue
+    for p in range(coeff_period, len(alphas) - k + 1, coeff_period):
         if all(alphas[p + i] == alphas[i] for i in range(k)):
             period = p
             break
 
-    if period is None:
-        return UnitCertificate(tuple(seed_els), tuple(alphas), "horizon-bounded",
-                               horizon, None, horizon, notes)
-
-    # wrap-around re-verification over the full common period: proves the
-    # identities for all n (including n < k) with pure-periodic indexing
-    wrapped = CoeffSeq(alphas[:period])
-    span = _lcm([period, coeff_period])
-    for n in range(span):
-        lhs = wrapped.at(n)
-        rhs = _row_sum(rec.a, wrapped.at, n)
-        if not (lhs == rhs):
+    if period is not None:
+        # wrap-around re-verification over the full common period: proves the
+        # identities for all n (including n < k) with pure-periodic indexing
+        wrapped = CoeffSeq(alphas[:period])
+        for n in range(math.lcm(period, coeff_period)):
+            if not (wrapped.at(n) == _row_sum(rec.a, wrapped.at, n)):
+                side = "a"
+            elif need_esb and not _row_sum(rec.b, wrapped.at, n).is_zero:
+                side = "b"
+            else:
+                continue
             notes.append(
-                f"window recurs at {period} but the wrapped a-side identity fails at n={n}; "
-                "certificate stays horizon-bounded")
-            return UnitCertificate(tuple(seed_els), tuple(alphas), "horizon-bounded",
-                                   horizon, None, horizon, notes)
-        if need_esb and not _row_sum(rec.b, wrapped.at, n).is_zero:
-            notes.append(
-                f"window recurs at {period} but the wrapped b-side identity fails at n={n}; "
-                "certificate stays horizon-bounded")
-            return UnitCertificate(tuple(seed_els), tuple(alphas), "horizon-bounded",
-                                   horizon, None, horizon, notes)
-    return UnitCertificate(tuple(seed_els), tuple(alphas), "proved-periodic",
-                           horizon, period, horizon, notes)
+                f"window recurs at {period} but the wrapped {side}-side identity fails "
+                f"at n={n}; certificate stays horizon-bounded")
+            period = None
+            break
+    status = "horizon-bounded" if period is None else "proved-periodic"
+    return UnitCertificate(tuple(seed_els), tuple(alphas), status, horizon, period, horizon,
+                           notes)
 
 
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
@@ -501,7 +472,7 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
                 raise CertificateFailure(f"{name}({n}) = {row.at(n)} is not a unit", n=n)
     alpha_vals = [-(rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)) for n in range(period)]
     alpha = CoeffSeq(alpha_vals).reduced()
-    span = _lcm([alpha.period, rec.coeff_period])
+    span = math.lcm(alpha.period, rec.coeff_period)
     for n in range(span):
         if not (alpha.at(n) == _row_sum(rec.a, alpha.at, n)):
             diff = rec.a[0].at(n) - rec.a[1].at(n) * rec.b[1].at(n).inverse() * rec.b[0].at(n) \

@@ -10,7 +10,9 @@ the method used and whether the search was exhaustive:
 * residues mod a prime p ("exhaustive-units"): on raw ints, g = gcd(P, Q)
   (monic P when Q = 0), h = gcd(g, x^p - x) with x^p taken modulo g, the
   factor x divided out, and h split by gcd(h, (x + c)^((p-1)/2) - 1) for
-  c = 0, 1, 2, ... (Rabin; Cantor-Zassenhaus); multiplicities by deflation
+  c = 0, 1, 2, ... (Rabin; Cantor-Zassenhaus); multiplicities from
+  gcd(P, Q), since over a field (x - r)^e divides g exactly when it
+  divides both P and Q
 * residues mod a composite m ("exhaustive-units"): Horner on raw ints at
   every unit, refused above MAX_COMPOSITE_MODULUS; multiplicities are
   reported as 1. Moduli above rings.MAX_MODULUS are refused when the ring
@@ -218,16 +220,15 @@ def deflate(p: Poly, rho: El) -> Poly:
     return Poly(p.ring, out)
 
 
-def _root_multiplicity(p: Poly, rho: El, cap: int | None = None) -> int:
+def _root_multiplicity(p: Poly, rho: El) -> int:
     """How many times (x - rho) divides p, by repeated deflation."""
     count = 0
-    cur = p
-    while not cur.is_zero and cur(rho).is_zero:
-        cur = deflate(cur, rho)
-        count += 1
-        if cap is not None and count >= cap:
-            break
-    return count
+    try:
+        while True:
+            p = deflate(p, rho)
+            count += 1
+    except NotAValidRoot:
+        return count
 
 
 @dataclass
@@ -368,13 +369,11 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     pc = [c.v for c in P.coeffs]
     qc = [c.v for c in Q.coeffs]
     if ring.is_prime:
-        roots = []
-        for r in _roots_mod_p(_gcd_p(pc, qc, m), m):
-            if r:
-                u = El(ring, r)
-                mp = _root_multiplicity(P, u)
-                roots.append((u, mp if Q.is_zero else min(mp, _root_multiplicity(Q, u))))
-        return RootReport(roots, "exhaustive-units", True)
+        g = _gcd_p(pc, qc, m)
+        G = Poly(ring, g)
+        units = [El(ring, r) for r in _roots_mod_p(g, m) if r]
+        return RootReport([(u, _root_multiplicity(G, u)) for u in units],
+                          "exhaustive-units", True)
     if m > MAX_COMPOSITE_MODULUS:
         raise ParseError(
             f"root search over composite modulus {m} is refused: the unit scan "

@@ -41,13 +41,6 @@ from .poly import Poly
 from .rings import El, Module, Ring, Vec
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 class CoeffSeq:
     """A periodic sequence of ring elements; period = number of stored values.
 
@@ -89,7 +82,7 @@ class CoeffSeq:
     def __eq__(self, other):
         if not isinstance(other, CoeffSeq):
             return NotImplemented
-        n = _lcm([self.period, other.period])
+        n = math.lcm(self.period, other.period)
         return all(self.at(i) == other.at(i) for i in range(n))
 
     def __str__(self):
@@ -169,7 +162,7 @@ class GMap:
         if self.kind == "linear-scale":
             return len(self.scalar_values)
         if self.kind == "expression":
-            return _lcm([len(v) for v in self.seqs.values()] or [1])
+            return math.lcm(*(len(v) for v in self.seqs.values()))
         return 1
 
     def emit(self, e: gm.Emitter) -> list[str] | None:
@@ -253,7 +246,7 @@ class Recurrence:
 
     @property
     def coeff_period(self) -> int:
-        return _lcm([s.period for s in self.a] + [s.period for s in self.b])
+        return math.lcm(*(s.period for s in self.a), *(s.period for s in self.b))
 
     @property
     def b_is_zero(self) -> bool:

@@ -502,14 +502,9 @@ class GaussianRationals(Ring):
         return _fmt_signed([(v[0], ""), (v[1], "i")])
 
 
-class FloatComplex(_PlainOps, Ring):
-    """Machine complex numbers with relative-tolerance equality.
+class _Tolerant(Ring):
+    """Float rings: equality within a relative tolerance, part of the ring's identity."""
 
-    eq(a, b) holds when |a - b| <= tol * max(|a|, |b|, 1). A value is a unit
-    when it is not eq-equal to zero.
-    """
-
-    kind = "float-complex"
     exact = False
 
     def __init__(self, tolerance: float = 1e-9):
@@ -519,6 +514,16 @@ class FloatComplex(_PlainOps, Ring):
 
     def _descriptor(self):
         return (self.kind, self.tol)
+
+
+class FloatComplex(_PlainOps, _Tolerant):
+    """Machine complex numbers with relative-tolerance equality.
+
+    eq(a, b) holds when |a - b| <= tol * max(|a|, |b|, 1). A value is a unit
+    when it is not eq-equal to zero.
+    """
+
+    kind = "float-complex"
 
     def __str__(self):
         return f"C(float, tol={self.tol:g})"
@@ -576,33 +581,45 @@ def _qmul(a, b):
     )
 
 
-class RationalQuaternions(Ring):
-    """Hamilton quaternions over Q. Noncommutative; every nonzero element
-    is a unit (inverse = conjugate / squared norm)."""
+class _Quaternions(Ring):
+    """Hamilton quaternions as 4-tuples (w, x, y, z) of the number type _num."""
 
-    kind = "rational-quaternion"
     commutative = False
-    _bits = staticmethod(_fractions_bits)
 
     def from_int(self, n):
-        return El(self, (Fraction(n), Fraction(0), Fraction(0), Fraction(0)))
+        return El(self, (self._num(n), self._num(0), self._num(0), self._num(0)))
 
     def _normalize(self, payload):
         if isinstance(payload, tuple) and len(payload) == 4:
-            return tuple(Fraction(c) for c in payload)
-        if isinstance(payload, (int, Fraction)):
-            return (Fraction(payload), Fraction(0), Fraction(0), Fraction(0))
+            return tuple(self._num(c) for c in payload)
+        if isinstance(payload, (int, self._num)):
+            return (self._num(payload), self._num(0), self._num(0), self._num(0))
         return super()._normalize(payload)
 
     def _parse(self, text):
-        terms = _parse_terms(text, "ijk", Fraction)
-        return tuple(terms.get(u, Fraction(0)) for u in _QUNITS)
+        terms = _parse_terms(text, "ijk", self._num)
+        return tuple(terms.get(u, self._num(0)) for u in _QUNITS)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple(-x for x in a)
+
+    def _key(self, a):
+        return a
+
+    def fmt(self, v):
+        return _fmt_signed(list(zip(v, _QUNITS)))
+
+
+class RationalQuaternions(_Quaternions):
+    """Hamilton quaternions over Q. Noncommutative; every nonzero element
+    is a unit (inverse = conjugate / squared norm)."""
+
+    kind = "rational-quaternion"
+    _num = Fraction
+    _bits = staticmethod(_fractions_bits)
 
     def _mul(self, a, b):
         """_qmul on the numerators over da = lcm(a's denominators) and
@@ -623,50 +640,15 @@ class RationalQuaternions(Ring):
     def _eq(self, a, b):
         return a == b
 
-    def _key(self, a):
-        return a
 
-    def fmt(self, v):
-        return _fmt_signed(list(zip(v, _QUNITS)))
-
-
-class FloatQuaternions(Ring):
+class FloatQuaternions(_Tolerant, _Quaternions):
     """Hamilton quaternions with float components and tolerance equality."""
 
     kind = "float-quaternion"
-    commutative = False
-    exact = False
-
-    def __init__(self, tolerance: float = 1e-9):
-        if not (tolerance > 0):
-            raise ParseError(f"tolerance must be positive, got {tolerance!r}")
-        self.tol = float(tolerance)
-
-    def _descriptor(self):
-        return (self.kind, self.tol)
+    _num = float
 
     def __str__(self):
         return f"H(float, tol={self.tol:g})"
-
-    def from_int(self, n):
-        return El(self, (float(n), 0.0, 0.0, 0.0))
-
-    def _normalize(self, payload):
-        if isinstance(payload, tuple) and len(payload) == 4:
-            return tuple(float(c) for c in payload)
-        if isinstance(payload, (int, float)):
-            return (float(payload), 0.0, 0.0, 0.0)
-        return super()._normalize(payload)
-
-    def _parse(self, text):
-        terms = _parse_terms(text, "ijk", float)
-        return tuple(terms.get(u, 0.0) for u in _QUNITS)
-
-    def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(-x for x in a)
 
     def _mul(self, a, b):
         return _qmul(a, b)
@@ -686,12 +668,6 @@ class FloatQuaternions(Ring):
     def _eq(self, a, b):
         d = self._abs(tuple(x - y for x, y in zip(a, b)))
         return d <= self.tol * max(self._abs(a), self._abs(b), 1.0)
-
-    def _key(self, a):
-        return a
-
-    def fmt(self, v):
-        return _fmt_signed(list(zip(v, _QUNITS)))
 
 
 _RING_KINDS = {

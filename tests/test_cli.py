@@ -325,6 +325,31 @@ class TestErrors:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "index 13 exceeds the size limit of 8192 bits" in err
 
+    @pytest.mark.parametrize("kind, params, where", [
+        ("fsc", {"b": ["1"]}, "family/params: 'r' is a required property"),
+        ("linear", {"a": ["1", "2"]}, "family/params: 'c' is a required property"),
+        ("alsp", {"a": 5, "b": "2"}, "family/params/a: 5 is not of type 'array'"),
+        ("fsc", {"r": "3", "b": "12"}, "family/params/b: '12' is not of type 'array'"),
+        ("second-order", {"a": "12", "b": ["1", "1"]},
+         "family/params/a: '12' is not of type 'array'"),
+        ("o2b", {"a": ["1", "1"], "j": "0", "b": "2"},
+         "family/params/j: '0' is not of type 'integer'"),
+        ("alsp", {"a": ["1"], "b": "2", "c": ["1"]},
+         "family/params: Additional properties are not allowed ('c' was unexpected)"),
+    ], ids=["fsc-no-r", "linear-no-c", "alsp-int-a", "fsc-string-b", "second-order-string-a",
+            "o2b-string-j", "unknown-key"])
+    def test_family_params_checked(self, capsys, tmp_path, kind, params, where):
+        family = {"kind": kind, "params": params}
+        if kind != "linear":
+            family["g"] = {"kind": "zero"}
+        doc = {"ring": {"kind": "integers-mod-m", "modulus": 7}, "module": {"dim": 1},
+               "family": family, "initial": ["1", "2"]}
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: config invalid at {where}\n"
+
 
 class TestParser:
     def test_built_once(self):
@@ -339,3 +364,18 @@ class TestParser:
                 main(["verify", "c.json", "--steps", "five"])
             assert exc.value.code == 2
             assert "invalid int value: 'five'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_steps_below_one_refused(self, capsys, configs_dir, tmp_path, command, steps):
+        argv = [command, str(configs_dir / "exzp_z11.json"), "--steps", steps]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --steps: must be at least 1, got {steps}\n")
+        assert not (tmp_path / "out").exists()

@@ -1,13 +1,15 @@
 """Config loading, schema validation, and job construction."""
 
+import importlib.util
 import json
 import re
+import sys
 
 import pytest
 from jsonschema.validators import validator_for
 
 from scfactor import ConfigError, RunOptions, build_job, load_job
-from scfactor.config import read_config_file, schema
+from scfactor.config import read_config_file, schema, validate_document
 
 
 def zp_doc():
@@ -237,6 +239,22 @@ class TestFiles:
         for path in files:
             job = load_job(str(path))
             assert job.recurrence.order >= 1
+
+    def test_bench_family_jobs_validate(self, configs_dir, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_jobs", configs_dir.parent / "bench" / "jobs.py")
+        jobs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look it up
+        spec.loader.exec_module(jobs)
+        kinds = set()
+        for workload in jobs.WORKLOADS:
+            for seed in (5, 11):
+                for block in jobs.make_blocks(workload, seed, 2):
+                    for job in block:
+                        if "family" in job.doc:
+                            kinds.add(job.doc["family"]["kind"])
+                            validate_document(job.doc)
+        assert kinds == {"fsc", "alsp", "o2b", "linear", "second-order"}
 
     def test_system_config_folds(self, configs_dir):
         job = load_job(str(configs_dir / "ds.json"))

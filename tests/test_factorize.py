@@ -9,7 +9,7 @@ import pytest
 
 from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
                       ConfigError, GMap, Irreducible, Module, NoncommutativeRing,
-                      NotIntegralDomain, ParseError, Recurrence,
+                      ParseError, Recurrence,
                       build_family, build_variable_factor, criterion_check,
                       factor_chain, factor_once, make_ring, o2b_reducibility,
                       second_order_shortcut, substitution_factorization,
@@ -128,14 +128,6 @@ class TestFactorChain:
         chain = factor_chain(zp_rec(R))
         assert len(chain.steps) == 1
         assert any("composite" in n for n in chain.notes)
-
-    def test_composite_second_step_refused(self):
-        R = make_ring("integers-mod-m", modulus=12)
-        M = Module(R, 1)
-        # both 1 and 5 are unit roots of this pair
-        rec = Recurrence(M, ["1", "1", "-1"], ["1", "-6", "5"], sq_map(M))
-        with pytest.raises(NotIntegralDomain):
-            factor_chain(rec, max_steps=2)
 
     def test_irreducible_raises_with_report(self):
         R = make_ring("exact-rational")

@@ -296,6 +296,24 @@ class TestResidueRootsAgainstScan:
             _assert_matches_scan(R, pc, qc)
 
     @pytest.mark.parametrize("p", PRIMES_UNDER_200)
+    def test_multiplicities_differ_between_p_and_q(self, p):
+        # each root goes into P and Q at its own multiplicity (0 to 3), so the
+        # reported multiplicity, min(mult_P, mult_Q) as the scan finds it by
+        # deflating P and Q separately, is sometimes P's and sometimes Q's
+        R = IntegersMod(p)
+        rng = random.Random(2000 + p)
+        for _ in range(6):
+            roots = rng.sample(range(1, p), min(p - 1, 3))
+            mp = [rng.randrange(4) for _ in roots]
+            mq = [rng.randrange(4) for _ in roots]
+            pc = _from_roots([r for r, e in zip(roots, mp) for _ in range(e)],
+                             [rng.randrange(p), 1], p)
+            qc = _from_roots([r for r, e in zip(roots, mq) for _ in range(e)],
+                             [rng.randrange(1, p)], p)
+            _assert_matches_scan(R, pc, qc)
+            _assert_matches_scan(R, pc, [])
+
+    @pytest.mark.parametrize("p", PRIMES_UNDER_200)
     def test_random_dense_pairs(self, p):
         R = IntegersMod(p)
         rng = random.Random(1000 + p)

@@ -2,12 +2,13 @@
 round trips. Examples are kept small so the whole module stays fast."""
 
 import json
+from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from scfactor import (GMap, Module, Poly, Recurrence, build_family, deflate,
-                      detect_period, factor_chain, make_coeff, make_ring,
-                      poly_gcd, simulate, verify_equivalence)
+                      detect_period, factor_chain, factor_once, make_coeff,
+                      make_ring, poly_gcd, simulate, verify_equivalence)
 from scfactor.cli import canonical_json
 from scfactor.poly import divmod_poly
 
@@ -149,6 +150,55 @@ class TestPlantedFactorizations:
         window = init[:fam.recurrence.order]
         rep = verify_equivalence(fam.recurrence, sub, window, 30)
         assert rep.equal
+
+
+# (kind, modulus): a prime and a composite modulus, and the commutative rings
+# that have a constant-root route
+COMMUTATIVE_RINGS = [("integers-mod-m", 97), ("integers-mod-m", 45), ("exact-rational", None),
+                     ("gaussian-rational", None), ("float-complex", None)]
+scalar_parts = st.tuples(small_int, small_int, st.integers(min_value=1, max_value=6))
+
+
+def _scalar(R, parts):
+    """A residue n, a rational n/d, a Gaussian rational n/d + m*i, or the
+    complex float n + m*i, whose integer parts keep a planted root exact."""
+    n, m, d = parts
+    if R.kind == "integers-mod-m":
+        return R.el(n)
+    if R.kind == "exact-rational":
+        return R.el(Fraction(n, d))
+    if R.kind == "gaussian-rational":
+        return R.el((Fraction(n, d), Fraction(m)))
+    return R.el(complex(n, m))
+
+
+class TestFactorOnceAgainstDeflation:
+    @settings(max_examples=150, deadline=None)
+    @given(ring=st.sampled_from(COMMUTATIVE_RINGS), rho=scalar_parts,
+           p_cof=st.lists(scalar_parts, min_size=1, max_size=4),
+           q_cof=st.lists(scalar_parts, max_size=4))
+    def test_rows_are_the_deflated_pair(self, ring, rho, p_cof, q_cof):
+        # P = (x - rho) * monic cofactor and Q = (x - rho) * cofactor (zero when
+        # the cofactor is), so rho is a planted common root; factor_once's Horner
+        # rows must be the coefficients of P / (x - rho) and Q / (x - rho)
+        kind, modulus = ring
+        R = make_ring(kind, modulus=modulus)
+        rho = _scalar(R, rho)
+        assume(rho.is_unit)
+        x_rho = Poly(R, [-rho, R.one])
+        P = x_rho * Poly(R, [_scalar(R, c) for c in p_cof] + [R.one])
+        Q = x_rho * Poly(R, [_scalar(R, c) for c in q_cof[:len(p_cof)]])
+        k = P.degree - 1
+        M = Module(R, 1)
+        rec = Recurrence(M, [-P.coeff(k - i) for i in range(k + 1)],
+                         [Q.coeff(k - i) for i in range(k + 1)], sq_map(M))
+        assert rec.char_pair() == (P, Q)
+        step = factor_once(rec, rho)
+        P1 = deflate(P, rho)
+        assert list(step.p) == [P1.coeff(k - 1 - i) for i in range(k)]
+        if not Q.is_zero:
+            Q1 = deflate(Q, rho)
+            assert list(step.q) == [Q1.coeff(k - 1 - i) for i in range(k)]
 
 
 class TestEngineProperties:
