@@ -45,7 +45,7 @@ from .errors import (
     NotAValidRoot,
     ParseError,
 )
-from .poly import RootReport, unit_roots, verified_roots
+from .poly import RootReport, is_root, unit_roots, verified_roots
 from .recurrence import CoeffSeq, Recurrence
 from .rings import MAX_PAYLOAD_BITS, El, IntegersMod, Vec
 
@@ -217,9 +217,9 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
     P, Q = rec.char_pair()
     if not rho.is_unit:
         raise NotAValidRoot(f"{rho} is not a unit in {ring}")
-    if not P(rho).is_zero:
+    if not is_root(P, rho):
         raise NotAValidRoot(f"{rho} is not a root of P = {P.fmt()}")
-    if not Q.is_zero and not Q(rho).is_zero:
+    if not Q.is_zero and not is_root(Q, rho):
         raise NotAValidRoot(f"{rho} is not a root of Q = {Q.fmt()}")
 
     k = rec.k

@@ -200,11 +200,26 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return x.monic() if not x.is_zero else x
 
 
+def is_root(p: Poly, rho: El, value: El | None = None) -> bool:
+    """Whether p(rho) = 0, given value = p(rho) when the caller has it.
+
+    Exact rings test value.is_zero. Over float-complex, whose equality is an
+    absolute test (|v| <= tol) near zero, |p(rho)| is judged against the
+    size of the Horner terms instead: |p(rho)| <= tol * sum |c_i| |rho|^i.
+    """
+    if value is None:
+        value = p(rho)
+    if p.ring.exact:
+        return value.is_zero
+    r = abs(rho.v)
+    return abs(value.v) <= p.ring.tol * sum(abs(c.v) * r ** i for i, c in enumerate(p.coeffs))
+
+
 def deflate(p: Poly, rho: El) -> Poly:
     """Divide p by (x - rho) via synthetic division.
 
-    The remainder equals p(rho) and must vanish (ring equality, so a
-    tolerance check for float rings); otherwise NotAValidRoot is raised.
+    The remainder equals p(rho) and must vanish (by ``is_root``); otherwise
+    NotAValidRoot is raised.
     """
     if p.is_zero:
         raise NotAValidRoot("cannot deflate the zero polynomial")
@@ -215,7 +230,7 @@ def deflate(p: Poly, rho: El) -> Poly:
         acc = acc * rho + p.coeff(i)
         out[i - 1] = acc
     rem = acc * rho + p.coeff(0)
-    if not rem.is_zero:
+    if not is_root(p, rho, rem):
         raise NotAValidRoot(f"{p.ring.fmt(rho.v)} is not a root (remainder {rem})")
     return Poly(p.ring, out)
 
@@ -589,14 +604,15 @@ def unit_roots(P: Poly, Q: Poly) -> RootReport:
 
 def verified_roots(P: Poly, Q: Poly, claimed: list[El]) -> RootReport:
     """Validate user-supplied roots by evaluation; multiplicity from repetition."""
+    _require_commutative(P.ring, "root verification")
     counts: list[tuple[El, int]] = []
     for rho in claimed:
         rho = P.ring.el(rho)
         if not rho.is_unit:
             raise NotAValidRoot(f"claimed root {rho} is not a unit")
-        if not P(rho).is_zero:
+        if not is_root(P, rho):
             raise NotAValidRoot(f"claimed root {rho} does not annihilate {P.fmt()}")
-        if not Q.is_zero and not Q(rho).is_zero:
+        if not Q.is_zero and not is_root(Q, rho):
             raise NotAValidRoot(f"claimed root {rho} does not annihilate {Q.fmt()}")
         for i, (r, m) in enumerate(counts):
             if r == rho:

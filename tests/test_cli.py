@@ -350,6 +350,50 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: config invalid at {where}\n"
 
+    @pytest.mark.parametrize("config, path, value, command", [
+        ("exzp_z11.json", ("run", "steps"), 5.0, "verify"),
+        ("np.json", ("run", "horizon"), 8.0, "factor"),
+        ("np.json", ("run", "horizon"), 8.0, "verify"),
+        ("np.json", ("run", "horizon"), 8.0, "certify"),
+        ("o2b_z7.json", ("family", "params", "j"), 0.0, "factor"),
+        ("exzp_z11.json", ("module", "dim"), 1.0, "factor"),
+        ("exzp_z11.json", ("ring", "modulus"), 11.0, "factor"),
+    ], ids=["steps", "horizon-factor", "horizon-verify", "horizon-certify", "j", "dim",
+            "modulus"])
+    def test_integral_float_in_integer_field(self, capsys, tmp_path, configs_dir,
+                                             config, path, value, command):
+        # an integer field takes a JSON integer only: 5.0 used to reach code
+        # that needs an int (TypeError tracebacks, a false gap message for j)
+        doc = json.loads((configs_dir / config).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: config invalid at {'/'.join(path)}: "
+                       f"{value!r} is not of type 'integer'\n")
+
+    def test_float_complex_root_judged_against_horner_terms(self, capsys, tmp_path):
+        # P = (x - 34i)(x^4 - 15i x^3 - 7/3 x^2) evaluates to about 1.5e-9 i at
+        # the root Durand-Kerner finds, past an absolute 1e-9 test but far
+        # inside tol times the size of P's Horner terms at |rho| = 34
+        doc = {"ring": {"kind": "float-complex"}, "module": {"dim": 1},
+               "recurrence": {"a": ["49.0i", "512.3333333333334", "-79.33333333333334i",
+                                    "0", "0"],
+                              "b": ["0", "0", "0", "1.0", "-34.0i"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "2", "3", "1i", "0.5"], "run": {"steps": 12}}
+        p = tmp_path / "fc.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert code == 0 and err == ""
+        assert "step 1 [constant-root]" in out and "+34.0i" in out
+        code, out, err = run_cli(capsys, "verify", str(p))
+        assert code == 0 and "verification PASSED" in out
+
 
 class TestParser:
     def test_built_once(self):

@@ -1,15 +1,89 @@
 """Config loading, schema validation, and job construction."""
 
+import copy
+import functools
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import validators
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from scfactor import ConfigError, RunOptions, build_job, load_job
-from scfactor.config import read_config_file, schema, validate_document
+from scfactor.config import compile_schema, read_config_file, schema, validate_document
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def bench_jobs():
+    """bench/jobs.py, loaded as a module without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = jobs  # dataclasses look the module up while it loads
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        del sys.modules[spec.name]
+    return jobs
+
+
+@functools.cache
+def corpus() -> tuple:
+    """Every shipped config, and the documents of two blocks of each bench workload."""
+    docs = [json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))]
+    jobs = bench_jobs()
+    for workload in jobs.WORKLOADS:
+        docs += [job.doc for block in jobs.make_blocks(workload, 5, 2) for job in block]
+    return tuple(docs)
+
+
+@functools.cache
+def reference():
+    """The jsonschema validator of the shipped schema, with integer meaning a
+    JSON integer (jsonschema's own integer also admits 5.0)."""
+    cls = validator_for(schema())
+    checker = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    return validators.extend(cls, type_checker=checker)(schema())
+
+
+def reference_message(doc):
+    error = best_match(reference().iter_errors(doc))
+    if error is None:
+        return None
+    where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+    return f"config invalid at {where}: {error.message}"
+
+
+def paths(x, path=()):
+    """Every path into a JSON document, the root first."""
+    yield path
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield from paths(value, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+OTHER_VALUES = [True, False, None, 0, 7, -1, 7.0, 0.5, "", "x", [], {}, ["1"], [["1"]],
+                {"kind": "zero"}]
+# values at and around the bounds of the numeric fields (minimum 1 or 2,
+# exclusiveMinimum 0)
+NUMBERS = [-1, 0, 1, 2, 0.0, 1e-12, 0.5, 1.0, 2.0]
+SOURCES = ("recurrence", "family", "system")
 
 
 def zp_doc():
@@ -205,9 +279,72 @@ class TestSchemaValidation:
         assert schema()["$schema"].endswith("2020-12/schema")
 
     def test_shipped_schema_passes_check_schema(self):
-        # validate_document builds its validator without re-checking the schema
+        # the interpreter compiles the schema without checking its own form
         doc = schema()
         validator_for(doc).check_schema(doc)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"properties": {"a": {"type": "string", "pattern": "^x"}}}, "'pattern' is not supported"),
+        ({"oneOf": [{"$ref": "other.json#/x"}]}, "unsupported \\$ref"),
+        ({"items": {"$ref": "#/$defs/missing"}}, "unsupported \\$ref"),
+        ({"enum": ["a", 1]}, "only string enum and const"),
+        ({"not": True}, "is not an object"),
+    ], ids=["pattern", "external-ref", "missing-def", "numeric-enum", "boolean-schema"])
+    def test_unsupported_schema_refused(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            compile_schema(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_interpreter_agrees_with_jsonschema(self, data):
+        # one mutation of a shipped or generated document: another JSON type
+        # at some path, a number near a bound, a deleted key, an unknown key,
+        # or a second source
+        doc = copy.deepcopy(data.draw(st.sampled_from(corpus()), label="doc"))
+        op = data.draw(st.sampled_from(["replace", "number", "delete", "add", "source"]),
+                       label="op")
+        if op == "number":  # every document has module.dim
+            path = data.draw(st.sampled_from(
+                [p for p in paths(doc) if type(at(doc, p)) in (int, float)]), label="path")
+            at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(NUMBERS), label="value")
+        elif op == "source":
+            key = data.draw(st.sampled_from([k for k in SOURCES if k not in doc]), label="key")
+            donor = data.draw(st.sampled_from([d for d in corpus() if key in d]), label="donor")
+            doc[key] = copy.deepcopy(donor[key])
+        elif op == "add":
+            where = data.draw(st.sampled_from(
+                [p for p in paths(doc) if isinstance(at(doc, p), dict)]), label="where")
+            at(doc, where)["unknown"] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+        else:
+            path = data.draw(st.sampled_from(list(paths(doc))[1:]), label="path")
+            parent = at(doc, path[:-1])
+            if op == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+        expected = reference_message(doc)
+        try:
+            validate_document(doc)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert (got is None) == (expected is None)
+        assert got == expected
+
+    def test_runtime_never_imports_jsonschema(self, configs_dir):
+        script = (
+            "import sys\n"
+            "from scfactor.cli import main\n"
+            f"code = main(['verify', {str(configs_dir / 'exzp_z11.json')!r}, '--json'])\n"
+            "assert code == 0, code\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'jsonschema']\n"
+            "assert not loaded, loaded\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_removed_max_period_refused(self):
         doc = zp_doc()
@@ -240,12 +377,8 @@ class TestFiles:
             job = load_job(str(path))
             assert job.recurrence.order >= 1
 
-    def test_bench_family_jobs_validate(self, configs_dir, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "bench_jobs", configs_dir.parent / "bench" / "jobs.py")
-        jobs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look it up
-        spec.loader.exec_module(jobs)
+    def test_bench_family_jobs_validate(self):
+        jobs = bench_jobs()
         kinds = set()
         for workload in jobs.WORKLOADS:
             for seed in (5, 11):

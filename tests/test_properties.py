@@ -161,7 +161,7 @@ scalar_parts = st.tuples(small_int, small_int, st.integers(min_value=1, max_valu
 
 def _scalar(R, parts):
     """A residue n, a rational n/d, a Gaussian rational n/d + m*i, or the
-    complex float n + m*i, whose integer parts keep a planted root exact."""
+    complex float n/d + m*i."""
     n, m, d = parts
     if R.kind == "integers-mod-m":
         return R.el(n)
@@ -169,7 +169,7 @@ def _scalar(R, parts):
         return R.el(Fraction(n, d))
     if R.kind == "gaussian-rational":
         return R.el((Fraction(n, d), Fraction(m)))
-    return R.el(complex(n, m))
+    return R.el(complex(n / d, m))
 
 
 class TestFactorOnceAgainstDeflation:
