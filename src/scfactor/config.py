@@ -22,6 +22,7 @@ import functools
 import heapq
 import json
 import operator
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -65,13 +66,17 @@ class JobConfig:
 
 def read_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # json raises RecursionError on nesting deeper than the interpreter's stack
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # what is left: Python refuses to convert longer integer literals
+        raise ConfigError(f"config {path!r} holds an integer literal longer than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 # ---------------------------------------------------------------------------

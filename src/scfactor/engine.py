@@ -10,10 +10,15 @@ floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
 
 Every run works on raw ring payloads: simulate iterates the recurrence's
-generated step function (Recurrence.kernel), simulate_chain and
-simulate_substitution rebuild the upper levels with the ring's payload
-operations, and verify_equivalence compares payloads with the ring's own
-equality. A Trajectory holds those payload lists and its module; its
+generated step function (Recurrence.kernel), and verify_equivalence compares
+payloads with the ring's own equality. simulate_chain and
+simulate_substitution run the deepest level that way, then rebuild every
+level above it in one generated loop (_rebuild, built with gmap.Emitter
+like the step): each step adds c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the
+value of the level below, level after level from the deepest up, with the
+latest values in locals and residues reduced only where they are stored.
+The chain's cofactors have the one term alpha_l(n)*w_n; the substitution's
+x level has k. A Trajectory holds those payload lists and its module; its
 ``values`` and ``value_at`` wrap payloads into Vec elements on read, and the
 serializers format payloads directly, so the verify path builds no Vec per
 simulated value.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import gmap as gm
 from .errors import ConfigError, DivisionByNonUnit, TanhUnsupported
 from .factorize import FactorizationChain, SubstitutionFactorization, level_name
 from .recurrence import Recurrence
@@ -150,31 +156,68 @@ class ChainRun:
         return {t.level: t for t in self.trajectories}
 
 
+def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
+    """Extend the payload lists ``outs`` by the steps n = lo .. hi-1.
+
+    Level l's value at n+1 is the value under it at n+1 plus
+    c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order from the value
+    under it, where v is level l itself and levels[l] lists the periodic
+    payload tuples c_1, c_2, ...; outs[l] ends with its values at n, n-1, ...
+    ``below`` holds the values under level 0, below[i] at index lo + 1 + i;
+    each later level stands on the one before it. The loop is one generated
+    function, with every level's latest values in locals and residues
+    reduced mod m only at the stored values.
+    """
+    if not levels:
+        return
+    ring = module.ring
+    e = gm.Emitter(ring)
+    comps = range(module.dim)
+    lags, appends = [], []
+    for l, coeffs in enumerate(levels):
+        appends.append(e.let(f"O{l}.append"))
+        # lags[l][j][c]: component c of level l's value j steps before n+1
+        lags.append([[f"v{l}_{j}_{c}" for c in comps] for j in range(len(coeffs))])
+        for j, names in enumerate(lags[l]):
+            e.unpack(names, f"O{l}[{-1 - j}]")
+    under = [f"u{c}" for c in comps]
+    e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
+    for l, coeffs in enumerate(levels):
+        cs = [e.seq((l, j), c) for j, c in enumerate(coeffs)]
+        for c in comps:
+            acc = under[c]
+            for coeff, lag in zip(cs, lags[l]):
+                acc = e.let(ring.src_add.format(acc, ring.src_mul.format(coeff, lag[c])))
+            # the value at n+1 becomes the newest lag, the others shift back
+            names = [lag[c] for lag in lags[l]]
+            e.line(f"{', '.join(names)} = {', '.join([e.reduced(acc), *names[:-1]])}")
+        under = lags[l][0]
+        e.line(f"{appends[l]}([{', '.join(under)}])")
+    # the lists are parameters, not namespace entries: the namespace and the
+    # function refer to each other, which would keep the lists alive until
+    # the next full garbage collection
+    params = ", ".join(["lo, hi, B", *[f"O{l}" for l in range(len(levels))]])
+    e.function(params, "None")(lo, hi, below, *outs)
+
+
 def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
     """Run the deepest factor, then rebuild every level above it on payloads."""
     windows = transport(chain, initial)
     depth = len(chain.steps)
     k = chain.base.k
     module = chain.base.module
-    add, mul = module.ring._add, module.ring._mul
     below = simulate(chain.final_factor, windows[depth], steps,
                      start=depth, level=level_name(depth))
-    end = below.end
+    # level l covers indices l .. below.end-1; chain.steps[l] relates level l
+    # (cofactor) to level l+1 (factor): w_{n+1} = alpha_l(n) * w_n + (level
+    # l+1)_{n+1}, from n = k, rebuilt from the deepest level up
+    outs = [[module.payloads(v) for v in windows[l]] for l in range(depth)]
+    _rebuild(module, [[tuple(a.v for a in step.alpha.values)] for step in reversed(chain.steps)],
+             k, below.end - 1, below.payloads[k + 1 - depth:], outs[::-1])
     trajs = [below]
-    deeper = below.payloads
     for l in range(depth - 1, -1, -1):
-        # chain.steps[l] relates level l (cofactor) to level l+1 (factor)
-        alpha = [a.v for a in chain.steps[l].alpha.values]
-        period = len(alpha)
-        vals = [module.payloads(v) for v in windows[l]]
-        # w_{n+1} = alpha(n) * w_n + deeper_{n+1}, starting at n = k;
-        # deeper[i] is the level-(l+1) value at index l + 1 + i
-        for n in range(k, end - 1):
-            a = alpha[n % period]
-            vals.append([add(mul(a, w), d) for w, d in zip(vals[-1], deeper[n - l])])
-        below = Trajectory(level_name(l), l, module, vals, _propagated(below.breakdown))
-        trajs.append(below)
-        deeper = vals
+        trajs.append(Trajectory(level_name(l), l, module, outs[l],
+                                _propagated(trajs[-1].breakdown)))
     trajs.reverse()
     return ChainRun(trajs)
 
@@ -184,10 +227,9 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     reconstruction of x.
 
     s_n = x_n - sum a_{j-1} x_{n-j} exists from n = k; the s level is indexed
-    accordingly and reconstruction is x_{n+1} = sum a_{j-1} x_{n+1-j} + s_{n+1}.
+    accordingly and reconstruction is x_{n+1} = s_{n+1} + sum a_{j-1} x_{n+1-j}.
     """
     module = sub.base.module
-    add, mul = module.ring._add, module.ring._mul
     k = sub.k
     init = [module.el(v) for v in initial]
     if len(init) != k + 1:
@@ -196,14 +238,9 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     for j, c in enumerate(sub.sub_coeffs, start=1):
         s_k = s_k - c * init[k - j]
     s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
-    s_vals = s_traj.payloads  # s at index k + i
-    coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
     xs = [module.payloads(v) for v in init]
-    for n in range(k, s_traj.end - 1):
-        acc = s_vals[n + 1 - k]
-        for j, c in coeffs:
-            acc = [add(s, mul(c, x)) for s, x in zip(acc, xs[n + 1 - j])]
-        xs.append(acc)
+    _rebuild(module, [[(c.v,) for c in sub.sub_coeffs]], k, s_traj.end - 1,
+             s_traj.payloads[1:], [xs])
     x_traj = Trajectory("x", 0, module, xs, _propagated(s_traj.breakdown))
     return ChainRun([x_traj, s_traj])
 

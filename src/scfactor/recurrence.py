@@ -307,7 +307,7 @@ class Recurrence:
         outs = [row_source("a", j) for j in range(dim)]
         if self.g.uses_argument:
             for j in range(dim):
-                e.lines.append(f"w{j} = {e.reduced(row_source('b', j))}")
+                e.line(f"w{j} = {e.reduced(row_source('b', j))}")
         comps = self.g.emit(e)
         if comps is not None:
             outs = [ring.src_add.format(r, c) for r, c in zip(outs, comps)]

@@ -6,7 +6,7 @@ Six ring kinds are supported:
 * ``exact-rational``     Fraction arithmetic, exact field
 * ``gaussian-rational``  a + bi with rational a, b, exact field
 * ``float-complex``      machine complex numbers with a comparison tolerance
-* ``rational-quaternion`` Hamilton quaternions with Fraction components
+* ``rational-quaternion`` Hamilton quaternions with rational components
 * ``float-quaternion``   Hamilton quaternions with float components
 
 Elements are lightweight wrappers (ring, payload) with operator sugar so the
@@ -16,10 +16,13 @@ right division: ``a / b`` means ``a * b**-1``, which matters for quaternions.
 The left module M = R^d is represented by Vec (a tuple of elements) with a
 left scalar action ``r * v``.
 
-Rational-quaternion payloads are 4-tuples of normalised Fractions. Their
-product brings each operand over the lcm of its four denominators, runs the
-16 component products on ints and normalises each result once, instead of
-normalising through a gcd after every Fraction product and sum.
+Payloads: an int in [0, m) for residues, a Fraction for rationals, a pair of
+Fractions for Q(i), a complex for float-complex, and a 4-tuple of floats for
+float quaternions. A rational quaternion (w + xi + yj + zk)/d is the int
+5-tuple (w, x, y, z, d) with d > 0 and gcd(w, x, y, z, d) = 1: a sum or
+product works on ints and reduces once by one gcd, where four Fractions
+would each reduce by their own. Its text form is that of the four Fractions
+w/d, x/d, y/d, z/d.
 """
 
 from __future__ import annotations
@@ -581,74 +584,116 @@ def _qmul(a, b):
     )
 
 
-class _Quaternions(Ring):
-    """Hamilton quaternions as 4-tuples (w, x, y, z) of the number type _num."""
+def _reduced(w, x, y, z, d):
+    """The canonical payload of (w + xi + yj + zk)/d for d > 0."""
+    g = math.gcd(w, x, y, z, d)
+    if g == 1:
+        return (w, x, y, z, d)
+    return (w // g, x // g, y // g, z // g, d // g)
 
+
+class RationalQuaternions(Ring):
+    """Hamilton quaternions over Q. Noncommutative; every nonzero element
+    is a unit (inverse = conjugate / squared norm).
+
+    A payload is the canonical 5-tuple of ints (w, x, y, z, d) standing for
+    (w + xi + yj + zk)/d, with d > 0 and gcd(w, x, y, z, d) = 1, so equal
+    quaternions have equal payloads.
+    """
+
+    kind = "rational-quaternion"
     commutative = False
 
     def from_int(self, n):
-        return El(self, (self._num(n), self._num(0), self._num(0), self._num(0)))
+        return El(self, (n, 0, 0, 0, 1))
 
     def _normalize(self, payload):
+        """Accepts an int or Fraction, or a 4-tuple of them (w, x, y, z)."""
+        if isinstance(payload, (int, Fraction)):
+            payload = (payload, 0, 0, 0)
         if isinstance(payload, tuple) and len(payload) == 4:
-            return tuple(self._num(c) for c in payload)
-        if isinstance(payload, (int, self._num)):
-            return (self._num(payload), self._num(0), self._num(0), self._num(0))
+            qs = [Fraction(c) for c in payload]
+            # over the lcm of reduced denominators the gcd is already 1
+            d = math.lcm(*[q.denominator for q in qs])
+            return (*[q.numerator * (d // q.denominator) for q in qs], d)
         return super()._normalize(payload)
 
     def _parse(self, text):
-        terms = _parse_terms(text, "ijk", self._num)
-        return tuple(terms.get(u, self._num(0)) for u in _QUNITS)
+        terms = _parse_terms(text, "ijk", Fraction)
+        return self._normalize(tuple(terms.get(u, Fraction(0)) for u in _QUNITS))
+
+    def _add(self, a, b):
+        w1, x1, y1, z1, d1 = a
+        w2, x2, y2, z2, d2 = b
+        if d1 == d2:
+            return _reduced(w1 + w2, x1 + x2, y1 + y2, z1 + z2, d1)
+        return _reduced(w1 * d2 + w2 * d1, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1,
+                        z1 * d2 + z2 * d1, d1 * d2)
+
+    def _neg(self, a):
+        w, x, y, z, d = a
+        return (-w, -x, -y, -z, d)
+
+    def _mul(self, a, b):
+        return _reduced(*_qmul(a[:4], b[:4]), a[4] * b[4])
+
+    def _inv(self, a):
+        w, x, y, z, d = a
+        n = w * w + x * x + y * y + z * z
+        if n == 0:
+            return None
+        return _reduced(w * d, -x * d, -y * d, -z * d, n)
+
+    def _eq(self, a, b):
+        return a == b
+
+    def _key(self, a):
+        return a
+
+    def _bits(self, v):
+        """Largest bit length of a component's numerator or denominator in
+        lowest terms, as for a Fraction."""
+        d = v[4]
+        out = 0
+        for n in v[:4]:
+            g = math.gcd(n, d)
+            out = max(out, (n // g).bit_length(), (d // g).bit_length())
+        return out
+
+    def fmt(self, v):
+        d = v[4]
+        return _fmt_signed([(Fraction(n, d), u) for n, u in zip(v[:4], _QUNITS)])
+
+
+class FloatQuaternions(_Tolerant):
+    """Hamilton quaternions as 4-tuples (w, x, y, z) of floats, with
+    tolerance equality."""
+
+    kind = "float-quaternion"
+    commutative = False
+
+    def __str__(self):
+        return f"H(float, tol={self.tol:g})"
+
+    def from_int(self, n):
+        return El(self, (float(n), 0.0, 0.0, 0.0))
+
+    def _normalize(self, payload):
+        if isinstance(payload, tuple) and len(payload) == 4:
+            return tuple(float(c) for c in payload)
+        if isinstance(payload, (int, float)):
+            return (float(payload), 0.0, 0.0, 0.0)
+        return super()._normalize(payload)
+
+    def _parse(self, text):
+        terms = _parse_terms(text, "ijk", float)
+        return tuple(terms.get(u, 0.0) for u in _QUNITS)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple(-x for x in a)
-
-    def _key(self, a):
-        return a
-
-    def fmt(self, v):
-        return _fmt_signed(list(zip(v, _QUNITS)))
-
-
-class RationalQuaternions(_Quaternions):
-    """Hamilton quaternions over Q. Noncommutative; every nonzero element
-    is a unit (inverse = conjugate / squared norm)."""
-
-    kind = "rational-quaternion"
-    _num = Fraction
-    _bits = staticmethod(_fractions_bits)
-
-    def _mul(self, a, b):
-        """_qmul on the numerators over da = lcm(a's denominators) and
-        db = lcm(b's), each result normalised once as Fraction(n, da*db)."""
-        da = math.lcm(*[c.denominator for c in a])
-        db = math.lcm(*[c.denominator for c in b])
-        d = da * db
-        return tuple([Fraction(n, d) for n in _qmul(
-            [c.numerator * (da // c.denominator) for c in a],
-            [c.numerator * (db // c.denominator) for c in b])])
-
-    def _inv(self, a):
-        n = sum(c * c for c in a)
-        if n == 0:
-            return None
-        return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
-
-    def _eq(self, a, b):
-        return a == b
-
-
-class FloatQuaternions(_Tolerant, _Quaternions):
-    """Hamilton quaternions with float components and tolerance equality."""
-
-    kind = "float-quaternion"
-    _num = float
-
-    def __str__(self):
-        return f"H(float, tol={self.tol:g})"
 
     def _mul(self, a, b):
         return _qmul(a, b)
@@ -668,6 +713,12 @@ class FloatQuaternions(_Tolerant, _Quaternions):
     def _eq(self, a, b):
         d = self._abs(tuple(x - y for x, y in zip(a, b)))
         return d <= self.tol * max(self._abs(a), self._abs(b), 1.0)
+
+    def _key(self, a):
+        return a
+
+    def fmt(self, v):
+        return _fmt_signed(list(zip(v, _QUNITS)))
 
 
 _RING_KINDS = {

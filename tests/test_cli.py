@@ -242,6 +242,23 @@ class TestErrors:
         assert code == 2
         assert "not valid JSON" in err and "Traceback" not in err
 
+    def test_integer_literal_past_digit_limit(self, capsys, tmp_path):
+        # json.load raised ValueError here, which left as a traceback and exit 1
+        p = tmp_path / "long.json"
+        p.write_text('{"ring": {"kind": "integers-mod-m", "modulus": 1' + "0" * 5000 + "}}")
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: config {str(p)!r} holds an integer literal longer than "
+                       "4300 digits\n")
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"ring": "\xff"}')
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config {str(p)!r} is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("expr", ["(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1"],
                              ids=["parentheses", "unary-minus"])
     def test_deeply_nested_expression(self, capsys, tmp_path, expr):

@@ -7,6 +7,9 @@ every new value for finiteness. Hypothesis draws small recurrences over all
 six ring kinds and all four map shapes, with periodic coefficients; the
 kernel must give bit-identical values, the same breakdown index and the
 same breakdown reason.
+
+The generated chain rebuild is held the same way against the per-value
+loops of simulate_chain and simulate_substitution that it replaced.
 """
 
 import builtins
@@ -17,8 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfactor import (Breakdown, DivisionByNonUnit, GMap, Module, Recurrence,
-                      TanhUnsupported, make_ring, simulate)
-from scfactor.gmap import MAX_LAZY_FACTORS, eval_expr, format_expr, parse_expr
+                      TanhUnsupported, make_ring, simulate, simulate_chain)
+from scfactor.engine import Trajectory, _propagated, simulate_substitution, transport
+from scfactor.factorize import (FactorizationChain, FactorStep, SubstitutionFactorization,
+                                level_name)
+from scfactor.gmap import MAX_LAZY_FACTORS, _compile, eval_expr, format_expr, parse_expr
+from scfactor.recurrence import CoeffSeq
 from scfactor.rings import MAX_MODULUS, El, Vec
 
 # ---------------------------------------------------------------------------
@@ -170,12 +177,14 @@ def asts(dim, tanh):
 
 
 @st.composite
-def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 12])):
+def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 12]),
+          dims=st.integers(min_value=1, max_value=2),
+          orders=st.integers(min_value=1, max_value=3)):
     kind = draw(kinds)
     ring = make_ring(kind, modulus=draw(moduli)) \
         if kind == "integers-mod-m" else make_ring(kind)
-    dim = draw(st.integers(min_value=1, max_value=2))
-    order = draw(st.integers(min_value=1, max_value=3))
+    dim = draw(dims)
+    order = draw(orders)
     M = Module(ring, dim)
     el = elements(ring)
     periodic = st.lists(el, min_size=1, max_size=3)
@@ -316,7 +325,9 @@ def test_no_config_text_in_generated_code(kind):
 
 def test_compiles_bounded_by_zero_patterns(monkeypatch):
     # coprime periods 16, 9, 25, 7, 11 and 13: one phase per step for 2000
-    # steps (lcm 3603600), but only the zero patterns need their own code
+    # steps (lcm 3603600), but only the zero patterns need their own code;
+    # emptied first, the compile cache cannot hold them from an earlier test
+    _compile.cache_clear()
     R = make_ring("integers-mod-m", modulus=101)
     M = Module(R, 1)
     rows = [[str((i * i + p) % 5) for i in range(p)] for p in (16, 9, 25, 7, 11, 13)]
@@ -339,3 +350,108 @@ def test_compiles_bounded_by_zero_patterns(monkeypatch):
     want, want_breakdown = ref_simulate(rec, init, 2000)
     assert traj.breakdown is None and want_breakdown is None
     assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+
+
+def test_values_share_compiled_code():
+    # the same zero pattern and map shape, with other coefficients and literals
+    R = make_ring("integers-mod-m", modulus=101)
+    M = Module(R, 2)
+    recs = [Recurrence(M, [a0, "0", "5"], ["1", b1, "0"],
+                       GMap.expression(M, [f"u1*u2 + {lit}", "inv(u2)"]))
+            for a0, b1, lit in (("2", "7", "3"), ("9", "40", "8"))]
+    assert recs[0].kernel.__code__ is recs[1].kernel.__code__
+    window = [M.el(["1", "2"]), M.el(["3", "4"]), M.el(["5", "6"])]
+    for rec in recs:
+        want, want_breakdown = ref_simulate(rec, window, 20)
+        traj = simulate(rec, window, 20)
+        assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+        assert traj.breakdown == want_breakdown
+
+
+# ---------------------------------------------------------------------------
+# the generated chain rebuild against the per-value loops it replaced
+
+
+def ref_simulate_chain(chain, initial, steps):
+    windows = transport(chain, initial)
+    depth = len(chain.steps)
+    k = chain.base.k
+    module = chain.base.module
+    add, mul = module.ring._add, module.ring._mul
+    below = simulate(chain.final_factor, windows[depth], steps,
+                     start=depth, level=level_name(depth))
+    end = below.end
+    trajs = [below]
+    deeper = below.payloads
+    for l in range(depth - 1, -1, -1):
+        alpha = [a.v for a in chain.steps[l].alpha.values]
+        period = len(alpha)
+        vals = [module.payloads(v) for v in windows[l]]
+        for n in range(k, end - 1):
+            a = alpha[n % period]
+            vals.append([add(mul(a, w), d) for w, d in zip(vals[-1], deeper[n - l])])
+        below = Trajectory(level_name(l), l, module, vals, _propagated(below.breakdown))
+        trajs.append(below)
+        deeper = vals
+    trajs.reverse()
+    return trajs
+
+
+def ref_simulate_substitution(sub, initial, steps):
+    module = sub.base.module
+    add, mul = module.ring._add, module.ring._mul
+    k = sub.k
+    init = [module.el(v) for v in initial]
+    s_k = init[k]
+    for j, c in enumerate(sub.sub_coeffs, start=1):
+        s_k = s_k - c * init[k - j]
+    s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
+    s_vals = s_traj.payloads
+    coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
+    xs = [module.payloads(v) for v in init]
+    for n in range(k, s_traj.end - 1):
+        acc = s_vals[n + 1 - k]
+        for j, c in coeffs:
+            acc = [add(s, mul(c, x)) for s, x in zip(acc, xs[n + 1 - j])]
+        xs.append(acc)
+    return [Trajectory("x", 0, module, xs, _propagated(s_traj.breakdown)), s_traj]
+
+
+def levels(trajs):
+    return [(t.level, t.start, [[repr(c) for c in p] for p in t.payloads], t.breakdown)
+            for t in trajs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), cases(dims=st.integers(min_value=1, max_value=3)),
+       st.integers(min_value=1, max_value=3))
+def test_chain_rebuild_matches_per_value_loop(data, case, depth):
+    # the drawn recurrence is the final factor, which can break down; the
+    # alphas are drawn freely, since the rebuild does not depend on them
+    # making a true factorization
+    factor = case[0]
+    ring, M = factor.ring, factor.module
+    k = depth + factor.k
+    base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
+    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(CoeffSeq)
+    steps = [FactorStep("certificate", data.draw(alphas), factor) for _ in range(depth)]
+    chain = FactorizationChain(base, steps)
+    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim).map(M.el)
+    initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
+    run = simulate_chain(chain, initial, 8)
+    assert levels(run.trajectories) == levels(ref_simulate_chain(chain, initial, 8))
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.data(), cases(dims=st.integers(min_value=1, max_value=3), orders=st.just(1)),
+       st.integers(min_value=1, max_value=3))
+def test_substitution_rebuild_matches_per_value_loop(data, case, k):
+    factor = case[0]
+    ring, M = factor.ring, factor.module
+    base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
+    coeffs = tuple(data.draw(st.lists(elements(ring), min_size=k, max_size=k)))
+    sub = SubstitutionFactorization(base, coeffs, ring.one, factor)
+    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim).map(M.el)
+    initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
+    run = simulate_substitution(sub, initial, 8)
+    assert levels(run.trajectories) == levels(ref_simulate_substitution(sub, initial, 8))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
 from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
-                            Rationals, RationalQuaternions, _qmul, is_prime)
+                            Rationals, RationalQuaternions, _fmt_signed, _qmul, is_prime)
 
 # Components with zeros, signs, denominators sharing small prime factors, and
 # numerators far past one machine word.
@@ -144,20 +144,52 @@ class TestQuaternions:
         for text in ["1-i+2j-k", "-1/2+1/2i", "j", "-k"]:
             assert R.parse(str(R.parse(text))) == R.parse(text)
 
+    def test_scalar_payloads(self):
+        R = RationalQuaternions()
+        assert R.el(Fraction(-3, 4)).v == (-3, 0, 0, 0, 4)
+        assert R.el(0).v == R.zero.v == (0, 0, 0, 0, 1)
+        assert R.el((Fraction(1, 6), 0, Fraction(-1, 4), 2)).v == (2, 0, -3, 24, 12)
+
     @settings(max_examples=300, deadline=None)
     @given(_QUAT, _QUAT)
     @example((Fraction(0),) * 4, (Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)))
     @example((Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
              (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
-    def test_common_denominator_product_matches_fraction_product(self, a, b):
-        """_mul on one common denominator per operand equals the
-        componentwise Fraction product, normalised, in both orders."""
+    @example((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)),
+             (Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(0)))
+    def test_payload_matches_fraction_reference(self, a, b):
+        """The integer 5-tuple payload against Fraction 4-tuples, the payload
+        it replaced: every operation, in both orders, and the canonical form
+        of every result."""
         R = RationalQuaternions()
-        for x, y in ((a, b), (b, a)):
-            got = R._mul(x, y)
-            assert isinstance(got, tuple) and got == _qmul(x, y)
-            assert all(type(c) is Fraction for c in got)
-            assert [c.denominator for c in got] == [c.denominator for c in _qmul(x, y)]
+        pa, pb = R._normalize(a), R._normalize(b)
+        for q, p in ((a, pa), (b, pb)):
+            assert _fractions(p) == q
+            assert R._bits(p) == max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                                     for c in q)
+            assert R.fmt(p) == _fmt_signed(list(zip(q, ("", "i", "j", "k"))))
+            assert R._parse(R.fmt(p)) == p
+            assert _fractions(R._neg(p)) == tuple(-c for c in q)
+            n = sum(c * c for c in q)
+            inv = R._inv(p)
+            assert inv is None if n == 0 else \
+                _fractions(inv) == (q[0] / n, -q[1] / n, -q[2] / n, -q[3] / n)
+        assert R._eq(pa, pb) == (a == b)
+        for (x, px), (y, py) in (((a, pa), (b, pb)), ((b, pb), (a, pa))):
+            got = R._add(px, py)
+            assert _fractions(got) == tuple(u + v for u, v in zip(x, y))
+            assert R._eq(R._add(got, R._neg(py)), px)
+            assert _fractions(R._mul(px, py)) == _qmul(x, y)
+        results = [pa, pb, R._neg(pa), R._add(pa, pb), R._mul(pa, pb), R._mul(pb, pa),
+                   R._inv(pa) or pa]
+        for p in results:
+            assert len(p) == 5 and all(type(c) is int for c in p)
+            assert p[4] > 0 and math.gcd(*p) == 1
+
+
+def _fractions(p):
+    """A rational-quaternion payload as the Fraction 4-tuple it stands for."""
+    return tuple(Fraction(c, p[4]) for c in p[:4])
 
 
 class TestMakeRing:
