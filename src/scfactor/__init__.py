@@ -11,7 +11,7 @@ result by simulating both forms and comparing trajectories.
 
 from .config import JobConfig, RunOptions, build_job, load_job
 from .engine import (Breakdown, ChainRun, EquivalenceReport, Trajectory,
-                     detect_period, simulate, simulate_chain,
+                     simulate, simulate_chain,
                      simulate_substitution, transport, trajectory_csv,
                      trajectory_json_obj, verify_equivalence)
 from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
@@ -42,7 +42,7 @@ __all__ = [
     "Recurrence", "Ring", "RootReport", "RunOptions", "ScfactorError",
     "SubstitutionFactorization", "TanhUnsupported", "Trajectory",
     "UnitCertificate", "Vec", "build_family", "build_job",
-    "build_variable_factor", "criterion_check", "deflate", "detect_period",
+    "build_variable_factor", "criterion_check", "deflate",
     "durand_kerner", "factor_chain", "factor_once", "fold_system", "level_name",
     "linear_complete", "load_job", "make_coeff", "make_ring",
     "o2b_reducibility", "poly_gcd",

@@ -361,27 +361,6 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     )
 
 
-def detect_period(values, max_period: int, eq=None) -> int | None:
-    """Least p <= max_period that shifts the tail of the sequence onto itself.
-
-    The check window is the final 2*max_period entries, so the sequence must
-    hold at least that many values; transients before the window are ignored.
-    """
-    vals = list(values)
-    if max_period < 1:
-        raise ConfigError("max_period must be positive")
-    if len(vals) < 2 * max_period:
-        raise ConfigError(
-            f"need at least {2 * max_period} values to certify periods up to {max_period}")
-    if eq is None:
-        eq = lambda a, b: a == b
-    lo = len(vals) - 2 * max_period
-    for p in range(1, max_period + 1):
-        if all(eq(vals[i], vals[i + p]) for i in range(lo, len(vals) - p)):
-            return p
-    return None
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -77,9 +77,10 @@ def level_name(i: int) -> str:
 class UnitCertificate:
     """A verified run of the alpha recursion.
 
-    status is "proved-periodic" (period set, esa/esb re-verified with
-    wrap-around indexing over the full common period) or "horizon-bounded"
-    (recursion ran clean to the horizon but no period was established).
+    status is "proved-periodic" (period set: the wrapped alpha sequence
+    satisfies esa/esb for every n, see variable_certificate) or
+    "horizon-bounded" (recursion ran clean to the horizon but no period was
+    established).
     """
 
     seed: tuple[El, ...]
@@ -249,9 +250,13 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
 def factor_chain(rec: Recurrence, roots: list[El] | None = None) -> FactorizationChain:
     """Greedy chain of root-based reductions.
 
-    Roots are re-searched at every level (which also picks up repeated
-    roots). Raises Irreducible when not even one step exists. Over a residue
-    ring with composite modulus the chain stops after one step.
+    The characteristic pair is searched once. The pair one level down is
+    (P/(x - rho), Q/(x - rho)), so over a field (Z/p, Q, Q(i)) each later
+    report is derived from the one before by RootReport.deflated, which keeps
+    repeated roots. Numeric (float) reports are searched again at every
+    level, and supplied roots are verified level by level. Raises Irreducible
+    when not even one step exists. Over a residue ring with composite modulus
+    the chain stops after one step.
     """
     ring = rec.ring
     composite = isinstance(ring, IntegersMod) and not ring.is_prime
@@ -260,16 +265,19 @@ def factor_chain(rec: Recurrence, roots: list[El] | None = None) -> Factorizatio
     steps: list[FactorStep] = []
     notes: list[str] = []
     current = rec
+    report = None
     while current.order > 1 and not (composite and steps):
-        P, Q = current.char_pair()
         if supplied is not None:
             if not supplied:
                 break
-            report = verified_roots(P, Q, [supplied.pop(0)])
+            report = verified_roots(*current.char_pair(), [supplied.pop(0)])
+        elif report is not None and report.gcd is not None:
+            report = report.deflated(rho)
         else:
-            report = unit_roots(P, Q)
+            report = unit_roots(*current.char_pair())
         if not report.found:
             if not steps:
+                P, Q = rec.char_pair()
                 raise Irreducible(
                     f"no common unit root of P = {P.fmt()} and Q = {Q.fmt()}; "
                     f"{report.describe()}", report)
@@ -334,10 +342,14 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     CertificateFailure with the step index.
 
     The certificate is upgraded to proved-periodic when the k-window recurs
-    at a position p that is a multiple of the coefficient period AND the
-    wrapped (purely periodic) alpha sequence passes the a-side and b-side
-    identities over one full common period. That re-check covers the early
-    indices n < k, whose conditions reach alpha at negative indices.
+    at a position p that is a multiple of the coefficient period. The
+    identities of the wrapped (purely periodic) sequence then hold for all n,
+    including the early indices n < k whose conditions reach alpha at
+    negative indices: on an exact ring the run from p repeats the run from 0
+    (same window, same coefficients), so each wrapped identity is the forward
+    identity at some n' = n (mod p) with k <= n' <= horizon, already checked.
+    On a float ring the window only recurs within tolerance, so the wrapped
+    sequence is re-verified over one full common period.
     """
     k = rec.k
     if k < 1:
@@ -389,9 +401,7 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
             period = p
             break
 
-    if period is not None:
-        # wrap-around re-verification over the full common period: proves the
-        # identities for all n (including n < k) with pure-periodic indexing
+    if period is not None and not ring.exact:
         wrapped = CoeffSeq(alphas[:period])
         for n in range(math.lcm(period, coeff_period)):
             if not (wrapped.at(n) == _row_sum(rec.a, wrapped.at, n)):

@@ -7,16 +7,21 @@ assume a commutative ring and raise NoncommutativeRing otherwise.
 unit_roots(P, Q) finds the common roots of P and Q that are units, reporting
 the method used and whether the search was exhaustive:
 
-* residues mod a prime p ("exhaustive-units"): on raw ints, g = gcd(P, Q)
-  (monic P when Q = 0), h = gcd(g, x^p - x) with x^p taken modulo g, the
-  factor x divided out, and h split by gcd(h, (x + c)^((p-1)/2) - 1) for
-  c = 0, 1, 2, ... (Rabin; Cantor-Zassenhaus); multiplicities from
-  gcd(P, Q), since over a field (x - r)^e divides g exactly when it
-  divides both P and Q
-* residues mod a composite m ("exhaustive-units"): Horner on raw ints at
-  every unit, refused above MAX_COMPOSITE_MODULUS; multiplicities are
-  reported as 1. Moduli above rings.MAX_MODULUS are refused when the ring
-  is built, since primality is decided exactly only up to there.
+* residues mod m ("exhaustive-units"), on raw ints: Z/m is the product of
+  its Z/p^e, with m split by trial division (a prime m is one factor p^1).
+  Mod each p, the common roots are those of g = gcd(P, Q) (monic P when
+  Q = 0; every unit when both vanish mod p): h = gcd(g, x^p - x) with x^p
+  taken modulo g, the factor x divided out, and h split by
+  gcd(h, (x + c)^((p-1)/2) - 1) for c = 0, 1, 2, ... (Rabin;
+  Cantor-Zassenhaus). Each root r mod p^j lifts one digit at a time (Hensel):
+  r + t*p^j is a root mod p^(j+1) when f(r)/p^j + t*f'(r) = 0 (mod p) for P
+  and for a nonzero Q, so a step gives 0, 1 or p lifts. The roots mod the
+  p^e are combined by the CRT. Over a prime, multiplicities come from
+  gcd(P, Q), since over a field (x - r)^e divides g exactly when it divides
+  both P and Q; over a composite m, whose moduli above MAX_COMPOSITE_MODULUS
+  are refused, they are reported as 1. Moduli above rings.MAX_MODULUS are
+  refused when the ring is built, since primality is decided exactly only up
+  to there.
 * exact fields (rationals, Gaussian rationals): monic gcd, then either read
   off a degree-1 gcd ("field-gcd") or search the gcd for roots
   ("rational-root"): one route for Q and Q(i) lifts the roots of the gcd
@@ -25,6 +30,11 @@ the method used and whether the search was exhaustive:
   read off its symmetric residue, then keeps the exact roots
 * float complex: Durand-Kerner on P and on Q, then match the root sets
   ("numeric", not exhaustive)
+
+Over a field (Z/p, Q, Q(i)) the report keeps gcd(P, Q). The pair one
+reduction further down is (P/(x - rho), Q/(x - rho)), whose gcd is
+gcd(P, Q)/(x - rho), so RootReport.deflated derives its report without a
+second search.
 """
 
 from __future__ import annotations
@@ -252,13 +262,29 @@ class RootReport:
 
     roots holds (root, multiplicity) pairs in the ring's canonical order.
     ``exhaustive`` is True when absence from the list proves absence of a
-    root; numeric (float) searches never claim that.
+    root; numeric (float) searches never claim that. ``gcd`` is the monic
+    gcd(P, Q) of a search over a field (Z/p, Q, Q(i)), else None.
     """
 
     roots: list[tuple[El, int]]
     method: str
     exhaustive: bool
     notes: list[str] = field(default_factory=list)
+    gcd: Poly | None = None
+
+    def deflated(self, rho: El) -> "RootReport":
+        """The report for (P/(x - rho), Q/(x - rho)), rho one of the roots.
+
+        Needs the gcd: over a field the new gcd is gcd(P, Q)/(x - rho), so
+        rho loses one multiplicity and every other root keeps its own.
+        """
+        g = deflate(self.gcd, rho)
+        roots = [(r, m - 1 if r == rho else m) for r, m in self.roots]
+        roots = [(r, m) for r, m in roots if m]
+        if isinstance(g.ring, IntegersMod):
+            return RootReport(roots, self.method, True, [], g)
+        method, notes = _field_labels(g)
+        return RootReport(roots, method, True, notes, g)
 
     @property
     def found(self) -> bool:
@@ -375,8 +401,58 @@ def _eval_mod(cs: list[int], x: int, m: int) -> int:
     return acc
 
 
-# Composite moduli are scanned unit by unit; above this the scan is refused.
+# Composite moduli are factored by trial division; above this they are refused.
 MAX_COMPOSITE_MODULUS = 10**6
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, e) for every prime power p^e exactly dividing m, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _residue_unit_roots(pc: list[int], qc: list[int], factors) -> list[int]:
+    """The common unit roots mod m = prod p^e of pc and qc ([] is no constraint), ascending.
+
+    The roots mod p lift one digit at a time: with f(r) = 0 (mod p^j),
+    f(r + t*p^j) = f(r) + t*p^j*f'(r) (mod p^(j+1)), so t solves
+    f(r)/p^j + t*f'(r) = 0 (mod p) for each nonzero f: one t when f'(r) is
+    nonzero mod p, every t or none when it is zero.
+    """
+    polys = [(f, [i * c for i, c in enumerate(f)][1:]) for f in (pc, qc) if f]
+    roots, mod = [0], 1
+    for p, e in factors:
+        fp, hp = _trim([c % p for c in pc]), _trim([c % p for c in qc])
+        rs = [r for r in _roots_mod_p(_gcd_p(fp, hp, p), p) if r] if fp or hp else range(1, p)
+        pj = p
+        for _ in range(1, e):
+            lifts = []
+            for r in rs:
+                ts = range(p)
+                for f, df in polys:
+                    v, d = _eval_mod(f, r, pj * p) // pj, _eval_mod(df, r, p)
+                    if d:
+                        t = -v * pow(d, -1, p) % p
+                        ts = [t] if t in ts else []
+                    elif v:
+                        ts = []
+                lifts.extend(r + t * pj for t in ts)
+            rs, pj = lifts, pj * p
+        inv = pow(mod, -1, pj)
+        roots = [a + mod * ((b - a) * inv % pj) for a in roots for b in rs]
+        mod *= pj
+    return sorted(roots)
 
 
 def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
@@ -384,18 +460,15 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     pc = [c.v for c in P.coeffs]
     qc = [c.v for c in Q.coeffs]
     if ring.is_prime:
-        g = _gcd_p(pc, qc, m)
-        G = Poly(ring, g)
-        units = [El(ring, r) for r in _roots_mod_p(g, m) if r]
+        units = [El(ring, r) for r in _residue_unit_roots(pc, qc, [(m, 1)])]
+        G = Poly(ring, _gcd_p(pc, qc, m))
         return RootReport([(u, _root_multiplicity(G, u)) for u in units],
-                          "exhaustive-units", True)
+                          "exhaustive-units", True, [], G)
     if m > MAX_COMPOSITE_MODULUS:
         raise ParseError(
             f"root search over composite modulus {m} is refused: the unit scan "
             f"is limited to moduli up to {MAX_COMPOSITE_MODULUS}")
-    roots = [(El(ring, u), 1) for u in range(1, m)
-             if _eval_mod(pc, u, m) == 0 and (not qc or _eval_mod(qc, u, m) == 0)
-             and math.gcd(u, m) == 1]
+    roots = [(El(ring, u), 1) for u in _residue_unit_roots(pc, qc, _prime_powers(m))]
     notes = ["composite modulus: multiplicities reported as 1"] if roots else []
     return RootReport(roots, "exhaustive-units", True, notes)
 
@@ -480,24 +553,34 @@ def _rational_root_candidates(g: Poly) -> list:
     return out
 
 
+def _field_labels(g: Poly) -> tuple[str, list[str]]:
+    """Method and notes of a search over Q or Q(i) whose gcd(P, Q) is g.
+
+    A constant g, or one whose unit part g / x^s is linear, reads off its
+    roots ("field-gcd"); any other g is searched ("rational-root").
+    """
+    if g.degree <= 0:
+        return "field-gcd", []
+    s = g.low_zero_count()
+    return ("field-gcd" if g.degree - s == 1 else "rational-root",
+            ["dropped root 0 (not a unit)"] if s else [])
+
+
 def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
     ring = P.ring
-    full = g = poly_gcd(P, Q)
-    if g.is_zero or g.degree == 0:
-        return RootReport([], "field-gcd", True)
-    s = g.low_zero_count()
-    notes = []
-    if s:
-        g = Poly(ring, g.coeffs[s:])
-        notes.append("dropped root 0 (not a unit)")
-    # g(0) != 0 from here, so no candidate that passes g(rho) = 0 is zero.
-    if g.degree == 1:
-        rho = -g.coeff(0) / g.coeff(1)
-        return RootReport([(rho, _root_multiplicity(full, rho))], "field-gcd", True, notes)
-    roots = [(rho, _root_multiplicity(full, rho))
-             for rho in map(ring.el, _rational_root_candidates(g)) if g(rho).is_zero]
-    roots.sort(key=lambda rm: rm[0].sort_key())
-    return RootReport(roots, "rational-root", True, notes)
+    full = poly_gcd(P, Q)
+    # g(0) != 0, so no candidate that passes g(rho) = 0 is zero.
+    g = Poly(ring, full.coeffs[full.low_zero_count():])
+    if g.degree < 1:
+        found = []
+    elif g.degree == 1:
+        found = [-g.coeff(0) / g.coeff(1)]
+    else:
+        found = sorted((rho for rho in map(ring.el, _rational_root_candidates(g))
+                        if g(rho).is_zero), key=El.sort_key)
+    method, notes = _field_labels(full)
+    return RootReport([(rho, _root_multiplicity(full, rho)) for rho in found],
+                      method, True, notes, full)
 
 
 def durand_kerner(coeffs: list[complex], max_iter: int = 200,

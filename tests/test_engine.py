@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
-                      FactorStep, GMap, Module, Recurrence, Trajectory, build_family, detect_period, factor_chain,
+                      FactorStep, GMap, Module, Recurrence, Trajectory, build_family, factor_chain,
                       make_ring, simulate, simulate_chain,
                       simulate_substitution, substitution_factorization,
                       transport, trajectory_csv, trajectory_json_obj,
@@ -175,7 +175,7 @@ class TestChainRun:
         t = run.by_name()["t"]
         first = [str(v.parts[0]) for v in t.values[:6]]
         assert first == ["2", "6", "9/2", "9/8", "3/8", "1/2"]
-        assert detect_period(t.values, 8) == 6
+        assert all(t.values[n] == t.values[n + 6] for n in range(len(t.values) - 6))
 
     def test_ds_closed_form_checkpoint(self):
         # x1_n = 1 + sum of the first n factor values; the factor cycle sums
@@ -333,39 +333,6 @@ class TestSizeLimit:
         assert simulate(rec, [x0], 5).end == 6
         with pytest.raises(ConfigError, match="index 6 exceeds"):
             simulate(rec, [x0], 6)
-
-
-class TestDetectPeriod:
-    def test_finds_least_period(self):
-        assert detect_period([1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2], 5) == 2
-
-    def test_least_not_multiple(self):
-        vals = [1, 2, 3] * 5
-        assert detect_period(vals, 6) == 3
-
-    def test_constant_is_period_one(self):
-        assert detect_period([7] * 10, 4) == 1
-
-    def test_ignores_transient(self):
-        vals = [99, 98, 97] + [1, 2] * 6
-        assert detect_period(vals, 2) == 2
-
-    def test_aperiodic_returns_none(self):
-        assert detect_period(list(range(20)), 6) is None
-
-    def test_too_few_values(self):
-        with pytest.raises(ConfigError, match="need at least 12"):
-            detect_period([1, 2, 3], 6)
-
-    def test_bad_max_period(self):
-        with pytest.raises(ConfigError):
-            detect_period([1, 2, 3, 4], 0)
-
-    def test_custom_equality(self):
-        vals = [0.1, 0.2, 0.1 + 1e-12, 0.2 - 1e-12] * 3
-        close = lambda a, b: abs(a - b) < 1e-9
-        assert detect_period(vals, 3, eq=close) == 2
-        assert detect_period(vals, 3) is None
 
 
 class TestSerialization:

@@ -5,7 +5,11 @@ zeta-chain evaluation, explicit alpha recursions) before the implementation
 existed; tests compare against those frozen results.
 """
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
                       ConfigError, GMap, Irreducible, Module, NoncommutativeRing,
@@ -13,8 +17,9 @@ from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
                       build_family, build_variable_factor, criterion_check,
                       factor_chain, factor_once, make_ring, o2b_reducibility,
                       second_order_shortcut, substitution_factorization,
-                      variable_certificate, variable_chain)
-from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate
+                      unit_roots, variable_certificate, variable_chain)
+from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate, _row_sum
+from scfactor.poly import Poly
 
 
 def sq_map(module):
@@ -149,6 +154,82 @@ class TestFactorChain:
             factor_chain(golden_rec(R), roots=["5"])
 
 
+def _planted_pair(ring, rng):
+    """(P, Q) sharing planted unit roots with multiplicities 1-3, maybe the
+    root 0 and a quadratic without roots; Q is sometimes 0."""
+    nonresidue = {"exact-rational": 2, "gaussian-rational": 3}.get(ring.kind)
+    if nonresidue is None:
+        nonresidue = next(c for c in range(2, ring.m) if pow(c, (ring.m - 1) // 2, ring.m) != 1)
+    i = ring.parse("i") if ring.kind == "gaussian-rational" else ring.zero
+
+    def small():
+        if ring.kind == "integers-mod-m":
+            return ring.from_int(rng.randrange(1, ring.m))
+        re = ring.from_int(rng.randint(-3, 3)) / ring.from_int(rng.randint(1, 3))
+        val = re + ring.from_int(rng.randint(-2, 2)) * i
+        return val if not val.is_zero else ring.one
+
+    def linear(r):
+        return Poly(ring, [-r, ring.one])
+
+    common = Poly(ring, [ring.one])
+    for _ in range(rng.randint(1, 3)):
+        root = small()
+        for _ in range(rng.randint(1, 3)):
+            common = common * linear(root)
+    if rng.random() < 0.4:
+        common = common * Poly(ring, [ring.zero, ring.one])
+    if rng.random() < 0.4:
+        common = common * Poly(ring, [-ring.from_int(nonresidue), ring.zero, ring.one])
+    P = common * linear(small())
+    if rng.random() < 0.3:
+        return P, Poly(ring, [])
+    return P, common * Poly(ring, [small()])
+
+
+def _recurrence_of(P, Q):
+    ring = P.ring
+    k = P.degree - 1
+    M = Module(ring, 1)
+    return Recurrence(M, [-P.coeff(k - i) for i in range(k + 1)],
+                      [Q.coeff(k - i) for i in range(k + 1)], sq_map(M))
+
+
+class TestOneSearchPerChain:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["integers-mod-m/7", "integers-mod-m/11", "integers-mod-m/13",
+                                 "exact-rational", "gaussian-rational"]),
+           seed=st.integers(0, 2**32))
+    def test_derived_reports_match_fresh_searches(self, kind, seed):
+        name, _, m = kind.partition("/")
+        ring = make_ring(name, modulus=int(m)) if m else make_ring(name)
+        P, Q = _planted_pair(ring, random.Random(seed))
+        chain = factor_chain(_recurrence_of(P, Q))
+        level = chain.base
+        for step in chain.steps:
+            fresh = unit_roots(*level.char_pair())
+            assert step.root_report == fresh
+            assert step.root_report.describe() == fresh.describe()
+            level = step.factor
+        if chain.complete:
+            assert chain.notes == []
+        else:
+            fresh = unit_roots(*level.char_pair())
+            assert not fresh.found
+            assert chain.notes == [f"stopped at order {level.order}: {fresh.describe()}"]
+
+    def test_one_search_per_exact_chain(self, monkeypatch):
+        import scfactor.factorize as fz
+        calls = []
+        monkeypatch.setattr(fz, "unit_roots", lambda P, Q: calls.append(P) or unit_roots(P, Q))
+        R = make_ring("exact-rational")
+        x = Poly(R, [R.zero, R.one])
+        P = x * x * x * x - Poly(R, [R.from_int(16)])   # roots 2, -2 and x^2 + 4
+        chain = factor_chain(_recurrence_of(P, Poly(R, [])))
+        assert [str(s.rho) for s in chain.steps] == ["-2", "2"]
+        assert len(calls) == 1
+
+
 class TestVariableCertificate:
     def _np_rec(self):
         R = make_ring("exact-rational")
@@ -211,6 +292,83 @@ class TestVariableCertificate:
         assert 65792 > MAX_COEFF_SPAN
         with pytest.raises(ConfigError, match="common period 65792 .* exceeds the limit"):
             build_variable_factor(rec, cert)
+
+
+def _wrapped_reference(rec, cert):
+    """Status, period and notes after the wrap-around re-verification that
+    variable_certificate runs on float rings, applied to any certificate."""
+    if cert.period is None:
+        return cert.status, None, cert.notes
+    wrapped = CoeffSeq(cert.alphas[:cert.period])
+    for n in range(math.lcm(cert.period, rec.coeff_period)):
+        if not (wrapped.at(n) == _row_sum(rec.a, wrapped.at, n)):
+            side = "a"
+        elif rec.g.uses_argument and not _row_sum(rec.b, wrapped.at, n).is_zero:
+            side = "b"
+        else:
+            continue
+        return "horizon-bounded", None, cert.notes + [
+            f"window recurs at {cert.period} but the wrapped {side}-side identity fails "
+            f"at n={n}; certificate stays horizon-bounded"]
+    return cert.status, cert.period, cert.notes
+
+
+class TestExactCertificateNeedsNoWrapCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["integers-mod-m/7", "integers-mod-m/11", "exact-rational",
+                                 "gaussian-rational", "rational-quaternion"]),
+           seed=st.integers(0, 2**32))
+    def test_status_period_and_notes_match_the_wrapped_check(self, kind, seed):
+        # alphas of period L are planted: a_0 and b_0 are solved from random
+        # higher coefficients so that both identities hold; sometimes one
+        # coefficient is then disturbed, so the run may fail, stay
+        # horizon-bounded or settle on another period
+        name, _, m = kind.partition("/")
+        R = make_ring(name, modulus=int(m)) if m else make_ring(name)
+        rng = random.Random(seed)
+        imag = [R.parse(u) for u in ("i", "j")] if name == "rational-quaternion" else \
+            [R.parse("i")] if name == "gaussian-rational" else []
+
+        def rand_el():
+            val = R.from_int(rng.randint(-3, 3))
+            for u in imag:
+                val = val + R.from_int(rng.randint(-1, 1)) * u
+            return val
+
+        def rand_unit():
+            val = rand_el()
+            return val if val.is_unit else R.one
+
+        k, L = rng.randint(1, 3), rng.randint(1, 3)
+        alphas = [rand_unit() for _ in range(L)]
+        at = CoeffSeq(alphas).at
+
+        def planted_row(lead):
+            rows = [[rand_el() for _ in range(L)] for _ in range(k)]
+            first = []
+            for n in range(L):
+                acc, prod = lead(n), None
+                for i, row in enumerate(rows, start=1):
+                    prod = at(n - i) if prod is None else prod * at(n - i)
+                    acc = acc - row[n] * prod.inverse()
+                first.append(acc)
+            return [CoeffSeq(first)] + [CoeffSeq(r) for r in rows]
+
+        a = planted_row(at)
+        M = Module(R, 1)
+        if rng.random() < 0.5:
+            b, g = [CoeffSeq([R.zero])] * (k + 1), GMap.zero(M)
+        else:
+            b, g = planted_row(lambda n: R.zero), GMap.linear_scale(M, ["3"])
+        if rng.random() < 0.3:
+            a[rng.randrange(k + 1)] = CoeffSeq([rand_el() for _ in range(L)])
+        rec = Recurrence(M, a, b, g)
+        try:
+            cert = variable_certificate(rec, [at(n) for n in range(k)],
+                                        horizon=rng.randint(k + 1, 3 * L + k + 4))
+        except CertificateFailure:
+            return
+        assert (cert.status, cert.period, cert.notes) == _wrapped_reference(rec, cert)
 
 
 class TestSecondOrderShortcut:

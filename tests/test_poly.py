@@ -1,5 +1,6 @@
 """Polynomial arithmetic, deflation, and the unit-root searches."""
 
+import functools
 import json
 import math
 import random
@@ -210,7 +211,8 @@ class TestVerifiedRoots:
 
 
 # ---------------------------------------------------------------------------
-# residue roots (gcd route mod p, raw-int scan mod m) against the old unit scan
+# residue roots (gcd route mod p, Hensel lifts and the CRT mod m) against the
+# old unit scan
 
 
 def _horner(cs, x, m):
@@ -218,6 +220,15 @@ def _horner(cs, x, m):
     for c in reversed(cs):
         acc = (acc * x + c) % m
     return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _values(cs, m):
+    """The nonzero cs evaluated by Horner at every u in range(m), mod m."""
+    vals = [cs[-1]] * m
+    for c in reversed(cs[:-1]):
+        vals = [(v * u + c) % m for u, v in enumerate(vals)]
+    return vals
 
 
 def _scan_mult(cs, u, m):
@@ -236,9 +247,11 @@ def _scan_mult(cs, u, m):
 def _scan_unit_roots(pc, qc, m):
     """Reference: evaluate P and Q at every unit of Z_m, as the seed did."""
     prime = m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+    pv = _values(tuple(pc), m)
+    qv = _values(tuple(qc), m) if qc else pv
     roots = []
     for u in range(1, m):
-        if math.gcd(u, m) != 1 or _horner(pc, u, m) or (qc and _horner(qc, u, m)):
+        if pv[u] or qv[u] or math.gcd(u, m) != 1:
             continue
         if prime:
             mult = _scan_mult(pc, u, m)
@@ -330,13 +343,23 @@ class TestResidueRootsAgainstScan:
                     _assert_matches_scan(R, list(pc), list(qc))
 
     def test_composites_match_scan(self):
-        rng = random.Random(7)
-        for m in (4, 6, 8, 9, 12, 15, 26, 49, 100, 221):
+        # every composite m < 2000: planted common roots with repeats, Q = 0,
+        # and P or Q scaled by a p^j dividing m, so that it vanishes mod p (or
+        # mod the full p^e) and only the higher digits constrain the lifts
+        primes = {p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))}
+        for m in set(range(4, 2000)) - primes:
+            powers = [p ** e for p in primes for e in range(1, 11) if m % p ** e == 0]
             R = IntegersMod(m)
-            for _ in range(6):
-                pc = _from_roots([rng.randrange(m) for _ in range(2)],
-                                 [rng.randrange(m), 1], m)
-                qc = _from_roots([rng.randrange(m)], [1], m)
+            rng = random.Random(m)
+            for case in range(3):
+                r = [rng.randrange(m) for _ in range(3)]
+                pc = _from_roots([r[0], r[0], r[1]], [rng.randrange(m), 1], m)
+                qc = _from_roots([r[0], r[2]][:2 - case], [rng.randrange(1, m)], m)
+                scale = rng.choice(powers)
+                if case == 1:
+                    qc = [c * scale % m for c in qc]
+                elif case == 2:
+                    pc = [c * scale % m for c in pc]
                 _assert_matches_scan(R, pc, qc)
                 _assert_matches_scan(R, pc, [])
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from scfactor import (GMap, Module, Poly, Recurrence, build_family, deflate,
-                      detect_period, factor_chain, factor_once, make_coeff,
+                      factor_chain, factor_once, make_coeff,
                       make_ring, poly_gcd, simulate, verify_equivalence)
 from scfactor.cli import canonical_json
 from scfactor.poly import divmod_poly
@@ -219,14 +219,6 @@ class TestEngineProperties:
         ts = simulate(rec, ws, 20)
         for n in range(ts.end):
             assert ts.value_at(n) == t1.value_at(n) + t2.value_at(n)
-
-    @given(base=st.lists(st.integers(min_value=0, max_value=9),
-                         min_size=1, max_size=6))
-    def test_detected_period_divides_construction(self, base):
-        vals = base * 8
-        found = detect_period(vals, len(base))
-        assert found is not None
-        assert len(base) % found == 0
 
     @given(m=st.sampled_from(MODULI),
            vals=st.lists(small_int, min_size=1, max_size=6),
