@@ -1,4 +1,4 @@
-"""Simulation, chain transport, trajectory comparison, and period detection.
+"""Simulation, chain transport, and the equivalence check.
 
 A Trajectory stores values[i] = level value at index (start + i). The top
 level x starts at 0; the level-l transform only exists from index l (t_1 is
@@ -10,8 +10,7 @@ floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
 
 Every run works on raw ring payloads: simulate iterates the recurrence's
-generated step function (Recurrence.kernel), and verify_equivalence compares
-payloads with the ring's own equality. simulate_chain and
+generated step function (Recurrence.kernel). simulate_chain and
 simulate_substitution run the deepest level that way, then rebuild every
 level above it in one generated loop (_rebuild, built with gmap.Emitter
 like the step): each step adds c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the
@@ -20,11 +19,19 @@ latest values in locals and residues reduced only where they are stored.
 The chain's cofactors have the one term alpha_l(n)*w_n; the substitution's
 x level has k. A Trajectory holds those payload lists and its module; its
 ``values`` and ``value_at`` wrap payloads into Vec elements on read, and the
-serializers format payloads directly, so the verify path builds no Vec per
-simulated value.
+serializers format payloads directly.
+
+verify_equivalence stores no trajectory: one generated loop (_verify_loop)
+steps the direct recurrence and the deepest factor with the same step
+emission as their kernels (Recurrence.emit_step, coefficients read at n
+from their periods), rebuilds the levels above with the same level update
+as _rebuild, and compares the top level's new value with the direct one.
+Only the windows live, in locals, so its memory does not grow with the
+number of steps. When one side breaks down, each side runs on from its
+window through the simulate loop (_run) to find its breakdown and end.
 
 On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
-nonlinear map can double the size of the values every step. simulate refuses
+nonlinear map can double the size of the values every step. A run refuses
 a value with a numerator or denominator longer than MAX_PAYLOAD_BITS bits
 (rings.MAX_PAYLOAD_BITS, which bounds certificate alphas too) by raising
 ConfigError (exit 2) instead of running on for hours.
@@ -33,6 +40,7 @@ ConfigError (exit 2) instead of running on for hours.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import gmap as gm
@@ -78,6 +86,35 @@ class Trajectory:
         return self.module.wrap(self.payloads[n - self.start])
 
 
+def _window(rec: Recurrence, initial) -> list[list]:
+    """The payload lists of an initial window for ``rec``."""
+    module = rec.module
+    init = [module.el(v) for v in initial]
+    if len(init) != rec.order:
+        raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(init)}")
+    return [module.payloads(v) for v in init]
+
+
+def _run(rec: Recurrence, hist, lo: int, hi: int) -> Breakdown | None:
+    """Append the values of the steps n = lo .. hi-1 to ``hist``, which ends
+    with x_{lo-k} .. x_lo (payload lists, oldest first); returns the
+    breakdown that stops the run, if any. A value larger than
+    MAX_PAYLOAD_BITS on an exact ring raises ConfigError."""
+    step, finite, bits = rec.kernel, rec.ring._finite, rec.ring._bits
+    for n in range(lo, hi):
+        try:
+            nxt = step(n, hist)
+        except (DivisionByNonUnit, TanhUnsupported) as exc:
+            return Breakdown(n + 1, str(exc))
+        if finite is not None and not all(map(finite, nxt)):
+            return Breakdown(n + 1, "value is not finite")
+        if bits is not None and max(map(bits, nxt)) > MAX_PAYLOAD_BITS:
+            raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
+                              f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
+        hist.append(nxt)
+    return None
+
+
 def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
              level: str = "x") -> Trajectory:
     """Iterate the recurrence from its initial window.
@@ -87,27 +124,9 @@ def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
     The run works on payloads through ``rec.kernel``. A value larger than
     MAX_PAYLOAD_BITS on an exact ring raises ConfigError.
     """
-    module = rec.module
-    init = [module.el(v) for v in initial]
-    if len(init) != rec.order:
-        raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(init)}")
-    step, finite, bits = rec.kernel, rec.ring._finite, rec.ring._bits
-    hist = [module.payloads(v) for v in init]
-    breakdown = None
-    for n in range(start + rec.k, start + rec.k + steps):
-        try:
-            nxt = step(n, hist)
-        except (DivisionByNonUnit, TanhUnsupported) as exc:
-            breakdown = Breakdown(n + 1, str(exc))
-            break
-        if finite is not None and not all(map(finite, nxt)):
-            breakdown = Breakdown(n + 1, "value is not finite")
-            break
-        if bits is not None and max(map(bits, nxt)) > MAX_PAYLOAD_BITS:
-            raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
-                              f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
-        hist.append(nxt)
-    return Trajectory(level, start, module, hist, breakdown)
+    hist = _window(rec, initial)
+    lo = start + rec.k
+    return Trajectory(level, start, rec.module, hist, _run(rec, hist, lo, lo + steps))
 
 
 def _propagated(below: Breakdown | None) -> Breakdown | None:
@@ -156,67 +175,105 @@ class ChainRun:
         return {t.level: t for t in self.trajectories}
 
 
-def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
-    """Extend the payload lists ``outs`` by the steps n = lo .. hi-1.
+def _split(factorization, initial):
+    """A chain or substitution split cut at its deepest level:
+    (factor, start, window, levels, windows). The factor's initial window
+    (elements) covers indices start .. k. ``levels`` lists the rebuild
+    coefficients of each level above it, as _rebuild takes them, and
+    ``windows`` their initial payload windows, both from the deepest up."""
+    if isinstance(factorization, SubstitutionFactorization):
+        sub = factorization
+        module, k = sub.base.module, sub.k
+        init = [module.el(v) for v in initial]
+        if len(init) != k + 1:
+            raise ConfigError(f"initial window must hold {k + 1} value(s)")
+        s_k = init[k]
+        for j, c in enumerate(sub.sub_coeffs, start=1):
+            s_k = s_k - c * init[k - j]
+        return (sub.factor, k, [s_k], [[(c.v,) for c in sub.sub_coeffs]],
+                [[module.payloads(v) for v in init]])
+    chain = factorization
+    windows = transport(chain, initial)
+    depth = len(chain.steps)
+    module = chain.base.module
+    return (chain.final_factor, depth, windows[depth],
+            [[tuple(a.v for a in step.alpha.values)] for step in reversed(chain.steps)],
+            [[module.payloads(v) for v in windows[l]] for l in reversed(range(depth))])
 
-    Level l's value at n+1 is the value under it at n+1 plus
-    c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order from the value
-    under it, where v is level l itself and levels[l] lists the periodic
-    payload tuples c_1, c_2, ...; outs[l] ends with its values at n, n-1, ...
-    ``below`` holds the values under level 0, below[i] at index lo + 1 + i;
-    each later level stands on the one before it. The loop is one generated
-    function, with every level's latest values in locals and residues
-    reduced mod m only at the stored values.
-    """
-    if not levels:
-        return
-    ring = module.ring
-    e = gm.Emitter(ring)
-    comps = range(module.dim)
-    lags, appends = [], []
+
+def _unpack_levels(e: gm.Emitter, levels, dim: int):
+    """Unpack the latest values of every level from its list O<l>; returns
+    the locals: [l][j][c] is component c of level l's value j steps back."""
+    lags = []
     for l, coeffs in enumerate(levels):
-        appends.append(e.let(f"O{l}.append"))
-        # lags[l][j][c]: component c of level l's value j steps before n+1
-        lags.append([[f"v{l}_{j}_{c}" for c in comps] for j in range(len(coeffs))])
+        lags.append([[f"v{l}_{j}_{c}" for c in range(dim)] for j in range(len(coeffs))])
         for j, names in enumerate(lags[l]):
             e.unpack(names, f"O{l}[{-1 - j}]")
-    under = [f"u{c}" for c in comps]
-    e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
+    return lags
+
+
+def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
+    """Emit step n of every level, from the deepest up, onto the value
+    ``under`` (locals) of the level below at n+1; returns the top level's
+    value at n+1.
+
+    Level l's value at n+1 is the value under it at n+1 plus
+    c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order, where v is
+    level l itself and levels[l] lists the periodic payload tuples c_1,
+    c_2, ...; the new value becomes the newest lag and the others shift
+    back. Residues are reduced mod m only where a value is stored.
+    """
+    ring = e.ring
     for l, coeffs in enumerate(levels):
         cs = [e.seq((l, j), c) for j, c in enumerate(coeffs)]
-        for c in comps:
+        for c in range(len(under)):
             acc = under[c]
             for coeff, lag in zip(cs, lags[l]):
                 acc = e.let(ring.src_add.format(acc, ring.src_mul.format(coeff, lag[c])))
-            # the value at n+1 becomes the newest lag, the others shift back
             names = [lag[c] for lag in lags[l]]
             e.line(f"{', '.join(names)} = {', '.join([e.reduced(acc), *names[:-1]])}")
         under = lags[l][0]
-        e.line(f"{appends[l]}([{', '.join(under)}])")
+    return under
+
+
+def _level_params(levels) -> list[str]:
     # the lists are parameters, not namespace entries: the namespace and the
     # function refer to each other, which would keep the lists alive until
     # the next full garbage collection
-    params = ", ".join(["lo, hi, B", *[f"O{l}" for l in range(len(levels))]])
-    e.function(params, "None")(lo, hi, below, *outs)
+    return [f"O{l}" for l in range(len(levels))]
+
+
+def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
+    """Extend the payload lists ``outs`` (deepest level first) by the steps
+    n = lo .. hi-1 of _emit_levels, in one generated loop. ``below`` holds
+    the values under the deepest level, below[i] at index lo + 1 + i.
+    """
+    if not levels:
+        return
+    e = gm.Emitter(module.ring)
+    lags = _unpack_levels(e, levels, module.dim)
+    appends = [e.let(f"{name}.append") for name in _level_params(levels)]
+    under = [f"u{c}" for c in range(module.dim)]
+    e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
+    _emit_levels(e, levels, lags, under)
+    for append, lag in zip(appends, lags):
+        e.line(f"{append}([{', '.join(lag[0])}])")
+    e.function(", ".join(["lo, hi, B", *_level_params(levels)]), "None")(lo, hi, below, *outs)
 
 
 def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
     """Run the deepest factor, then rebuild every level above it on payloads."""
-    windows = transport(chain, initial)
-    depth = len(chain.steps)
+    factor, depth, window, levels, outs = _split(chain, initial)
     k = chain.base.k
     module = chain.base.module
-    below = simulate(chain.final_factor, windows[depth], steps,
-                     start=depth, level=level_name(depth))
+    below = simulate(factor, window, steps, start=depth, level=level_name(depth))
     # level l covers indices l .. below.end-1; chain.steps[l] relates level l
     # (cofactor) to level l+1 (factor): w_{n+1} = alpha_l(n) * w_n + (level
     # l+1)_{n+1}, from n = k, rebuilt from the deepest level up
-    outs = [[module.payloads(v) for v in windows[l]] for l in range(depth)]
-    _rebuild(module, [[tuple(a.v for a in step.alpha.values)] for step in reversed(chain.steps)],
-             k, below.end - 1, below.payloads[k + 1 - depth:], outs[::-1])
+    _rebuild(module, levels, k, below.end - 1, below.payloads[k + 1 - depth:], outs)
     trajs = [below]
-    for l in range(depth - 1, -1, -1):
-        trajs.append(Trajectory(level_name(l), l, module, outs[l],
+    for l, vals in zip(range(depth - 1, -1, -1), outs):
+        trajs.append(Trajectory(level_name(l), l, module, vals,
                                 _propagated(trajs[-1].breakdown)))
     trajs.reverse()
     return ChainRun(trajs)
@@ -229,18 +286,10 @@ def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -
     s_n = x_n - sum a_{j-1} x_{n-j} exists from n = k; the s level is indexed
     accordingly and reconstruction is x_{n+1} = s_{n+1} + sum a_{j-1} x_{n+1-j}.
     """
+    factor, k, window, levels, [xs] = _split(sub, initial)
     module = sub.base.module
-    k = sub.k
-    init = [module.el(v) for v in initial]
-    if len(init) != k + 1:
-        raise ConfigError(f"initial window must hold {k + 1} value(s)")
-    s_k = init[k]
-    for j, c in enumerate(sub.sub_coeffs, start=1):
-        s_k = s_k - c * init[k - j]
-    s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
-    xs = [module.payloads(v) for v in init]
-    _rebuild(module, [[(c.v,) for c in sub.sub_coeffs]], k, s_traj.end - 1,
-             s_traj.payloads[1:], [xs])
+    s_traj = simulate(factor, window, steps, start=k, level="s")
+    _rebuild(module, levels, k, s_traj.end - 1, s_traj.payloads[1:], [xs])
     x_traj = Trajectory("x", 0, module, xs, _propagated(s_traj.breakdown))
     return ChainRun([x_traj, s_traj])
 
@@ -293,52 +342,106 @@ class EquivalenceReport:
         return "; ".join(lines)
 
 
+def _verify_loop(rec: Recurrence, factor: Recurrence, levels):
+    """The generated loop of verify_equivalence. Each n steps the direct
+    recurrence and the deepest factor, rebuilds the levels above and
+    compares the top level's value at n+1 with the direct one.
+
+    kernel(lo, hi, rel_tol, X, F, O0, ...) takes the payload windows of the
+    direct run, the factor and each level, and returns (n, first, max_dev,
+    X', F'). It stops at a step n where either side breaks down, or gives a
+    non-finite value or one past MAX_PAYLOAD_BITS (X', F' are the windows
+    before step n), or, on an exact ring, after the first divergence
+    (n is one past it, the windows after it); n = hi when it ran through.
+    Exact rings compare with ==, which is every exact ring's equality.
+    """
+    ring, dim = rec.ring, rec.module.dim
+    e = gm.Emitter(ring)
+    sides = []
+    for tag, r in (("x", rec), ("f", factor)):
+        names = [[f"{tag}{i}_{j}" for j in range(dim)] for i in range(r.order)]
+        for i, row in enumerate(names):
+            e.unpack(row, f"{tag.upper()}[{-1 - i}]")
+        sides.append((tag, r, names))
+    lags = _unpack_levels(e, levels, dim)
+    state = ", ".join("[" + ", ".join(f"[{', '.join(row)}]" for row in reversed(names)) + "]"
+                      for _, _, names in sides)
+    stop = f"return n, first, dev, {state}"
+    fin = ring._finite and e.bind(ring._finite)
+    bits = ring._bits and e.bind(ring._bits)
+    e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
+    e.block("try:")
+    e.block("for n in range(lo, hi):")
+    news = []
+    for tag, r, names in sides:
+        new = []
+        for out in r.emit_periodic_step(e, tag + "{}_{}"):
+            out = e.reduced(out)
+            new.append(out if out.isidentifier() else e.let(out))
+        if fin:
+            e.line(f"if {' or '.join(f'not {fin}({v})' for v in new)}: {stop}")
+        if bits:
+            e.line(f"if {' or '.join(f'{bits}({v}) > {MAX_PAYLOAD_BITS}' for v in new)}: {stop}")
+        news.append(new)
+    for (_, _, names), new in zip(sides, news):
+        for j, v in enumerate(new):
+            col = [row[j] for row in names]
+            e.line(f"{', '.join(col)} = {', '.join([v, *col[:-1]])}")
+    top, direct = _emit_levels(e, levels, lags, news[1]), news[0]
+    if ring.exact:
+        e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
+               f"return n + 1, n + 1, dev, {state}")
+    else:
+        deviation, zero = e.bind(_deviation), e.bind([ring.zero.v] * dim)
+        a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
+        d = e.let(f"{deviation}({a}, {b})")
+        e.line(f"dev = max(dev, {d})")
+        e.line(f"if first is None and {d} > RT * max({deviation}({a}, {zero}), "
+               f"{deviation}({b}, {zero}), 1.0): first = n + 1")
+    e.end()
+    e.end()
+    e.block(f"except {e.bind((DivisionByNonUnit, TanhUnsupported))}:")
+    e.line(stop)
+    e.end()
+    return e.function(", ".join(["lo, hi, RT, X, F", *_level_params(levels)]),
+                      f"hi, first, dev, {state}")
+
+
 def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
                        rel_tol: float | None = None) -> EquivalenceReport:
-    """Simulate both forms and compare the top level pointwise.
+    """Run both forms in one pass and compare the top level pointwise.
 
     Exact rings compare with ring equality; float rings use a relative
     tolerance (default 1e-9) and cap the comparison at FLOAT_COMPARE_CAP
     steps. Breakdowns on the two sides are considered aligned when their
     indices differ by at most k (a non-unit reaches the two forms through
     windows of that width).
+
+    The pass is _verify_loop. The initial windows are not compared: both
+    forms start from the same payloads. When the loop stops early, each
+    side runs on from its window to find its breakdown and end, keeping
+    only the window; the direct side goes first, so its size-limit
+    ConfigError wins, as when the direct run was simulated first.
     """
     ring = rec.ring
-    is_float = not ring.exact
     capped = False
-    if is_float and steps > FLOAT_COMPARE_CAP:
+    if not ring.exact and steps > FLOAT_COMPARE_CAP:
         steps = FLOAT_COMPARE_CAP
         capped = True
-    direct = simulate(rec, initial, steps)
-    if isinstance(chain, SubstitutionFactorization):
-        run = simulate_substitution(chain, initial, steps)
-    else:
-        run = simulate_chain(chain, initial, steps)
-    rebuilt = run.reconstructed
-
     if rel_tol is None:
         rel_tol = 1e-9
-    # both trajectories start at index 0, so pairs line up by position
-    pairs = zip(direct.payloads, rebuilt.payloads)
-    compared = min(direct.end, rebuilt.end)
-    first_div = None
-    max_dev = None
-    if is_float:
-        zero = [ring.zero.v] * rec.module.dim
-        max_dev = 0.0
-        for n, (a, b) in enumerate(pairs):
-            dev = _deviation(a, b)
-            scale = max(_deviation(a, zero), _deviation(b, zero), 1.0)
-            max_dev = max(max_dev, dev)
-            if dev > rel_tol * scale and first_div is None:
-                first_div = n
-    else:
-        eq = ring._eq
-        for n, (a, b) in enumerate(pairs):
-            if not all(map(eq, a, b)):
-                first_div = n
-                break
-    db, cb = direct.breakdown, rebuilt.breakdown
+    direct = _window(rec, initial)
+    factor, _, window, levels, outs = _split(chain, initial)
+    lo, hi = rec.k, rec.k + steps
+    n, first_div, max_dev, direct, window = _verify_loop(rec, factor, levels)(
+        lo, hi, rel_tol, direct, _window(factor, window), *outs)
+    db = cb = None
+    if n < hi:
+        db = _run(rec, deque(direct, maxlen=len(direct)), n, hi)
+        cb = _run(factor, deque(window, maxlen=len(window)), n, hi)
+    compared = min(hi + 1 if db is None else db.index, hi + 1 if cb is None else cb.index)
+    for _ in levels:
+        cb = _propagated(cb)
     if db is None and cb is None:
         aligned = True
     elif db is not None and cb is not None:

@@ -28,11 +28,15 @@ each ring's operations as source text (Ring.src_add and the other
 templates): operators on residues, rationals and complex floats, calls to
 payload functions on the other rings. Residues are reduced mod m lazily: at
 the outputs, before every inverse (so a breakdown names the reduced
-residue), and in products of more than MAX_LAZY_FACTORS factors.
-GMap.kernel, Recurrence.kernel and the engine's chain rebuild are built on
-it; eval_expr is a wrapper for one evaluation on El values. A source holds
-no config values, so it is compiled once per process (up to
-COMPILE_CACHE_SIZE sources) and shared by every function with that shape.
+residue), and in products of more than MAX_LAZY_FACTORS factors. A residue
+inverse is pow(v, -1, m) behind an inline unit test (Ring.src_unit); the
+checked raiser runs only when the test fails. Within one map, a repeated
+subtree and a repeated inverse are computed once per step.
+GMap.kernel, Recurrence.kernel, the engine's chain rebuild and its one-pass
+verify are built on it; eval_expr is a wrapper for one evaluation on El
+values. A source holds no config values, so it is compiled once per process
+(up to COMPILE_CACHE_SIZE sources) and shared by every function with that
+shape.
 """
 
 from __future__ import annotations
@@ -255,23 +259,26 @@ class Emitter:
     """Python source for one function on a ring's payloads, built line by line.
 
     Values are bound in the namespace ``ns`` (K<i> literals, S<i> and P<i>
-    sequences and their periods, the ring's operations, ZERO, m, and DIV,
-    INV and TANH, which raise breakdowns carrying the step n), so the source
-    holds no config text. Each line is one operation into a fresh local t<i>,
-    in evaluation order, so no expression meets the parser's nesting limit.
-    Operands keep their order (left * right); ``/`` is left * right^-1.
+    sequences and their periods, the ring's operations, ZERO, m, gcd, and
+    DIV, INV and TANH, which raise breakdowns carrying the step n), so the
+    source holds no config text. Each line is one operation into a fresh
+    local t<i>, in evaluation order, so no expression meets the parser's
+    nesting limit. Operands keep their order (left * right); ``/`` is
+    left * right^-1.
     """
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.ns = {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
-                   "ZERO": ring.zero.v, "m": ring.char(),
+                   "ZERO": ring.zero.v, "m": ring.char(), "gcd": math.gcd,
                    "DIV": _checked_inverse(ring, "division by non-unit"),
                    "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
         self.lines: list[str] = []
         self.indent = ""
         self._ids = itertools.count()
         self._seqs: dict = {}
+        self._memo: dict = {}
+        self._scope = None
 
     def bind(self, value, prefix: str = "K") -> str:
         name = f"{prefix}{next(self._ids)}"
@@ -286,6 +293,10 @@ class Emitter:
         self.line(header)
         self.indent += "    "
 
+    def end(self) -> None:
+        """Close the innermost open block."""
+        self.indent = self.indent[:-4]
+
     def let(self, text: str) -> str:
         name = f"t{next(self._ids)}"
         self.line(f"{name} = {text}")
@@ -299,44 +310,70 @@ class Emitter:
         return text if fmt is None else fmt.format(text)
 
     def seq(self, key, values) -> str:
-        """The value at step n of a periodic payload sequence, read once."""
+        """The value at step n of a periodic payload sequence, read once.
+        ``key`` names the sequence among all emitted into this function."""
         if key not in self._seqs:
             self._seqs[key] = self.bind(values[0]) if len(values) == 1 else \
                 self.let(f"{self.bind(tuple(values), 'S')}[n % {self.bind(len(values), 'P')}]")
         return self._seqs[key]
 
-    def expr(self, ast, seqs) -> str:
-        """Emit one AST; returns the source of its value. u<i> reads the
-        local w<i-1>; seqs maps sequence names to payload tuples."""
-        return self._expr(ast, seqs)[0]
+    def exprs(self, asts, seqs, scope=None) -> list[str]:
+        """Emit the ASTs of one map in order; returns the source of each
+        value. u<i> reads the local w<i-1>; seqs maps sequence names to
+        payload tuples, keyed in this function as (scope, name). Repeated
+        subtrees and inverses of the same operand are computed once."""
+        self._memo, self._scope = {}, scope
+        return [self._expr(ast, seqs)[0] for ast in asts]
 
     def _expr(self, ast, seqs):
         """(source, factors): the value is at most a product of ``factors``
         reduced values, up to sums, when the ring reduces lazily."""
+        if ast not in self._memo:
+            self._memo[ast] = self._node(ast, seqs)
+        return self._memo[ast]
+
+    def _node(self, ast, seqs):
         ring, op = self.ring, ast[0]
         if op == "int":
             return self.bind(ring.from_int(ast[1]).v), 1
         if op == "u":
             return f"w{ast[1] - 1}", 1
         if op == "seq":
-            return self.seq(ast[1], seqs[ast[1]]), 1
+            return self.seq((self._scope, ast[1]), seqs[ast[1]]), 1
         if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
             raise GMapSyntaxError(f"unknown AST node {op!r}")
         left, lf = self._expr(ast[1], seqs)
         if op == "neg":
             return self.let(ring.src_neg.format(left)), lf
-        if op in ("inv", "tanh"):
-            return self.let(f"{op.upper()}({self.reduced(left)}, n)"), 1
+        if op == "inv":
+            return self._inverse(left, "INV"), 1
+        if op == "tanh":
+            return self.let(f"TANH({self.reduced(left)}, n)"), 1
         right, rf = self._expr(ast[2], seqs)
         if op in ("add", "sub"):
             fmt = ring.src_add if op == "add" else ring.src_sub
             return self.let(fmt.format(left, right)), max(lf, rf)
         if op == "div":
-            right, rf = self.let(f"DIV({self.reduced(right)}, n)"), 1
+            right, rf = self._inverse(right, "DIV"), 1
         product = ring.src_mul.format(left, right)
         if lf + rf > MAX_LAZY_FACTORS and ring.src_reduce is not None:
             return self.let(self.reduced(product)), 1
         return self.let(product), lf + rf
+
+    def _inverse(self, source: str, raiser: str) -> str:
+        """The inverse of the reduced value of ``source``, once per operand:
+        a breakdown keeps the reason of the first occurrence."""
+        operand = self.reduced(source)
+        key = ("inverse", operand)
+        if key not in self._memo:
+            test = self.ring.src_unit
+            if test is None:
+                self._memo[key] = self.let(f"{raiser}({operand}, n)")
+            else:
+                v = self.let(operand)
+                self._memo[key] = self.let(
+                    f"pow({v}, -1, m) if {test.format(v)} else {raiser}({v}, n)")
+        return self._memo[key]
 
     def function(self, params: str, result: str):
         """Compile the lines as ``def kernel(params)`` returning ``result``,
@@ -354,7 +391,7 @@ def eval_expr(ast, ring: Ring, u, seqs, n: int) -> El:
     """
     e = Emitter(ring)
     e.unpack([f"w{i}" for i in range(len(u))], "w")
-    out = e.expr(ast, {name: tuple(x.v for x in vals) for name, vals in seqs.items()})
+    [out] = e.exprs([ast], {name: tuple(x.v for x in vals) for name, vals in seqs.items()})
     return El(ring, e.function("n, w", e.reduced(out))(n, [x.v for x in u]))
 
 

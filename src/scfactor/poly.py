@@ -466,8 +466,9 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
                           "exhaustive-units", True, [], G)
     if m > MAX_COMPOSITE_MODULUS:
         raise ParseError(
-            f"root search over composite modulus {m} is refused: the unit scan "
-            f"is limited to moduli up to {MAX_COMPOSITE_MODULUS}")
+            f"root search over composite modulus {m} is refused: composite moduli "
+            f"are factored by trial division, limited to moduli up to "
+            f"{MAX_COMPOSITE_MODULUS}")
     roots = [(El(ring, u), 1) for u in _residue_unit_roots(pc, qc, _prime_powers(m))]
     notes = ["composite modulus: multiplicities reported as 1"] if roots else []
     return RootReport(roots, "exhaustive-units", True, notes)

@@ -173,12 +173,13 @@ class GMap:
         if self.kind == "zero":
             return None
         if self.kind == "constant-sequence":
-            return [e.seq(j, tuple(v.parts[j].v for v in self.vec_values)) for j in range(dim)]
+            return [e.seq((self, j), tuple(v.parts[j].v for v in self.vec_values))
+                    for j in range(dim)]
         if self.kind == "linear-scale":
-            c = e.seq(0, tuple(c.v for c in self.scalar_values))
+            c = e.seq((self, 0), tuple(c.v for c in self.scalar_values))
             return [ring.src_mul.format(c, f"w{j}") for j in range(dim)]
         seqs = {name: tuple(x.v for x in vals) for name, vals in self.seqs.items()}
-        return [e.expr(ast, seqs) for ast in self.exprs]
+        return e.exprs(self.exprs, seqs, scope=self)
 
     @functools.cached_property
     def kernel(self):
@@ -265,13 +266,11 @@ class Recurrence:
         shares that code with its own coefficient values as defaults.
         """
         eq, zero, period = self.ring._eq, self.ring.zero.v, self.coeff_period
-        rows = self.a + self.b if self.g.uses_argument else self.a
-        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
         templates: dict[tuple, types.FunctionType] = {}
         phases: dict[int, types.FunctionType] = {}
 
         def build(phase):
-            used = [(name, seq.at(phase).v) for name, seq in zip(names, rows)]
+            used = [(name, seq.at(phase).v) for name, seq in self._rows()]
             used = [(name, c) for name, c in used if not eq(c, zero)]
             params = tuple(name for name, _ in used)
             fn = templates.get(params) or templates.setdefault(params, self._generate(params))
@@ -286,23 +285,53 @@ class Recurrence:
             return (phases.get(phase) or phases.setdefault(phase, build(phase)))(n, hist)
         return step
 
+    def _rows(self):
+        """(name, row) for a<i>, then b<i> when g reads its argument."""
+        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
+        return list(zip(names, self.a + self.b if self.g.uses_argument else self.a))
+
     def _generate(self, params):
         """The step function whose nonzero coefficients are ``params``: a<i>
         and b<i> stand for a_i(n) and b_i(n), and multiply x_{n-i} from the
         left."""
-        ring, dim = self.ring, self.module.dim
-        e = gm.Emitter(ring)
+        dim = self.module.dim
+        e = gm.Emitter(self.ring)
         for lag in sorted({int(c[1:]) for c in params}):
             e.unpack([f"x{lag}_{j}" for j in range(dim)], f"hist[{-1 - lag}]")
+        outs = self.emit_step(e, {c: c for c in params}, "x{}_{}")
+        return e.function(", ".join(["n", "hist", *params]),
+                          f"[{', '.join(map(e.reduced, outs))}]")
+
+    def emit_periodic_step(self, e: gm.Emitter, x: str) -> list[str]:
+        """emit_step with every coefficient read at n from its period: the
+        rows that are nonzero in some phase, with zeros (by the ring's
+        equality) stored as ZERO, so a phase adds the same nonzero terms as
+        its kernel step and exact zeros for the rest."""
+        eq, zero = self.ring._eq, self.ring.zero.v
+        coeffs = {}
+        for name, seq in self._rows():
+            nonzero = [not eq(c.v, zero) for c in seq.values]
+            if any(nonzero):
+                vals = tuple(c.v if nz else zero for c, nz in zip(seq.values, nonzero))
+                coeffs[name] = e.seq((self, name), vals)
+        return self.emit_step(e, coeffs, x)
+
+    def emit_step(self, e: gm.Emitter, coeffs: dict, x: str) -> list[str]:
+        """Emit x_{n+1} into ``e`` and return each component's source,
+        unreduced. ``coeffs`` maps the names a<i>, b<i> of the coefficients
+        that take part, in row order, to the sources of their values;
+        x.format(i, j) is the local holding component j of x_{n-i}."""
+        ring, dim = self.ring, self.module.dim
 
         def row_source(row, j):
-            # from the zero payload, as an accumulator would: on float rings
+            # on float rings from the zero payload, as an accumulator would:
             # 0.0 + -0.0 is 0.0, so the sign of a zero depends on it
-            acc = "ZERO"
-            for c in params:
-                if c[0] == row:
-                    acc = e.let(ring.src_add.format(acc, ring.src_mul.format(c, f"x{c[1:]}_{j}")))
-            return acc
+            acc = None if ring.exact else "ZERO"
+            for name, c in coeffs.items():
+                if name[0] == row:
+                    term = ring.src_mul.format(c, x.format(name[1:], j))
+                    acc = e.let(term if acc is None else ring.src_add.format(acc, term))
+            return "ZERO" if acc is None else acc
 
         outs = [row_source("a", j) for j in range(dim)]
         if self.g.uses_argument:
@@ -311,8 +340,7 @@ class Recurrence:
         comps = self.g.emit(e)
         if comps is not None:
             outs = [ring.src_add.format(r, c) for r, c in zip(outs, comps)]
-        return e.function(", ".join(["n", "hist", *params]),
-                          f"[{', '.join(map(e.reduced, outs))}]")
+        return outs
 
     def step(self, n: int, window) -> Vec:
         """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""

@@ -89,6 +89,14 @@ def _parse_terms(text: str, allowed_units: str, numparse) -> dict[str, object]:
     return out
 
 
+def _finite_parts(parts, text: str):
+    """The float parts of a literal, refused when one is nan or infinite
+    (an overflowing literal such as 1e400 reads as inf)."""
+    if not all(map(math.isfinite, parts)):
+        raise ParseError(f"float literal {text!r} is not finite")
+    return parts
+
+
 def _fmt_signed(parts: list[tuple[object, str]]) -> str:
     """Render [(coef, unit_char_or_empty), ...] canonically, e.g. "1/2-2/3i"."""
     chunks: list[str] = []
@@ -241,12 +249,14 @@ class Ring:
     # class calls the payload operations, which the generated code looks up
     # as _add, _neg and _mul. src_reduce, when set, brings a value back to its
     # canonical payload; it is applied to step outputs, map arguments and
-    # the operands of inverses.
+    # the operands of inverses. src_unit, when set, tests whether a reduced
+    # value is a unit, and the inverse of one is then pow(v, -1, m).
     src_add = "_add({}, {})"
     src_sub = "_add({}, _neg({}))"
     src_mul = "_mul({}, {})"
     src_neg = "_neg({})"
     src_reduce = None
+    src_unit = None
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
@@ -360,6 +370,7 @@ class IntegersMod(_PlainOps, Ring):
         self.m = m
         self.kind = "integers-mod-m"
         self.is_prime = is_prime(m)
+        self.src_unit = "{}" if self.is_prime else "gcd({}, m) == 1"
 
     def _descriptor(self):
         return (self.kind, self.m)
@@ -541,7 +552,7 @@ class FloatComplex(_PlainOps, _Tolerant):
 
     def _parse(self, text):
         terms = _parse_terms(text, "i", float)
-        return complex(terms.get("", 0.0), terms.get("i", 0.0))
+        return complex(*_finite_parts((terms.get("", 0.0), terms.get("i", 0.0)), text))
 
     def _add(self, a, b):
         return a + b
@@ -687,7 +698,7 @@ class FloatQuaternions(_Tolerant):
 
     def _parse(self, text):
         terms = _parse_terms(text, "ijk", float)
-        return tuple(terms.get(u, 0.0) for u in _QUNITS)
+        return _finite_parts(tuple(terms.get(u, 0.0) for u in _QUNITS), text)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))

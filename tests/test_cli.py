@@ -259,6 +259,31 @@ class TestErrors:
         assert err.startswith(f"error: config {str(p)!r} is not valid JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @staticmethod
+    def _float_config(tmp_path, literal, kind="float-complex"):
+        doc = {"ring": {"kind": kind}, "module": {"dim": 1},
+               "recurrence": {"a": [literal, "-1", "0"], "b": ["1", "0", "0"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "2", "3"]}
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_nan_coefficient_exits_2(self, capsys, tmp_path):
+        # nan used to parse, and factor then exited 3 with the claim that
+        # "nan+nani is not a root of P = x^3 + nan*x^2 - x"
+        for kind in ("float-complex", "float-quaternion"):
+            code, out, err = run_cli(capsys, "factor", self._float_config(tmp_path, "nan", kind))
+            assert code == 2 and out == ""
+            assert err == "error: bad recurrence: float literal 'nan' is not finite\n"
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400i", "1e308+1e308"])
+    def test_overflowing_float_literal_exits_2(self, capsys, tmp_path, literal):
+        # each of these reads as an infinite float
+        code, out, err = run_cli(capsys, "verify", self._float_config(tmp_path, literal))
+        assert code == 2 and out == ""
+        assert err == f"error: bad recurrence: float literal {literal!r} is not finite\n"
+
     @pytest.mark.parametrize("expr", ["(" * 3000 + "u1" + ")" * 3000, "-" * 3000 + "u1"],
                              ids=["parentheses", "unary-minus"])
     def test_deeply_nested_expression(self, capsys, tmp_path, expr):

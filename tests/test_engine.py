@@ -1,12 +1,17 @@
-"""Simulation, level transport, chain runs, comparison, period detection.
+"""Simulation, level transport, chain runs and the equivalence check.
 
 Trajectory values asserted here were worked out by hand (short tables over
-small rings) before the engine existed; the tests freeze those numbers.
+small rings) before the engine existed; the tests freeze those numbers. The
+one-pass verify is held against the simulate-then-compare code it replaced.
 """
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_kernel import KINDS, cases, elements
 
 from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
                       FactorStep, GMap, Module, Recurrence, Trajectory, build_family, factor_chain,
@@ -14,6 +19,9 @@ from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
                       simulate_substitution, substitution_factorization,
                       transport, trajectory_csv, trajectory_json_obj,
                       verify_equivalence)
+from scfactor.config import load_job
+from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation
+from scfactor.factorize import SubstitutionFactorization
 
 
 def sq_map(module):
@@ -370,3 +378,238 @@ class TestSerialization:
         M = Module(R, 1)
         obj = trajectory_json_obj(Trajectory("x", 0, M, [M.payloads(M.el("3"))]), M)
         assert obj["breakdown"] is None
+
+
+# ---------------------------------------------------------------------------
+# the one-pass verify against the three-trajectory code it replaced
+
+
+def ref_verify(rec, chain, initial, steps, rel_tol=None):
+    """verify_equivalence as it was: simulate the direct run and the chain
+    run whole, then compare the stored top levels."""
+    ring = rec.ring
+    is_float = not ring.exact
+    capped = False
+    if is_float and steps > FLOAT_COMPARE_CAP:
+        steps = FLOAT_COMPARE_CAP
+        capped = True
+    direct = simulate(rec, initial, steps)
+    if isinstance(chain, SubstitutionFactorization):
+        run = simulate_substitution(chain, initial, steps)
+    else:
+        run = simulate_chain(chain, initial, steps)
+    rebuilt = run.reconstructed
+    if rel_tol is None:
+        rel_tol = 1e-9
+    pairs = zip(direct.payloads, rebuilt.payloads)
+    compared = min(direct.end, rebuilt.end)
+    first_div = None
+    max_dev = None
+    if is_float:
+        zero = [ring.zero.v] * rec.module.dim
+        max_dev = 0.0
+        for n, (a, b) in enumerate(pairs):
+            dev = _deviation(a, b)
+            scale = max(_deviation(a, zero), _deviation(b, zero), 1.0)
+            max_dev = max(max_dev, dev)
+            if dev > rel_tol * scale and first_div is None:
+                first_div = n
+    else:
+        eq = ring._eq
+        for n, (a, b) in enumerate(pairs):
+            if not all(map(eq, a, b)):
+                first_div = n
+                break
+    db, cb = direct.breakdown, rebuilt.breakdown
+    if db is None and cb is None:
+        aligned = True
+    elif db is not None and cb is not None:
+        aligned = abs(db.index - cb.index) <= rec.k
+    else:
+        aligned = False
+    notes = []
+    if (db is None) != (cb is None):
+        notes.append("only one side broke down")
+    return EquivalenceReport(
+        equal=first_div is None and aligned, compared=compared, first_divergence=first_div,
+        max_deviation=max_dev, direct_breakdown=db, chain_breakdown=cb,
+        breakdowns_aligned=aligned, capped=capped, notes=notes)
+
+
+def compose(factor, alpha):
+    """The recurrence whose chain step with the unit sequence ``alpha`` has
+    ``factor``: x_{n+1} = alpha(n) x_n + t_{n+1}, t_m = x_m - alpha(m-1) x_{m-1},
+    so x_{n-j} has a'_j(n) - a'_{j-1}(n) alpha(n-j), plus alpha(n) at j = 0."""
+    ring, k = factor.ring, factor.order
+    period = math.lcm(factor.coeff_period, alpha.period)
+
+    def rows(fac, lead):
+        out = []
+        for j in range(k + 1):
+            vals = []
+            for n in range(period):
+                v = lead(n) if j == 0 else ring.zero
+                if j < k:
+                    v = v + fac[j].at(n)
+                if j > 0:
+                    v = v - fac[j - 1].at(n) * alpha.at(n - j)
+                vals.append(v)
+            out.append(CoeffSeq(vals))
+        return out
+    return Recurrence(factor.module, rows(factor.a, alpha.at), rows(factor.b, lambda n: ring.zero),
+                      factor.g)
+
+
+def compose_substitution(factor, coeffs):
+    """The order-(k+1) recurrence that the first-order ``factor`` and the
+    cofactor x_{n+1} = s_{n+1} + sum c_j x_{n+1-j} split, with
+    s_n = x_n - sum c_j x_{n-j}."""
+    ring, k = factor.ring, len(coeffs)
+
+    def rows(fac, cs):
+        return [CoeffSeq([(cs[i] if i < k else ring.zero) + (f if i == 0 else -(f * coeffs[i - 1]))
+                          for f in fac[0].values]) for i in range(k + 1)]
+    return Recurrence(factor.module, rows(factor.a, coeffs), rows(factor.b, [ring.zero] * k),
+                      factor.g)
+
+
+UNBOUNDED = ("exact-rational", "gaussian-rational", "rational-quaternion")
+
+
+def growing(module, order):
+    """x_{n+1} = g(x_n) with g(u) = u^3 + 1/2 per component: the size of the
+    values triples every step, so runs pass MAX_PAYLOAD_BITS within a few
+    dozen steps."""
+    g = GMap.expression(module, [f"u{i}*u{i}*u{i} + 1/2" for i in range(1, module.dim + 1)], {})
+    return Recurrence(module, ["0"] * order, ["1"] + ["0"] * (order - 1), g)
+
+
+@st.composite
+def verify_jobs(draw):
+    """(rec, factorization, initial, steps, rel_tol). ``mode`` picks a true
+    factorization; one whose direct recurrence has a disturbed coefficient
+    or is drawn apart from the chain, so the two forms diverge and break
+    down independently; or one where the direct side or the chain side
+    outgrows MAX_PAYLOAD_BITS."""
+    route = draw(st.sampled_from(("chain", "substitution")))
+    mode = draw(st.sampled_from(("true", "true", "disturbed", "unrelated",
+                                 "grow-direct", "grow-chain")))
+    # residues twice as often: small moduli give the most breakdowns
+    kinds = UNBOUNDED if mode.startswith("grow") else KINDS + ("integers-mod-m",)
+    depth = draw(st.integers(min_value=1, max_value=3)) if route == "chain" else 1
+    factor = draw(cases(kinds=st.sampled_from(kinds), dims=st.integers(min_value=1, max_value=3),
+                        orders=st.integers(min_value=1, max_value=3 if route == "chain" else 1)))[0]
+    ring, M = factor.ring, factor.module
+    if mode == "grow-chain":
+        factor = growing(M, factor.order)
+    units = elements(ring).map(lambda x: x if x.is_unit else ring.one)
+    if route == "chain":
+        alphas = [CoeffSeq(draw(st.lists(units, min_size=1, max_size=3))) for _ in range(depth)]
+        levels = [factor]
+        for alpha in reversed(alphas):
+            levels.insert(0, compose(levels[0], alpha))
+        factorization = FactorizationChain(
+            levels[0], [FactorStep("certificate", a, f) for a, f in zip(alphas, levels[1:])])
+    else:
+        coeffs = tuple(draw(st.lists(elements(ring), min_size=1, max_size=3)))
+        levels = [compose_substitution(factor, coeffs)]
+        factorization = SubstitutionFactorization(levels[0], coeffs, ring.one, factor)
+    rec = levels[0]
+    if mode == "grow-direct":
+        rec = growing(M, rec.order)
+    elif mode in ("unrelated", "grow-chain"):
+        modulus = st.just(ring.m) if ring.kind == "integers-mod-m" else st.just(5)
+        rec = draw(cases(kinds=st.just(ring.kind), moduli=modulus, dims=st.just(M.dim),
+                         orders=st.just(rec.order)))[0]
+        rec = Recurrence(M, rec.a, rec.b, rec.g)
+    elif mode == "disturbed":
+        a = list(rec.a)
+        a[draw(st.integers(min_value=0, max_value=rec.k))] = CoeffSeq([draw(elements(ring))])
+        rec = Recurrence(M, a, rec.b, rec.g)
+    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim).map(M.el)
+    initial = draw(st.lists(vec, min_size=rec.order, max_size=rec.order))
+    # past the cap only on the float rings, where it applies
+    steps = draw(st.integers(min_value=1, max_value=40))
+    if not ring.exact and draw(st.integers(min_value=0, max_value=3)) == 0:
+        steps = FLOAT_COMPARE_CAP + 20
+    rel_tol = draw(st.sampled_from((None, 1e-6)))
+    return rec, factorization, initial, steps, rel_tol
+
+
+def example_each(jobs):
+    def apply(test):
+        for job in jobs:
+            test = example(job)(test)
+        return test
+    return apply
+
+
+def report_or_error(verify, job):
+    # _deviation squares float-quaternion parts with **, which raises
+    # OverflowError past about 1e154; both forms must raise it alike
+    try:
+        rep = verify(*job)
+    except (ConfigError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(rep), rep.describe()
+
+
+def _linear_chain(module, order):
+    """A chain of x_{n+1} = x_{n-k}, split by alpha = 1 down to one level."""
+    factor = Recurrence(module, ["0"] * (order - 1), ["0"] * (order - 1), GMap.zero(module))
+    one = CoeffSeq([module.ring.one])
+    rec = compose(factor, one)
+    return rec, FactorizationChain(rec, [FactorStep("certificate", one, factor)])
+
+
+def planted_jobs():
+    """One job per case the random draw may miss."""
+    ds = ds_rec()
+    ds_window = [["1", "1"], ["1", "5"]]
+    tame, tame_chain = _linear_chain(ds.module, 2)
+    ds_factor = Recurrence(ds.module, ["1"], ["1"], ds.g)
+    one = CoeffSeq([ds.ring.one])
+    ds_chain = FactorizationChain(compose(ds_factor, one), [FactorStep("certificate", one, ds_factor)])
+    z11 = make_ring("integers-mod-m", modulus=11)
+    F = make_ring("float-complex")
+    shift, shift_chain = _linear_chain(Module(F, 1), 3)
+    Q1 = Module(make_ring("exact-rational"), 1)
+    grow, grow_chain = growing(Q1, 2), _linear_chain(Q1, 2)[1]
+    grow_factor = growing(Q1, 1)
+    big = FactorizationChain(compose(grow_factor, CoeffSeq([Q1.ring.one])),
+                             [FactorStep("certificate", CoeffSeq([Q1.ring.one]), grow_factor)])
+    return [
+        (ds, tame_chain, ds_window, 20, None),                     # direct side breaks down
+        (tame, ds_chain, [["1", "1"], ["2", "1"]], 20, None),      # chain side breaks down
+        (ds, factor_chain(ds), ds_window, 20, None),               # both, aligned
+        (zp_rec(z11), factor_chain(golden_rec(z11)), ["1", "2", "3"], 50, None),  # diverges
+        (shift, shift_chain, ["0.5+0.1i", "-0.3", "0.2-0.2i"], 600, None),      # float cap
+        (grow, grow_chain, ["2", "3"], 40, None),                  # direct side too large
+        (_linear_chain(Q1, 2)[0], big, ["2", "3"], 40, None),      # chain side too large
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_jobs())
+@example_each(planted_jobs())
+def test_one_pass_matches_three_trajectory_reference(job):
+    # every field (repr of the dataclass) and describe() must match,
+    # including the ConfigError raised when a value grows past the limit
+    assert report_or_error(verify_equivalence, job) == report_or_error(ref_verify, job)
+
+
+def test_verify_memory_flat_in_steps(configs_dir):
+    # three whole trajectories used to cost about 0.34 KB per step
+    job = load_job(str(configs_dir / "exzp_z11.json"))
+    chain = factor_chain(job.recurrence)
+    verify_equivalence(job.recurrence, chain, job.initial, 10)
+    peaks = []
+    for steps in (10 ** 4, 10 ** 5):
+        tracemalloc.start()
+        try:
+            rep = verify_equivalence(job.recurrence, chain, job.initial, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.equal and rep.compared == steps + 3
+    assert abs(peaks[1] - peaks[0]) < 1 << 20

@@ -281,21 +281,52 @@ def test_breakdown_prints_reduced_residue(u1, text, message):
     assert simulate(rec, [u1], 3).breakdown == Breakdown(1, message)
 
 
+@pytest.mark.parametrize("kind, modulus", [("integers-mod-m", 47), ("integers-mod-m", 48),
+                                           ("exact-rational", None)])
+@pytest.mark.parametrize("swap", [False, True])
+def test_repeated_subexpressions_computed_once(monkeypatch, kind, modulus, swap):
+    # d[n] + e[n] and its inverse appear in both components: each is computed
+    # once per step, and a breakdown keeps the reason of the first
+    # occurrence evaluated (d + e vanishes at odd n)
+    _compile.cache_clear()
+    R = make_ring(kind, modulus=modulus)
+    M = Module(R, 2)
+    exprs = ["c[n]*u1*u2/(d[n]+e[n]) + u1", "inv(d[n]+e[n])*u1 - c[n]*u2*u2"]
+    exprs = exprs[::-1] if swap else exprs
+    seqs = {"c": ["3"], "d": ["1", "2", "5"], "e": ["1", "45" if modulus else "-2", "1"]}
+    rec = Recurrence(M, ["1"], ["1"], GMap.expression(M, exprs, seqs))
+    sources = []
+    real_compile = builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
+    rec.g.kernel
+    [source] = sources
+    # one sum d + e, one sum in the output, one inverse, one raiser call
+    assert source.count(" + ") == 2
+    assert source.count("DIV(") + source.count("INV(") == 1
+    assert source.count("pow(") == (1 if modulus else 0)
+    reason = "inv of non-unit" if swap else "division by non-unit"
+    want = Breakdown(1, f"{reason} 2") if modulus == 48 else Breakdown(2, f"{reason} 0")
+    assert simulate(rec, [["1", "2"]], 6).breakdown == want
+
+
 def test_long_product_stays_exact_and_small(monkeypatch):
-    # 2^7 factors of u1 in a balanced tree, mod the largest accepted modulus:
-    # products of up to MAX_LAZY_FACTORS residues stay unreduced, so the
-    # products of 8 factors (16 of them) are reduced, then the products of 8
-    # reduced values (2), then the output
+    # 2^7 distinct factors u1 + i in a balanced tree, mod the largest accepted
+    # modulus: products of up to MAX_LAZY_FACTORS residues stay unreduced, so
+    # the products of 8 factors (16 of them) are reduced, then the products
+    # of 8 reduced values (2), then the output. The factors differ so that
+    # no subtree is shared.
     R = make_ring("integers-mod-m", modulus=MAX_MODULUS)
-    text = "u1"
-    for _ in range(7):
-        text = f"({text})*({text})"
+    terms = [f"(u1 + {i})" for i in range(1, 2 ** 7 + 1)]
+    while len(terms) > 1:
+        terms = [f"({a})*({b})" for a, b in zip(terms[::2], terms[1::2])]
     sources = []
     real_compile = builtins.compile
     monkeypatch.setattr(builtins, "compile",
                         lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
     x = MAX_MODULUS - 2
-    assert eval_expr(parse_expr(text), R, [R.el(x)], {}, 0).v == pow(x, 2 ** 7, MAX_MODULUS)
+    want = math.prod(x + i for i in range(1, 2 ** 7 + 1)) % MAX_MODULUS
+    assert eval_expr(parse_expr(terms[0]), R, [R.el(x)], {}, 0).v == want
     assert MAX_LAZY_FACTORS == 4 and sources[0].count("% m") == 16 + 2 + 1
 
 
