@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from json.encoder import encode_basestring_ascii as _quote
 
 from .config import JobConfig, load_job
 from .engine import (Trajectory, simulate, simulate_chain, simulate_substitution,
@@ -36,7 +38,42 @@ _CONFIG_ERRORS = (ConfigError, ParseError, GMapSyntaxError, NotFoldable)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for
+    byte, for str keys: written directly, with the C string encoder, where
+    json.dumps with an indent falls back to its pure-Python encoder."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the text of obj; ``newline`` starts a line at its depth."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        out.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(obj) if is_dict else obj):
+            out.append(("," if i else "") + inner)
+            if is_dict:
+                out.append(_quote(item) + ": ")
+                item = obj[item]
+            _write_json(item, inner, out)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

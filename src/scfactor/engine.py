@@ -304,8 +304,12 @@ def _deviation(a, b) -> float:
     for px, py in zip(a, b):
         if isinstance(px, complex):
             out = max(out, abs(px - py))
-        else:
-            out = max(out, math.sqrt(sum((u - w) ** 2 for u, w in zip(px, py))))
+            continue
+        try:
+            d = math.sqrt(sum((u - w) ** 2 for u, w in zip(px, py)))
+        except OverflowError:  # float ** raises past about 1e154, where hypot does not
+            d = math.hypot(*[u - w for u, w in zip(px, py)])
+        out = max(out, d)
     return out
 
 
@@ -325,7 +329,8 @@ class EquivalenceReport:
 
     def describe(self) -> str:
         lines = []
-        if self.equal:
+        if self.first_divergence is None:
+            # unequal only when the breakdowns do not align, which is said below
             lines.append(f"trajectories agree on {self.compared} compared value(s)")
         else:
             lines.append(f"trajectories diverge first at index {self.first_divergence}")

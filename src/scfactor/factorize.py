@@ -215,34 +215,33 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
     if rec.order < 2:
         raise ParseError("a first-order recurrence has nothing to reduce")
     rho = ring.el(rho)
+    r = rho.v
     P, Q = rec.char_pair()
     if not rho.is_unit:
         raise NotAValidRoot(f"{rho} is not a unit in {ring}")
-    if not is_root(P, rho):
+    if not is_root(P, r):
         raise NotAValidRoot(f"{rho} is not a root of P = {P.fmt()}")
-    if not Q.is_zero and not is_root(Q, rho):
+    if not Q.is_zero and not is_root(Q, r):
         raise NotAValidRoot(f"{rho} is not a root of Q = {Q.fmt()}")
 
-    k = rec.k
-    a0 = [rec.a[i].at(0) for i in range(k + 1)]
-    b0 = [rec.b[i].at(0) for i in range(k + 1)]
-    p: list[El] = []
-    q: list[El] = []
-    prev_p, prev_q = ring.one, ring.zero
-    for i in range(k):
-        prev_p = rho * prev_p - a0[i]
-        prev_q = rho * prev_q + b0[i]
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    p, q = [], []
+    prev_p, prev_q = ring.one.v, ring.zero.v
+    for a, b in zip(rec.a[:-1], rec.b[:-1]):
+        prev_p = add(mul(r, prev_p), neg(a.values[0].v))
+        prev_q = add(mul(r, prev_q), b.values[0].v)
         p.append(prev_p)
         q.append(prev_q)
 
-    factor = Recurrence(rec.module, [-c for c in p], list(q), rec.g)
+    p, q = tuple(El(ring, v) for v in p), tuple(El(ring, v) for v in q)
+    factor = Recurrence(rec.module, [-c for c in p], q, rec.g)
     return FactorStep(
         route="constant-root",
         alpha=CoeffSeq.constant(rho),
         factor=factor,
         rho=rho,
-        p=tuple(p),
-        q=tuple(q),
+        p=p,
+        q=q,
         root_report=report,
     )
 

@@ -321,46 +321,52 @@ class Emitter:
         """Emit the ASTs of one map in order; returns the source of each
         value. u<i> reads the local w<i-1>; seqs maps sequence names to
         payload tuples, keyed in this function as (scope, name). Repeated
-        subtrees and inverses of the same operand are computed once."""
-        self._memo, self._scope = {}, scope
+        subtrees and inverses of the same operand are computed once; those
+        that do not read the argument are shared with every later map of
+        the same scope in this function, which runs them first."""
+        self._memo = {key: v for key, v in self._memo.items() if not v[2]}
+        self._scope = scope
         return [self._expr(ast, seqs)[0] for ast in asts]
 
     def _expr(self, ast, seqs):
-        """(source, factors): the value is at most a product of ``factors``
-        reduced values, up to sums, when the ring reduces lazily."""
-        if ast not in self._memo:
-            self._memo[ast] = self._node(ast, seqs)
-        return self._memo[ast]
+        """(source, factors, reads): the value is at most a product of
+        ``factors`` reduced values, up to sums, when the ring reduces lazily,
+        and ``reads`` tells whether it reads the argument."""
+        key = (self._scope, ast)
+        if key not in self._memo:
+            self._memo[key] = self._node(ast, seqs)
+        return self._memo[key]
 
     def _node(self, ast, seqs):
         ring, op = self.ring, ast[0]
         if op == "int":
-            return self.bind(ring.from_int(ast[1]).v), 1
+            return self.bind(ring.from_int(ast[1]).v), 1, False
         if op == "u":
-            return f"w{ast[1] - 1}", 1
+            return f"w{ast[1] - 1}", 1, True
         if op == "seq":
-            return self.seq((self._scope, ast[1]), seqs[ast[1]]), 1
+            return self.seq((self._scope, ast[1]), seqs[ast[1]]), 1, False
         if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
             raise GMapSyntaxError(f"unknown AST node {op!r}")
-        left, lf = self._expr(ast[1], seqs)
+        left, lf, reads = self._expr(ast[1], seqs)
         if op == "neg":
-            return self.let(ring.src_neg.format(left)), lf
+            return self.let(ring.src_neg.format(left)), lf, reads
         if op == "inv":
-            return self._inverse(left, "INV"), 1
+            return self._inverse(left, "INV", reads), 1, reads
         if op == "tanh":
-            return self.let(f"TANH({self.reduced(left)}, n)"), 1
-        right, rf = self._expr(ast[2], seqs)
+            return self.let(f"TANH({self.reduced(left)}, n)"), 1, reads
+        right, rf, right_reads = self._expr(ast[2], seqs)
+        reads = reads or right_reads
         if op in ("add", "sub"):
             fmt = ring.src_add if op == "add" else ring.src_sub
-            return self.let(fmt.format(left, right)), max(lf, rf)
+            return self.let(fmt.format(left, right)), max(lf, rf), reads
         if op == "div":
-            right, rf = self._inverse(right, "DIV"), 1
+            right, rf = self._inverse(right, "DIV", right_reads), 1
         product = ring.src_mul.format(left, right)
         if lf + rf > MAX_LAZY_FACTORS and ring.src_reduce is not None:
-            return self.let(self.reduced(product)), 1
-        return self.let(product), lf + rf
+            return self.let(self.reduced(product)), 1, reads
+        return self.let(product), lf + rf, reads
 
-    def _inverse(self, source: str, raiser: str) -> str:
+    def _inverse(self, source: str, raiser: str, reads: bool) -> str:
         """The inverse of the reduced value of ``source``, once per operand:
         a breakdown keeps the reason of the first occurrence."""
         operand = self.reduced(source)
@@ -368,12 +374,12 @@ class Emitter:
         if key not in self._memo:
             test = self.ring.src_unit
             if test is None:
-                self._memo[key] = self.let(f"{raiser}({operand}, n)")
+                name = self.let(f"{raiser}({operand}, n)")
             else:
                 v = self.let(operand)
-                self._memo[key] = self.let(
-                    f"pow({v}, -1, m) if {test.format(v)} else {raiser}({v}, n)")
-        return self._memo[key]
+                name = self.let(f"pow({v}, -1, m) if {test.format(v)} else {raiser}({v}, n)")
+            self._memo[key] = (name, 1, reads)
+        return self._memo[key][0]
 
     def function(self, params: str, result: str):
         """Compile the lines as ``def kernel(params)`` returning ``result``,

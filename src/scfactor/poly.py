@@ -1,8 +1,10 @@
 """Polynomials over a coefficient ring, plus common-unit-root search.
 
-Coefficients are stored ascending (coeffs[i] multiplies x^i) with no trailing
-zeros; the zero polynomial has an empty tuple. Division, gcd, and deflation
-assume a commutative ring and raise NoncommutativeRing otherwise.
+A Poly stores the payloads of its coefficients ascending (cs[i] multiplies
+x^i) with no trailing zeros; the zero polynomial has an empty tuple. Its
+public face (coeffs, leading, coeff, evaluation, deflate) speaks elements.
+Division, gcd, and deflation assume a commutative ring and raise
+NoncommutativeRing otherwise.
 
 unit_roots(P, Q) finds the common roots of P and Q that are units, reporting
 the method used and whether the search was exhaustive:
@@ -22,17 +24,19 @@ the method used and whether the search was exhaustive:
   are refused, they are reported as 1. Moduli above rings.MAX_MODULUS are
   refused when the ring is built, since primality is decided exactly only up
   to there.
-* exact fields (rationals, Gaussian rationals): monic gcd, then either read
-  off a degree-1 gcd ("field-gcd") or search the gcd for roots
-  ("rational-root"): one route for Q and Q(i) lifts the roots of the gcd
-  modulo a small prime p-adically (over Q(i) p = 1 mod 4, under both
-  embeddings i -> +-s with s^2 = -1 mod p) until lead(g) times a root is
-  read off its symmetric residue, then keeps the exact roots
+* exact fields (rationals, Gaussian rationals): monic gcd on the payloads,
+  ints over one denominator; a gcd whose unit part is linear reads off its
+  root ("field-gcd"), any other is searched ("rational-root"): with the
+  denominators of its squarefree part cleared, the roots are lifted modulo
+  a small prime p-adically (over Q(i) p = 1 mod 4, under both embeddings
+  i -> +-s with s^2 = -1 mod p) until lead(g) times a root is read off its
+  symmetric residue, and the candidates that this integer polynomial
+  annihilates are kept
 * float complex: Durand-Kerner on P and on Q, then match the root sets
   ("numeric", not exhaustive)
 
-Over a field (Z/p, Q, Q(i)) the report keeps gcd(P, Q). The pair one
-reduction further down is (P/(x - rho), Q/(x - rho)), whose gcd is
+Over a field (Z/p, Q, Q(i)) the report keeps the monic gcd(P, Q). The pair
+one reduction further down is (P/(x - rho), Q/(x - rho)), whose gcd is
 gcd(P, Q)/(x - rho), so RootReport.deflated derives its report without a
 second search.
 """
@@ -41,133 +45,130 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import NoncommutativeRing, NotAValidRoot, ParseError
 from .rings import (El, FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring,
-                    is_prime)
+                    _reduced, is_prime)
+
+
+def _trimmed(ring: Ring, cs: list) -> tuple:
+    eq, zero = ring._eq, ring.zero.v
+    while cs and eq(cs[-1], zero):
+        cs.pop()
+    return tuple(cs)
 
 
 class Poly:
-    """A polynomial with coefficients in one ring, ascending order."""
+    """A polynomial with coefficients in one ring, ascending order.
 
-    __slots__ = ("ring", "coeffs")
+    ``cs`` holds the coefficient payloads; Poly.of builds a polynomial from
+    payloads, the constructor from anything ring.el accepts.
+    """
+
+    __slots__ = ("ring", "cs")
 
     def __init__(self, ring: Ring, coeffs):
-        cs = [ring.el(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
         self.ring = ring
-        self.coeffs = tuple(cs)
+        self.cs = _trimmed(ring, [ring.el(c).v for c in coeffs])
+
+    @classmethod
+    def of(cls, ring: Ring, cs) -> "Poly":
+        p = cls.__new__(cls)
+        p.ring, p.cs = ring, _trimmed(ring, list(cs))
+        return p
+
+    @property
+    def coeffs(self) -> tuple[El, ...]:
+        return tuple(El(self.ring, c) for c in self.cs)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.cs) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.cs
 
     @property
     def leading(self) -> El:
-        if self.is_zero:
+        if not self.cs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return El(self.ring, self.cs[-1])
 
     def coeff(self, i: int) -> El:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+        return El(self.ring, self.cs[i] if 0 <= i < len(self.cs) else self.ring.zero.v)
 
-    def __call__(self, x: El) -> El:
+    def __call__(self, x) -> El:
         """Horner evaluation (left-multiplying coefficients)."""
-        x = self.ring.el(x)
-        acc = self.ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return El(self.ring, _horner(self.ring, self.cs, self.ring.el(x).v))
 
     def __eq__(self, other):
         if not isinstance(other, Poly) or other.ring != self.ring:
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return len(self.cs) == len(other.cs) and all(map(self.ring._eq, self.cs, other.cs))
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.cs))
+
+    def _zip(self, other: "Poly", op) -> "Poly":
+        pairs = zip_longest(self.cs, other.cs, fillvalue=self.ring.zero.v)
+        return Poly.of(self.ring, [op(a, b) for a, b in pairs])
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._zip(other, self.ring._add)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
+        add, neg = self.ring._add, self.ring._neg
+        return self._zip(other, lambda a, b: add(a, neg(b)))
 
     def __mul__(self, other):
+        ring = self.ring
+        add, mul = ring._add, ring._mul
         if isinstance(other, El):
-            return Poly(self.ring, [c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Poly(self.ring, [])
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
-
-    def scale(self, s: El) -> "Poly":
-        return Poly(self.ring, [s * c for c in self.coeffs])
+            return Poly.of(ring, [mul(c, other.v) for c in self.cs])
+        if not self.cs or not other.cs:
+            return Poly.of(ring, [])
+        out = [ring.zero.v] * (len(self.cs) + len(other.cs) - 1)
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(other.cs):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return Poly.of(ring, out)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self.cs or self.ring._eq(self.cs[-1], self.ring.one.v):
             return self
-        lead = self.leading
-        if lead == self.ring.one:
-            return self
-        return self.scale(lead.inverse())
+        inv = self.leading.inverse().v
+        return Poly.of(self.ring, [self.ring._mul(inv, c) for c in self.cs])
 
     def derivative(self) -> "Poly":
-        return Poly(self.ring, [self.coeffs[i] * self.ring.from_int(i)
-                                for i in range(1, len(self.coeffs))])
+        ring = self.ring
+        return Poly.of(ring, [ring._mul(c, ring.from_int(i).v)
+                              for i, c in enumerate(self.cs) if i])
 
     def low_zero_count(self) -> int:
         """Number of leading zero coefficients from x^0 up (x^s | P)."""
+        eq, zero = self.ring._eq, self.ring.zero.v
         s = 0
-        while s < len(self.coeffs) and self.coeffs[s].is_zero:
+        while s < len(self.cs) and eq(self.cs[s], zero):
             s += 1
         return s
 
     def fmt(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
+        ring = self.ring
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c.is_zero:
+            c = self.cs[i]
+            if ring._eq(c, ring.zero.v):
                 continue
-            if i == 0:
-                term = str(c)
-            else:
-                xs = var if i == 1 else f"{var}^{i}"
-                if c == self.ring.one:
-                    term = xs
-                elif c == -self.ring.one:
-                    term = f"-{xs}"
-                else:
-                    cs = str(c)
-                    if "+" in cs[1:] or "-" in cs[1:]:
-                        cs = f"({cs})"
-                    term = f"{cs}*{xs}"
+            term = ring.fmt(c) if i == 0 else ring.fmt_term(c, var if i == 1 else f"{var}^{i}")
             if parts and not term.startswith("-"):
                 parts.append("+ " + term)
             elif parts:
                 parts.append("- " + term[1:])
             else:
                 parts.append(term)
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"Poly({self.fmt()})"
@@ -178,26 +179,36 @@ def _require_commutative(ring: Ring, what: str):
         raise NoncommutativeRing(f"{what} requires a commutative ring, got {ring}")
 
 
+def _horner(ring: Ring, cs, x):
+    """The payload p(x), with the accumulator multiplied by x from the right."""
+    add, mul = ring._add, ring._mul
+    acc = ring.zero.v
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division a = q*b + r with deg r < deg b. Needs unit leading coeff."""
-    _require_commutative(a.ring, "polynomial division")
+    ring = a.ring
+    _require_commutative(ring, "polynomial division")
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if not b.leading.is_unit:
+    inv_lead = ring._inv(b.cs[-1])
+    if inv_lead is None:
         raise ValueError("divisor leading coefficient must be a unit")
-    ring = a.ring
-    inv_lead = b.leading.inverse()
-    rem = list(a.coeffs)
-    q = [ring.zero] * max(0, len(rem) - len(b.coeffs) + 1)
-    while len(rem) >= len(b.coeffs) and rem:
-        k = len(rem) - len(b.coeffs)
-        factor = rem[-1] * inv_lead
-        if not factor.is_zero:
+    add, mul, neg, eq, zero = ring._add, ring._mul, ring._neg, ring._eq, ring.zero.v
+    rem = list(a.cs)
+    q = [zero] * max(0, len(rem) - len(b.cs) + 1)
+    while len(rem) >= len(b.cs) and rem:
+        k = len(rem) - len(b.cs)
+        factor = mul(rem[-1], inv_lead)
+        if not eq(factor, zero):
             q[k] = factor
-            for i, bc in enumerate(b.coeffs):
-                rem[k + i] = rem[k + i] - factor * bc
+            for i, bc in enumerate(b.cs):
+                rem[k + i] = add(rem[k + i], neg(mul(factor, bc)))
         rem.pop()
-    return Poly(ring, q), Poly(ring, rem)
+    return Poly.of(ring, q), Poly.of(ring, rem)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -207,22 +218,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not y.is_zero:
         _, r = divmod_poly(x, y)
         x, y = y, r
-    return x.monic() if not x.is_zero else x
+    return x.monic()
 
 
-def is_root(p: Poly, rho: El, value: El | None = None) -> bool:
-    """Whether p(rho) = 0, given value = p(rho) when the caller has it.
+def is_root(p: Poly, x, value=None) -> bool:
+    """Whether p(x) = 0 for a payload x, given value = p(x) when the caller
+    has it.
 
-    Exact rings test value.is_zero. Over float-complex, whose equality is an
-    absolute test (|v| <= tol) near zero, |p(rho)| is judged against the
-    size of the Horner terms instead: |p(rho)| <= tol * sum |c_i| |rho|^i.
+    Exact rings test value = 0. Over float-complex, whose equality is an
+    absolute test (|v| <= tol) near zero, |p(x)| is judged against the
+    size of the Horner terms instead: |p(x)| <= tol * sum |c_i| |x|^i.
     """
+    ring = p.ring
     if value is None:
-        value = p(rho)
-    if p.ring.exact:
-        return value.is_zero
-    r = abs(rho.v)
-    return abs(value.v) <= p.ring.tol * sum(abs(c.v) * r ** i for i, c in enumerate(p.coeffs))
+        value = _horner(ring, p.cs, x)
+    if ring.exact:
+        return ring._eq(value, ring.zero.v)
+    r = abs(x)
+    return abs(value) <= ring.tol * sum(abs(c) * r ** i for i, c in enumerate(p.cs))
 
 
 def deflate(p: Poly, rho: El) -> Poly:
@@ -231,18 +244,20 @@ def deflate(p: Poly, rho: El) -> Poly:
     The remainder equals p(rho) and must vanish (by ``is_root``); otherwise
     NotAValidRoot is raised.
     """
-    if p.is_zero:
+    ring = p.ring
+    if not p.cs:
         raise NotAValidRoot("cannot deflate the zero polynomial")
-    rho = p.ring.el(rho)
-    out = [p.ring.zero] * p.degree
-    acc = p.ring.zero
-    for i in range(p.degree, 0, -1):
-        acc = acc * rho + p.coeff(i)
-        out[i - 1] = acc
-    rem = acc * rho + p.coeff(0)
-    if not is_root(p, rho, rem):
-        raise NotAValidRoot(f"{p.ring.fmt(rho.v)} is not a root (remainder {rem})")
-    return Poly(p.ring, out)
+    x = ring.el(rho).v
+    add, mul = ring._add, ring._mul
+    out = []
+    acc = ring.zero.v
+    for c in reversed(p.cs[1:]):
+        acc = add(mul(acc, x), c)
+        out.append(acc)
+    rem = add(mul(acc, x), p.cs[0])
+    if not is_root(p, x, rem):
+        raise NotAValidRoot(f"{ring.fmt(x)} is not a root (remainder {ring.fmt(rem)})")
+    return Poly.of(ring, out[::-1])
 
 
 def _root_multiplicity(p: Poly, rho: El) -> int:
@@ -456,12 +471,10 @@ def _residue_unit_roots(pc: list[int], qc: list[int], factors) -> list[int]:
 
 
 def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
-    m = ring.m
-    pc = [c.v for c in P.coeffs]
-    qc = [c.v for c in Q.coeffs]
+    m, pc, qc = ring.m, P.cs, Q.cs
     if ring.is_prime:
+        G = Poly.of(ring, _gcd_p(pc, qc, m))
         units = [El(ring, r) for r in _residue_unit_roots(pc, qc, [(m, 1)])]
-        G = Poly(ring, _gcd_p(pc, qc, m))
         return RootReport([(u, _root_multiplicity(G, u)) for u in units],
                           "exhaustive-units", True, [], G)
     if m > MAX_COMPOSITE_MODULUS:
@@ -474,28 +487,50 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     return RootReport(roots, "exhaustive-units", True, notes)
 
 
-def _rational_root_candidates(g: Poly) -> list:
-    """Candidate roots of g over Q or Q(i) (g(0) != 0), by p-adic lifting (Loos 1983).
+# Integer polynomials over Q and Q(i): ascending lists of Gaussian integers
+# (a, b) for a + bi, with b = 0 over Q.
 
-    f is the squarefree part of g with denominators cleared, so its
-    coefficients are a + b*i with integers a, b (b = 0 over Q). Z and Z[i]
-    are UFDs, so a root u/v in lowest terms has u | f(0) and v | lead f, and
-    c = lead(f) * root is an integer of Z or Z[i] with |c| <= |f(0)| |lead f|.
-    p is the least prime not dividing N(lead f) that keeps f squarefree mod p;
-    over Q(i) also p = 1 (mod 4), and f must stay squarefree under both
-    embeddings i -> s and i -> -s, where s^2 = -1 (mod p). The roots of each
-    embedding mod p are Hensel-lifted, with s, until M = p^N exceeds the
-    bound, and c is read off its symmetric residue mod M. Over Q(i) each pair
-    of roots c1, c2 of the two embeddings gives Re c = (c1 + c2)/2 and
-    Im c = (c1 - c2)/(2s). Returns Fraction payloads over Q and
-    (Fraction, Fraction) payloads over Q(i); callers keep only exact roots.
+def _gmul(z, w):
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+
+def _integral(cs) -> list:
+    """The rational or Gaussian-rational payloads cs times the lcm of their
+    denominators, as Gaussian integers."""
+    d = math.lcm(*[c[-1] for c in cs])
+    return [(c[0] * (d // c[-1]), (c[1] if len(c) == 3 else 0) * (d // c[-1])) for c in cs]
+
+
+def _annihilates(f: list, root) -> bool:
+    """Whether the integer polynomial f vanishes at the payload root, u/d
+    with u = n or x + yi: sum f_i u^i d^(deg f - i) = 0."""
+    u, d = (root[0], root[1] if len(root) == 3 else 0), root[-1]
+    acc, dp = f[-1], 1
+    for a, b in reversed(f[:-1]):
+        dp *= d
+        acc = _gmul(acc, u)
+        acc = (acc[0] + a * dp, acc[1] + b * dp)
+    return acc == (0, 0)
+
+
+def _rational_root_candidates(f: list, gauss: bool) -> list:
+    """Candidate roots over Q or Q(i) of a squarefree polynomial with f(0) != 0,
+    by p-adic lifting (Loos 1983). f holds its coefficients times the lcm of
+    their denominators, a + b*i as (a, b) (b = 0 over Q).
+
+    Z and Z[i] are UFDs, so a root u/v in lowest terms has u | f(0) and
+    v | lead f, and c = lead(f) * root is an integer of Z or Z[i] with
+    |c| <= |f(0)| |lead f|. p is the least prime not dividing N(lead f) that
+    keeps f squarefree mod p; over Q(i) also p = 1 (mod 4), and f must stay
+    squarefree under both embeddings i -> s and i -> -s, where
+    s^2 = -1 (mod p). The roots of each embedding mod p are Hensel-lifted,
+    with s, until M = p^N exceeds the bound, and c is read off its symmetric
+    residue mod M. Over Q(i) each pair of roots c1, c2 of the two embeddings
+    gives Re c = (c1 + c2)/2 and Im c = (c1 - c2)/(2s). Returns payloads
+    (n, d) over Q and (x, y, d) over Q(i); callers keep only exact roots.
     """
-    sf = divmod_poly(g, poly_gcd(g, g.derivative()))[0]
-    gauss = isinstance(g.ring, GaussianRationals)
-    parts = [c.v if gauss else (c.v, 0) for c in sf.coeffs]
-    den = math.lcm(*(x.denominator for v in parts for x in v))
-    re = [int(v[0] * den) for v in parts]
-    im = [int(v[1] * den) for v in parts]
+    re = [a for a, _ in f]
+    im = [b for _, b in f]
     norm_lead = re[-1] ** 2 + im[-1] ** 2
     bound = 2 * math.isqrt((re[0] ** 2 + im[0] ** 2) * norm_lead) + 3
 
@@ -531,26 +566,25 @@ def _rational_root_candidates(g: Poly) -> list:
 
     lifted = []  # lead(f) * root mod M, per embedding
     for t in (s, -s) if gauss else (0,):
-        f = embed(t, M)
-        df = [i * c for i, c in enumerate(f)][1:]
+        g = embed(t, M)
+        dg = [i * c for i, c in enumerate(g)][1:]
         cs = []
-        for r in _roots_mod_p(_trim([c % p for c in f]), p):
+        for r in _roots_mod_p(_trim([c % p for c in g]), p):
             m = p
             while m < M:
                 m *= m
-                r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
-            cs.append(f[-1] * r)
+                r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+            cs.append(g[-1] * r)
         lifted.append(cs)
     if not gauss:
-        return [Fraction(sym(c), re[-1]) for c in lifted[0]]
+        return [_reduced(sym(c), re[-1]) for c in lifted[0]]
     half, half_s = pow(2, -1, M), pow(2 * s, -1, M)
     out = []
     for c1 in lifted[0]:
         for c2 in lifted[1]:
             x, y = sym((c1 + c2) * half), sym((c1 - c2) * half_s)
             # (x + y*i) / lead f
-            out.append((Fraction(x * re[-1] + y * im[-1], norm_lead),
-                        Fraction(y * re[-1] - x * im[-1], norm_lead)))
+            out.append(_reduced(x * re[-1] + y * im[-1], y * re[-1] - x * im[-1], norm_lead))
     return out
 
 
@@ -570,18 +604,21 @@ def _field_labels(g: Poly) -> tuple[str, list[str]]:
 def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
     ring = P.ring
     full = poly_gcd(P, Q)
-    # g(0) != 0, so no candidate that passes g(rho) = 0 is zero.
-    g = Poly(ring, full.coeffs[full.low_zero_count():])
+    s = full.low_zero_count()
+    g = Poly.of(ring, full.cs[s:])  # g(0) != 0, so no candidate that g annihilates is zero
     if g.degree < 1:
         found = []
     elif g.degree == 1:
-        found = [-g.coeff(0) / g.coeff(1)]
+        found = [ring._neg(g.cs[0])]
     else:
-        found = sorted((rho for rho in map(ring.el, _rational_root_candidates(g))
-                        if g(rho).is_zero), key=El.sort_key)
+        sf = _integral(divmod_poly(g, poly_gcd(g, g.derivative()))[0].cs)
+        gauss = isinstance(ring, GaussianRationals)
+        found = sorted((r for r in _rational_root_candidates(sf, gauss) if _annihilates(sf, r)),
+                       key=ring._key)
     method, notes = _field_labels(full)
-    return RootReport([(rho, _root_multiplicity(full, rho)) for rho in found],
-                      method, True, notes, full)
+    roots = [El(ring, r) for r in found]
+    return RootReport([(r, _root_multiplicity(full, r)) for r in roots], method, True, notes,
+                      full)
 
 
 def durand_kerner(coeffs: list[complex], max_iter: int = 200,
@@ -647,23 +684,19 @@ def _cluster(points: list[complex], tol: float) -> list[tuple[complex, int]]:
 def _float_unit_roots(P: Poly, Q: Poly, ring: FloatComplex,
                       match_tol: float = 1e-8) -> RootReport:
     notes = []
-    proots = _cluster(durand_kerner([c.v for c in P.coeffs]), match_tol)
+    proots = _cluster(durand_kerner(list(P.cs)), match_tol)
     if Q.is_zero:
         common = proots
         notes.append("second polynomial is zero; using all roots of the first")
     else:
-        qroots = _cluster(durand_kerner([c.v for c in Q.coeffs]), match_tol)
+        qroots = _cluster(durand_kerner(list(Q.cs)), match_tol)
         common = []
         for zp, mp in proots:
             for zq, mq in qroots:
                 if abs(zp - zq) <= match_tol:
                     common.append(((zp + zq) / 2, min(mp, mq)))
                     break
-    roots = []
-    for z, m in common:
-        el = El(ring, z)
-        if el.is_unit:
-            roots.append((el, m))
+    roots = [(El(ring, z), m) for z, m in common if ring._inv(z) is not None]
     # Quantize the ordering key so residual solver noise (~1e-16) cannot
     # flip which root the greedy chain consumes first.
     roots.sort(key=lambda rm: (round(rm[0].v.real, 6), round(rm[0].v.imag, 6)))
@@ -694,9 +727,9 @@ def verified_roots(P: Poly, Q: Poly, claimed: list[El]) -> RootReport:
         rho = P.ring.el(rho)
         if not rho.is_unit:
             raise NotAValidRoot(f"claimed root {rho} is not a unit")
-        if not is_root(P, rho):
+        if not is_root(P, rho.v):
             raise NotAValidRoot(f"claimed root {rho} does not annihilate {P.fmt()}")
-        if not Q.is_zero and not is_root(Q, rho):
+        if not Q.is_zero and not is_root(Q, rho.v):
             raise NotAValidRoot(f"claimed root {rho} does not annihilate {Q.fmt()}")
         for i, (r, m) in enumerate(counts):
             if r == rho:

@@ -358,31 +358,23 @@ class Recurrence:
         if not self.constant_coeffs:
             raise ParseError("characteristic pair needs constant coefficients")
         ring = self.ring
-        k = self.k
-        pc = [ring.zero] * (k + 2)
-        pc[k + 1] = ring.one
-        for i in range(k + 1):
-            pc[k - i] = -self.a[i].at(0)
-        qc = [ring.zero] * (k + 1)
-        for i in range(k + 1):
-            qc[k - i] = self.b[i].at(0)
-        return Poly(ring, pc), Poly(ring, qc)
+        pc = [ring._neg(s.values[0].v) for s in reversed(self.a)] + [ring.one.v]
+        return Poly.of(ring, pc), Poly.of(ring, [s.values[0].v for s in reversed(self.b)])
 
     def describe(self, var: str = "x") -> str:
-        terms = []
-        for i in range(self.order):
-            s = self.a[i]
-            if s.is_constant and s.at(0).is_zero:
-                continue
-            xs = f"{var}[n]" if i == 0 else f"{var}[n-{i}]"
-            terms.append(_coeff_term(s, xs))
-        inner = []
-        for i in range(self.order):
-            s = self.b[i]
-            if s.is_constant and s.at(0).is_zero:
-                continue
-            xs = f"{var}[n]" if i == 0 else f"{var}[n-{i}]"
-            inner.append(_coeff_term(s, xs))
+        ring = self.ring
+        zero = ring.zero.v
+
+        def row_terms(row):
+            out = []
+            for i, s in enumerate(row):
+                xs = f"{var}[n]" if i == 0 else f"{var}[n-{i}]"
+                if not s.is_constant:
+                    out.append(f"{s}*{xs}")
+                elif not ring._eq(s.values[0].v, zero):
+                    out.append(ring.fmt_term(s.values[0].v, xs))
+            return out
+        terms, inner = row_terms(self.a), row_terms(self.b)
         rhs = " + ".join(terms) if terms else ""
         if not self.g.is_zero:
             garg = " + ".join(inner) if inner else "0"
@@ -394,20 +386,6 @@ class Recurrence:
 
     def __repr__(self):
         return f"Recurrence({self.describe()} over {self.module})"
-
-
-def _coeff_term(s: CoeffSeq, xs: str) -> str:
-    if s.is_constant:
-        c = s.at(0)
-        if c == c.ring.one:
-            return xs
-        if c == -c.ring.one:
-            return f"-{xs}"
-        cs = str(c)
-        if "+" in cs[1:] or "-" in cs[1:]:
-            cs = f"({cs})"
-        return f"{cs}*{xs}"
-    return f"{s}*{xs}"
 
 
 def make_coeff(ring: Ring, entry) -> CoeffSeq:

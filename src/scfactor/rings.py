@@ -3,7 +3,7 @@
 Six ring kinds are supported:
 
 * ``integers-mod-m``     residues mod m (m >= 2), finite, commutative
-* ``exact-rational``     Fraction arithmetic, exact field
+* ``exact-rational``     exact field Q
 * ``gaussian-rational``  a + bi with rational a, b, exact field
 * ``float-complex``      machine complex numbers with a comparison tolerance
 * ``rational-quaternion`` Hamilton quaternions with rational components
@@ -16,24 +16,107 @@ right division: ``a / b`` means ``a * b**-1``, which matters for quaternions.
 The left module M = R^d is represented by Vec (a tuple of elements) with a
 left scalar action ``r * v``.
 
-Payloads: an int in [0, m) for residues, a Fraction for rationals, a pair of
-Fractions for Q(i), a complex for float-complex, and a 4-tuple of floats for
-float quaternions. A rational quaternion (w + xi + yj + zk)/d is the int
-5-tuple (w, x, y, z, d) with d > 0 and gcd(w, x, y, z, d) = 1: a sum or
-product works on ints and reduces once by one gcd, where four Fractions
-would each reduce by their own. Its text form is that of the four Fractions
-w/d, x/d, y/d, z/d.
+Payloads: an int in [0, m) for residues, a complex for float-complex, and a
+4-tuple of floats for float quaternions. The exact rings store ints over one
+denominator: a rational n/d is (n, d), a Gaussian rational (x + yi)/d is
+(x, y, d), and a rational quaternion (w + xi + yj + zk)/d is (w, x, y, z, d),
+always with d > 0 and the gcd of all entries 1, so equal values have equal
+payloads. A sum or product works on ints and reduces by one gcd, where a
+tuple of fractions would reduce each part by its own.
+Literals keep the grammar of fractions.Fraction (``1.5``, ``1e-3``,
+``-3/4``) and the text of its errors; each part prints as the reduced n/d.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
-from fractions import Fraction
 
 from .errors import DivisionByNonUnit, ParseError
 
-_NUM_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+# A rational literal as Python 3.11's fractions.Fraction reads one, so that
+# literals keep their meaning and errors their text on every Python version;
+# the decimal group really is "d*", not "\d*".
+_RATIONAL_RE = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+      |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def _reduced(*v):
+    """The canonical payload (c_1, .., c_k, d) of (c_1, .., c_k)/d, d > 0."""
+    g = math.gcd(*v)
+    return v if g == 1 else tuple([c // g for c in v])
+
+
+def _parse_rational(text: str) -> tuple[int, int]:
+    """The payload (n, d) of a rational literal; raises ValueError or
+    ZeroDivisionError with the text fractions.Fraction gives."""
+    m = _RATIONAL_RE.match(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    n, d = int(m["num"] or "0"), 1
+    if m["denom"]:
+        d = int(m["denom"])
+    else:
+        if m["decimal"]:
+            dec = m["decimal"].replace("_", "")
+            d = 10 ** len(dec)
+            n = n * d + int(dec)
+        if m["exp"]:
+            e = int(m["exp"])
+            n, d = (n * 10 ** e, d) if e >= 0 else (n, d * 10 ** -e)
+    if m["sign"] == "-":
+        n = -n
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _reduced(n, d)
+
+
+def _exact_add(a, b):
+    """The sum of two payloads (c_1, .., c_k, d) of an exact ring, canonical
+    (Henrici): a common factor of the summed parts and the denominator
+    divides gcd(d1, d2)."""
+    d1, d2 = a[-1], b[-1]
+    g = math.gcd(d1, d2)
+    if g == 1:
+        return (*[x * d2 + y * d1 for x, y in zip(a[:-1], b[:-1])], d1 * d2)
+    s, t = d1 // g, d2 // g
+    parts = [x * t + y * s for x, y in zip(a[:-1], b[:-1])]
+    h = math.gcd(*parts, g)
+    return (*parts, s * d2) if h == 1 else (*[c // h for c in parts], s * (d2 // h))
+
+
+def _exact_neg(a):
+    return (*[-c for c in a[:-1]], a[-1])
+
+
+def _over_lcm(pairs) -> tuple:
+    """The payload (c_1, .., c_k, d) of the rationals (n_i, d_i), each in
+    lowest terms: over the lcm d of the d_i the gcd is already 1."""
+    d = math.lcm(*[e for _, e in pairs])
+    return (*[n * (d // e) for n, e in pairs], d)
+
+
+def _ratio_text(n: int, d: int):
+    """The part n/d for _fmt_signed: an int when d divides n, else the text
+    of n/d in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g if d == g else f"{n // g}/{d // g}"
+
+
+def _ratio_bits(v) -> int:
+    """Largest bit length of a part's numerator or denominator in lowest
+    terms, for a payload (c_1, .., c_k, d)."""
+    d = v[-1]
+    out = 0
+    for n in v[:-1]:
+        g = math.gcd(n, d)
+        out = max(out, (n // g).bit_length(), (d // g).bit_length())
+    return out
 
 
 def _split_terms(text: str) -> list[str]:
@@ -58,11 +141,12 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
-def _parse_terms(text: str, allowed_units: str, numparse) -> dict[str, object]:
+def _parse_terms(text: str, allowed_units: str, numparse,
+                 add=operator.add) -> dict[str, object]:
     """Parse "a+bi+cj+dk"-style literals into {unit: coefficient}.
 
     ``allowed_units`` is "" (plain numbers), "i", or "ijk". The real part is
-    keyed by "". Repeated units accumulate.
+    keyed by "". Repeated units accumulate by ``add``, from numparse("0").
     """
     out: dict[str, object] = {}
     for term in _split_terms(text):
@@ -85,7 +169,7 @@ def _parse_terms(text: str, allowed_units: str, numparse) -> dict[str, object]:
                 coef = numparse(coef_text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad number {coef_text!r} in {text!r}: {exc}") from exc
-        out[unit] = out.get(unit, numparse("0")) + coef
+        out[unit] = add(out.get(unit, numparse("0")), coef)
     return out
 
 
@@ -131,7 +215,7 @@ class El:
 
     def _other(self, x):
         if isinstance(x, El):
-            if x.ring != self.ring:
+            if x.ring is not self.ring and x.ring != self.ring:
                 raise ValueError(f"mixed rings: {self.ring} and {x.ring}")
             return x.v
         if isinstance(x, int):
@@ -203,14 +287,14 @@ class El:
     def __eq__(self, x):
         if isinstance(x, int):
             x = self.ring.from_int(x)
-        if not isinstance(x, El) or x.ring != self.ring:
+        if not isinstance(x, El) or x.ring is not self.ring and x.ring != self.ring:
             return NotImplemented
         return self.ring._eq(self.v, x.v)
 
     def __hash__(self):
         if not self.ring.exact:
             raise TypeError(f"elements of {self.ring} are not hashable (inexact equality)")
-        return hash((self.ring.kind, self.ring._key(self.v)))
+        return hash((self.ring.kind, self.v))
 
     def sort_key(self):
         return self.ring._key(self.v)
@@ -238,7 +322,8 @@ class Ring:
     exact: bool = True
 
     # payload ops, implemented by subclasses:
-    #   _add, _neg, _mul, _inv (None when not a unit), _eq, _key, fmt, parse payload
+    #   _add, _neg, _mul, _inv (None when not a unit), fmt, _parse, _normalize;
+    # _eq and _key (the canonical order) are the payload's own unless overridden
     # _finite: payload predicate that float rings set; None on exact rings
     # _bits: payload size in bits, set on the exact rings whose values can
     # grow without bound; None on residue and float rings
@@ -260,6 +345,12 @@ class Ring:
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
+
+    def _eq(self, a, b):
+        return a == b
+
+    def _key(self, a):
+        return a
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self._descriptor() == other._descriptor()
@@ -289,9 +380,10 @@ class Ring:
         return 0
 
     def el(self, x) -> El:
-        """Coerce an int, literal string, payload, or element into this ring."""
+        """Coerce an int, literal string, element, or a number or tuple of
+        numbers that _normalize accepts into this ring."""
         if isinstance(x, El):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise ValueError(f"element of {x.ring} used in {self}")
             return x
         if isinstance(x, bool):
@@ -312,6 +404,19 @@ class Ring:
 
     def fmt(self, v) -> str:
         raise NotImplementedError
+
+    def fmt_term(self, v, xs: str) -> str:
+        """The product v*xs as text: xs for 1, -xs for -1, and v in
+        parentheses when a sign sits inside it."""
+        one = self.one.v
+        if self._eq(v, one):
+            return xs
+        if self._eq(v, self._neg(one)):
+            return f"-{xs}"
+        text = self.fmt(v)
+        if "+" in text[1:] or "-" in text[1:]:
+            text = f"({text})"
+        return f"{text}*{xs}"
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below
@@ -410,110 +515,100 @@ class IntegersMod(_PlainOps, Ring):
         except ValueError:
             return None
 
-    def _eq(self, a, b):
-        return a == b
-
-    def _key(self, a):
-        return a
-
     def fmt(self, v):
         return str(v)
 
 
-def _fraction_bits(q: Fraction) -> int:
-    return max(q.numerator.bit_length(), q.denominator.bit_length())
+def _exact_parts(ring: "Ring", payload, size: int):
+    """The payload of a number or a ``size``-tuple of numbers (ints, or
+    rational numbers such as a fractions.Fraction) as parts over one
+    denominator."""
+    parts = payload if isinstance(payload, tuple) and len(payload) == size else \
+        (payload,) + (0,) * (size - 1)
+    try:
+        return _over_lcm([_reduced(c.numerator, c.denominator) for c in parts])
+    except (AttributeError, TypeError):
+        return Ring._normalize(ring, payload)
 
 
-def _fractions_bits(qs) -> int:
-    return max(map(_fraction_bits, qs))
-
-
-class Rationals(_PlainOps, Ring):
-    """The field of rationals, exact Fraction arithmetic."""
+class Rationals(Ring):
+    """The field of rationals: a payload is (n, d) for n/d, in lowest terms
+    with d > 0."""
 
     kind = "exact-rational"
-    _bits = staticmethod(_fraction_bits)
+    _add = staticmethod(_exact_add)
+    _neg = staticmethod(_exact_neg)
 
     def from_int(self, n):
-        return El(self, Fraction(n))
+        return El(self, (n, 1))
 
     def _normalize(self, payload):
-        if isinstance(payload, (int, Fraction)):
-            return Fraction(payload)
-        return super()._normalize(payload)
+        """Accepts an int or Fraction."""
+        return _exact_parts(self, payload, 1)
 
     def _parse(self, text):
-        t = text.strip().replace(" ", "")
         try:
-            return Fraction(t)
+            return _parse_rational(text.strip().replace(" ", ""))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}: {exc}") from exc
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
     def _mul(self, a, b):
-        return a * b
+        """The product in lowest terms (Henrici): each numerator is reduced
+        against the other denominator."""
+        (n1, d1), (n2, d2) = a, b
+        g, h = math.gcd(n1, d2), math.gcd(n2, d1)
+        return ((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
+
+    def _bits(self, v):
+        return max(v[0].bit_length(), v[1].bit_length())
 
     def _inv(self, a):
-        return None if a == 0 else 1 / a
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _key(self, a):
-        return (a.numerator, a.denominator)
+        n, d = a
+        return None if n == 0 else (d, n) if n > 0 else (-d, -n)
 
     def fmt(self, v):
-        return str(v)
+        return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
+
+
+def _gaussian_cmp(a, b):
+    """Compare (x1 + y1 i)/d1 and (x2 + y2 i)/d2 by real, then imaginary part."""
+    (x1, y1, d1), (x2, y2, d2) = a, b
+    return (x1 * d2 > x2 * d1) - (x1 * d2 < x2 * d1) or (y1 * d2 > y2 * d1) - (y1 * d2 < y2 * d1)
 
 
 class GaussianRationals(Ring):
-    """Q(i): pairs (re, im) of Fractions with complex multiplication."""
+    """Q(i): a payload is (x, y, d) for (x + yi)/d, with d > 0 and
+    gcd(x, y, d) = 1. Roots are ordered by real, then imaginary part."""
 
     kind = "gaussian-rational"
-    _bits = staticmethod(_fractions_bits)
+    _add = staticmethod(_exact_add)
+    _neg = staticmethod(_exact_neg)
+    _bits = staticmethod(_ratio_bits)
+    _key = staticmethod(functools.cmp_to_key(_gaussian_cmp))
 
     def from_int(self, n):
-        return El(self, (Fraction(n), Fraction(0)))
+        return El(self, (n, 0, 1))
 
     def _normalize(self, payload):
-        if isinstance(payload, tuple) and len(payload) == 2:
-            return (Fraction(payload[0]), Fraction(payload[1]))
-        if isinstance(payload, (int, Fraction)):
-            return (Fraction(payload), Fraction(0))
-        return super()._normalize(payload)
+        """Accepts an int or Fraction, or a pair of them (re, im)."""
+        return _exact_parts(self, payload, 2)
 
     def _parse(self, text):
-        terms = _parse_terms(text, "i", Fraction)
-        return (terms.get("", Fraction(0)), terms.get("i", Fraction(0)))
-
-    def _add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def _neg(self, a):
-        return (-a[0], -a[1])
+        terms = _parse_terms(text, "i", _parse_rational, _exact_add)
+        return _over_lcm([terms.get("", (0, 1)), terms.get("i", (0, 1))])
 
     def _mul(self, a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        (x1, y1, d1), (x2, y2, d2) = a, b
+        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
 
     def _inv(self, a):
-        n = a[0] * a[0] + a[1] * a[1]
-        if n == 0:
-            return None
-        return (a[0] / n, -a[1] / n)
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _key(self, a):
-        return (a[0], a[1])
+        x, y, d = a
+        n = x * x + y * y
+        return None if n == 0 else _reduced(x * d, -y * d, n)
 
     def fmt(self, v):
-        return _fmt_signed([(v[0], ""), (v[1], "i")])
+        x, y, d = v
+        return _fmt_signed([(_ratio_text(x, d), ""), (_ratio_text(y, d), "i")])
 
 
 class _Tolerant(Ring):
@@ -595,14 +690,6 @@ def _qmul(a, b):
     )
 
 
-def _reduced(w, x, y, z, d):
-    """The canonical payload of (w + xi + yj + zk)/d for d > 0."""
-    g = math.gcd(w, x, y, z, d)
-    if g == 1:
-        return (w, x, y, z, d)
-    return (w // g, x // g, y // g, z // g, d // g)
-
-
 class RationalQuaternions(Ring):
     """Hamilton quaternions over Q. Noncommutative; every nonzero element
     is a unit (inverse = conjugate / squared norm).
@@ -614,36 +701,20 @@ class RationalQuaternions(Ring):
 
     kind = "rational-quaternion"
     commutative = False
+    _add = staticmethod(_exact_add)
+    _neg = staticmethod(_exact_neg)
+    _bits = staticmethod(_ratio_bits)
 
     def from_int(self, n):
         return El(self, (n, 0, 0, 0, 1))
 
     def _normalize(self, payload):
         """Accepts an int or Fraction, or a 4-tuple of them (w, x, y, z)."""
-        if isinstance(payload, (int, Fraction)):
-            payload = (payload, 0, 0, 0)
-        if isinstance(payload, tuple) and len(payload) == 4:
-            qs = [Fraction(c) for c in payload]
-            # over the lcm of reduced denominators the gcd is already 1
-            d = math.lcm(*[q.denominator for q in qs])
-            return (*[q.numerator * (d // q.denominator) for q in qs], d)
-        return super()._normalize(payload)
+        return _exact_parts(self, payload, 4)
 
     def _parse(self, text):
-        terms = _parse_terms(text, "ijk", Fraction)
-        return self._normalize(tuple(terms.get(u, Fraction(0)) for u in _QUNITS))
-
-    def _add(self, a, b):
-        w1, x1, y1, z1, d1 = a
-        w2, x2, y2, z2, d2 = b
-        if d1 == d2:
-            return _reduced(w1 + w2, x1 + x2, y1 + y2, z1 + z2, d1)
-        return _reduced(w1 * d2 + w2 * d1, x1 * d2 + x2 * d1, y1 * d2 + y2 * d1,
-                        z1 * d2 + z2 * d1, d1 * d2)
-
-    def _neg(self, a):
-        w, x, y, z, d = a
-        return (-w, -x, -y, -z, d)
+        terms = _parse_terms(text, "ijk", _parse_rational, _exact_add)
+        return _over_lcm([terms.get(u, (0, 1)) for u in _QUNITS])
 
     def _mul(self, a, b):
         return _reduced(*_qmul(a[:4], b[:4]), a[4] * b[4])
@@ -655,25 +726,9 @@ class RationalQuaternions(Ring):
             return None
         return _reduced(w * d, -x * d, -y * d, -z * d, n)
 
-    def _eq(self, a, b):
-        return a == b
-
-    def _key(self, a):
-        return a
-
-    def _bits(self, v):
-        """Largest bit length of a component's numerator or denominator in
-        lowest terms, as for a Fraction."""
-        d = v[4]
-        out = 0
-        for n in v[:4]:
-            g = math.gcd(n, d)
-            out = max(out, (n // g).bit_length(), (d // g).bit_length())
-        return out
-
     def fmt(self, v):
         d = v[4]
-        return _fmt_signed([(Fraction(n, d), u) for n, u in zip(v[:4], _QUNITS)])
+        return _fmt_signed([(_ratio_text(n, d), u) for n, u in zip(v[:4], _QUNITS)])
 
 
 class FloatQuaternions(_Tolerant):
@@ -724,9 +779,6 @@ class FloatQuaternions(_Tolerant):
     def _eq(self, a, b):
         d = self._abs(tuple(x - y for x, y in zip(a, b)))
         return d <= self.tol * max(self._abs(a), self._abs(b), 1.0)
-
-    def _key(self, a):
-        return a
 
     def fmt(self, v):
         return _fmt_signed(list(zip(v, _QUNITS)))

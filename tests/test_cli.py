@@ -1,11 +1,18 @@
 """End-to-end command tests, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scfactor.cli import build_parser, canonical_json, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +284,19 @@ class TestErrors:
             assert code == 2 and out == ""
             assert err == "error: bad recurrence: float literal 'nan' is not finite\n"
 
+    def test_huge_float_quaternions_verified(self, capsys, tmp_path):
+        # parts past about 1e154 used to overflow the deviation's squares:
+        # verify exited 1 with a traceback from OverflowError
+        doc = {"ring": {"kind": "float-quaternion"}, "module": {"dim": 1},
+               "family": {"kind": "alsp", "params": {"a": ["i+2j"], "b": "1"},
+                          "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "1"], "run": {"steps": 500}}
+        p = tmp_path / "fq.json"
+        p.write_text(json.dumps(doc))
+        for flags in ([], ["--json"]):
+            code, _, err = run_cli(capsys, "verify", str(p), *flags)
+            assert code in (0, 4) and err == ""
+
     @pytest.mark.parametrize("literal", ["1e400", "-1e400i", "1e308+1e308"])
     def test_overflowing_float_literal_exits_2(self, capsys, tmp_path, literal):
         # each of these reads as an infinite float
@@ -465,3 +485,49 @@ class TestParser:
         assert captured.err.endswith(
             f"error: argument --steps: must be at least 1, got {steps}\n")
         assert not (tmp_path / "out").exists()
+
+
+# JSON values as reports hold them: str keys, nesting, and every scalar type
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-2**300, max_value=2**300),
+    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x1F)))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
+                           st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    @example({"b": [], "a": {}, "\u00e9\u2028\U0001f600": ["\x00\x1f\"\\", [[]], {"": None}]})
+    @example([True, False, None, 0, -1, 10**200, 1.5, -0.0, 1e300, 5e-324])
+    def test_matches_json_dumps(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json({"a": {1, 2}})
+
+
+@pytest.mark.parametrize("argv", [("factor", "rational_repeated_root.json"),
+                                  ("factor", "gaussian_chain.json"),
+                                  ("verify", "quaternion_family.json")])
+def test_runtime_never_imports_fractions(configs_dir, argv):
+    # exact payloads are ints over one denominator; fractions would pull in
+    # decimal and numbers as well
+    command, name = argv
+    script = (
+        "import sys\n"
+        "from scfactor.cli import main\n"
+        f"code = main([{command!r}, {str(configs_dir / name)!r}, '--json'])\n"
+        "assert code == 0, code\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('fractions', 'decimal')]\n"
+        "assert not loaded, loaded\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr

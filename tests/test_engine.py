@@ -5,6 +5,7 @@ small rings) before the engine existed; the tests freeze those numbers. The
 one-pass verify is held against the simulate-then-compare code it replaced.
 """
 
+import builtins
 import math
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
 from scfactor.config import load_job
 from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation
 from scfactor.factorize import SubstitutionFactorization
+from scfactor.gmap import _compile
 
 
 def sq_map(module):
@@ -192,7 +194,7 @@ class TestChainRun:
         chain = factor_chain(rec)
         run = simulate_chain(chain, [["1", "1"], ["3", "2"]], 45)
         x40 = run.reconstructed.value_at(40)
-        assert x40.parts[0].v == Fraction(813, 8)
+        assert x40.parts[0].v == (813, 8)
         direct = simulate(rec, [["1", "1"], ["3", "2"]], 45)
         assert direct.value_at(40) == x40
 
@@ -327,7 +329,7 @@ class TestSizeLimit:
         R = make_ring("exact-rational")
         M = Module(R, 1)
         rec = Recurrence(M, ["0"], ["1"], sq_map(M))
-        assert simulate(rec, ["3"], 12).payloads[-1] == [Fraction(3) ** 2 ** 12]
+        assert simulate(rec, ["3"], 12).payloads[-1] == [(3 ** 2 ** 12, 1)]
         with pytest.raises(ConfigError, match="value at index 13 exceeds the size limit "
                                               "of 8192 bits per numerator or denominator"):
             simulate(rec, ["3"], 100)
@@ -545,11 +547,9 @@ def example_each(jobs):
 
 
 def report_or_error(verify, job):
-    # _deviation squares float-quaternion parts with **, which raises
-    # OverflowError past about 1e154; both forms must raise it alike
     try:
         rep = verify(*job)
-    except (ConfigError, OverflowError) as exc:
+    except ConfigError as exc:
         return type(exc).__name__, str(exc)
     return repr(rep), rep.describe()
 
@@ -596,6 +596,46 @@ def test_one_pass_matches_three_trajectory_reference(job):
     # every field (repr of the dataclass) and describe() must match,
     # including the ConfigError raised when a value grows past the limit
     assert report_or_error(verify_equivalence, job) == report_or_error(ref_verify, job)
+
+
+def test_unaligned_breakdown_described_without_divergence():
+    # the values agree up to the direct side's breakdown; the report is
+    # unequal only because the chain side runs on
+    rep = verify_equivalence(*planted_jobs()[0])
+    assert not rep.equal and rep.first_divergence is None
+    assert rep.describe() == ("trajectories agree on 3 compared value(s); direct run: breakdown "
+                              "at index 3: division by non-unit 0; breakdown points do NOT align")
+
+
+def test_deviation_of_huge_float_quaternions():
+    # (u - w) ** 2 overflows past about 1e154; the distance itself is finite
+    big = (3e200, 4e200, 0.0, 0.0)
+    assert math.isclose(_deviation([big], [(0.0, 0.0, 0.0, 0.0)]), 5e200, rel_tol=1e-15)
+    assert _deviation([(1.0, 2.0, 2.0, 0.0)], [(0.0,) * 4]) == 3.0
+
+
+def test_shared_map_subexpressions_computed_once_per_step(monkeypatch):
+    # the direct recurrence and the deepest factor share g: its terms that
+    # do not read the argument, d[n] + e[n] and its inverse, are computed
+    # once per step of the verify loop; d + e vanishes at n = 18 only
+    R = make_ring("integers-mod-m", modulus=11)
+    M = Module(R, 2)
+    seqs = {"c": ["3"], "d": ["1", "1", "1", "2", "1"], "e": ["1", "1", "1", "1", "9", "1", "1"]}
+    g = GMap.expression(M, ["c[n]*u1*u2/(d[n]+e[n]) + u1", "inv(d[n]+e[n])*u1 - c[n]*u2*u2"],
+                        seqs)
+    rec = Recurrence(M, ["0", "2", "1"], ["1", "-1", "-1"], g)
+    chain = factor_chain(rec)
+    _compile.cache_clear()
+    sources = []
+    real_compile = builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
+    rep = verify_equivalence(rec, chain, [["1", "2"], ["3", "4"], ["5", "6"]], 40)
+    [loop] = [src for src in sources if "for n in range(lo, hi)" in src]
+    assert loop.count("pow(") == 1 and loop.count("DIV(") + loop.count("INV(") == 1
+    assert rep.equal and rep.compared == 19
+    assert rep.direct_breakdown == Breakdown(19, "division by non-unit 0")
+    assert rep.chain_breakdown == Breakdown(19, "propagated: propagated: division by non-unit 0")
 
 
 def test_verify_memory_flat_in_steps(configs_dir):

@@ -242,7 +242,7 @@ class TestVariableCertificate:
         R = rec.ring
         cert = variable_certificate(rec, [R.el(1), R.el(-1)], horizon=8)
         assert cert.status == "proved-periodic" and cert.period == 2
-        assert [int(a.v) for a in cert.alphas[:4]] == [1, -1, 1, -1]
+        assert [a.v for a in cert.alphas[:4]] == [(1, 1), (-1, 1), (1, 1), (-1, 1)]
 
     def test_bad_seed_fails_at_frozen_step(self):
         rec = self._np_rec()
@@ -265,10 +265,10 @@ class TestVariableCertificate:
         cert = variable_certificate(rec, [R.el(1), R.el(-1)], horizon=8)
         step = build_variable_factor(rec, cert)
         fac = step.factor
-        assert [int(v.v) for v in fac.a[0].values] == [-1, 1]
+        assert [v.v for v in fac.a[0].values] == [(-1, 1), (1, 1)]
         assert fac.a[1].is_constant and fac.a[1].values[0].is_zero
         assert fac.b[0].is_constant and fac.b[0].values[0] == R.one
-        assert [int(v.v) for v in fac.b[1].values] == [-1, 1]
+        assert [v.v for v in fac.b[1].values] == [(-1, 1), (1, 1)]
 
     def test_horizon_bounded_refused_for_factor_building(self):
         # with a = (1, 1) and g = 0 the seed alpha_0 = 1 drives
@@ -379,7 +379,7 @@ class TestSecondOrderShortcut:
                           GMap.linear_scale(M, ["2/3", "-1/2"]))
         step = second_order_shortcut(lvl2)
         assert step.route == "shortcut"
-        assert [int(v.v) for v in step.alpha.values] == [-1, 1]
+        assert [v.v for v in step.alpha.values] == [(-1, 1), (1, 1)]
         fac = step.factor
         assert fac.order == 1
         assert fac.a[0].values[0].is_zero

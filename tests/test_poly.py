@@ -379,12 +379,13 @@ def _int_divisors(n):
                    for d in (k, n // k)})
 
 
-def _divisor_candidates(g):
-    """Reference: every +-a/b with a | g(0) and b | lead g (rational root theorem)."""
-    den = math.lcm(*(c.v.denominator for c in g.coeffs))
-    ints = [int(c.v * den) for c in g.coeffs]
-    return sorted({Fraction(s * a, b) for a in _int_divisors(ints[0])
-                   for b in _int_divisors(ints[-1]) for s in (1, -1)})
+def _divisor_candidates(f, gauss):
+    """Reference: every +-a/b with a | f(0) and b | lead f (rational root
+    theorem), for the integer polynomial f, as payloads (n, d)."""
+    ints = [a for a, _ in f]
+    cands = {Fraction(s * a, b) for a in _int_divisors(ints[0])
+             for b in _int_divisors(ints[-1]) for s in (1, -1)}
+    return sorted((q.numerator, q.denominator) for q in cands)
 
 
 def _rational_poly(R, roots, cofactor):
@@ -427,7 +428,7 @@ class TestRationalRouteAgainstDivisors:
         t0 = time.perf_counter()
         rr = unit_roots(g * P(R, 2, 1), g)
         assert time.perf_counter() - t0 < 2.0
-        assert [(r.v, mult) for r, mult in rr.roots] == [(Fraction(-3, 5), 1), (big, 1)]
+        assert [(r.v, mult) for r, mult in rr.roots] == [((-3, 5), 1), ((10**12 + 39, 7), 1)]
         assert rr.method == "rational-root" and rr.exhaustive
 
 
@@ -449,10 +450,9 @@ def _gaussian_int_divisors(z):
     return out
 
 
-def _gaussian_divisor_candidates(g):
-    """Reference: every unit * a/b with a | g(0) and b | lead g in Z[i]."""
-    den = math.lcm(*(part.denominator for c in g.coeffs for part in c.v))
-    zs = [(int(c.v[0] * den), int(c.v[1] * den)) for c in g.coeffs]
+def _gaussian_divisor_candidates(zs, gauss):
+    """Reference: every unit * a/b with a | f(0) and b | lead f in Z[i], for
+    the Gaussian-integer polynomial f, as payloads (x, y, d)."""
     cands = set()
     for a in _gaussian_int_divisors(zs[0]):
         for b in _gaussian_int_divisors(zs[-1]):
@@ -461,7 +461,7 @@ def _gaussian_divisor_candidates(g):
             im = Fraction(a[1] * b[0] - a[0] * b[1], nb)
             for u in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 cands.add((re * u[0] - im * u[1], re * u[1] + im * u[0]))
-    return sorted(cands)
+    return sorted(GaussianRationals().el(c).v for c in cands)
 
 
 def _poly_with_roots(R, roots, cofactor):
@@ -511,7 +511,8 @@ class TestGaussianRouteAgainstDivisors:
         t0 = time.perf_counter()
         rr = unit_roots(g * P(R, 2, 1), g)
         assert time.perf_counter() - t0 < 2.0
-        assert [(r.v, mult) for r, mult in rr.roots] == [(small, 1), (big, 1)]
+        assert [(r.v, mult) for r, mult in rr.roots] == \
+            [((-3, 10, 5), 1), ((3 * (10**12 + 39), -7 * (10**9 + 7), 21), 1)]
         assert rr.method == "rational-root" and rr.exhaustive
 
 

@@ -1,6 +1,8 @@
 """Element arithmetic, parsing, and formatting across the six rings."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
 from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
-                            Rationals, RationalQuaternions, _fmt_signed, _qmul, is_prime)
+                            Rationals, RationalQuaternions, _fmt_signed, _parse_terms, _qmul,
+                            is_prime)
 
 # Components with zeros, signs, denominators sharing small prime factors, and
 # numerators far past one machine word.
@@ -190,6 +193,73 @@ class TestQuaternions:
 def _fractions(p):
     """A rational-quaternion payload as the Fraction 4-tuple it stands for."""
     return tuple(Fraction(c, p[4]) for c in p[:4])
+
+
+# Literal texts from the characters of the rational grammar and its near
+# misses: "d" (which Fraction's decimal group accepts), "_", spaces, a tab,
+# and a non-ASCII digit.
+_LITERAL = st.text(alphabet="0123456789+-./eEd_i jk\t\u0663", max_size=14)
+_LITERAL_EXAMPLES = ["1.5", "1e-3", "-3/4", "6/4", " 2 / 4 ", "1/0", "-3/0", "0/0", "1.d", "1.",
+                     ".5", "1_000/2_0", "1__0", "+.5e+2_0", "", "-", "1/2-2/3i", "i-i", "3/0i",
+                     "-k+1/2j", "\u0663/2", "1e-3+2E2i"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def _examples(texts):
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return apply
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the literal grammar is that of Python 3.11's Fraction")
+class TestLiteralsAgainstFraction:
+    """The literal parsers against fractions.Fraction, which they replaced:
+    accept or refuse alike, the same value, and the same ParseError text."""
+
+    @staticmethod
+    def _tame(text):
+        # an exponent of five digits or more makes Fraction compute 10**e
+        return not re.search(r"[eE][-+]?[\d_]{5}", text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_LITERAL)
+    @_examples(_LITERAL_EXAMPLES)
+    def test_rational(self, text):
+        if not self._tame(text):
+            return
+
+        def oracle(t):
+            try:
+                q = Fraction(t.strip().replace(" ", ""))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad rational literal {t!r}: {exc}") from exc
+            return (q.numerator, q.denominator)
+        assert _outcome(Rationals()._parse, text) == _outcome(oracle, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_LITERAL)
+    @_examples(_LITERAL_EXAMPLES)
+    def test_gaussian_and_quaternion(self, text):
+        if not self._tame(text):
+            return
+        for ring, units in ((GaussianRationals(), "i"), (RationalQuaternions(), "ijk")):
+            def oracle(t, units=units):
+                terms = _parse_terms(t, units, Fraction)
+                return tuple(terms.get(u, Fraction(0)) for u in ("", *units))
+
+            def parts(t, ring=ring):
+                p = ring._parse(t)
+                return tuple(Fraction(c, p[-1]) for c in p[:-1])
+            assert _outcome(parts, text) == _outcome(oracle, text)
 
 
 class TestMakeRing:
