@@ -15,7 +15,13 @@ the method used and whether the search was exhaustive:
   Q = 0; every unit when both vanish mod p): h = gcd(g, x^p - x) with x^p
   taken modulo g, the factor x divided out, and h split by
   gcd(h, (x + c)^((p-1)/2) - 1) for c = 0, 1, 2, ... (Rabin;
-  Cantor-Zassenhaus). Each root r mod p^j lifts one digit at a time (Hensel):
+  Cantor-Zassenhaus). Each power (x + c)^e modulo a polynomial of degree d
+  runs in a square-and-multiply kernel generated for d and compiled once
+  per process, with every coefficient a local: a square is reduced by the
+  monic modulus to its remainder, and a multiply by x + c is a shift.
+  Euclid's gcd keeps remainders only. A kernel grows with d^2, so a g of
+  degree above MAX_PRIME_SEARCH_DEGREE is refused. Each root r mod p^j
+  lifts one digit at a time (Hensel):
   r + t*p^j is a root mod p^(j+1) when f(r)/p^j + t*f'(r) = 0 (mod p) for P
   and for a nonzero Q, so a step gives 0, 1 or p lifts. The roots mod the
   p^e are combined by the CRT. Over a prime, multiplicities come from
@@ -43,6 +49,7 @@ second search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -325,47 +332,101 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b over F_p."""
+def _longdiv_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Long division of a by a nonzero b over F_p in one list: its first
+    deg b entries are the remainder and the rest is the quotient."""
     r = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(r) - db)
     for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db] * inv % p
-        q[k] = c
+        c = r[k + db] = r[k + db] * inv % p
         if c:
-            for i in range(db + 1):
+            for i in range(db):
                 r[k + i] = (r[k + i] - c * b[i]) % p
-    return _trim(q), _trim(r[:db])
+    return r
 
 
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over F_p; a and b are not both zero."""
     while b:
-        a, b = b, _divmod_p(a, b, p)[1]
+        a, b = b, _trim(_longdiv_p(a, b, p)[:len(b) - 1])
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def _mulmod_p(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _divmod_p([c % p for c in out], f, p)[1]
-
-
-def _powmod_p(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e modulo f over F_p, by square-and-multiply (deg f >= 1)."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _mulmod_p(out, base, f, p)
-        e >>= 1
-        if e:
-            base = _mulmod_p(base, base, f, p)
+def _square_source(d: int) -> list[str]:
+    """The 2d - 1 coefficients of (r0 + r1 x + .. + r(d-1) x^(d-1))^2 as
+    source, each cross term written once and doubled."""
+    out = []
+    for k in range(2 * d - 1):
+        cross = " + ".join(f"r{i} * r{k - i}" for i in range(max(0, k - d + 1), (k + 1) // 2))
+        terms = [f"2 * ({cross})"] if cross else []
+        if k % 2 == 0:
+            terms.append(f"r{k // 2} * r{k // 2}")
+        out.append(" + ".join(terms))
     return out
+
+
+def _reduce_source(ts: list[str], d: int, indent: str) -> list[str]:
+    """Lines setting r0..r(d-1) to the product ts modulo the monic
+    x^d - (n0 + n1 x + .. + n(d-1) x^(d-1)), remainder only: the terms from
+    x^(2d-2) down to x^d are taken mod p as they are folded down (t_k), and
+    each kept coefficient is taken mod p once."""
+    lines, kept = [], []
+    for k in range(2 * d - 2, -1, -1):
+        folded = " + ".join([ts[k]] + [f"t{j} * n{k - j + d}"
+                                       for j in range(max(k + 1, d), min(k + d, 2 * d - 2) + 1)])
+        if k >= d:
+            lines.append(f"{indent}t{k} = ({folded}) % p")
+        else:
+            kept.append(f"({folded}) % p")
+    rs = ", ".join(f"r{i}" for i in range(d))
+    return lines + [f"{indent}{rs}, = {', '.join(reversed(kept))},"]
+
+
+def _times_linear_source(d: int, indent: str) -> str:
+    """A line setting r0..r(d-1) to r*(x + c) modulo the same monic: x*r is
+    a shift whose top coefficient r(d-1) folds back as r(d-1)*n_i."""
+    rs = ", ".join(f"r{i}" for i in range(d))
+    terms = [f"({f'r{i - 1} + ' if i else ''}c * r{i} + r{d - 1} * n{i}) % p" for i in range(d)]
+    return f"{indent}{rs}, = {', '.join(terms)},"
+
+
+# Square-and-multiply kernels kept per process, one per degree of the modulus.
+POW_KERNEL_CACHE_SIZE = 64
+
+# A kernel's source grows with the square of its degree (about 1.5 d^2
+# products), so a search over Z/p refuses a gcd(P, Q) of higher degree.
+MAX_PRIME_SEARCH_DEGREE = 128
+
+
+@functools.lru_cache(maxsize=POW_KERNEL_CACHE_SIZE)
+def _pow_kernel(d: int):
+    """kernel(c, n0.., bits, p): the coefficients of (x + c)^e modulo the
+    monic x^d - sum n_i x^i over F_p, for bits = bin(e)[3:] and e >= 1.
+    Every coefficient is a local."""
+    rs, ns = (", ".join(f"{v}{i}" for i in range(d)) for v in "rn")
+    source = "\n".join([
+        f"def kernel(c, {ns}, bits, p):",
+        f"    {rs}, = 1,{' 0,' * (d - 1)}",
+        _times_linear_source(d, "    "),
+        "    for bit in bits:",
+        *_reduce_source(_square_source(d), d, "        "),
+        "        if bit == '1':",
+        _times_linear_source(d, "            "),
+        f"    return [{rs}]"])
+    namespace = {}
+    exec(compile(source, f"<scfactor powmod kernel, degree {d}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _powmod_p(c: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + c)^e modulo f over F_p (deg f >= 1), in the kernel for deg f,
+    with f made monic first."""
+    if not e:
+        return [1]
+    inv = -pow(f[-1], -1, p)
+    return _trim(_pow_kernel(len(f) - 1)(c, *[a * inv % p for a in f[:-1]], bin(e)[3:], p))
 
 
 def _minus_p(a: list[int], b: list[int], p: int) -> list[int]:
@@ -381,12 +442,12 @@ def _split_p(h: list[int], p: int, c: int, out: list[int]) -> None:
     Over F_2 h is at most x - 1 and never reaches the loop.
     """
     while len(h) > 2:
-        w = _minus_p(_powmod_p([c, 1], (p - 1) // 2, h, p), [1], p)
+        w = _minus_p(_powmod_p(c, (p - 1) // 2, h, p), [1], p)
         a = _gcd_p(h, w, p)
         c += 1
         if 1 < len(a) < len(h):
             _split_p(a, p, c, out)
-            h = _divmod_p(h, a, p)[0]
+            h = _longdiv_p(h, a, p)[len(a) - 1:]
     if len(h) == 2:
         out.append(-h[0] % p)
 
@@ -399,7 +460,11 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
     """
     if len(f) < 2:
         return []
-    h = _gcd_p(f, _minus_p(_powmod_p([0, 1], p, f, p), [0, 1], p), p)
+    if len(f) - 1 > MAX_PRIME_SEARCH_DEGREE:
+        raise ParseError(
+            f"root search mod {p} over a gcd(P, Q) of degree {len(f) - 1} is refused: "
+            f"the search is limited to degree {MAX_PRIME_SEARCH_DEGREE}")
+    h = _gcd_p(f, _minus_p(_powmod_p(0, p, f, p), [0, 1], p), p)
     roots = []
     if h[0] == 0:  # h is squarefree, so x divides it at most once
         roots.append(0)

@@ -45,6 +45,18 @@ _RATIONAL_RE = re.compile(r"""
       |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
     \s*\Z""", re.VERBOSE | re.IGNORECASE)
 
+# Largest bit length of a numerator or denominator accepted in a simulated
+# value or a certificate's alpha: 2466 decimal digits, within Python's default
+# limit of 4300 digits for int-to-str conversion, so every accepted value can
+# be written out.
+MAX_PAYLOAD_BITS = 1 << 13
+
+# Largest |e| accepted in a literal's exponent: 10**e stays below
+# 2**MAX_PAYLOAD_BITS, so the power is never computed past that size.
+MAX_LITERAL_EXPONENT = int(MAX_PAYLOAD_BITS * math.log10(2))
+
+_RESIDUE_RE = re.compile(r"[+-]?\d+")
+
 
 def _reduced(*v):
     """The canonical payload (c_1, .., c_k, d) of (c_1, .., c_k)/d, d > 0."""
@@ -54,7 +66,8 @@ def _reduced(*v):
 
 def _parse_rational(text: str) -> tuple[int, int]:
     """The payload (n, d) of a rational literal; raises ValueError or
-    ZeroDivisionError with the text fractions.Fraction gives."""
+    ZeroDivisionError with the text fractions.Fraction gives, and ValueError
+    for an exponent past MAX_LITERAL_EXPONENT."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
@@ -68,6 +81,9 @@ def _parse_rational(text: str) -> tuple[int, int]:
             n = n * d + int(dec)
         if m["exp"]:
             e = int(m["exp"])
+            if abs(e) > MAX_LITERAL_EXPONENT:
+                raise ValueError(f"exponent larger than {MAX_LITERAL_EXPONENT} in absolute value: "
+                                 f"10**e would pass the limit of {MAX_PAYLOAD_BITS} bits")
             n, d = (n * 10 ** e, d) if e >= 0 else (n, d * 10 ** -e)
     if m["sign"] == "-":
         n = -n
@@ -306,13 +322,6 @@ class El:
         return f"<{self.ring.fmt(self.v)} in {self.ring}>"
 
 
-# Largest bit length of a numerator or denominator accepted in a simulated
-# value or a certificate's alpha: 2466 decimal digits, within Python's default
-# limit of 4300 digits for int-to-str conversion, so every accepted value can
-# be written out.
-MAX_PAYLOAD_BITS = 1 << 13
-
-
 class Ring:
     """Base class: subclasses fill in payload-level operations."""
 
@@ -364,11 +373,11 @@ class Ring:
     def __repr__(self):
         return f"Ring({self})"
 
-    @property
+    @functools.cached_property
     def zero(self) -> El:
         return self.from_int(0)
 
-    @property
+    @functools.cached_property
     def one(self) -> El:
         return self.from_int(1)
 
@@ -496,7 +505,7 @@ class IntegersMod(_PlainOps, Ring):
 
     def _parse(self, text):
         t = text.strip()
-        if not re.fullmatch(r"[+-]?\d+", t):
+        if not _RESIDUE_RE.fullmatch(t):
             raise ParseError(f"bad residue literal {t!r} for {self}")
         return int(t) % self.m
 

@@ -335,6 +335,61 @@ class TestErrors:
         assert err == ("error: value at index 15 exceeds the size limit of 8192 bits "
                        "per numerator or denominator\n")
 
+    @pytest.mark.parametrize("kind, literal, number", [
+        ("exact-rational", "1e99999999", None),
+        ("gaussian-rational", "1-1e-99999999i", "-1e-99999999"),
+        ("rational-quaternion", "2.5E+2467j", "2.5E+2467"),
+    ], ids=["rational", "gaussian", "quaternion"])
+    def test_literal_exponent_past_limit(self, capsys, tmp_path, kind, literal, number):
+        # the parser computed 10**e with no bound, so 1e99999999 ran on for
+        # more than 10 s; 2467 is the least exponent whose power passes 8192 bits
+        doc = {"ring": {"kind": kind}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", literal, "0"], "b": ["1", "-1", "1"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "2", "3"]}
+        p = tmp_path / "exponent.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert time.perf_counter() - t0 < 2.0
+        where = f"bad number {number!r} in {literal!r}" if number else \
+            f"bad rational literal {literal!r}"
+        assert code == 2 and out == ""
+        assert err == (f"error: bad recurrence: {where}: exponent larger than 2466 in "
+                       "absolute value: 10**e would pass the limit of 8192 bits\n")
+
+    def test_literal_exponent_at_limit(self, capsys, tmp_path):
+        # 10**2466 has 8192 bits, so the literal is read and the job runs
+        doc = {"ring": {"kind": "exact-rational"}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", "1e-2466", "0"], "b": ["1", "-1", "1"],
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1", "2", "3"]}
+        p = tmp_path / "exponent.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "factor", str(p))
+        assert code in (0, 3) and err == ""
+
+    @pytest.mark.parametrize("order", [128, 129])
+    def test_prime_search_degree_limit(self, capsys, tmp_path, order):
+        # with Q = 0 the search mod p runs on P, of degree the order; the
+        # search's kernel grows with the square of the degree, so past 128
+        # the search is refused
+        doc = {"ring": {"kind": "integers-mod-m", "modulus": 10007}, "module": {"dim": 1},
+               "recurrence": {"a": ["0"] * (order - 1) + ["1"], "b": ["0"] * order,
+                              "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+               "initial": ["1"] * order}
+        p = tmp_path / "order.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", str(p))
+        assert time.perf_counter() - t0 < 5.0
+        if order == 128:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err == ("error: root search mod 10007 over a gcd(P, Q) of degree 129 is "
+                           "refused: the search is limited to degree 128\n")
+
     def test_certify_refuses_growing_alphas(self, capsys, tmp_path):
         # alpha_n = 1 + 1/alpha_{n-1} runs through ratios of Fibonacci numbers,
         # which pass 8192 bits at n = 11801. Without the limit the run went on

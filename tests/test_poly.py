@@ -6,15 +6,16 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scfactor import NotAValidRoot, ParseError, Poly, deflate, durand_kerner, poly_gcd, unit_roots
 from scfactor import poly as poly_mod
 from scfactor.cli import main
 from scfactor.errors import NoncommutativeRing
-from scfactor.poly import MAX_COMPOSITE_MODULUS, verified_roots
+from scfactor.poly import MAX_COMPOSITE_MODULUS, MAX_PRIME_SEARCH_DEGREE, verified_roots
 from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
                             Rationals, RationalQuaternions)
 
@@ -367,6 +368,149 @@ class TestResidueRootsAgainstScan:
         R = IntegersMod(MAX_COMPOSITE_MODULUS + 2)
         with pytest.raises(ParseError, match=str(MAX_COMPOSITE_MODULUS)):
             unit_roots(P(R, 1, 1), Poly(R, []))
+
+
+# ---------------------------------------------------------------------------
+# the square-and-multiply kernels against the schoolbook arithmetic they replaced
+
+
+def _ref_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b over F_p, by long division."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] * inv % p
+        q[k] = c
+        if c:
+            for i in range(db + 1):
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    return _ref_trim(q), _ref_trim(r[:db])
+
+
+def _ref_gcd(a, b, p):
+    while b:
+        a, b = b, _ref_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _ref_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_divmod([c % p for c in out], f, p)[1]
+
+
+def _ref_powmod(base, e, f, p):
+    """base^e modulo f over F_p, schoolbook square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _ref_mulmod(out, base, f, p)
+        e >>= 1
+        if e:
+            base = _ref_mulmod(base, base, f, p)
+    return out
+
+
+KERNEL_PRIMES = [2, 3, 97, 10007, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def _kernel_cases(draw, primes=KERNEL_PRIMES):
+    """(p, f, c, e): f of degree 1-8 with any nonzero leading coefficient,
+    the base x + c, and e one of 0, 1, p, (p - 1)/2 or any."""
+    p = draw(st.sampled_from(primes))
+    d = draw(st.integers(1, 8))
+    coeff = st.integers(0, p - 1)
+    f = draw(st.lists(coeff, min_size=d, max_size=d)) + [draw(st.integers(1, p - 1))]
+    c = draw(coeff | st.integers(p, 3 * p))
+    e = draw(st.sampled_from([0, 1, p, (p - 1) // 2]) | st.integers(0, 10**6))
+    return p, f, c, e
+
+
+@st.composite
+def _planted_roots(draw, primes):
+    """(p, f): f = lead * prod (x - r) * cofactor over F_p, the roots r
+    possibly repeated, f of degree 1-8."""
+    p = draw(st.sampled_from(primes))
+    coeff = st.integers(0, p - 1)
+    roots = draw(st.lists(coeff, max_size=5))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    cofactor = draw(st.lists(coeff, max_size=8 - len(roots))) + [draw(st.integers(1, p - 1))]
+    f = _ref_trim(_from_roots(roots, cofactor, p))
+    assume(len(f) >= 2)
+    return p, f
+
+
+class TestPowmodKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases())
+    @example((2, [1, 1], 1, 2))
+    @example((2**61 - 1, [5, 0, 0, 0, 0, 0, 0, 0, 3], 0, 2**61 - 1))
+    @example((97, [3, 7], 96, 48))
+    def test_powmod_matches_schoolbook(self, case):
+        # a modulus of degree 1 takes the base x + c, of its own degree, reduced
+        p, f, c, e = case
+        assert poly_mod._powmod_p(c, e, f, p) == _ref_powmod([c % p, 1], e, f, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases(), st.data())
+    def test_division_and_gcd_match_schoolbook(self, case, data):
+        p, f = case[:2]
+        g = _ref_trim(data.draw(st.lists(st.integers(0, p - 1), max_size=2 * len(f))))
+        q, r = _ref_divmod(g, f, p)
+        packed = poly_mod._longdiv_p(g, f, p)
+        assert (_ref_trim(packed[len(f) - 1:]), _ref_trim(packed[:len(f) - 1])) == (q, r)
+        assert poly_mod._gcd_p(f, g, p) == _ref_gcd(f, g, p)
+        if g:
+            assert poly_mod._gcd_p(g, f, p) == _ref_gcd(g, f, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_planted_roots(KERNEL_PRIMES) | _kernel_cases().map(lambda c: (c[0], c[1])))
+    def test_roots_match_schoolbook(self, case):
+        # gcd(f, x^p - x) is the product of x - r over the distinct roots r
+        p, f = case
+        roots = poly_mod._roots_mod_p(f, p)
+        xp = _ref_powmod([0, 1], p, f, p)
+        h = _ref_gcd(f, _ref_trim([(a - b) % p for a, b in
+                                   zip_longest(xp, [0, 1], fillvalue=0)]), p)
+        assert roots == sorted(set(roots)) and len(roots) == len(h) - 1
+        assert all(_horner(f, r, p) == 0 and _horner(h, r, p) == 0 for r in roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_planted_roots(PRIMES_UNDER_200))
+    def test_roots_match_scan(self, case):
+        p, f = case
+        assert poly_mod._roots_mod_p(f, p) == [r for r in range(p) if _horner(f, r, p) == 0]
+
+    def test_search_degree_limit(self):
+        # x^128 - 1 has the 128 roots of unity mod 257; one degree more is refused
+        roots = poly_mod._roots_mod_p([256] + [0] * 127 + [1], 257)
+        assert roots == [r for r in range(1, 257) if pow(r, 128, 257) == 1]
+        with pytest.raises(ParseError, match=f"limited to degree {MAX_PRIME_SEARCH_DEGREE}"):
+            poly_mod._roots_mod_p([256] + [0] * 128 + [1], 257)
+        R = IntegersMod(257)
+        with pytest.raises(ParseError, match="degree 129 is refused"):
+            unit_roots(Poly(R, [1] * 130), Poly(R, []))
+
+    def test_kernel_compiled_once_per_degree(self):
+        poly_mod._pow_kernel.cache_clear()
+        for _ in range(3):
+            for d in range(1, 6):
+                poly_mod._powmod_p(0, 10007, [2] * d + [3], 10007)
+                assert poly_mod._pow_kernel(d) is poly_mod._pow_kernel(d)
+        info = poly_mod._pow_kernel.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,17 @@ class TestLiteralsAgainstFraction:
         # an exponent of five digits or more makes Fraction compute 10**e
         return not re.search(r"[eE][-+]?[\d_]{5}", text)
 
+    @staticmethod
+    def _fraction(text):
+        """Fraction(text), with the parser's refusal of an exponent whose
+        power of 10 passes 8192 bits (above 2466), which Fraction lacks."""
+        q = Fraction(text)
+        exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+        if exp and abs(int(exp[1])) > 2466:
+            raise ValueError("exponent larger than 2466 in absolute value: "
+                             "10**e would pass the limit of 8192 bits")
+        return q
+
     @settings(max_examples=600, deadline=None)
     @given(_LITERAL)
     @_examples(_LITERAL_EXAMPLES)
@@ -239,7 +250,7 @@ class TestLiteralsAgainstFraction:
 
         def oracle(t):
             try:
-                q = Fraction(t.strip().replace(" ", ""))
+                q = self._fraction(t.strip().replace(" ", ""))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational literal {t!r}: {exc}") from exc
             return (q.numerator, q.denominator)
@@ -253,7 +264,7 @@ class TestLiteralsAgainstFraction:
             return
         for ring, units in ((GaussianRationals(), "i"), (RationalQuaternions(), "ijk")):
             def oracle(t, units=units):
-                terms = _parse_terms(t, units, Fraction)
+                terms = _parse_terms(t, units, self._fraction)
                 return tuple(terms.get(u, Fraction(0)) for u in ("", *units))
 
             def parts(t, ring=ring):
