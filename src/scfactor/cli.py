@@ -48,32 +48,40 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append the text of obj; ``newline`` starts a line at its depth."""
-    if isinstance(obj, str):
+    """Append the text of obj; ``newline`` starts a line at its depth.
+    Dispatches on the exact type (reports hold no subclasses of str, int,
+    list or dict), and writes a str item of a list or dict in its loop."""
+    kind = type(obj)
+    if kind is str:
         out.append(_quote(obj))
-    elif obj is None or obj is True or obj is False:
+    elif kind is dict or kind is list or kind is tuple:
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+            return
+        is_dict = kind is dict
+        inner = sep = newline + "  "
+        out.append("{" if is_dict else "[")
+        for item in sorted(obj) if is_dict else obj:
+            if is_dict:
+                out.append(f"{sep}{_quote(item)}: ")
+                item = obj[item]
+            else:
+                out.append(sep)
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + ("}" if is_dict else "]"))
+    elif obj is None or kind is bool:
         out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
+    elif kind is int:
         out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
+    elif kind is float:
         out.append(float.__repr__(obj) if math.isfinite(obj) else
                    "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    elif isinstance(obj, (list, tuple, dict)):
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            out.append("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        out.append("{" if is_dict else "[")
-        for i, item in enumerate(sorted(obj) if is_dict else obj):
-            out.append(("," if i else "") + inner)
-            if is_dict:
-                out.append(_quote(item) + ": ")
-                item = obj[item]
-            _write_json(item, inner, out)
-        out.append(newline + ("}" if is_dict else "]"))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +96,36 @@ def _coeff_obj(c: CoeffSeq):
 
 def _gmap_obj(g: GMap) -> dict:
     obj = {"kind": g.kind}
+    fmt = g.module.ring.fmt
     if g.kind == "constant-sequence":
-        obj["values"] = [g.module.fmt(v) for v in g.vec_values]
+        # the payloads are stored per component: one list per value
+        obj["values"] = [list(map(fmt, v)) for v in zip(*g.seq_payloads.values())]
     elif g.kind == "linear-scale":
-        obj["values"] = [str(v) for v in g.scalar_values]
+        obj["values"] = list(map(fmt, g.seq_payloads[0]))
     elif g.kind == "expression":
         obj["exprs"] = list(g.sources)
         if g.seqs:
-            obj["sequences"] = {name: [str(v) for v in vals]
-                                for name, vals in g.seqs.items()}
+            obj["sequences"] = {name: list(map(fmt, vals))
+                                for name, vals in g.seq_payloads.items()}
     return obj
 
 
-def _rec_obj(rec: Recurrence, var: str) -> dict:
-    return {
-        "order": rec.order,
-        "a": [_coeff_obj(c) for c in rec.a],
-        "b": [_coeff_obj(c) for c in rec.b],
-        "g": _gmap_obj(rec.g),
-        "text": rec.describe(var),
-    }
+def _rec_obj(rec: Recurrence, var: str, memo: dict) -> dict:
+    """The report object of rec named ``var``, built once per report: a
+    chain's levels share one map, and its final factor is its last step's.
+    ``memo`` holds the objects built for this report, by object id."""
+    key = (id(rec), var)
+    if key not in memo:
+        if id(rec.g) not in memo:
+            memo[id(rec.g)] = _gmap_obj(rec.g)
+        memo[key] = {
+            "order": rec.order,
+            "a": [_coeff_obj(c) for c in rec.a],
+            "b": [_coeff_obj(c) for c in rec.b],
+            "g": memo[id(rec.g)],
+            "text": rec.describe(var),
+        }
+    return memo[key]
 
 
 def _cert_obj(cert) -> dict:
@@ -131,13 +149,13 @@ def _root_report_obj(rr) -> dict:
     }
 
 
-def _chain_obj(chain: FactorizationChain) -> dict:
+def _chain_obj(chain: FactorizationChain, memo: dict) -> dict:
     steps = []
     for i, st in enumerate(chain.steps, start=1):
         obj = {
             "route": st.route,
             "alpha": _coeff_obj(st.alpha),
-            "factor": _rec_obj(st.factor, level_name(i)),
+            "factor": _rec_obj(st.factor, level_name(i), memo),
         }
         if st.rho is not None:
             obj["rho"] = str(st.rho)
@@ -151,9 +169,9 @@ def _chain_obj(chain: FactorizationChain) -> dict:
             obj["root_report"] = _root_report_obj(st.root_report)
         steps.append(obj)
     return {
-        "base": _rec_obj(chain.base, "x"),
+        "base": _rec_obj(chain.base, "x", memo),
         "steps": steps,
-        "final_factor": _rec_obj(chain.final_factor, level_name(len(chain.steps))),
+        "final_factor": _rec_obj(chain.final_factor, level_name(len(chain.steps)), memo),
         "complete": chain.complete,
         "depth": chain.depth,
         "levels": list(chain.level_names()),
@@ -161,11 +179,11 @@ def _chain_obj(chain: FactorizationChain) -> dict:
     }
 
 
-def _sub_obj(sub: SubstitutionFactorization) -> dict:
+def _sub_obj(sub: SubstitutionFactorization, memo: dict) -> dict:
     return {
         "sub_coeffs": [str(c) for c in sub.sub_coeffs],
         "b": str(sub.b),
-        "factor": _rec_obj(sub.factor, "s"),
+        "factor": _rec_obj(sub.factor, "s", memo),
     }
 
 
@@ -259,10 +277,11 @@ def _outcome_obj(out: FactorOutcome) -> dict:
         "status": "reducible" if out.reducible else "irreducible",
         "notes": list(out.notes),
     }
+    memo: dict = {}
     if out.chain is not None:
-        obj["chain"] = _chain_obj(out.chain)
+        obj["chain"] = _chain_obj(out.chain, memo)
     if out.substitution is not None:
-        obj["substitution"] = _sub_obj(out.substitution)
+        obj["substitution"] = _sub_obj(out.substitution, memo)
     if out.o2b is not None:
         obj["o2b"] = _o2b_obj(out.o2b)
     if out.reason is not None:

@@ -15,7 +15,7 @@ simulate_substitution run the deepest level that way, then rebuild every
 level above it in one generated loop (_rebuild, built with gmap.Emitter
 like the step): each step adds c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the
 value of the level below, level after level from the deepest up, with the
-latest values in locals and residues reduced only where they are stored.
+latest values in locals and values reduced only where they are stored.
 The chain's cofactors have the one term alpha_l(n)*w_n; the substitution's
 x level has k. A Trajectory holds those payload lists and its module; its
 ``values`` and ``value_at`` wrap payloads into Vec elements on read, and the
@@ -100,7 +100,7 @@ def _run(rec: Recurrence, hist, lo: int, hi: int) -> Breakdown | None:
     with x_{lo-k} .. x_lo (payload lists, oldest first); returns the
     breakdown that stops the run, if any. A value larger than
     MAX_PAYLOAD_BITS on an exact ring raises ConfigError."""
-    step, finite, bits = rec.kernel, rec.ring._finite, rec.ring._bits
+    step, finite, oversize = rec.kernel, rec.ring._finite, rec.ring._oversize
     for n in range(lo, hi):
         try:
             nxt = step(n, hist)
@@ -108,7 +108,7 @@ def _run(rec: Recurrence, hist, lo: int, hi: int) -> Breakdown | None:
             return Breakdown(n + 1, str(exc))
         if finite is not None and not all(map(finite, nxt)):
             return Breakdown(n + 1, "value is not finite")
-        if bits is not None and max(map(bits, nxt)) > MAX_PAYLOAD_BITS:
+        if oversize is not None and any(map(oversize, nxt)):
             raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
                               f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
         hist.append(nxt)
@@ -221,7 +221,8 @@ def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
     c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order, where v is
     level l itself and levels[l] lists the periodic payload tuples c_1,
     c_2, ...; the new value becomes the newest lag and the others shift
-    back. Residues are reduced mod m only where a value is stored.
+    back. Values are reduced (mod m, or to lowest terms) only where a value
+    is stored.
     """
     ring = e.ring
     for l, coeffs in enumerate(levels):
@@ -373,7 +374,7 @@ def _verify_loop(rec: Recurrence, factor: Recurrence, levels):
                       for _, _, names in sides)
     stop = f"return n, first, dev, {state}"
     fin = ring._finite and e.bind(ring._finite)
-    bits = ring._bits and e.bind(ring._bits)
+    oversize = ring._oversize and e.bind(ring._oversize)
     e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
     e.block("try:")
     e.block("for n in range(lo, hi):")
@@ -385,8 +386,8 @@ def _verify_loop(rec: Recurrence, factor: Recurrence, levels):
             new.append(out if out.isidentifier() else e.let(out))
         if fin:
             e.line(f"if {' or '.join(f'not {fin}({v})' for v in new)}: {stop}")
-        if bits:
-            e.line(f"if {' or '.join(f'{bits}({v}) > {MAX_PAYLOAD_BITS}' for v in new)}: {stop}")
+        if oversize:
+            e.line(f"if {' or '.join(f'{oversize}({v})' for v in new)}: {stop}")
         news.append(new)
     for (_, _, names), new in zip(sides, news):
         for j, v in enumerate(new):

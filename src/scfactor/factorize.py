@@ -26,6 +26,10 @@ where every alpha_n is a unit. Two construction routes exist:
 
   are well defined periodic sequences.
 
+The certificate route computes on payloads with the ring's lazy operations
+(rings: _lazy_add, _lazy_mul, _normal), as generated code does, and brings
+each alpha and each factor coefficient to its canonical payload once.
+
 criterion_check is the independent test from the defining property: the
 expression f_n(zeta_0, .., zeta_k) - alpha_n zeta_0 must not depend on the
 free leading value zeta_0 once the remaining zeta_j are pinned by probes.
@@ -40,6 +44,7 @@ from .errors import (
     CertificateFailure,
     CertificateNotPeriodic,
     ConfigError,
+    DivisionByNonUnit,
     Irreducible,
     NoncommutativeRing,
     NotAValidRoot,
@@ -150,13 +155,21 @@ class FactorizationChain:
 # the reduction criterion (independent oracle)
 
 
-def _descending_alpha_product(alpha: CoeffSeq, n: int, i: int, j: int) -> El:
-    """alpha_{n-i} * alpha_{n-i-1} * ... * alpha_{n-j} (i <= j)."""
-    acc = None
-    for l in range(i, j + 1):
-        term = alpha.at(n - l)
-        acc = term if acc is None else acc * term
-    return acc
+def _inverse(ring, v):
+    """The inverse of the payload v; a non-unit raises as El.inverse does."""
+    w = ring._inv(v)
+    if w is None:
+        raise DivisionByNonUnit(f"{ring.fmt(v)} is not a unit in {ring}")
+    return w
+
+
+def _descending_alpha_product(ring, alpha: CoeffSeq, n: int, i: int, j: int):
+    """The payload of alpha_{n-i} * alpha_{n-i-1} * ... * alpha_{n-j}
+    (i <= j), normalized once."""
+    acc = alpha.payload_at(n - i)
+    for l in range(i + 1, j + 1):
+        acc = ring._lazy_mul(acc, alpha.payload_at(n - l))
+    return ring._normal(acc)
 
 
 def _zeta_chain(rec: Recurrence, alpha: CoeffSeq, n: int, u0: Vec, probes) -> list[Vec]:
@@ -165,13 +178,15 @@ def _zeta_chain(rec: Recurrence, alpha: CoeffSeq, n: int, u0: Vec, probes) -> li
     zeta_j = (alpha_{n-1}..alpha_{n-j})^(-1) u0
              - sum_{i=1..j} (alpha_{n-i}..alpha_{n-j})^(-1) v_i
     """
+    ring = rec.ring
+
+    def inverse(i, j):
+        return El(ring, _inverse(ring, _descending_alpha_product(ring, alpha, n, i, j)))
     zetas = [u0]
     for j in range(1, rec.order):
-        lead = _descending_alpha_product(alpha, n, 1, j).inverse()
-        acc = lead * u0
+        acc = inverse(1, j) * u0
         for i in range(1, j + 1):
-            coeff = _descending_alpha_product(alpha, n, i, j).inverse()
-            acc = acc - coeff * probes[i - 1]
+            acc = acc - inverse(i, j) * probes[i - 1]
         zetas.append(acc)
     return zetas
 
@@ -315,22 +330,24 @@ def linear_complete(rec: Recurrence, roots: list | None = None) -> Factorization
 # variable-coefficient route
 
 
-def _row_sum(row, alpha_at, n: int) -> El:
-    """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) for a coefficient row.
+def _row_sum(ring, row, alpha_at, n: int):
+    """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) for a coefficient row,
+    on payloads: alpha_at(m) is the payload of alpha_m, and the sum is
+    normalized once.
 
     For row rec.a this is the right side of ESa; for rec.b, the value of ESb.
     On exact rings trailing zero coefficients add nothing, so the alpha
     product stops at the last nonzero one.
     """
-    acc = row[0].at(n)
-    coeffs = [seq.at(n) for seq in row[1:]]
-    while acc.ring.exact and coeffs and coeffs[-1].is_zero:
+    add, mul, eq, zero = ring._lazy_add, ring._lazy_mul, ring._eq, ring.zero.v
+    acc, *coeffs = [seq.payload_at(n) for seq in row]
+    while ring.exact and coeffs and eq(coeffs[-1], zero):
         coeffs.pop()
     prod = None
     for i, c in enumerate(coeffs, start=1):
-        prod = alpha_at(n - i) if prod is None else prod * alpha_at(n - i)
-        acc = acc + c * prod.inverse()
-    return acc
+        prod = alpha_at(n - i) if prod is None else mul(prod, alpha_at(n - i))
+        acc = add(acc, mul(c, _inverse(ring, prod)))
+    return ring._normal(acc)
 
 
 def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertificate:
@@ -365,10 +382,10 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
         raise ParseError(f"horizon must be at least {k + 1}")
 
     need_esb = rec.g.uses_argument
-    bits = ring._bits
-    alphas: list[El] = list(seed_els)
+    eq, zero, fmt, oversize = ring._eq, ring.zero.v, ring.fmt, ring._oversize
+    alphas = [s.v for s in seed_els]
 
-    def alpha_hist(m: int) -> El:
+    def alpha_hist(m: int):
         if m < 0:
             raise CertificateFailure(
                 "alpha recursion reached an index before the seed window", n=m)
@@ -380,32 +397,32 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
 
     for n in range(k, horizon + 1):
         if need_esb:
-            val = _row_sum(rec.b, alpha_hist, n)
-            if not val.is_zero:
+            val = _row_sum(ring, rec.b, alpha_hist, n)
+            if not eq(val, zero):
                 raise CertificateFailure(
-                    f"b-side sum is {val}, not 0, with alpha window "
-                    f"{[str(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
-        nxt = _row_sum(rec.a, alpha_hist, n)
-        if bits is not None and bits(nxt.v) > MAX_PAYLOAD_BITS:
+                    f"b-side sum is {fmt(val)}, not 0, with alpha window "
+                    f"{[fmt(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
+        nxt = _row_sum(ring, rec.a, alpha_hist, n)
+        if oversize is not None and oversize(nxt):
             raise ConfigError(f"alpha_{n} exceeds the size limit of {MAX_PAYLOAD_BITS} "
                               "bits per numerator or denominator")
-        if not nxt.is_unit:
-            raise CertificateFailure(f"alpha_{n} = {nxt} is not a unit", n=n)
+        if ring._inv(nxt) is None:
+            raise CertificateFailure(f"alpha_{n} = {fmt(nxt)} is not a unit", n=n)
         alphas.append(nxt)
 
     coeff_period = rec.coeff_period
     period = None
     for p in range(coeff_period, len(alphas) - k + 1, coeff_period):
-        if all(alphas[p + i] == alphas[i] for i in range(k)):
+        if all(eq(alphas[p + i], alphas[i]) for i in range(k)):
             period = p
             break
 
     if period is not None and not ring.exact:
-        wrapped = CoeffSeq(alphas[:period])
+        wrapped = CoeffSeq([El(ring, a) for a in alphas[:period]]).payload_at
         for n in range(math.lcm(period, coeff_period)):
-            if not (wrapped.at(n) == _row_sum(rec.a, wrapped.at, n)):
+            if not eq(wrapped(n), _row_sum(ring, rec.a, wrapped, n)):
                 side = "a"
-            elif need_esb and not _row_sum(rec.b, wrapped.at, n).is_zero:
+            elif need_esb and not eq(_row_sum(ring, rec.b, wrapped, n), zero):
                 side = "b"
             else:
                 continue
@@ -415,8 +432,8 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
             period = None
             break
     status = "horizon-bounded" if period is None else "proved-periodic"
-    return UnitCertificate(tuple(seed_els), tuple(alphas), status, horizon, period, horizon,
-                           notes)
+    return UnitCertificate(tuple(seed_els), tuple(El(ring, a) for a in alphas), status,
+                           horizon, period, horizon, notes)
 
 
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
@@ -429,6 +446,7 @@ def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
     k = rec.k
     alpha = cert.alpha_seq()
     span = _span(alpha.period, rec.coeff_period)
+    add, mul, neg, normal = ring._lazy_add, ring._lazy_mul, ring._neg, ring._normal
 
     new_a: list[CoeffSeq] = []
     new_b: list[CoeffSeq] = []
@@ -436,20 +454,17 @@ def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
         avals = []
         bvals = []
         for n in range(span):
-            acc_a = ring.zero
-            acc_b = ring.zero
+            acc_a = acc_b = ring.zero.v
             prod = None
             for j in range(ip + 1, k + 1):
                 # gamma_{ip+1, j}(n) = alpha_{n-ip-1} * ... * alpha_{n-j}
-                if prod is None:
-                    prod = _descending_alpha_product(alpha, n, ip + 1, j)
-                else:
-                    prod = prod * alpha.at(n - j)
-                inv = prod.inverse()
-                acc_a = acc_a + rec.a[j].at(n) * inv
-                acc_b = acc_b + rec.b[j].at(n) * inv
-            avals.append(-acc_a)
-            bvals.append(-acc_b)
+                a = alpha.payload_at(n - j)
+                prod = a if prod is None else mul(prod, a)
+                inv = _inverse(ring, prod)
+                acc_a = add(acc_a, mul(rec.a[j].payload_at(n), inv))
+                acc_b = add(acc_b, mul(rec.b[j].payload_at(n), inv))
+            avals.append(El(ring, normal(neg(acc_a))))
+            bvals.append(El(ring, normal(neg(acc_b))))
         new_a.append(CoeffSeq(avals).reduced())
         new_b.append(CoeffSeq(bvals).reduced())
 
@@ -482,13 +497,14 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
     alpha_vals = [-(rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)) for n in range(period)]
     alpha = CoeffSeq(alpha_vals).reduced()
     span = math.lcm(alpha.period, rec.coeff_period)
+    ring, alpha_at = rec.ring, alpha.payload_at
     for n in range(span):
-        if not (alpha.at(n) == _row_sum(rec.a, alpha.at, n)):
+        if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
             diff = rec.a[0].at(n) - rec.a[1].at(n) * rec.b[1].at(n).inverse() * rec.b[0].at(n) \
                 + rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)
             raise CertificateFailure(
                 f"second-order closed condition fails: residual {diff}", n=n)
-        if not _row_sum(rec.b, alpha.at, n).is_zero:
+        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero.v):
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
     cert = UnitCertificate(
         seed=(alpha.at(0),),

@@ -25,12 +25,15 @@ tuple tree (binary nodes fully parenthesized, unary children parenthesized).
 
 Emitter writes trees as generated Python functions on ring payloads, with
 each ring's operations as source text (Ring.src_add and the other
-templates): operators on residues, rationals and complex floats, calls to
-payload functions on the other rings. Residues are reduced mod m lazily: at
-the outputs, before every inverse (so a breakdown names the reduced
-residue), and in products of more than MAX_LAZY_FACTORS factors. A residue
-inverse is pow(v, -1, m) behind an inline unit test (Ring.src_unit); the
-checked raiser runs only when the test fails. Within one map, a repeated
+templates): operators on residues and complex floats, calls to payload
+functions on the other rings. Every exact ring reduces lazily: residues mod
+m, and rationals, Gaussian rationals and rational quaternions to lowest
+terms (their sums and products skip the gcd, see rings), at the outputs,
+before every inverse (so a breakdown names the reduced value), and in
+products of more than MAX_LAZY_FACTORS factors. A residue inverse is read
+from the ring's memo (Ring.inverses); on a miss the checked raiser tests
+the unit, raises for a non-unit, and stores the inverse while the memo
+holds fewer than INVERSE_MEMO_SIZE entries. Within one map, a repeated
 subtree and a repeated inverse are computed once per step.
 GMap.kernel, Recurrence.kernel, the engine's chain rebuild and its one-pass
 verify are built on it; eval_expr is a wrapper for one evaluation on El
@@ -47,7 +50,7 @@ import math
 import re
 
 from .errors import DivisionByNonUnit, GMapSyntaxError, TanhUnsupported
-from .rings import El, FloatComplex, Ring
+from .rings import El, FloatComplex, Ring, _reduced
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[a-z][a-z0-9_]*)|(?P<punct>[-+*/()\[\]]))"
@@ -217,10 +220,15 @@ def expr_identifiers(ast) -> set[str]:
     return out
 
 
-# A product of more than this many residues is reduced mod m on the spot, so
-# lazy reduction keeps every intermediate int within a few times the size of m
-# however long the expression is.
+# A product of more than this many lazy values is reduced on the spot, so
+# lazy reduction keeps every intermediate int within a few times the size of
+# a stored value however long the expression is.
 MAX_LAZY_FACTORS = 4
+
+# Inverses kept in one residue ring's memo. A ring belongs to one job, so the
+# memo holds every unit of the small moduli that simulations use, and stays
+# small for large ones.
+INVERSE_MEMO_SIZE = 1 << 10
 
 
 # Code objects kept per process. A generated source holds no config values,
@@ -234,12 +242,17 @@ def _compile(source: str):
 
 
 def _checked_inverse(ring: Ring, what: str):
-    inv, fmt = ring._inv, ring.fmt
+    """The raiser: the inverse of the reduced value v, or DivisionByNonUnit
+    naming v. On a residue ring it stores the inverse of a unit in the
+    ring's memo while that holds fewer than INVERSE_MEMO_SIZE entries."""
+    inv, fmt, memo = ring._inv, ring.fmt, ring.inverses
 
     def checked(v, n):
         w = inv(v)
         if w is None:
             raise DivisionByNonUnit(f"{what} {fmt(v)}", n=n)
+        if memo is not None and len(memo) < INVERSE_MEMO_SIZE:
+            memo[v] = w
         return w
     return checked
 
@@ -259,9 +272,10 @@ class Emitter:
     """Python source for one function on a ring's payloads, built line by line.
 
     Values are bound in the namespace ``ns`` (K<i> literals, S<i> and P<i>
-    sequences and their periods, the ring's operations, ZERO, m, gcd, and
-    DIV, INV and TANH, which raise breakdowns carrying the step n), so the
-    source holds no config text. Each line is one operation into a fresh
+    sequences and their periods, the ring's operations and lazy operations,
+    _reduced, ZERO, m, the inverse memo INVS, and DIV, INV and TANH, which
+    raise breakdowns carrying the step n), so the source holds no config
+    text. Each line is one operation into a fresh
     local t<i>, in evaluation order, so no expression meets the parser's
     nesting limit. Operands keep their order (left * right); ``/`` is
     left * right^-1.
@@ -270,7 +284,8 @@ class Emitter:
     def __init__(self, ring: Ring):
         self.ring = ring
         self.ns = {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
-                   "ZERO": ring.zero.v, "m": ring.char(), "gcd": math.gcd,
+                   "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul, "_reduced": _reduced,
+                   "ZERO": ring.zero.v, "m": ring.char(), "INVS": ring.inverses,
                    "DIV": _checked_inverse(ring, "division by non-unit"),
                    "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
         self.lines: list[str] = []
@@ -368,16 +383,16 @@ class Emitter:
 
     def _inverse(self, source: str, raiser: str, reads: bool) -> str:
         """The inverse of the reduced value of ``source``, once per operand:
-        a breakdown keeps the reason of the first occurrence."""
+        a breakdown keeps the reason of the first occurrence. A residue's
+        inverse is read from the memo, and the raiser runs on a miss."""
         operand = self.reduced(source)
         key = ("inverse", operand)
         if key not in self._memo:
-            test = self.ring.src_unit
-            if test is None:
+            if self.ring.inverses is None:
                 name = self.let(f"{raiser}({operand}, n)")
             else:
                 v = self.let(operand)
-                name = self.let(f"pow({v}, -1, m) if {test.format(v)} else {raiser}({v}, n)")
+                name = self.let(f"INVS.get({v}) or {raiser}({v}, n)")
             self._memo[key] = (name, 1, reads)
         return self._memo[key][0]
 

@@ -45,16 +45,19 @@ class CoeffSeq:
     """A periodic sequence of ring elements; period = number of stored values.
 
     at(n) is well defined for negative n too (periodic extension), which the
-    factor construction relies on once periodicity is proved.
+    factor construction relies on once periodicity is proved. ``payloads``
+    and payload_at(n) give the values' payloads, for code that computes on
+    payloads.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "payloads")
 
     def __init__(self, values):
         vals = tuple(values)
         if not vals:
             raise ParseError("coefficient sequence needs at least one value")
         self.values = vals
+        self.payloads = tuple([v.v for v in vals])
 
     @classmethod
     def constant(cls, value: El) -> "CoeffSeq":
@@ -70,6 +73,9 @@ class CoeffSeq:
 
     def at(self, n: int) -> El:
         return self.values[n % len(self.values)]
+
+    def payload_at(self, n: int):
+        return self.payloads[n % len(self.payloads)]
 
     def reduced(self) -> "CoeffSeq":
         """Collapse to the least divisor period that reproduces the values."""
@@ -105,6 +111,17 @@ class GMap:
         self.exprs = tuple(exprs) if exprs is not None else None
         self.seqs = dict(seqs) if seqs is not None else {}
         self.sources = tuple(sources) if sources is not None else None
+        # the sequences as payload tuples, built once for every emission and
+        # report: the forcing per component j under key j, the scale under
+        # key 0, and an expression's sequences under their names
+        if kind == "constant-sequence":
+            self.seq_payloads = {j: tuple([v.parts[j].v for v in self.vec_values])
+                                 for j in range(module.dim)}
+        elif kind == "linear-scale":
+            self.seq_payloads = {0: tuple([c.v for c in self.scalar_values])}
+        else:
+            self.seq_payloads = {name: tuple([x.v for x in vals])
+                                 for name, vals in self.seqs.items()}
 
     @classmethod
     def zero(cls, module: Module) -> "GMap":
@@ -173,13 +190,11 @@ class GMap:
         if self.kind == "zero":
             return None
         if self.kind == "constant-sequence":
-            return [e.seq((self, j), tuple(v.parts[j].v for v in self.vec_values))
-                    for j in range(dim)]
+            return [e.seq((self, j), self.seq_payloads[j]) for j in range(dim)]
         if self.kind == "linear-scale":
-            c = e.seq((self, 0), tuple(c.v for c in self.scalar_values))
+            c = e.seq((self, 0), self.seq_payloads[0])
             return [ring.src_mul.format(c, f"w{j}") for j in range(dim)]
-        seqs = {name: tuple(x.v for x in vals) for name, vals in self.seqs.items()}
-        return e.exprs(self.exprs, seqs, scope=self)
+        return e.exprs(self.exprs, self.seq_payloads, scope=self)
 
     @functools.cached_property
     def kernel(self):
@@ -310,9 +325,9 @@ class Recurrence:
         eq, zero = self.ring._eq, self.ring.zero.v
         coeffs = {}
         for name, seq in self._rows():
-            nonzero = [not eq(c.v, zero) for c in seq.values]
+            nonzero = [not eq(c, zero) for c in seq.payloads]
             if any(nonzero):
-                vals = tuple(c.v if nz else zero for c, nz in zip(seq.values, nonzero))
+                vals = tuple(c if nz else zero for c, nz in zip(seq.payloads, nonzero))
                 coeffs[name] = e.seq((self, name), vals)
         return self.emit_step(e, coeffs, x)
 

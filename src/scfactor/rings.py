@@ -25,6 +25,13 @@ payloads. A sum or product works on ints and reduces by one gcd, where a
 tuple of fractions would reduce each part by its own.
 Literals keep the grammar of fractions.Fraction (``1.5``, ``1e-3``,
 ``-3/4``) and the text of its errors; each part prints as the reduced n/d.
+
+Lazy operations (Ring._lazy_add, _lazy_mul and _normal) serve generated code
+and the certificate route: on residues a sum or product is not reduced mod
+m, and on the exact rings it is exact but not in lowest terms (numerators
+times numerators over d1*d2, sums over lcm(d1, d2)). _normal brings a value
+to its canonical payload once, where it is stored. On the float rings the
+lazy operations are the payload operations themselves.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ MAX_PAYLOAD_BITS = 1 << 13
 MAX_LITERAL_EXPONENT = int(MAX_PAYLOAD_BITS * math.log10(2))
 
 _RESIDUE_RE = re.compile(r"[+-]?\d+")
+
+# One term of an element literal: a signed coefficient and an optional unit.
+_TERM_RE = re.compile(r"([+-]?[^ijk]*)([ijk]?)")
 
 
 def _reduced(*v):
@@ -110,6 +120,56 @@ def _exact_neg(a):
     return (*[-c for c in a[:-1]], a[-1])
 
 
+# Lazy sums and products of the exact rings, unrolled per payload length:
+# exact, but left for _reduced to bring to lowest terms.
+
+def _q_lazy_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        return (n1 + n2, d1)
+    g = math.gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    return (n1 * t + n2 * s, s * d2)
+
+
+def _q_lazy_mul(a, b):
+    return (a[0] * b[0], a[1] * b[1])
+
+
+def _g_lazy_add(a, b):
+    (x1, y1, d1), (x2, y2, d2) = a, b
+    if d1 == d2:
+        return (x1 + x2, y1 + y2, d1)
+    g = math.gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    return (x1 * t + x2 * s, y1 * t + y2 * s, s * d2)
+
+
+def _g_lazy_mul(a, b):
+    (x1, y1, d1), (x2, y2, d2) = a, b
+    return (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+
+
+def _h_lazy_add(a, b):
+    w1, x1, y1, z1, d1 = a
+    w2, x2, y2, z2, d2 = b
+    if d1 == d2:
+        return (w1 + w2, x1 + x2, y1 + y2, z1 + z2, d1)
+    g = math.gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    return (w1 * t + w2 * s, x1 * t + x2 * s, y1 * t + y2 * s, z1 * t + z2 * s, s * d2)
+
+
+def _h_lazy_mul(a, b):
+    """The Hamilton product (left operand first) over d1*d2."""
+    w1, x1, y1, z1, d1 = a
+    w2, x2, y2, z2, d2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2, d1 * d2)
+
+
 def _over_lcm(pairs) -> tuple:
     """The payload (c_1, .., c_k, d) of the rationals (n_i, d_i), each in
     lowest terms: over the lcm d of the d_i the gcd is already 1."""
@@ -133,6 +193,13 @@ def _ratio_bits(v) -> int:
         g = math.gcd(n, d)
         out = max(out, (n // g).bit_length(), (d // g).bit_length())
     return out
+
+
+def _oversize(v) -> bool:
+    """Whether _ratio_bits(v) passes MAX_PAYLOAD_BITS. A part in lowest terms
+    is never longer than the raw ints, so the gcds run only when one of
+    those passes the limit."""
+    return max(map(int.bit_length, v)) > MAX_PAYLOAD_BITS and _ratio_bits(v) > MAX_PAYLOAD_BITS
 
 
 def _split_terms(text: str) -> list[str]:
@@ -166,7 +233,7 @@ def _parse_terms(text: str, allowed_units: str, numparse,
     """
     out: dict[str, object] = {}
     for term in _split_terms(text):
-        m = re.fullmatch(r"([+-]?[^ijk]*)([ijk]?)", term)
+        m = _TERM_RE.fullmatch(term)
         if m is None:
             raise ParseError(f"bad element literal term {term!r}")
         coef_text, unit = m.group(1), m.group(2)
@@ -185,7 +252,7 @@ def _parse_terms(text: str, allowed_units: str, numparse,
                 coef = numparse(coef_text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad number {coef_text!r} in {text!r}: {exc}") from exc
-        out[unit] = add(out.get(unit, numparse("0")), coef)
+        out[unit] = add(out[unit] if unit in out else numparse("0"), coef)
     return out
 
 
@@ -332,25 +399,27 @@ class Ring:
 
     # payload ops, implemented by subclasses:
     #   _add, _neg, _mul, _inv (None when not a unit), fmt, _parse, _normalize;
+    #   _lazy_add and _lazy_mul, with _normal (see the module docstring)
     # _eq and _key (the canonical order) are the payload's own unless overridden
     # _finite: payload predicate that float rings set; None on exact rings
-    # _bits: payload size in bits, set on the exact rings whose values can
-    # grow without bound; None on residue and float rings
+    # _oversize: payload predicate, set on the exact rings whose values can
+    # grow without bound (a part past MAX_PAYLOAD_BITS); None on the others
+    # inverses: the memo of a residue ring's inverses that generated code
+    # reads (gmap.Emitter); None on the others
     _finite = None
-    _bits = None
+    _oversize = None
+    inverses = None
 
     # Source templates for generated step functions (gmap.Emitter). The base
     # class calls the payload operations, which the generated code looks up
-    # as _add, _neg and _mul. src_reduce, when set, brings a value back to its
-    # canonical payload; it is applied to step outputs, map arguments and
-    # the operands of inverses. src_unit, when set, tests whether a reduced
-    # value is a unit, and the inverse of one is then pow(v, -1, m).
+    # as _add, _neg and _mul. src_reduce, when set, brings a lazy value back
+    # to its canonical payload; it is applied to step outputs, map arguments
+    # and the operands of inverses.
     src_add = "_add({}, {})"
     src_sub = "_add({}, _neg({}))"
     src_mul = "_mul({}, {})"
     src_neg = "_neg({})"
     src_reduce = None
-    src_unit = None
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
@@ -360,6 +429,9 @@ class Ring:
 
     def _key(self, a):
         return a
+
+    def _normal(self, v):
+        return v
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self._descriptor() == other._descriptor()
@@ -473,6 +545,8 @@ class IntegersMod(_PlainOps, Ring):
 
     finite = True
     src_reduce = "({} % m)"
+    _lazy_add = staticmethod(operator.add)
+    _lazy_mul = staticmethod(operator.mul)
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 2:
@@ -484,7 +558,7 @@ class IntegersMod(_PlainOps, Ring):
         self.m = m
         self.kind = "integers-mod-m"
         self.is_prime = is_prime(m)
-        self.src_unit = "{}" if self.is_prime else "gcd({}, m) == 1"
+        self.inverses = {}
 
     def _descriptor(self):
         return (self.kind, self.m)
@@ -518,6 +592,9 @@ class IntegersMod(_PlainOps, Ring):
     def _mul(self, a, b):
         return (a * b) % self.m
 
+    def _normal(self, v):
+        return v % self.m
+
     def _inv(self, a):
         try:
             return pow(a, -1, self.m)
@@ -540,13 +617,31 @@ def _exact_parts(ring: "Ring", payload, size: int):
         return Ring._normalize(ring, payload)
 
 
-class Rationals(Ring):
+class _Exact(Ring):
+    """Source templates of the exact rings: lazy sums and products, brought
+    to lowest terms by _reduced where a value is stored, as residues are
+    reduced mod m."""
+
+    src_add = "_ladd({}, {})"
+    src_sub = "_ladd({}, _neg({}))"
+    src_mul = "_lmul({}, {})"
+    src_reduce = "_reduced(*{})"
+    _add = staticmethod(_exact_add)
+    _neg = staticmethod(_exact_neg)
+    _oversize = staticmethod(_oversize)
+
+    @staticmethod
+    def _normal(v):
+        return _reduced(*v)
+
+
+class Rationals(_Exact):
     """The field of rationals: a payload is (n, d) for n/d, in lowest terms
     with d > 0."""
 
     kind = "exact-rational"
-    _add = staticmethod(_exact_add)
-    _neg = staticmethod(_exact_neg)
+    _lazy_add = staticmethod(_q_lazy_add)
+    _lazy_mul = staticmethod(_q_lazy_mul)
 
     def from_int(self, n):
         return El(self, (n, 1))
@@ -568,9 +663,6 @@ class Rationals(Ring):
         g, h = math.gcd(n1, d2), math.gcd(n2, d1)
         return ((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
 
-    def _bits(self, v):
-        return max(v[0].bit_length(), v[1].bit_length())
-
     def _inv(self, a):
         n, d = a
         return None if n == 0 else (d, n) if n > 0 else (-d, -n)
@@ -585,14 +677,13 @@ def _gaussian_cmp(a, b):
     return (x1 * d2 > x2 * d1) - (x1 * d2 < x2 * d1) or (y1 * d2 > y2 * d1) - (y1 * d2 < y2 * d1)
 
 
-class GaussianRationals(Ring):
+class GaussianRationals(_Exact):
     """Q(i): a payload is (x, y, d) for (x + yi)/d, with d > 0 and
     gcd(x, y, d) = 1. Roots are ordered by real, then imaginary part."""
 
     kind = "gaussian-rational"
-    _add = staticmethod(_exact_add)
-    _neg = staticmethod(_exact_neg)
-    _bits = staticmethod(_ratio_bits)
+    _lazy_add = staticmethod(_g_lazy_add)
+    _lazy_mul = staticmethod(_g_lazy_mul)
     _key = staticmethod(functools.cmp_to_key(_gaussian_cmp))
 
     def from_int(self, n):
@@ -607,8 +698,7 @@ class GaussianRationals(Ring):
         return _over_lcm([terms.get("", (0, 1)), terms.get("i", (0, 1))])
 
     def _mul(self, a, b):
-        (x1, y1, d1), (x2, y2, d2) = a, b
-        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+        return _reduced(*_g_lazy_mul(a, b))
 
     def _inv(self, a):
         x, y, d = a
@@ -667,6 +757,8 @@ class FloatComplex(_PlainOps, _Tolerant):
     def _mul(self, a, b):
         return a * b
 
+    _lazy_add, _lazy_mul = _add, _mul
+
     def _finite(self, a):
         return math.isfinite(a.real) and math.isfinite(a.imag)
 
@@ -699,7 +791,7 @@ def _qmul(a, b):
     )
 
 
-class RationalQuaternions(Ring):
+class RationalQuaternions(_Exact):
     """Hamilton quaternions over Q. Noncommutative; every nonzero element
     is a unit (inverse = conjugate / squared norm).
 
@@ -710,9 +802,8 @@ class RationalQuaternions(Ring):
 
     kind = "rational-quaternion"
     commutative = False
-    _add = staticmethod(_exact_add)
-    _neg = staticmethod(_exact_neg)
-    _bits = staticmethod(_ratio_bits)
+    _lazy_add = staticmethod(_h_lazy_add)
+    _lazy_mul = staticmethod(_h_lazy_mul)
 
     def from_int(self, n):
         return El(self, (n, 0, 0, 0, 1))
@@ -726,7 +817,7 @@ class RationalQuaternions(Ring):
         return _over_lcm([terms.get(u, (0, 1)) for u in _QUNITS])
 
     def _mul(self, a, b):
-        return _reduced(*_qmul(a[:4], b[:4]), a[4] * b[4])
+        return _reduced(*_h_lazy_mul(a, b))
 
     def _inv(self, a):
         w, x, y, z, d = a
@@ -772,6 +863,8 @@ class FloatQuaternions(_Tolerant):
 
     def _mul(self, a, b):
         return _qmul(a, b)
+
+    _lazy_add, _lazy_mul = _add, _mul
 
     def _abs(self, a):
         return math.sqrt(sum(c * c for c in a))

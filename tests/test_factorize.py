@@ -7,6 +7,7 @@ existed; tests compare against those frozen results.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
                       factor_chain, factor_once, make_ring, o2b_reducibility,
                       second_order_shortcut, substitution_factorization,
                       unit_roots, variable_certificate, variable_chain)
-from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate, _row_sum
+from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate
 from scfactor.poly import Poly
 
 
@@ -294,6 +295,16 @@ class TestVariableCertificate:
             build_variable_factor(rec, cert)
 
 
+def _ref_row_sum(row, alpha_at, n):
+    """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) on El values, one
+    ring operation at a time."""
+    acc, prod = row[0].at(n), None
+    for i, seq in enumerate(row[1:], start=1):
+        prod = alpha_at(n - i) if prod is None else prod * alpha_at(n - i)
+        acc = acc + seq.at(n) * prod.inverse()
+    return acc
+
+
 def _wrapped_reference(rec, cert):
     """Status, period and notes after the wrap-around re-verification that
     variable_certificate runs on float rings, applied to any certificate."""
@@ -301,9 +312,9 @@ def _wrapped_reference(rec, cert):
         return cert.status, None, cert.notes
     wrapped = CoeffSeq(cert.alphas[:cert.period])
     for n in range(math.lcm(cert.period, rec.coeff_period)):
-        if not (wrapped.at(n) == _row_sum(rec.a, wrapped.at, n)):
+        if not (wrapped.at(n) == _ref_row_sum(rec.a, wrapped.at, n)):
             side = "a"
-        elif rec.g.uses_argument and not _row_sum(rec.b, wrapped.at, n).is_zero:
+        elif rec.g.uses_argument and not _ref_row_sum(rec.b, wrapped.at, n).is_zero:
             side = "b"
         else:
             continue
@@ -369,6 +380,84 @@ class TestExactCertificateNeedsNoWrapCheck:
         except CertificateFailure:
             return
         assert (cert.status, cert.period, cert.notes) == _wrapped_reference(rec, cert)
+
+
+def _ref_factor_rows(rec, alpha):
+    """The factor's rows a', b' as build_variable_factor built them on El
+    values, one ring operation at a time."""
+    span = math.lcm(alpha.period, rec.coeff_period)
+    rows = ([], [])
+    for ip in range(rec.k):
+        for row, out in zip((rec.a, rec.b), rows):
+            vals = []
+            for n in range(span):
+                acc, prod = rec.ring.zero, None
+                for j in range(ip + 1, rec.k + 1):
+                    prod = alpha.at(n - j) if prod is None else prod * alpha.at(n - j)
+                    acc = acc + row[j].at(n) * prod.inverse()
+                vals.append(-acc)
+            out.append(CoeffSeq(vals).reduced())
+    return rows
+
+
+def _canonical(ring, v) -> bool:
+    if ring.kind == "integers-mod-m":
+        return 0 <= v < ring.m
+    return math.gcd(*v) == 1 and v[-1] > 0
+
+
+class TestCertificateOnPayloads:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["integers-mod-m/12", "exact-rational", "gaussian-rational",
+                                 "rational-quaternion"]),
+           seed=st.integers(0, 2**32))
+    def test_alphas_and_factor_match_element_reference(self, kind, seed):
+        # coefficients and alphas with uneven, non-coprime denominators: the
+        # alphas of the recursion and the rows of the factor are those that
+        # El arithmetic gives, and each is a canonical payload
+        name, _, m = kind.partition("/")
+        R = make_ring(name, modulus=int(m)) if m else make_ring(name)
+        rng = random.Random(seed)
+        size = {"exact-rational": 1, "gaussian-rational": 2, "rational-quaternion": 4}
+
+        def rand_el():
+            if m:
+                return R.from_int(rng.randrange(int(m)))
+            return R.el(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 6, 10, 15)))
+                              for _ in range(size[name])))
+
+        def rand_unit():
+            val = rand_el()
+            return val if val.is_unit else R.one
+
+        k, L = rng.randint(1, 3), rng.randint(1, 3)
+        M = Module(R, 1)
+        rows = [[CoeffSeq([rand_el() for _ in range(rng.randint(1, L))]) for _ in range(k + 1)]
+                for _ in "ab"]
+        rec = Recurrence(M, rows[0], rows[1], GMap.linear_scale(M, ["3"]))
+        seed_els = [rand_unit() for _ in range(k)]
+        want = list(seed_els)
+        try:
+            for n in range(k, k + 6):
+                want.append(_ref_row_sum(rec.a, want.__getitem__, n))
+                if not want[-1].is_unit:
+                    raise CertificateFailure(f"alpha_{n} = {want[-1]} is not a unit", n=n)
+        except CertificateFailure as exc:
+            with pytest.raises(CertificateFailure, match=f"^{exc.reason}"):
+                variable_certificate(Recurrence(M, rec.a, rec.b, GMap.zero(M)), seed_els, k + 5)
+        else:
+            cert = variable_certificate(Recurrence(M, rec.a, rec.b, GMap.zero(M)), seed_els, k + 5)
+            assert [a.v for a in cert.alphas] == [a.v for a in want]
+            assert all(_canonical(R, a.v) for a in cert.alphas)
+
+        alpha = CoeffSeq([rand_unit() for _ in range(L)]).reduced()
+        cert = UnitCertificate(alpha.values[:1], alpha.values, "proved-periodic", L,
+                               alpha.period, L)
+        fac = build_variable_factor(rec, cert).factor
+        ref_a, ref_b = _ref_factor_rows(rec, alpha)
+        for got, ref in zip((*fac.a, *fac.b), (*ref_a, *ref_b)):
+            assert got.payloads == ref.payloads
+            assert all(_canonical(R, v) for v in got.payloads)
 
 
 class TestSecondOrderShortcut:

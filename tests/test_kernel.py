@@ -13,20 +13,22 @@ loops of simulate_chain and simulate_substitution that it replaced.
 """
 
 import builtins
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scfactor import (Breakdown, DivisionByNonUnit, GMap, Module, Recurrence,
+from scfactor import (Breakdown, ConfigError, DivisionByNonUnit, GMap, Module, Recurrence,
                       TanhUnsupported, make_ring, simulate, simulate_chain)
 from scfactor.engine import Trajectory, _propagated, simulate_substitution, transport
 from scfactor.factorize import (FactorizationChain, FactorStep, SubstitutionFactorization,
                                 level_name)
-from scfactor.gmap import MAX_LAZY_FACTORS, _compile, eval_expr, format_expr, parse_expr
+from scfactor.gmap import (INVERSE_MEMO_SIZE, MAX_LAZY_FACTORS, _compile, eval_expr,
+                           format_expr, parse_expr)
 from scfactor.recurrence import CoeffSeq
-from scfactor.rings import MAX_MODULUS, El, Vec
+from scfactor.rings import MAX_MODULUS, MAX_PAYLOAD_BITS, El, Vec, _ratio_bits
 
 # ---------------------------------------------------------------------------
 # reference: the element-level step
@@ -162,7 +164,22 @@ def elements(ring):
     return quads.map(lambda t: ring.el(_payload(ring, t)))
 
 
-def asts(dim, tanh):
+# Part denominators with common factors and unequal lcms, so that lazy sums
+# meet every path: equal denominators, coprime ones and partly shared ones.
+UNEVEN_DENOMINATORS = (1, 2, 6, 10, 15)
+EXACT_SIZES = {"exact-rational": 1, "gaussian-rational": 2, "rational-quaternion": 4}
+
+
+def uneven_elements(ring):
+    """Exact values whose parts have uneven, non-coprime denominators."""
+    part = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                     st.sampled_from(UNEVEN_DENOMINATORS))
+    parts = st.tuples(*[part] * EXACT_SIZES[ring.kind])
+    return st.one_of(st.just(0), parts).map(ring.el)
+
+
+def asts(dim, tanh, max_leaves=4, factors=1):
+    """Expression trees; with ``factors`` > 1, the product of that many."""
     leaves = st.one_of(
         st.integers(min_value=0, max_value=3).map(lambda k: ("int", k)),
         st.integers(min_value=1, max_value=dim).map(lambda i: ("u", i)),
@@ -173,20 +190,25 @@ def asts(dim, tanh):
         return st.one_of(
             st.tuples(st.sampled_from(("add", "sub", "mul", "div")), child, child),
             st.tuples(st.sampled_from(unary), child))
-    return st.recursive(leaves, extend, max_leaves=4)
+    tree = st.recursive(leaves, extend, max_leaves=max_leaves)
+    if factors == 1:
+        return tree
+    return st.lists(tree, min_size=factors, max_size=factors).map(
+        lambda trees: functools.reduce(lambda a, b: ("mul", a, b), trees))
 
 
 @st.composite
 def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 12]),
           dims=st.integers(min_value=1, max_value=2),
-          orders=st.integers(min_value=1, max_value=3)):
+          orders=st.integers(min_value=1, max_value=3), values=elements, max_leaves=4,
+          factors=1):
     kind = draw(kinds)
     ring = make_ring(kind, modulus=draw(moduli)) \
         if kind == "integers-mod-m" else make_ring(kind)
     dim = draw(dims)
     order = draw(orders)
     M = Module(ring, dim)
-    el = elements(ring)
+    el = values(ring)
     periodic = st.lists(el, min_size=1, max_size=3)
     vec = st.lists(el, min_size=dim, max_size=dim).map(M.el)
     # expressions are the only maps that can break down, so they come most often
@@ -201,7 +223,7 @@ def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 1
         tanh = kind == "float-complex"
         exprs = []
         for _ in range(dim):
-            ast = draw(asts(dim, tanh))
+            ast = draw(asts(dim, tanh, max_leaves, factors))
             if tanh and draw(st.booleans()):
                 ast = ("tanh", ast)
             exprs.append(format_expr(ast))
@@ -262,6 +284,34 @@ def test_lazy_reduction_matches_reference_for_any_modulus(case):
     assert outcome(rec.g.apply, n, window[0]) == outcome(ref_apply, rec.g, n, window[0])
 
 
+def canonical(payload) -> bool:
+    return math.gcd(*payload) == 1 and payload[-1] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(kinds=st.sampled_from(tuple(EXACT_SIZES)),
+             orders=st.integers(min_value=1, max_value=5), values=uneven_elements,
+             max_leaves=2, factors=MAX_LAZY_FACTORS + 1))
+def test_lazy_exact_kernels_match_reference(case):
+    # lazy sums over uneven denominators, and maps that are products of more
+    # than MAX_LAZY_FACTORS factors: the values are the reference's, and
+    # every stored value and map output is a canonical payload
+    rec, window, n = case
+    want, want_breakdown = ref_simulate(rec, window, 6)
+    try:
+        traj = simulate(rec, window, 6)
+    except ConfigError:
+        assert any(_ratio_bits(c.v) > MAX_PAYLOAD_BITS for v in want for c in v.parts)
+        return
+    assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+    assert traj.breakdown == want_breakdown
+    assert all(canonical(p) for v in traj.payloads for p in v)
+    got = outcome(rec.g.apply, n, window[0])
+    assert got == outcome(ref_apply, rec.g, n, window[0])
+    if isinstance(got, list):
+        assert all(canonical(c.v) for c in rec.g.apply(n, window[0]).parts)
+
+
 # ---------------------------------------------------------------------------
 # named cases of the generated code
 
@@ -301,13 +351,65 @@ def test_repeated_subexpressions_computed_once(monkeypatch, kind, modulus, swap)
                         lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
     rec.g.kernel
     [source] = sources
-    # one sum d + e, one sum in the output, one inverse, one raiser call
-    assert source.count(" + ") + source.count("_add(") - source.count("_neg(") == 2
+    # one sum d + e, one sum in the output, one inverse, one raiser call; a
+    # residue's inverse is one memo lookup, with the raiser run on a miss;
+    # values are reduced at the two outputs and the inverse's operand only
+    assert source.count(" + ") + source.count("_ladd(") - source.count("_neg(") == 2
     assert source.count("DIV(") + source.count("INV(") == 1
-    assert source.count("pow(") == (1 if modulus else 0)
+    assert source.count("INVS.get(") == (1 if modulus else 0) and "pow(" not in source
+    assert source.count("% m") + source.count("_reduced(") == 3
     reason = "inv of non-unit" if swap else "division by non-unit"
     want = Breakdown(1, f"{reason} 2") if modulus == 48 else Breakdown(2, f"{reason} 0")
     assert simulate(rec, [["1", "2"]], 6).breakdown == want
+
+
+def test_inverse_memo_is_per_ring():
+    # two jobs with different moduli in one process run the same generated
+    # code for inv(u1), each with its own ring's memo; the second pass reads
+    # every inverse from the memo
+    gs = []
+    for p in (7, 11):
+        R = make_ring("integers-mod-m", modulus=p)
+        g = GMap.expression(Module(R, 1), ["inv(u1)"])
+        units = range(1, p)
+        for _ in range(2):
+            assert [g.kernel(0, [v])[0] for v in units] == [pow(v, -1, p) for v in units]
+        assert R.inverses == {v: pow(v, -1, p) for v in units}
+        gs.append(g)
+    assert gs[0].kernel.__code__ is gs[1].kernel.__code__
+
+
+def test_inverse_memo_stays_within_its_bound():
+    # more distinct operands than the memo holds, over Z/10007: every
+    # inverse is right, and the memo stops growing at its bound
+    p = 10007
+    R = make_ring("integers-mod-m", modulus=p)
+    g = GMap.expression(Module(R, 1), ["1/u1"])
+    operands = range(1, 2 * INVERSE_MEMO_SIZE + 1)
+    assert INVERSE_MEMO_SIZE < len(operands) < p
+    for _ in range(2):
+        assert [g.kernel(0, [v])[0] for v in operands] == [pow(v, -1, p) for v in operands]
+        assert len(R.inverses) == INVERSE_MEMO_SIZE
+    assert all(pow(v, -1, p) == w for v, w in R.inverses.items())
+
+
+@pytest.mark.parametrize("text, reason", [("1/u1", "division by non-unit"),
+                                          ("inv(u1)", "inv of non-unit")])
+def test_inverse_memo_never_stores_a_non_unit(text, reason):
+    # x_{n+1} = x_n + 1/x_n mod 12: from 1 the run reaches 2, from 5 it
+    # reaches 10, and both break down there; run again, with the units in
+    # the memo, they break down at the same index with the same reason, and
+    # the non-units are never stored
+    R = make_ring("integers-mod-m", modulus=12)
+    M = Module(R, 1)
+    rec = Recurrence(M, ["1"], ["1"], GMap.expression(M, [text]))
+    for x0, bad in ((1, 2), (5, 10)):
+        init = [M.el([str(x0)])]
+        want = ref_simulate(rec, init, 6)[1]
+        assert want == Breakdown(2, f"{reason} {bad}")
+        for _ in range(2):
+            assert simulate(rec, init, 6).breakdown == want
+    assert R.inverses == {1: 1, 5: 5}
 
 
 def test_long_product_stays_exact_and_small(monkeypatch):
@@ -328,6 +430,25 @@ def test_long_product_stays_exact_and_small(monkeypatch):
     want = math.prod(x + i for i in range(1, 2 ** 7 + 1)) % MAX_MODULUS
     assert eval_expr(parse_expr(terms[0]), R, [R.el(x)], {}, 0).v == want
     assert MAX_LAZY_FACTORS == 4 and sources[0].count("% m") == 16 + 2 + 1
+
+
+def test_long_exact_product_reduced_every_few_factors(monkeypatch):
+    # the same balanced tree of 2^7 factors u1 + i over the rationals: the
+    # lazy products are brought to lowest terms where the residues are
+    # reduced mod m, and the value is the exact product
+    R = make_ring("exact-rational")
+    terms = [f"(u1 + {i})" for i in range(1, 2 ** 7 + 1)]
+    while len(terms) > 1:
+        terms = [f"({a})*({b})" for a, b in zip(terms[::2], terms[1::2])]
+    sources = []
+    real_compile = builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
+    x = Fraction(-2, 3)
+    want = math.prod(x + i for i in range(1, 2 ** 7 + 1))
+    got = eval_expr(parse_expr(terms[0]), R, [R.el(x)], {}, 0).v
+    assert got == (want.numerator, want.denominator)
+    assert sources[0].count("_reduced(") == 16 + 2 + 1
 
 
 def _code_objects(code):

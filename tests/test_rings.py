@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
 from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
                             Rationals, RationalQuaternions, _fmt_signed, _parse_terms, _qmul,
-                            is_prime)
+                            _ratio_bits, is_prime)
 
 # Components with zeros, signs, denominators sharing small prime factors, and
 # numerators far past one machine word.
@@ -168,7 +168,7 @@ class TestQuaternions:
         pa, pb = R._normalize(a), R._normalize(b)
         for q, p in ((a, pa), (b, pb)):
             assert _fractions(p) == q
-            assert R._bits(p) == max(max(c.numerator.bit_length(), c.denominator.bit_length())
+            assert _ratio_bits(p) == max(max(c.numerator.bit_length(), c.denominator.bit_length())
                                      for c in q)
             assert R.fmt(p) == _fmt_signed(list(zip(q, ("", "i", "j", "k"))))
             assert R._parse(R.fmt(p)) == p
