@@ -377,11 +377,13 @@ def _cmd_verify(args) -> int:
 def _write_traj(traj: Trajectory, job: JobConfig, outdir: Path, stem: str,
                 emit: str) -> Path:
     if emit == "csv":
-        path = outdir / f"{stem}.csv"
-        path.write_text(trajectory_csv(traj, job.module))
+        path, text = outdir / f"{stem}.csv", trajectory_csv(traj, job.module)
     else:
-        path = outdir / f"{stem}.json"
-        path.write_text(canonical_json(trajectory_json_obj(traj, job.module)))
+        path, text = outdir / f"{stem}.json", canonical_json(trajectory_json_obj(traj, job.module))
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
     return path
 
 
@@ -389,7 +391,10 @@ def _cmd_simulate(args) -> int:
     job = load_job(args.config)
     steps = args.steps if args.steps is not None else job.run.steps
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
     written = []
     direct = simulate(job.recurrence, job.initial, steps)
     written.append(_write_traj(direct, job, outdir, "x", args.emit))

@@ -10,25 +10,28 @@ floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
 
 Every run works on raw ring payloads: simulate iterates the recurrence's
-generated step function (Recurrence.kernel). simulate_chain and
-simulate_substitution run the deepest level that way, then rebuild every
-level above it in one generated loop (_rebuild, built with gmap.Emitter
-like the step): each step adds c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the
-value of the level below, level after level from the deepest up, with the
-latest values in locals and values reduced only where they are stored.
-The chain's cofactors have the one term alpha_l(n)*w_n; the substitution's
-x level has k. A Trajectory holds those payload lists and its module; its
-``values`` and ``value_at`` wrap payloads into Vec elements on read, and the
-serializers format payloads directly.
+generated step function (Recurrence.kernel). A chain and the alsp
+substitution are one kind of split (_split): levels above a deepest factor,
+each with rebuild coefficients c_1, c_2, ... (the chain's cofactors have the
+one coefficient alpha_l, the substitution's x level has k), and every
+level's initial window peeled on payloads from the one above it.
+simulate_chain, also bound as simulate_substitution, runs the deepest level
+through simulate, then rebuilds every level above it in one generated loop
+(_rebuild, built with gmap.Emitter like the step): each step adds
+c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the value of the level below, level
+after level from the deepest up, with the latest values in locals and
+values reduced only where they are stored. A Trajectory holds those payload
+lists and its module; its ``values`` and ``value_at`` wrap payloads into
+Vec elements on read, and the serializers format payloads directly.
 
 verify_equivalence stores no trajectory: one generated loop (_verify_loop)
-steps the direct recurrence and the deepest factor with the same step
-emission as their kernels (Recurrence.emit_step, coefficients read at n
-from their periods), rebuilds the levels above with the same level update
-as _rebuild, and compares the top level's new value with the direct one.
-Only the windows live, in locals, so its memory does not grow with the
-number of steps. When one side breaks down, each side runs on from its
-window through the simulate loop (_run) to find its breakdown and end.
+steps the direct recurrence and the deepest factor with the code of their
+kernels (Recurrence.emit_periodic_step), rebuilds the levels above with the
+same level update as _rebuild, and compares the top level's new value with
+the direct one. Only the windows live, in locals, so its memory does not
+grow with the number of steps. When one side breaks down, each side runs on
+from its window through the simulate loop (_run) to find its breakdown and
+end.
 
 On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
 nonlinear map can double the size of the values every step. A run refuses
@@ -141,19 +144,7 @@ def transport(chain: FactorizationChain, initial) -> list[list[Vec]]:
     level-l window covers indices l..k.
     """
     module = chain.base.module
-    windows = [[module.el(v) for v in initial]]
-    k = chain.base.k
-    if len(windows[0]) != k + 1:
-        raise ConfigError(f"initial window must hold {k + 1} value(s)")
-    for l, step in enumerate(chain.steps, start=1):
-        prev = windows[-1]
-        # prev covers indices (l-1)..k
-        cur = []
-        for pos in range(1, len(prev)):
-            i = (l - 1) + pos  # absolute index of prev[pos]
-            cur.append(prev[pos] - step.alpha.at(i - 1) * prev[pos - 1])
-        windows.append(cur)
-    return windows
+    return [[module.wrap(p) for p in window] for window in _split(chain, initial)[3][::-1]]
 
 
 @dataclass
@@ -176,29 +167,40 @@ class ChainRun:
 
 
 def _split(factorization, initial):
-    """A chain or substitution split cut at its deepest level:
-    (factor, start, window, levels, windows). The factor's initial window
-    (elements) covers indices start .. k. ``levels`` lists the rebuild
-    coefficients of each level above it, as _rebuild takes them, and
-    ``windows`` their initial payload windows, both from the deepest up."""
+    """A chain or substitution split cut at its deepest level: (factor,
+    names, levels, windows), from the deepest level up. ``levels`` lists
+    the rebuild coefficients c_1, c_2, ... (periodic payload tuples) of each
+    level above the factor, as _rebuild takes them; ``names`` and
+    ``windows`` give every level's name and initial payload window, the
+    factor's first.
+
+    A chain's levels have the one coefficient alpha_l; the substitution's x
+    level has k constant ones. Each window is peeled from the one above,
+    from x down: u_i = v_i - c_1(i-1)*v_{i-1} - c_2(i-1)*v_{i-2} - ...,
+    subtracted in that order, so it starts len(c) indices later; every
+    window ends at k.
+    """
     if isinstance(factorization, SubstitutionFactorization):
-        sub = factorization
-        module, k = sub.base.module, sub.k
-        init = [module.el(v) for v in initial]
-        if len(init) != k + 1:
-            raise ConfigError(f"initial window must hold {k + 1} value(s)")
-        s_k = init[k]
-        for j, c in enumerate(sub.sub_coeffs, start=1):
-            s_k = s_k - c * init[k - j]
-        return (sub.factor, k, [s_k], [[(c.v,) for c in sub.sub_coeffs]],
-                [[module.payloads(v) for v in init]])
-    chain = factorization
-    windows = transport(chain, initial)
-    depth = len(chain.steps)
-    module = chain.base.module
-    return (chain.final_factor, depth, windows[depth],
-            [[tuple(a.v for a in step.alpha.values)] for step in reversed(chain.steps)],
-            [[module.payloads(v) for v in windows[l]] for l in reversed(range(depth))])
+        factor, names = factorization.factor, ["x", "s"]
+        levels = [[(c.v,) for c in factorization.sub_coeffs]]
+    else:
+        factor = factorization.final_factor
+        levels = [[step.alpha.payloads] for step in factorization.steps]
+        names = [level_name(l) for l in range(len(levels) + 1)]
+    ring, k = factor.ring, factorization.base.k
+    add, neg, mul = ring._add, ring._neg, ring._mul
+    windows = [_window(factorization.base, initial)]
+    for coeffs in levels:
+        above, window = windows[-1], []
+        # every window ends at k, so v_i is above[i - k - 1]
+        for i in range(k + 1 - len(above) + len(coeffs), k + 1):
+            u = above[i - k - 1]
+            for j, c in enumerate(coeffs, start=1):
+                cj = c[(i - 1) % len(c)]
+                u = [add(a, neg(mul(cj, v))) for a, v in zip(u, above[i - j - k - 1])]
+            window.append(u)
+        windows.append(window)
+    return factor, names[::-1], levels[::-1], windows[::-1]
 
 
 def _unpack_levels(e: gm.Emitter, levels, dim: int):
@@ -262,37 +264,30 @@ def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
     e.function(", ".join(["lo, hi, B", *_level_params(levels)]), "None")(lo, hi, below, *outs)
 
 
-def simulate_chain(chain: FactorizationChain, initial, steps: int) -> ChainRun:
-    """Run the deepest factor, then rebuild every level above it on payloads."""
-    factor, depth, window, levels, outs = _split(chain, initial)
-    k = chain.base.k
-    module = chain.base.module
-    below = simulate(factor, window, steps, start=depth, level=level_name(depth))
-    # level l covers indices l .. below.end-1; chain.steps[l] relates level l
-    # (cofactor) to level l+1 (factor): w_{n+1} = alpha_l(n) * w_n + (level
-    # l+1)_{n+1}, from n = k, rebuilt from the deepest level up
-    _rebuild(module, levels, k, below.end - 1, below.payloads[k + 1 - depth:], outs)
+def simulate_chain(factorization, initial, steps: int) -> ChainRun:
+    """Run a chain or the alsp substitution split: the deepest factor
+    through simulate, then every level above it rebuilt on payloads.
+
+    Level l of a chain covers indices l .. end-1: chain.steps[l] relates
+    level l (cofactor) to level l+1 (factor) by w_{n+1} = alpha_l(n) * w_n
+    + (level l+1)_{n+1}. The substitution's s level, s_n = x_n -
+    sum a_{j-1} x_{n-j}, exists from n = k, and x is rebuilt as x_{n+1} =
+    s_{n+1} + sum a_{j-1} x_{n+1-j}. Both rebuild from n = k.
+    """
+    factor, names, levels, windows = _split(factorization, initial)
+    module, k = factor.module, factorization.base.k
+    starts = [k + 1 - len(window) for window in windows]
+    below = simulate(factor, [module.wrap(p) for p in windows[0]], steps,
+                     start=starts[0], level=names[0])
+    _rebuild(module, levels, k, below.end - 1, below.payloads[len(windows[0]):], windows[1:])
     trajs = [below]
-    for l, vals in zip(range(depth - 1, -1, -1), outs):
-        trajs.append(Trajectory(level_name(l), l, module, vals,
-                                _propagated(trajs[-1].breakdown)))
+    for name, start, vals in zip(names[1:], starts[1:], windows[1:]):
+        trajs.append(Trajectory(name, start, module, vals, _propagated(trajs[-1].breakdown)))
     trajs.reverse()
     return ChainRun(trajs)
 
 
-def simulate_substitution(sub: SubstitutionFactorization, initial, steps: int) -> ChainRun:
-    """Run the alsp substitution split: first-order s level plus linear
-    reconstruction of x.
-
-    s_n = x_n - sum a_{j-1} x_{n-j} exists from n = k; the s level is indexed
-    accordingly and reconstruction is x_{n+1} = s_{n+1} + sum a_{j-1} x_{n+1-j}.
-    """
-    factor, k, window, levels, [xs] = _split(sub, initial)
-    module = sub.base.module
-    s_traj = simulate(factor, window, steps, start=k, level="s")
-    _rebuild(module, levels, k, s_traj.end - 1, s_traj.payloads[1:], [xs])
-    x_traj = Trajectory("x", 0, module, xs, _propagated(s_traj.breakdown))
-    return ChainRun([x_traj, s_traj])
+simulate_substitution = simulate_chain
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +432,10 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     if rel_tol is None:
         rel_tol = 1e-9
     direct = _window(rec, initial)
-    factor, _, window, levels, outs = _split(chain, initial)
+    factor, _, levels, windows = _split(chain, initial)
     lo, hi = rec.k, rec.k + steps
     n, first_div, max_dev, direct, window = _verify_loop(rec, factor, levels)(
-        lo, hi, rel_tol, direct, _window(factor, window), *outs)
+        lo, hi, rel_tol, direct, *windows)
     db = cb = None
     if n < hi:
         db = _run(rec, deque(direct, maxlen=len(direct)), n, hi)

@@ -20,10 +20,11 @@ known to reduce; fold_system merges d scalar recurrences sharing the same
 coefficient rows into one module recurrence.
 
 Recurrence.kernel and GMap.kernel are the step and the map as generated
-Python functions on raw ring payloads (gmap.Emitter), built on first use;
-the step inlines g and is compiled once per zero pattern of the
-coefficient rows, not once per phase. The simulation engine runs the
-kernel directly. Recurrence.step and GMap.apply are thin wrappers that
+Python functions on raw ring payloads (gmap.Emitter), built on first use.
+The step inlines g and reads each coefficient at n from its period, so one
+function serves every n; it is the code of Recurrence.emit_periodic_step,
+which the engine's one-pass verify emits too. The simulation engine runs
+the kernel directly. Recurrence.step and GMap.apply are thin wrappers that
 unwrap their Vec arguments, call the kernel and wrap the result.
 """
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import re as _re
-import types
 from dataclasses import dataclass
 
 from . import gmap as gm
@@ -272,71 +272,31 @@ class Recurrence:
     def kernel(self):
         """The step on payloads: kernel(n, hist) is x_{n+1}, where hist is a
         list of payload lists whose last k+1 entries are x_{n-k} .. x_n
-        (oldest first).
-
-        The step of phase n mod coeff_period is a generated function whose
-        parameters after (n, hist) are that phase's nonzero coefficients.
-        Its code depends only on which coefficients are nonzero, so it is
-        compiled once per zero pattern; each phase, built on first use,
-        shares that code with its own coefficient values as defaults.
-        """
-        eq, zero, period = self.ring._eq, self.ring.zero.v, self.coeff_period
-        templates: dict[tuple, types.FunctionType] = {}
-        phases: dict[int, types.FunctionType] = {}
-
-        def build(phase):
-            used = [(name, seq.at(phase).v) for name, seq in self._rows()]
-            used = [(name, c) for name, c in used if not eq(c, zero)]
-            params = tuple(name for name, _ in used)
-            fn = templates.get(params) or templates.setdefault(params, self._generate(params))
-            return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__,
-                                      tuple(c for _, c in used))
-
-        if period == 1:
-            return build(0)
-
-        def step(n, hist):
-            phase = n % period
-            return (phases.get(phase) or phases.setdefault(phase, build(phase)))(n, hist)
-        return step
-
-    def _rows(self):
-        """(name, row) for a<i>, then b<i> when g reads its argument."""
-        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
-        return list(zip(names, self.a + self.b if self.g.uses_argument else self.a))
-
-    def _generate(self, params):
-        """The step function whose nonzero coefficients are ``params``: a<i>
-        and b<i> stand for a_i(n) and b_i(n), and multiply x_{n-i} from the
-        left."""
-        dim = self.module.dim
+        (oldest first). It runs the code of emit_periodic_step, generated
+        on first use; the source holds no coefficient values, so it is
+        compiled once per process for each shape of recurrence."""
         e = gm.Emitter(self.ring)
-        for lag in sorted({int(c[1:]) for c in params}):
-            e.unpack([f"x{lag}_{j}" for j in range(dim)], f"hist[{-1 - lag}]")
-        outs = self.emit_step(e, {c: c for c in params}, "x{}_{}")
-        return e.function(", ".join(["n", "hist", *params]),
-                          f"[{', '.join(map(e.reduced, outs))}]")
+        for i in range(self.order):
+            e.unpack([f"x{i}_{j}" for j in range(self.module.dim)], f"hist[{-1 - i}]")
+        outs = self.emit_periodic_step(e, "x{}_{}")
+        return e.function("n, hist", f"[{', '.join(map(e.reduced, outs))}]")
 
     def emit_periodic_step(self, e: gm.Emitter, x: str) -> list[str]:
-        """emit_step with every coefficient read at n from its period: the
-        rows that are nonzero in some phase, with zeros (by the ring's
-        equality) stored as ZERO, so a phase adds the same nonzero terms as
-        its kernel step and exact zeros for the rest."""
-        eq, zero = self.ring._eq, self.ring.zero.v
+        """Emit x_{n+1} into ``e`` and return each component's source,
+        unreduced; x.format(i, j) is the local holding component j of
+        x_{n-i}. Each coefficient a_i(n), b_i(n) is read at n from its
+        period and multiplies x_{n-i} from the left. A row that is zero (by
+        the ring's equality) in every phase is dropped; in the other rows a
+        zero is stored as ZERO, so it adds an exact zero."""
+        ring, dim = self.ring, self.module.dim
+        eq, zero = ring._eq, ring.zero.v
+        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
         coeffs = {}
-        for name, seq in self._rows():
+        for name, seq in zip(names, self.a + self.b if self.g.uses_argument else self.a):
             nonzero = [not eq(c, zero) for c in seq.payloads]
             if any(nonzero):
                 vals = tuple(c if nz else zero for c, nz in zip(seq.payloads, nonzero))
                 coeffs[name] = e.seq((self, name), vals)
-        return self.emit_step(e, coeffs, x)
-
-    def emit_step(self, e: gm.Emitter, coeffs: dict, x: str) -> list[str]:
-        """Emit x_{n+1} into ``e`` and return each component's source,
-        unreduced. ``coeffs`` maps the names a<i>, b<i> of the coefficients
-        that take part, in row order, to the sources of their values;
-        x.format(i, j) is the local holding component j of x_{n-i}."""
-        ring, dim = self.ring, self.module.dim
 
         def row_source(row, j):
             # on float rings from the zero payload, as an accumulator would:

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through cli.main."""
 
+import errno
 import json
 import os
 import subprocess
@@ -265,6 +266,23 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: config {str(p)!r} is not valid JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("out, what, path, error", [
+        ("afile", "create output directory", "afile", errno.EEXIST),
+        ("afile/sub", "create output directory", "afile/sub", errno.ENOTDIR),
+        ("taken", "write", "taken/x.csv", errno.EISDIR),
+    ], ids=["out-is-a-file", "out-under-a-file", "output-file-is-a-directory"])
+    def test_simulate_out_unusable(self, capsys, tmp_path, configs_dir, out, what, path, error):
+        # these left as FileExistsError, NotADirectoryError and IsADirectoryError
+        # tracebacks with exit 1
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "taken" / "x.csv").mkdir(parents=True)
+        code, stdout, err = run_cli(capsys, "simulate", str(configs_dir / "zp_z26.json"),
+                                    "--out", str(tmp_path / out), "--emit", "csv")
+        path = str(tmp_path / path)
+        assert code == 2 and stdout == ""
+        assert err == (f"error: cannot {what} {path!r}: "
+                       f"[Errno {error}] {os.strerror(error)}: {path!r}\n")
 
     @staticmethod
     def _float_config(tmp_path, literal, kind="float-complex"):

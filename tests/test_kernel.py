@@ -9,12 +9,16 @@ kernel must give bit-identical values, the same breakdown index and the
 same breakdown reason.
 
 The generated chain rebuild is held the same way against the per-value
-loops of simulate_chain and simulate_substitution that it replaced.
+loops of simulate_chain and simulate_substitution that it replaced, and
+the initial windows of a chain's levels and of the substitution's s level,
+peeled on payloads, against the subtraction on Vec values they replaced.
 """
 
 import builtins
 import functools
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -475,16 +479,23 @@ def test_no_config_text_in_generated_code(kind):
     assert outcome(rec.step, 0, window) == outcome(ref_step, rec, 0, window)
 
 
-def test_compiles_bounded_by_zero_patterns(monkeypatch):
-    # coprime periods 16, 9, 25, 7, 11 and 13: one phase per step for 2000
-    # steps (lcm 3603600), but only the zero patterns need their own code;
-    # emptied first, the compile cache cannot hold them from an earlier test
-    _compile.cache_clear()
+def _coprime_period_recurrence():
+    """Order 3 over Z/101 with coefficient periods 16, 9, 25, 7, 11 and 13:
+    every step of a run of fewer than lcm = 3603600 steps is its own phase."""
     R = make_ring("integers-mod-m", modulus=101)
     M = Module(R, 1)
     rows = [[str((i * i + p) % 5) for i in range(p)] for p in (16, 9, 25, 7, 11, 13)]
     rec = Recurrence(M, rows[:3], rows[3:], GMap.expression(M, ["u1*u1 + 1"]))
     assert rec.coeff_period == 3603600
+    return rec, [M.el(["1"]), M.el(["2"]), M.el(["3"])]
+
+
+def test_compiles_bounded_by_zero_patterns(monkeypatch):
+    # 2000 phases, with several zero patterns among them, take one compile:
+    # the step reads every coefficient at n from its period; emptied first,
+    # the compile cache cannot hold it from an earlier test
+    _compile.cache_clear()
+    rec, init = _coprime_period_recurrence()
     compiles = []
     real_compile = builtins.compile
 
@@ -493,15 +504,30 @@ def test_compiles_bounded_by_zero_patterns(monkeypatch):
         return real_compile(*args, **kwargs)
 
     monkeypatch.setattr(builtins, "compile", counting)
-    init = [M.el(["1"]), M.el(["2"]), M.el(["3"])]
     traj = simulate(rec, init, 2000)
     monkeypatch.undo()
-    patterns = {tuple(not seq.at(n).is_zero for seq in rec.a + rec.b)
-                for n in range(rec.k, rec.k + 2000)}
-    assert 1 <= len(compiles) <= len(patterns) < 2000
+    assert len(compiles) == 1
     want, want_breakdown = ref_simulate(rec, init, 2000)
     assert traj.breakdown is None and want_breakdown is None
     assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+
+
+def test_no_state_per_phase():
+    # the memory a Recurrence keeps after a run must not grow with the number
+    # of phases it stepped through: 18000 more phases, kept one function
+    # each, would hold megabytes
+    rec, init = _coprime_period_recurrence()
+    held = []
+    tracemalloc.start()
+    try:
+        for steps in (2000, 20000):
+            traj = simulate(rec, init, steps)
+            del traj
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[1] - held[0] < 10_000
 
 
 def test_values_share_compiled_code():
@@ -521,11 +547,32 @@ def test_values_share_compiled_code():
 
 
 # ---------------------------------------------------------------------------
-# the generated chain rebuild against the per-value loops it replaced
+# the generated chain rebuild against the per-value loops it replaced, and
+# the payload windows of the splits against the element-level windows
+
+
+def ref_transport(chain, initial):
+    """The windows of every chain level on Vec values: level l drops the
+    first entry, w_i = prev_i - alpha_l(i-1) * prev_{i-1}."""
+    windows = [[chain.base.module.el(v) for v in initial]]
+    for l, step in enumerate(chain.steps, start=1):
+        prev = windows[-1]  # indices l-1 .. k
+        windows.append([prev[i - l + 1] - step.alpha.at(i - 1) * prev[i - l]
+                        for i in range(l, chain.base.k + 1)])
+    return windows
+
+
+def ref_substitution_window(sub, initial):
+    """s_k = x_k - c_1 x_{k-1} - ... - c_k x_0 on Vec values."""
+    init = [sub.base.module.el(v) for v in initial]
+    s_k = init[sub.k]
+    for j, c in enumerate(sub.sub_coeffs, start=1):
+        s_k = s_k - c * init[sub.k - j]
+    return s_k
 
 
 def ref_simulate_chain(chain, initial, steps):
-    windows = transport(chain, initial)
+    windows = ref_transport(chain, initial)
     depth = len(chain.steps)
     k = chain.base.k
     module = chain.base.module
@@ -554,10 +601,8 @@ def ref_simulate_substitution(sub, initial, steps):
     add, mul = module.ring._add, module.ring._mul
     k = sub.k
     init = [module.el(v) for v in initial]
-    s_k = init[k]
-    for j, c in enumerate(sub.sub_coeffs, start=1):
-        s_k = s_k - c * init[k - j]
-    s_traj = simulate(sub.factor, [s_k], steps, start=k, level="s")
+    s_traj = simulate(sub.factor, [ref_substitution_window(sub, initial)], steps,
+                      start=k, level="s")
     s_vals = s_traj.payloads
     coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
     xs = [module.payloads(v) for v in init]
@@ -607,3 +652,31 @@ def test_substitution_rebuild_matches_per_value_loop(data, case, k):
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
     run = simulate_substitution(sub, initial, 8)
     assert levels(run.trajectories) == levels(ref_simulate_substitution(sub, initial, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KINDS), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3))
+def test_split_windows_match_element_reference(data, kind, dim, k):
+    # the chain windows (periodic alphas, every depth up to k) and the
+    # substitution's s window are peeled on payloads; the values must be
+    # those of the element-level subtraction, bit for bit
+    ring = make_ring(kind, modulus=data.draw(st.sampled_from([5, 6, 7, 12]))) \
+        if kind == "integers-mod-m" else make_ring(kind)
+    M = Module(ring, dim)
+    base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
+    vec = st.lists(elements(ring), min_size=dim, max_size=dim).map(M.el)
+    initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
+    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(CoeffSeq)
+    depth = data.draw(st.integers(min_value=1, max_value=k))
+    chain = FactorizationChain(base, [FactorStep("certificate", data.draw(alphas), base)
+                                      for _ in range(depth)])
+    assert [list(map(bits, w)) for w in transport(chain, initial)] == \
+        [list(map(bits, w)) for w in ref_transport(chain, initial)]
+    coeffs = tuple(data.draw(st.lists(elements(ring), min_size=k, max_size=k)))
+    factor = Recurrence(M, ["0"], ["0"], GMap.zero(M))
+    sub = SubstitutionFactorization(base, coeffs, ring.one, factor)
+    x, s = simulate_substitution(sub, initial, 0).trajectories
+    assert (s.start, list(map(bits, s.values))) == \
+        (k, [bits(ref_substitution_window(sub, initial))])
+    assert list(map(bits, x.values)) == list(map(bits, initial))
