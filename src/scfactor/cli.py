@@ -22,12 +22,14 @@ from pathlib import Path
 
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import engine
 from .config import JobConfig, load_job
-from .engine import (Trajectory, simulate, simulate_chain, simulate_substitution,
-                     trajectory_csv, trajectory_json_obj, verify_equivalence)
+from .engine import Trajectory, trajectory_csv, trajectory_json_obj, verify_equivalence
 from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
                      GMapSyntaxError, Irreducible, NotFoldable, ParseError,
                      ScfactorError)
+# linear_complete and variable_chain are not called here, but
+# bench/tracing.TARGETS wraps them under this module's name.
 from .factorize import (FactorizationChain, O2bVerdict, SubstitutionFactorization,
                         factor_chain, level_name, linear_complete,
                         o2b_reducibility, substitution_factorization,
@@ -230,16 +232,11 @@ class FactorOutcome:
 
 
 def resolve_factorization(job: JobConfig) -> FactorOutcome:
-    """Pick and run the factorization route a job calls for.
-
-    Explicit seeds force the certificate route; constant coefficients over a
-    commutative ring use the characteristic-pair root search; anything else
-    falls back to the certificate machinery (which, without seeds, only the
-    order-two shortcut can satisfy). Family-specific verdicts (o2b) and the
-    substitution split (alsp) are attached along the way.
+    """Run factor_chain with the job's roots, seeds and horizon; it picks the
+    route at each level. The o2b verdict (which can end the job first) and
+    the alsp substitution split are attached along the way.
     """
     out = FactorOutcome(reducible=False)
-    rec = job.recurrence
     if job.family_kind == "o2b":
         out.o2b = o2b_reducibility(job.family)
         if not out.o2b.reducible:
@@ -248,15 +245,8 @@ def resolve_factorization(job: JobConfig) -> FactorOutcome:
     if job.family_kind == "alsp":
         out.substitution = substitution_factorization(job.family)
     try:
-        if job.run.seeds is not None:
-            out.chain = variable_chain(rec, seeds=job.run.seeds,
-                                       horizon=job.run.horizon)
-        elif job.family_kind == "linear":
-            out.chain = linear_complete(rec, roots=job.run.roots)
-        elif rec.constant_coeffs and rec.ring.commutative:
-            out.chain = factor_chain(rec, roots=job.run.roots)
-        else:
-            out.chain = variable_chain(rec, horizon=job.run.horizon)
+        out.chain = factor_chain(job.recurrence, roots=job.run.roots, seeds=job.run.seeds,
+                                 horizon=job.run.horizon)
     except Irreducible as exc:
         out.reason = str(exc)
         out.root_report = exc.report
@@ -396,16 +386,13 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
     written = []
-    direct = simulate(job.recurrence, job.initial, steps)
+    direct = engine.simulate(job.recurrence, job.initial, steps)
     written.append(_write_traj(direct, job, outdir, "x", args.emit))
     if direct.breakdown is not None:
         print(f"note: direct run {direct.breakdown.describe()}")
     out = resolve_factorization(job)
     if out.reducible:
-        if out.chain is not None:
-            run = simulate_chain(out.chain, job.initial, steps)
-        else:
-            run = simulate_substitution(out.substitution, job.initial, steps)
+        run = engine.simulate_chain(out.chain or out.substitution, job.initial, steps)
         for traj in run.trajectories[1:]:
             written.append(_write_traj(traj, job, outdir, traj.level, args.emit))
         written.append(_write_traj(run.reconstructed, job, outdir, "x_rec", args.emit))

@@ -26,6 +26,11 @@ where every alpha_n is a unit. Two construction routes exist:
 
   are well defined periodic sequences.
 
+factor_chain is the one driver. At each level it takes the constant route
+when the job has no seeds and the level has constant coefficients over a
+commutative ring, and otherwise the certificate routes: the order-2 closed
+form, then the next seed window.
+
 The certificate route computes on payloads with the ring's lazy operations
 (rings: _lazy_add, _lazy_mul, _normal), as generated code does, and brings
 each alpha and each factor coefficient to its canonical payload once.
@@ -261,71 +266,6 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
     )
 
 
-def factor_chain(rec: Recurrence, roots: list[El] | None = None) -> FactorizationChain:
-    """Greedy chain of root-based reductions.
-
-    The characteristic pair is searched once. The pair one level down is
-    (P/(x - rho), Q/(x - rho)), so over a field (Z/p, Q, Q(i)) each later
-    report is derived from the one before by RootReport.deflated, which keeps
-    repeated roots. Numeric (float) reports are searched again at every
-    level, and supplied roots are verified level by level. Raises Irreducible
-    when not even one step exists. Over a residue ring with composite modulus
-    the chain stops after one step.
-    """
-    ring = rec.ring
-    composite = isinstance(ring, IntegersMod) and not ring.is_prime
-    supplied = list(roots) if roots else None
-
-    steps: list[FactorStep] = []
-    notes: list[str] = []
-    current = rec
-    report = None
-    while current.order > 1 and not (composite and steps):
-        if supplied is not None:
-            if not supplied:
-                break
-            report = verified_roots(*current.char_pair(), [supplied.pop(0)])
-        elif report is not None and report.gcd is not None:
-            report = report.deflated(rho)
-        else:
-            report = unit_roots(*current.char_pair())
-        if not report.found:
-            if not steps:
-                P, Q = rec.char_pair()
-                raise Irreducible(
-                    f"no common unit root of P = {P.fmt()} and Q = {Q.fmt()}; "
-                    f"{report.describe()}", report)
-            notes.append(f"stopped at order {current.order}: {report.describe()}")
-            break
-        rho = report.roots[0][0]
-        step = factor_once(current, rho, report)
-        steps.append(step)
-        current = step.factor
-    if composite and steps and current.order > 1:
-        notes.append(
-            f"{ring} has a composite modulus: stopped after one reduction "
-            "(repeated deflation needs an integral domain)")
-    return FactorizationChain(rec, steps, notes)
-
-
-def linear_complete(rec: Recurrence, roots: list | None = None) -> FactorizationChain:
-    """Chain for recurrences that are linear apart from their g term.
-
-    Applies when g never mixes nonlinearly with the state: a zero or
-    constant-sequence map (plain non-homogeneous linear recurrence) or a
-    linear-scale map (periodically rescaled linear form). The recurrence
-    then reduces through unit roots of the characteristic pair like any
-    other, and the chain is complete exactly when enough roots exist; the
-    last root stays visible as the coefficient of the terminal first-order
-    factor.
-    """
-    if rec.g.kind not in ("zero", "constant-sequence", "linear-scale"):
-        raise ParseError(
-            "linear_complete applies to forcing-only or linear-scale maps, "
-            f"got a {rec.g.kind} map")
-    return factor_chain(rec, roots=roots)
-
-
 # ---------------------------------------------------------------------------
 # variable-coefficient route
 
@@ -489,21 +429,25 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
         raise ParseError("the shortcut applies to second-order recurrences only")
     if not rec.g.uses_argument:
         raise ParseError("the shortcut needs a map that reads its argument")
+    ring = rec.ring
+    add, neg, mul, fmt = ring._add, ring._neg, ring._mul, ring.fmt
+    a0, a1 = rec.a[0].payload_at, rec.a[1].payload_at
+    b0, b1 = rec.b[0].payload_at, rec.b[1].payload_at
     period = _span(rec.coeff_period)
     for n in range(period):
-        for row, name in ((rec.b[0], "b_0"), (rec.b[1], "b_1")):
-            if not row.at(n).is_unit:
-                raise CertificateFailure(f"{name}({n}) = {row.at(n)} is not a unit", n=n)
-    alpha_vals = [-(rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)) for n in range(period)]
-    alpha = CoeffSeq(alpha_vals).reduced()
+        for row, name in ((b0, "b_0"), (b1, "b_1")):
+            if ring._inv(row(n)) is None:
+                raise CertificateFailure(f"{name}({n}) = {fmt(row(n))} is not a unit", n=n)
+    alpha = CoeffSeq([El(ring, neg(mul(_inverse(ring, b0(n + 1)), b1(n + 1))))
+                      for n in range(period)]).reduced()
     span = math.lcm(alpha.period, rec.coeff_period)
-    ring, alpha_at = rec.ring, alpha.payload_at
+    alpha_at = alpha.payload_at
     for n in range(span):
         if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
-            diff = rec.a[0].at(n) - rec.a[1].at(n) * rec.b[1].at(n).inverse() * rec.b[0].at(n) \
-                + rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)
+            diff = add(add(a0(n), neg(mul(mul(a1(n), _inverse(ring, b1(n))), b0(n)))),
+                       mul(_inverse(ring, b0(n + 1)), b1(n + 1)))
             raise CertificateFailure(
-                f"second-order closed condition fails: residual {diff}", n=n)
+                f"second-order closed condition fails: residual {fmt(diff)}", n=n)
         if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero.v):
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
     cert = UnitCertificate(
@@ -520,46 +464,106 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
                       certificate=cert)
 
 
-def variable_chain(rec: Recurrence, seeds=None, horizon: int = 64) -> FactorizationChain:
-    """Chain of certificate-based reductions.
+# ---------------------------------------------------------------------------
+# the chain
 
-    At each level: order-2 recurrences with unit b rows use the closed-form
-    shortcut; otherwise the next seed window from ``seeds`` drives the
-    recursion. The chain stops (keeping what it has) when neither route
-    applies; a CertificateFailure on an explicit seed propagates, since the
-    caller asked for that specific route.
+
+def factor_chain(rec: Recurrence, roots: list | None = None, seeds=None,
+                 horizon: int = 64) -> FactorizationChain:
+    """Reduce level by level, choosing the route at each level.
+
+    * Constant root, when there are no ``seeds`` and the level has constant
+      coefficients over a commutative ring. The root is the next of
+      ``roots``, checked by verified_roots, or else the first of the
+      level's report: the report one level up deflated by its root
+      (RootReport.deflated, which keeps repeated roots, over Z/p, Q and
+      Q(i)), or else a fresh unit_roots search (float reports). Over a
+      composite modulus the chain stops after one such step.
+    * Certificates, at every other level: the order-2 shortcut when the map
+      reads its argument, then the next window of ``seeds``, run to
+      ``horizon``. A failed shortcut falls through to a seed.
+
+    The chain stops, with a note, at the first level where its route gives
+    no step; a failing seed raises. With no step at all it raises
+    Irreducible, carrying the root report on the constant route.
     """
-    seeds = list(seeds or [])
+    ring = rec.ring
+    composite = isinstance(ring, IntegersMod) and not ring.is_prime
+    supplied = list(roots) if roots else None
+    seeds = None if seeds is None else list(seeds)
+
+    def by_root(level: Recurrence) -> bool:
+        return seeds is None and ring.commutative and level.constant_coeffs
+
     steps: list[FactorStep] = []
     notes: list[str] = []
-    current = rec
+    current, report = rec, None
     while current.order > 1:
-        step = None
-        if current.order == 2 and current.g.uses_argument:
-            try:
-                step = second_order_shortcut(current)
-            except CertificateFailure as exc:
-                if not seeds:
-                    notes.append(f"stopped at order {current.order}: {exc}")
-                    break
-        if step is None:
-            if not seeds:
-                if current.order != 2:
-                    notes.append(
-                        f"stopped at order {current.order}: no seed window provided")
+        if by_root(current):
+            if composite and steps:
+                notes.append(
+                    f"{ring} has a composite modulus: stopped after one reduction "
+                    "(repeated deflation needs an integral domain)")
                 break
-            seed = seeds.pop(0)
-            cert = variable_certificate(current, seed, horizon)
-            if not cert.proved_periodic:
-                raise CertificateNotPeriodic(
-                    f"certificate from seed {[str(s) for s in cert.seed]} stayed "
-                    f"horizon-bounded at horizon {cert.horizon}; cannot build the factor")
-            step = build_variable_factor(current, cert)
+            if supplied is not None:
+                if not supplied:
+                    break
+                report = verified_roots(*current.char_pair(), [supplied.pop(0)])
+            elif report is not None and report.gcd is not None:
+                report = report.deflated(step.rho)
+            else:
+                report = unit_roots(*current.char_pair())
+            if not report.found:
+                if not steps:
+                    P, Q = rec.char_pair()
+                    raise Irreducible(
+                        f"no common unit root of P = {P.fmt()} and Q = {Q.fmt()}; "
+                        f"{report.describe()}", report)
+                notes.append(f"stopped at order {current.order}: {report.describe()}")
+                break
+            step = factor_once(current, report.roots[0][0], report)
+        else:
+            step = None
+            if current.order == 2 and current.g.uses_argument:
+                try:
+                    step = second_order_shortcut(current)
+                except CertificateFailure as exc:
+                    if not seeds:
+                        notes.append(f"stopped at order {current.order}: {exc}")
+                        break
+            if step is None:
+                if not seeds:
+                    if current.order != 2:
+                        notes.append(
+                            f"stopped at order {current.order}: no seed window provided")
+                    break
+                cert = variable_certificate(current, seeds.pop(0), horizon)
+                if not cert.proved_periodic:
+                    raise CertificateNotPeriodic(
+                        f"certificate from seed {[str(s) for s in cert.seed]} stayed "
+                        f"horizon-bounded at horizon {cert.horizon}; cannot build the factor")
+                step = build_variable_factor(current, cert)
         steps.append(step)
         current = step.factor
-    if not steps:
+    # a first-order base on the constant route is its own complete chain
+    if not steps and not by_root(rec):
         raise Irreducible("no reduction step could be constructed via certificates")
     return FactorizationChain(rec, steps, notes)
+
+
+def linear_complete(rec: Recurrence, roots: list | None = None) -> FactorizationChain:
+    """factor_chain for maps that never mix nonlinearly with the state: zero,
+    constant-sequence (plain non-homogeneous linear) or linear-scale."""
+    if rec.g.kind not in ("zero", "constant-sequence", "linear-scale"):
+        raise ParseError(
+            "linear_complete applies to forcing-only or linear-scale maps, "
+            f"got a {rec.g.kind} map")
+    return factor_chain(rec, roots=roots)
+
+
+def variable_chain(rec: Recurrence, seeds=None, horizon: int = 64) -> FactorizationChain:
+    """factor_chain on the certificate routes at every level."""
+    return factor_chain(rec, seeds=list(seeds or []), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """One block of each benchmark workload, run through cli.main and checked by
-the benchmark's own checker against the outcomes planted in its jobs; and
-the names the benchmark's tracer wraps, which must exist in the library."""
+the benchmark's own checker against the outcomes planted in its jobs; the
+names the benchmark's tracer wraps, which must exist in the library; and a
+traced simulate, whose engine calls the tracer must see."""
 
 import contextlib
 import importlib.util
@@ -52,6 +53,17 @@ def test_traced_name_exists(module_name, attr):
     for part in path:
         owner = getattr(owner, part)
     assert callable(vars(owner)[leaf])
+
+
+@pytest.mark.parametrize("name", ["alsp_z97.json", "exzp_z11.json"])
+def test_traced_simulate_records_its_engine_calls(tmp_path, name):
+    tracer = tracing.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", str(ROOT / "configs" / name), "--out", str(tmp_path)])
+    assert code == 0
+    names = [span[1] for span in tracer.spans]
+    assert names.count("engine.simulate") == 2      # the direct run and the deepest level
+    assert names.count("engine.simulate_chain") == 1
 
 
 def test_public_names_exist():

@@ -82,6 +82,22 @@ class TestFactor:
         assert "chain not complete, depth 1" in out
         assert "residual i" in out
 
+    @pytest.mark.parametrize("command", ["factor", "verify"])
+    @pytest.mark.parametrize("a", [["i", "2"], ["i"]], ids=["order-2", "order-1"])
+    def test_linear_family_over_quaternions(self, capsys, tmp_path, command, a):
+        # no root search over a noncommutative ring: the certificate routes,
+        # which find no step without seeds, as for any other recurrence over H
+        path = tmp_path / "linear_h.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "rational-quaternion"}, "module": {"dim": 1},
+            "family": {"kind": "linear", "params": {"a": a, "c": ["j"]}},
+            "initial": ["1", "k"][:len(a)]}))
+        code, out, err = run_cli(capsys, command, str(path), "--json")
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "status": "irreducible", "notes": [],
+            "reason": "no reduction step could be constructed via certificates"}
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", [
