@@ -20,7 +20,7 @@ from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
                      ParseError, ScfactorError, TanhUnsupported)
 from .factorize import (FactorStep, FactorizationChain, O2bVerdict,
                         SubstitutionFactorization, UnitCertificate,
-                        build_variable_factor, criterion_check, factor_chain,
+                        build_variable_factor, factor_chain,
                         factor_once, level_name, linear_complete,
                         o2b_reducibility, second_order_shortcut,
                         substitution_factorization, variable_certificate,
@@ -29,20 +29,20 @@ from .poly import (Poly, RootReport, deflate, durand_kerner, poly_gcd,
                    unit_roots, verified_roots)
 from .recurrence import (CoeffSeq, FamilyInfo, GMap, Recurrence, build_family,
                          fold_system, make_coeff)
-from .rings import El, Module, Ring, Vec, make_ring
+from .rings import Module, Ring, make_ring
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Breakdown", "CertificateFailure", "CertificateNotPeriodic", "ChainRun",
-    "CoeffSeq", "ConfigError", "DivisionByNonUnit", "El", "EquivalenceReport",
+    "CoeffSeq", "ConfigError", "DivisionByNonUnit", "EquivalenceReport",
     "FactorStep", "FactorizationChain", "FamilyInfo", "GMap", "GMapSyntaxError",
     "Irreducible", "JobConfig", "Module", "NoncommutativeRing", "NotAValidRoot",
     "NotFoldable", "O2bVerdict", "ParseError", "Poly",
     "Recurrence", "Ring", "RootReport", "RunOptions", "ScfactorError",
     "SubstitutionFactorization", "TanhUnsupported", "Trajectory",
-    "UnitCertificate", "Vec", "build_family", "build_job",
-    "build_variable_factor", "criterion_check", "deflate",
+    "UnitCertificate", "build_family", "build_job",
+    "build_variable_factor", "deflate",
     "durand_kerner", "factor_chain", "factor_once", "fold_system", "level_name",
     "linear_complete", "load_job", "make_coeff", "make_ring",
     "o2b_reducibility", "poly_gcd",

@@ -92,8 +92,8 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
 
 def _coeff_obj(c: CoeffSeq):
     if c.is_constant:
-        return str(c.values[0])
-    return [str(v) for v in c.values]
+        return c.ring.fmt(c.values[0])
+    return list(map(c.ring.fmt, c.values))
 
 
 def _gmap_obj(g: GMap) -> dict:
@@ -101,14 +101,13 @@ def _gmap_obj(g: GMap) -> dict:
     fmt = g.module.ring.fmt
     if g.kind == "constant-sequence":
         # the payloads are stored per component: one list per value
-        obj["values"] = [list(map(fmt, v)) for v in zip(*g.seq_payloads.values())]
+        obj["values"] = [list(map(fmt, v)) for v in zip(*g.seqs.values())]
     elif g.kind == "linear-scale":
-        obj["values"] = list(map(fmt, g.seq_payloads[0]))
+        obj["values"] = list(map(fmt, g.seqs[0]))
     elif g.kind == "expression":
         obj["exprs"] = list(g.sources)
         if g.seqs:
-            obj["sequences"] = {name: list(map(fmt, vals))
-                                for name, vals in g.seq_payloads.items()}
+            obj["sequences"] = {name: list(map(fmt, vals)) for name, vals in g.seqs.items()}
     return obj
 
 
@@ -136,15 +135,15 @@ def _cert_obj(cert) -> dict:
         "period": cert.period,
         "horizon": cert.horizon,
         "checked_upto": cert.checked_upto,
-        "seed": [str(v) for v in cert.seed],
-        "alphas": [str(a) for a in cert.alphas],
+        "seed": list(map(cert.ring.fmt, cert.seed)),
+        "alphas": list(map(cert.ring.fmt, cert.alphas)),
         "notes": list(cert.notes),
     }
 
 
 def _root_report_obj(rr) -> dict:
     return {
-        "roots": [[str(r), m] for r, m in rr.roots],
+        "roots": [[rr.ring.fmt(r), m] for r, m in rr.roots],
         "method": rr.method,
         "exhaustive": rr.exhaustive,
         "notes": list(rr.notes),
@@ -152,6 +151,7 @@ def _root_report_obj(rr) -> dict:
 
 
 def _chain_obj(chain: FactorizationChain, memo: dict) -> dict:
+    fmt = chain.base.ring.fmt
     steps = []
     for i, st in enumerate(chain.steps, start=1):
         obj = {
@@ -160,11 +160,11 @@ def _chain_obj(chain: FactorizationChain, memo: dict) -> dict:
             "factor": _rec_obj(st.factor, level_name(i), memo),
         }
         if st.rho is not None:
-            obj["rho"] = str(st.rho)
+            obj["rho"] = fmt(st.rho)
         if st.p is not None:
-            obj["p"] = [str(v) for v in st.p]
+            obj["p"] = list(map(fmt, st.p))
         if st.q is not None:
-            obj["q"] = [str(v) for v in st.q]
+            obj["q"] = list(map(fmt, st.q))
         if st.certificate is not None:
             obj["certificate"] = _cert_obj(st.certificate)
         if st.root_report is not None:
@@ -182,20 +182,22 @@ def _chain_obj(chain: FactorizationChain, memo: dict) -> dict:
 
 
 def _sub_obj(sub: SubstitutionFactorization, memo: dict) -> dict:
+    fmt = sub.base.ring.fmt
     return {
-        "sub_coeffs": [str(c) for c in sub.sub_coeffs],
-        "b": str(sub.b),
+        "sub_coeffs": list(map(fmt, sub.sub_coeffs)),
+        "b": fmt(sub.b),
         "factor": _rec_obj(sub.factor, "s", memo),
     }
 
 
 def _o2b_obj(v: O2bVerdict) -> dict:
+    fmt = v.ring.fmt
     return {
         "reducible": v.reducible,
-        "b": str(v.b),
+        "b": fmt(v.b),
         "b_is_unit": v.b_is_unit,
-        "p_at_b": str(v.p_at_b),
-        "q_at_b": str(v.q_at_b),
+        "p_at_b": fmt(v.p_at_b),
+        "q_at_b": fmt(v.q_at_b),
         "reason": v.reason,
     }
 
@@ -282,25 +284,26 @@ def _outcome_obj(out: FactorOutcome) -> dict:
 
 
 def _print_outcome(job: JobConfig, out: FactorOutcome) -> None:
+    fmt = job.ring.fmt
     print(f"base: {job.recurrence.describe('x')}")
     if out.o2b is not None:
         v = out.o2b
-        print(f"o2b check: b = {v.b} (unit: {v.b_is_unit}), "
-              f"P(b) = {v.p_at_b}, Q(b) = {v.q_at_b} -> "
+        print(f"o2b check: b = {fmt(v.b)} (unit: {v.b_is_unit}), "
+              f"P(b) = {fmt(v.p_at_b)}, Q(b) = {fmt(v.q_at_b)} -> "
               f"{'reducible' if v.reducible else 'not reducible'}")
         if v.reason:
             print(f"  {v.reason}")
     if out.substitution is not None:
         sub = out.substitution
         print(f"substitution split: s[n] = x[n] - ("
-              + " + ".join(f"{c}*x[n-{j}]" for j, c in enumerate(sub.sub_coeffs, start=1))
+              + " + ".join(f"{fmt(c)}*x[n-{j}]" for j, c in enumerate(sub.sub_coeffs, start=1))
               + f"); {sub.factor.describe('s')}")
     if out.chain is not None:
         ch = out.chain
         for i, st in enumerate(ch.steps, start=1):
             bits = [f"step {i} [{st.route}]"]
             if st.rho is not None:
-                bits.append(f"rho = {st.rho}")
+                bits.append(f"rho = {fmt(st.rho)}")
             bits.append(f"alpha = {st.alpha}")
             print("  ".join(bits))
             print(f"  {st.factor.describe(level_name(i))}")
@@ -409,7 +412,7 @@ def _parse_seed(job: JobConfig, text: str) -> list:
     """Comma-separated ring literals for the alpha window (always scalars)."""
     ring = job.module.ring
     try:
-        window = [ring.el(chunk.strip()) for chunk in text.split(",")]
+        window = [ring.payload(chunk.strip()) for chunk in text.split(",")]
     except (ParseError, ScfactorError) as exc:
         raise ConfigError(f"bad seed {text!r}: {exc}") from exc
     k = job.recurrence.k
@@ -443,7 +446,7 @@ def _cmd_certify(args) -> int:
         ptxt = f", period {cert.period}" if cert.period else ""
         print(f"certificate: {cert.status}{ptxt} "
               f"(horizon {cert.horizon}, checked up to n = {cert.checked_upto})")
-        print("alphas: " + ", ".join(str(a) for a in cert.alphas))
+        print("alphas: " + ", ".join(map(cert.ring.fmt, cert.alphas)))
         for note in cert.notes:
             print(f"note: {note}")
     return 0

@@ -384,7 +384,7 @@ def _parse_initial(module: Module, entries: list, order: int) -> list:
     out = []
     for i, entry in enumerate(entries):
         try:
-            out.append(module.el(entry))
+            out.append(module.payloads(entry))
         except (ParseError, ScfactorError) as exc:
             raise ConfigError(f"initial[{i}]: {exc}") from exc
     return out
@@ -409,7 +409,7 @@ def _parse_run(module: Module, rdoc: dict | None, k: int) -> RunOptions:
                     f"run.seeds[{i}] must hold {k} value(s) (one below the order), "
                     f"got {len(window)}")
             try:
-                seeds.append([module.ring.el(v) for v in window])
+                seeds.append([module.ring.payload(v) for v in window])
             except (ParseError, ScfactorError) as exc:
                 raise ConfigError(f"run.seeds[{i}]: {exc}") from exc
         run.seeds = seeds

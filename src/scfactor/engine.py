@@ -21,8 +21,7 @@ through simulate, then rebuilds every level above it in one generated loop
 c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the value of the level below, level
 after level from the deepest up, with the latest values in locals and
 values reduced only where they are stored. A Trajectory holds those payload
-lists and its module; its ``values`` and ``value_at`` wrap payloads into
-Vec elements on read, and the serializers format payloads directly.
+lists and its module, and the serializers format them with the ring's fmt.
 
 verify_equivalence stores no trajectory: one generated loop (_verify_loop)
 steps the direct recurrence and the deepest factor with the code of their
@@ -50,7 +49,7 @@ from . import gmap as gm
 from .errors import ConfigError, DivisionByNonUnit, TanhUnsupported
 from .factorize import FactorizationChain, SubstitutionFactorization, level_name
 from .recurrence import Recurrence
-from .rings import MAX_PAYLOAD_BITS, Module, Vec
+from .rings import MAX_PAYLOAD_BITS, Module
 
 FLOAT_COMPARE_CAP = 500
 
@@ -66,36 +65,31 @@ class Breakdown:
 
 @dataclass
 class Trajectory:
-    """payloads[i] lists the component payloads of the value at start + i."""
+    """values[i] lists the component payloads of the value at start + i."""
 
     level: str
     start: int
     module: Module
-    payloads: list[list]
+    values: list[list]
     breakdown: Breakdown | None = None
 
     @property
     def end(self) -> int:
         """One past the largest produced index."""
-        return self.start + len(self.payloads)
+        return self.start + len(self.values)
 
-    @property
-    def values(self) -> list[Vec]:
-        return [self.module.wrap(p) for p in self.payloads]
-
-    def value_at(self, n: int) -> Vec:
+    def value_at(self, n: int) -> list:
         if not (self.start <= n < self.end):
             raise IndexError(f"index {n} outside [{self.start}, {self.end})")
-        return self.module.wrap(self.payloads[n - self.start])
+        return self.values[n - self.start]
 
 
 def _window(rec: Recurrence, initial) -> list[list]:
-    """The payload lists of an initial window for ``rec``."""
-    module = rec.module
-    init = [module.el(v) for v in initial]
-    if len(init) != rec.order:
-        raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(init)}")
-    return [module.payloads(v) for v in init]
+    """The payload lists of an initial window for ``rec``: each value is
+    what Module.payloads accepts."""
+    if len(initial) != rec.order:
+        raise ConfigError(f"initial window must hold {rec.order} value(s), got {len(initial)}")
+    return list(map(rec.module.payloads, initial))
 
 
 def _run(rec: Recurrence, hist, lo: int, hi: int) -> Breakdown | None:
@@ -136,15 +130,14 @@ def _propagated(below: Breakdown | None) -> Breakdown | None:
     return None if below is None else Breakdown(below.index, f"propagated: {below.reason}")
 
 
-def transport(chain: FactorizationChain, initial) -> list[list[Vec]]:
-    """Initial windows for every chain level.
+def transport(chain: FactorizationChain, initial) -> list[list[list]]:
+    """Initial windows for every chain level, as payload lists.
 
     Level 0 is the given x window (indices 0..k). Level l (1-based) drops the
     first entry: w_i = prev_i - alpha_l(i-1) * prev_{i-1} for i = l..k, so the
     level-l window covers indices l..k.
     """
-    module = chain.base.module
-    return [[module.wrap(p) for p in window] for window in _split(chain, initial)[3][::-1]]
+    return _split(chain, initial)[3][::-1]
 
 
 @dataclass
@@ -182,10 +175,10 @@ def _split(factorization, initial):
     """
     if isinstance(factorization, SubstitutionFactorization):
         factor, names = factorization.factor, ["x", "s"]
-        levels = [[(c.v,) for c in factorization.sub_coeffs]]
+        levels = [[(c,) for c in factorization.sub_coeffs]]
     else:
         factor = factorization.final_factor
-        levels = [[step.alpha.payloads] for step in factorization.steps]
+        levels = [[step.alpha.values] for step in factorization.steps]
         names = [level_name(l) for l in range(len(levels) + 1)]
     ring, k = factor.ring, factorization.base.k
     add, neg, mul = ring._add, ring._neg, ring._mul
@@ -277,9 +270,8 @@ def simulate_chain(factorization, initial, steps: int) -> ChainRun:
     factor, names, levels, windows = _split(factorization, initial)
     module, k = factor.module, factorization.base.k
     starts = [k + 1 - len(window) for window in windows]
-    below = simulate(factor, [module.wrap(p) for p in windows[0]], steps,
-                     start=starts[0], level=names[0])
-    _rebuild(module, levels, k, below.end - 1, below.payloads[len(windows[0]):], windows[1:])
+    below = simulate(factor, windows[0], steps, start=starts[0], level=names[0])
+    _rebuild(module, levels, k, below.end - 1, below.values[len(windows[0]):], windows[1:])
     trajs = [below]
     for name, start, vals in zip(names[1:], starts[1:], windows[1:]):
         trajs.append(Trajectory(name, start, module, vals, _propagated(trajs[-1].breakdown)))
@@ -393,7 +385,7 @@ def _verify_loop(rec: Recurrence, factor: Recurrence, levels):
         e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
                f"return n + 1, n + 1, dev, {state}")
     else:
-        deviation, zero = e.bind(_deviation), e.bind([ring.zero.v] * dim)
+        deviation, zero = e.bind(_deviation), e.bind([ring.zero] * dim)
         a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
         d = e.let(f"{deviation}({a}, {b})")
         e.line(f"dev = max(dev, {d})")
@@ -474,7 +466,7 @@ def trajectory_csv(traj: Trajectory, module: Module) -> str:
     header = "level,n," + ",".join(f"c{i}" for i in range(module.dim))
     lines = [header]
     fmt = module.ring.fmt
-    for off, v in enumerate(traj.payloads):
+    for off, v in enumerate(traj.values):
         comps = ",".join(map(fmt, v))
         lines.append(f"{traj.level},{traj.start + off},{comps}")
     return "\n".join(lines) + "\n"
@@ -484,7 +476,7 @@ def trajectory_json_obj(traj: Trajectory, module: Module) -> dict:
     obj = {
         "level": traj.level,
         "start": traj.start,
-        "values": [list(map(module.ring.fmt, v)) for v in traj.payloads],
+        "values": [list(map(module.ring.fmt, v)) for v in traj.values],
         "breakdown": None,
     }
     if traj.breakdown is not None:

@@ -31,13 +31,10 @@ when the job has no seeds and the level has constant coefficients over a
 commutative ring, and otherwise the certificate routes: the order-2 closed
 form, then the next seed window.
 
-The certificate route computes on payloads with the ring's lazy operations
-(rings: _lazy_add, _lazy_mul, _normal), as generated code does, and brings
-each alpha and each factor coefficient to its canonical payload once.
-
-criterion_check is the independent test from the defining property: the
-expression f_n(zeta_0, .., zeta_k) - alpha_n zeta_0 must not depend on the
-free leading value zeta_0 once the remaining zeta_j are pinned by probes.
+Every value is a payload. The certificate route computes with the ring's
+lazy operations (rings: _lazy_add, _lazy_mul, _normal), as generated code
+does, and brings each alpha and each factor coefficient to its canonical
+payload once.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from .errors import (
     CertificateFailure,
     CertificateNotPeriodic,
     ConfigError,
-    DivisionByNonUnit,
     Irreducible,
     NoncommutativeRing,
     NotAValidRoot,
@@ -57,7 +53,7 @@ from .errors import (
 )
 from .poly import RootReport, is_root, unit_roots, verified_roots
 from .recurrence import CoeffSeq, Recurrence
-from .rings import MAX_PAYLOAD_BITS, El, IntegersMod, Vec
+from .rings import MAX_PAYLOAD_BITS, IntegersMod, Ring
 
 # Largest common period (lcm of the coefficient and alpha periods) over which
 # a certificate-route factor is built or checked; each n costs a row of ring
@@ -85,7 +81,8 @@ def level_name(i: int) -> str:
 
 @dataclass
 class UnitCertificate:
-    """A verified run of the alpha recursion.
+    """A verified run of the alpha recursion over ``ring``; seed and alphas
+    are payloads.
 
     status is "proved-periodic" (period set: the wrapped alpha sequence
     satisfies esa/esb for every n, see variable_certificate) or
@@ -93,8 +90,9 @@ class UnitCertificate:
     established).
     """
 
-    seed: tuple[El, ...]
-    alphas: tuple[El, ...]
+    ring: Ring
+    seed: tuple
+    alphas: tuple
     status: str
     horizon: int
     period: int | None = None
@@ -109,19 +107,20 @@ class UnitCertificate:
         if not self.proved_periodic:
             raise CertificateNotPeriodic(
                 "alpha sequence is only globally defined for proved-periodic certificates")
-        return CoeffSeq(self.alphas[: self.period]).reduced()
+        return CoeffSeq(self.ring, self.alphas[: self.period]).reduced()
 
 
 @dataclass
 class FactorStep:
-    """One order reduction: cofactor data plus the factor recurrence."""
+    """One order reduction: cofactor data plus the factor recurrence; rho, p
+    and q are payloads."""
 
     route: str                      # "constant-root" | "certificate" | "shortcut"
     alpha: CoeffSeq
     factor: Recurrence
-    rho: El | None = None           # constant route only
-    p: tuple[El, ...] | None = None
-    q: tuple[El, ...] | None = None
+    rho: object = None              # constant route only
+    p: tuple | None = None
+    q: tuple | None = None
     certificate: UnitCertificate | None = None
     root_report: RootReport | None = None
 
@@ -157,73 +156,16 @@ class FactorizationChain:
 
 
 # ---------------------------------------------------------------------------
-# the reduction criterion (independent oracle)
-
-
-def _inverse(ring, v):
-    """The inverse of the payload v; a non-unit raises as El.inverse does."""
-    w = ring._inv(v)
-    if w is None:
-        raise DivisionByNonUnit(f"{ring.fmt(v)} is not a unit in {ring}")
-    return w
-
-
-def _descending_alpha_product(ring, alpha: CoeffSeq, n: int, i: int, j: int):
-    """The payload of alpha_{n-i} * alpha_{n-i-1} * ... * alpha_{n-j}
-    (i <= j), normalized once."""
-    acc = alpha.payload_at(n - i)
-    for l in range(i + 1, j + 1):
-        acc = ring._lazy_mul(acc, alpha.payload_at(n - l))
-    return ring._normal(acc)
-
-
-def _zeta_chain(rec: Recurrence, alpha: CoeffSeq, n: int, u0: Vec, probes) -> list[Vec]:
-    """Backward substitution values zeta_0..zeta_k given the probes v_1..v_k.
-
-    zeta_j = (alpha_{n-1}..alpha_{n-j})^(-1) u0
-             - sum_{i=1..j} (alpha_{n-i}..alpha_{n-j})^(-1) v_i
-    """
-    ring = rec.ring
-
-    def inverse(i, j):
-        return El(ring, _inverse(ring, _descending_alpha_product(ring, alpha, n, i, j)))
-    zetas = [u0]
-    for j in range(1, rec.order):
-        acc = inverse(1, j) * u0
-        for i in range(1, j + 1):
-            acc = acc - inverse(i, j) * probes[i - 1]
-        zetas.append(acc)
-    return zetas
-
-
-def criterion_check(rec: Recurrence, alpha: CoeffSeq, n: int,
-                    u0_a: Vec, u0_b: Vec, probes) -> bool:
-    """Does f_n(zeta chain) - alpha_n zeta_0 agree for two leading values?
-
-    A valid reduction makes the expression independent of the leading value
-    for every choice of probes; testing two leading values against one probe
-    tuple gives a refutable instance of that independence.
-    """
-    if len(probes) != rec.k:
-        raise ValueError(f"need {rec.k} probe value(s), got {len(probes)}")
-    outs = []
-    for u0 in (u0_a, u0_b):
-        zetas = _zeta_chain(rec, alpha, n, u0, probes)
-        val = rec.step(n, zetas) - alpha.at(n) * u0
-        outs.append(val)
-    return outs[0] == outs[1]
-
-
-# ---------------------------------------------------------------------------
 # constant-coefficient route
 
 
-def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> FactorStep:
+def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> FactorStep:
     """One reduction step at a common unit root of the characteristic pair.
 
-    Validates rho (unit, annihilates P, annihilates Q unless Q = 0) and
-    builds the factor coefficients by the Horner recursions, which are the
-    coefficients of P / (x - rho) and Q / (x - rho).
+    rho is anything ring.payload accepts. Validates it (a unit that
+    annihilates P, and Q unless Q = 0) and builds the factor coefficients by
+    the Horner recursions, which are the coefficients of P / (x - rho) and
+    Q / (x - rho).
     """
     ring = rec.ring
     if not ring.commutative:
@@ -234,32 +176,31 @@ def factor_once(rec: Recurrence, rho: El, report: RootReport | None = None) -> F
         raise ParseError("root-based reduction needs constant coefficients")
     if rec.order < 2:
         raise ParseError("a first-order recurrence has nothing to reduce")
-    rho = ring.el(rho)
-    r = rho.v
+    r = ring.payload(rho)
     P, Q = rec.char_pair()
-    if not rho.is_unit:
-        raise NotAValidRoot(f"{rho} is not a unit in {ring}")
+    if ring._inv(r) is None:
+        raise NotAValidRoot(f"{ring.fmt(r)} is not a unit in {ring}")
     if not is_root(P, r):
-        raise NotAValidRoot(f"{rho} is not a root of P = {P.fmt()}")
+        raise NotAValidRoot(f"{ring.fmt(r)} is not a root of P = {P.fmt()}")
     if not Q.is_zero and not is_root(Q, r):
-        raise NotAValidRoot(f"{rho} is not a root of Q = {Q.fmt()}")
+        raise NotAValidRoot(f"{ring.fmt(r)} is not a root of Q = {Q.fmt()}")
 
     add, mul, neg = ring._add, ring._mul, ring._neg
     p, q = [], []
-    prev_p, prev_q = ring.one.v, ring.zero.v
+    prev_p, prev_q = ring.one, ring.zero
     for a, b in zip(rec.a[:-1], rec.b[:-1]):
-        prev_p = add(mul(r, prev_p), neg(a.values[0].v))
-        prev_q = add(mul(r, prev_q), b.values[0].v)
+        prev_p = add(mul(r, prev_p), neg(a.values[0]))
+        prev_q = add(mul(r, prev_q), b.values[0])
         p.append(prev_p)
         q.append(prev_q)
 
-    p, q = tuple(El(ring, v) for v in p), tuple(El(ring, v) for v in q)
-    factor = Recurrence(rec.module, [-c for c in p], q, rec.g)
+    p, q = tuple(p), tuple(q)
+    factor = Recurrence(rec.module, [neg(c) for c in p], q, rec.g)
     return FactorStep(
         route="constant-root",
-        alpha=CoeffSeq.constant(rho),
+        alpha=CoeffSeq.constant(ring, r),
         factor=factor,
-        rho=rho,
+        rho=r,
         p=p,
         q=q,
         root_report=report,
@@ -279,19 +220,20 @@ def _row_sum(ring, row, alpha_at, n: int):
     On exact rings trailing zero coefficients add nothing, so the alpha
     product stops at the last nonzero one.
     """
-    add, mul, eq, zero = ring._lazy_add, ring._lazy_mul, ring._eq, ring.zero.v
-    acc, *coeffs = [seq.payload_at(n) for seq in row]
+    add, mul, eq, zero = ring._lazy_add, ring._lazy_mul, ring._eq, ring.zero
+    acc, *coeffs = [seq.at(n) for seq in row]
     while ring.exact and coeffs and eq(coeffs[-1], zero):
         coeffs.pop()
     prod = None
     for i, c in enumerate(coeffs, start=1):
         prod = alpha_at(n - i) if prod is None else mul(prod, alpha_at(n - i))
-        acc = add(acc, mul(c, _inverse(ring, prod)))
+        acc = add(acc, mul(c, ring.inverse(prod)))
     return ring._normal(acc)
 
 
 def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertificate:
-    """Run the alpha recursion from a seed window of k units.
+    """Run the alpha recursion from a seed window of k units (anything
+    ring.payload accepts).
 
     Every produced alpha_n must be a unit and, when g reads its argument,
     the b-side sum must vanish at every step; the first violation raises
@@ -311,19 +253,19 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     if k < 1:
         raise ParseError("certificates apply to recurrences of order >= 2")
     ring = rec.ring
-    seed_els = [ring.el(s) for s in seed]
-    if len(seed_els) != k:
+    eq, zero, fmt, oversize = ring._eq, ring.zero, ring.fmt, ring._oversize
+    seed = tuple(ring.payload(s) for s in seed)
+    if len(seed) != k:
         raise CertificateFailure(
-            f"seed must supply {k} value(s) alpha_0..alpha_{k - 1}, got {len(seed_els)}")
-    for idx, s in enumerate(seed_els):
-        if not s.is_unit:
-            raise CertificateFailure(f"seed value alpha_{idx} = {s} is not a unit", n=idx)
+            f"seed must supply {k} value(s) alpha_0..alpha_{k - 1}, got {len(seed)}")
+    for idx, s in enumerate(seed):
+        if ring._inv(s) is None:
+            raise CertificateFailure(f"seed value alpha_{idx} = {fmt(s)} is not a unit", n=idx)
     if horizon < k + 1:
         raise ParseError(f"horizon must be at least {k + 1}")
 
     need_esb = rec.g.uses_argument
-    eq, zero, fmt, oversize = ring._eq, ring.zero.v, ring.fmt, ring._oversize
-    alphas = [s.v for s in seed_els]
+    alphas = list(seed)
 
     def alpha_hist(m: int):
         if m < 0:
@@ -358,7 +300,7 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
             break
 
     if period is not None and not ring.exact:
-        wrapped = CoeffSeq([El(ring, a) for a in alphas[:period]]).payload_at
+        wrapped = CoeffSeq(ring, alphas[:period]).at
         for n in range(math.lcm(period, coeff_period)):
             if not eq(wrapped(n), _row_sum(ring, rec.a, wrapped, n)):
                 side = "a"
@@ -372,8 +314,7 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
             period = None
             break
     status = "horizon-bounded" if period is None else "proved-periodic"
-    return UnitCertificate(tuple(seed_els), tuple(El(ring, a) for a in alphas), status,
-                           horizon, period, horizon, notes)
+    return UnitCertificate(ring, seed, tuple(alphas), status, horizon, period, horizon, notes)
 
 
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
@@ -394,19 +335,19 @@ def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
         avals = []
         bvals = []
         for n in range(span):
-            acc_a = acc_b = ring.zero.v
+            acc_a = acc_b = ring.zero
             prod = None
             for j in range(ip + 1, k + 1):
                 # gamma_{ip+1, j}(n) = alpha_{n-ip-1} * ... * alpha_{n-j}
-                a = alpha.payload_at(n - j)
+                a = alpha.at(n - j)
                 prod = a if prod is None else mul(prod, a)
-                inv = _inverse(ring, prod)
-                acc_a = add(acc_a, mul(rec.a[j].payload_at(n), inv))
-                acc_b = add(acc_b, mul(rec.b[j].payload_at(n), inv))
-            avals.append(El(ring, normal(neg(acc_a))))
-            bvals.append(El(ring, normal(neg(acc_b))))
-        new_a.append(CoeffSeq(avals).reduced())
-        new_b.append(CoeffSeq(bvals).reduced())
+                inv = ring.inverse(prod)
+                acc_a = add(acc_a, mul(rec.a[j].at(n), inv))
+                acc_b = add(acc_b, mul(rec.b[j].at(n), inv))
+            avals.append(normal(neg(acc_a)))
+            bvals.append(normal(neg(acc_b)))
+        new_a.append(CoeffSeq(ring, avals).reduced())
+        new_b.append(CoeffSeq(ring, bvals).reduced())
 
     factor = Recurrence(rec.module, new_a, new_b, rec.g)
     return FactorStep(route="certificate", alpha=alpha, factor=factor, certificate=cert)
@@ -431,26 +372,28 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
         raise ParseError("the shortcut needs a map that reads its argument")
     ring = rec.ring
     add, neg, mul, fmt = ring._add, ring._neg, ring._mul, ring.fmt
-    a0, a1 = rec.a[0].payload_at, rec.a[1].payload_at
-    b0, b1 = rec.b[0].payload_at, rec.b[1].payload_at
+    a0, a1 = rec.a[0].at, rec.a[1].at
+    b0, b1 = rec.b[0].at, rec.b[1].at
     period = _span(rec.coeff_period)
     for n in range(period):
         for row, name in ((b0, "b_0"), (b1, "b_1")):
             if ring._inv(row(n)) is None:
                 raise CertificateFailure(f"{name}({n}) = {fmt(row(n))} is not a unit", n=n)
-    alpha = CoeffSeq([El(ring, neg(mul(_inverse(ring, b0(n + 1)), b1(n + 1))))
-                      for n in range(period)]).reduced()
+    inverse = ring.inverse
+    alpha = CoeffSeq(ring, [neg(mul(inverse(b0(n + 1)), b1(n + 1)))
+                            for n in range(period)]).reduced()
     span = math.lcm(alpha.period, rec.coeff_period)
-    alpha_at = alpha.payload_at
+    alpha_at = alpha.at
     for n in range(span):
         if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
-            diff = add(add(a0(n), neg(mul(mul(a1(n), _inverse(ring, b1(n))), b0(n)))),
-                       mul(_inverse(ring, b0(n + 1)), b1(n + 1)))
+            diff = add(add(a0(n), neg(mul(mul(a1(n), inverse(b1(n))), b0(n)))),
+                       mul(inverse(b0(n + 1)), b1(n + 1)))
             raise CertificateFailure(
                 f"second-order closed condition fails: residual {fmt(diff)}", n=n)
-        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero.v):
+        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero):
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
     cert = UnitCertificate(
+        ring=ring,
         seed=(alpha.at(0),),
         alphas=alpha.values,
         status="proved-periodic",
@@ -540,13 +483,13 @@ def factor_chain(rec: Recurrence, roots: list | None = None, seeds=None,
                 cert = variable_certificate(current, seeds.pop(0), horizon)
                 if not cert.proved_periodic:
                     raise CertificateNotPeriodic(
-                        f"certificate from seed {[str(s) for s in cert.seed]} stayed "
+                        f"certificate from seed {list(map(ring.fmt, cert.seed))} stayed "
                         f"horizon-bounded at horizon {cert.horizon}; cannot build the factor")
                 step = build_variable_factor(current, cert)
         steps.append(step)
         current = step.factor
-    # a first-order base on the constant route is its own complete chain
-    if not steps and not by_root(rec):
+    # a first-order base is its own complete chain on every route
+    if not steps and rec.order > 1 and not by_root(rec):
         raise Irreducible("no reduction step could be constructed via certificates")
     return FactorizationChain(rec, steps, notes)
 
@@ -580,8 +523,8 @@ class SubstitutionFactorization:
     """
 
     base: Recurrence
-    sub_coeffs: tuple[El, ...]
-    b: El
+    sub_coeffs: tuple               # payloads, as b
+    b: object
     factor: Recurrence
 
     @property
@@ -589,14 +532,16 @@ class SubstitutionFactorization:
         return len(self.sub_coeffs)
 
     def describe(self) -> str:
+        ring = self.base.ring
         terms = []
         for j, c in enumerate(self.sub_coeffs, start=1):
-            if c.is_zero:
+            if ring._eq(c, ring.zero):
                 continue
             xs = f"x[n-{j}]"
-            terms.append(xs if c == c.ring.one else f"{c}*{xs}")
+            terms.append(xs if ring._eq(c, ring.one) else f"{ring.fmt(c)}*{xs}")
         sub = " - ".join(["x[n]"] + terms) if terms else "x[n]"
-        return f"s[n] = {sub}; s[n+1] = g[n]({self.b}*s[n]) when b != 1 else g[n](s[n])"
+        return (f"s[n] = {sub}; s[n+1] = g[n]({ring.fmt(self.b)}*s[n]) "
+                "when b != 1 else g[n](s[n])")
 
 
 def substitution_factorization(fam) -> SubstitutionFactorization:
@@ -613,11 +558,14 @@ def substitution_factorization(fam) -> SubstitutionFactorization:
 
 @dataclass
 class O2bVerdict:
+    """The o2b decision over ``ring``; b, p_at_b and q_at_b are payloads."""
+
+    ring: Ring
     reducible: bool
-    b: El
+    b: object
     b_is_unit: bool
-    p_at_b: El
-    q_at_b: El
+    p_at_b: object
+    q_at_b: object
     reason: str
 
 
@@ -630,12 +578,13 @@ def o2b_reducibility(fam) -> O2bVerdict:
     if fam.kind != "o2b":
         raise ParseError("this verdict applies to the o2b family")
     rec = fam.recurrence
-    b = fam.params["b"]
+    ring, b = rec.ring, fam.params["b"]
     P, Q = rec.char_pair()
     qb = Q(b)
     pb = P(b)
-    if not b.is_unit:
-        return O2bVerdict(False, b, False, pb, qb, f"b = {b} is not a unit")
-    if not pb.is_zero:
-        return O2bVerdict(False, b, True, pb, qb, f"P(b) = {pb} is nonzero")
-    return O2bVerdict(True, b, True, pb, qb, "b is a unit and a root of P (and of Q by shape)")
+    if ring._inv(b) is None:
+        return O2bVerdict(ring, False, b, False, pb, qb, f"b = {ring.fmt(b)} is not a unit")
+    if not ring._eq(pb, ring.zero):
+        return O2bVerdict(ring, False, b, True, pb, qb, f"P(b) = {ring.fmt(pb)} is nonzero")
+    return O2bVerdict(ring, True, b, True, pb, qb,
+                      "b is a unit and a root of P (and of Q by shape)")

@@ -36,10 +36,9 @@ the unit, raises for a non-unit, and stores the inverse while the memo
 holds fewer than INVERSE_MEMO_SIZE entries. Within one map, a repeated
 subtree and a repeated inverse are computed once per step.
 GMap.kernel, Recurrence.kernel, the engine's chain rebuild and its one-pass
-verify are built on it; eval_expr is a wrapper for one evaluation on El
-values. A source holds no config values, so it is compiled once per process
-(up to COMPILE_CACHE_SIZE sources) and shared by every function with that
-shape.
+verify are built on it. A source holds no config values, so it is compiled
+once per process (up to COMPILE_CACHE_SIZE sources) and shared by every
+function with that shape.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import re
 
 from .errors import DivisionByNonUnit, GMapSyntaxError, TanhUnsupported
-from .rings import El, FloatComplex, Ring, _reduced
+from .rings import FloatComplex, Ring, _reduced
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[a-z][a-z0-9_]*)|(?P<punct>[-+*/()\[\]]))"
@@ -285,7 +284,7 @@ class Emitter:
         self.ring = ring
         self.ns = {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
                    "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul, "_reduced": _reduced,
-                   "ZERO": ring.zero.v, "m": ring.char(), "INVS": ring.inverses,
+                   "ZERO": ring.zero, "m": ring.char(), "INVS": ring.inverses,
                    "DIV": _checked_inverse(ring, "division by non-unit"),
                    "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
         self.lines: list[str] = []
@@ -355,7 +354,7 @@ class Emitter:
     def _node(self, ast, seqs):
         ring, op = self.ring, ast[0]
         if op == "int":
-            return self.bind(ring.from_int(ast[1]).v), 1, False
+            return self.bind(ring.payload(ast[1])), 1, False
         if op == "u":
             return f"w{ast[1] - 1}", 1, True
         if op == "seq":
@@ -402,18 +401,6 @@ class Emitter:
         body = "".join(f"    {line}\n" for line in [*self.lines, f"return {result}"])
         exec(_compile(f"def kernel({params}):\n{body}"), self.ns)
         return self.ns["kernel"]
-
-
-def eval_expr(ast, ring: Ring, u, seqs, n: int) -> El:
-    """Evaluate one AST over ``ring`` at step n.
-
-    u: the argument vector components (El); seqs: name -> tuple of El.
-    A wrapper that generates the expression's function for one evaluation.
-    """
-    e = Emitter(ring)
-    e.unpack([f"w{i}" for i in range(len(u))], "w")
-    [out] = e.exprs([ast], {name: tuple(x.v for x in vals) for name, vals in seqs.items()})
-    return El(ring, e.function("n, w", e.reduced(out))(n, [x.v for x in u]))
 
 
 def format_expr(ast) -> str:

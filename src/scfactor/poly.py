@@ -1,8 +1,8 @@
 """Polynomials over a coefficient ring, plus common-unit-root search.
 
 A Poly stores the payloads of its coefficients ascending (cs[i] multiplies
-x^i) with no trailing zeros; the zero polynomial has an empty tuple. Its
-public face (coeffs, leading, coeff, evaluation, deflate) speaks elements.
+x^i) with no trailing zeros; the zero polynomial has an empty tuple.
+Coefficients, values and roots are payloads throughout.
 Division, gcd, and deflation assume a commutative ring and raise
 NoncommutativeRing otherwise.
 
@@ -55,12 +55,12 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .errors import NoncommutativeRing, NotAValidRoot, ParseError
-from .rings import (El, FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring,
-                    _reduced, is_prime)
+from .rings import (FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring, _reduced,
+                    is_prime)
 
 
 def _trimmed(ring: Ring, cs: list) -> tuple:
-    eq, zero = ring._eq, ring.zero.v
+    eq, zero = ring._eq, ring.zero
     while cs and eq(cs[-1], zero):
         cs.pop()
     return tuple(cs)
@@ -70,14 +70,14 @@ class Poly:
     """A polynomial with coefficients in one ring, ascending order.
 
     ``cs`` holds the coefficient payloads; Poly.of builds a polynomial from
-    payloads, the constructor from anything ring.el accepts.
+    canonical payloads, the constructor from anything ring.payload accepts.
     """
 
     __slots__ = ("ring", "cs")
 
     def __init__(self, ring: Ring, coeffs):
         self.ring = ring
-        self.cs = _trimmed(ring, [ring.el(c).v for c in coeffs])
+        self.cs = _trimmed(ring, [ring.payload(c) for c in coeffs])
 
     @classmethod
     def of(cls, ring: Ring, cs) -> "Poly":
@@ -86,8 +86,8 @@ class Poly:
         return p
 
     @property
-    def coeffs(self) -> tuple[El, ...]:
-        return tuple(El(self.ring, c) for c in self.cs)
+    def coeffs(self) -> tuple:
+        return self.cs
 
     @property
     def degree(self) -> int:
@@ -98,17 +98,17 @@ class Poly:
         return not self.cs
 
     @property
-    def leading(self) -> El:
+    def leading(self):
         if not self.cs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return El(self.ring, self.cs[-1])
+        return self.cs[-1]
 
-    def coeff(self, i: int) -> El:
-        return El(self.ring, self.cs[i] if 0 <= i < len(self.cs) else self.ring.zero.v)
+    def coeff(self, i: int):
+        return self.cs[i] if 0 <= i < len(self.cs) else self.ring.zero
 
-    def __call__(self, x) -> El:
+    def __call__(self, x):
         """Horner evaluation (left-multiplying coefficients)."""
-        return El(self.ring, _horner(self.ring, self.cs, self.ring.el(x).v))
+        return _horner(self.ring, self.cs, self.ring.payload(x))
 
     def __eq__(self, other):
         if not isinstance(other, Poly) or other.ring != self.ring:
@@ -118,44 +118,19 @@ class Poly:
     def __hash__(self):
         return hash((self.ring, self.cs))
 
-    def _zip(self, other: "Poly", op) -> "Poly":
-        pairs = zip_longest(self.cs, other.cs, fillvalue=self.ring.zero.v)
-        return Poly.of(self.ring, [op(a, b) for a, b in pairs])
-
-    def __add__(self, other):
-        return self._zip(other, self.ring._add)
-
-    def __sub__(self, other):
-        add, neg = self.ring._add, self.ring._neg
-        return self._zip(other, lambda a, b: add(a, neg(b)))
-
-    def __mul__(self, other):
-        ring = self.ring
-        add, mul = ring._add, ring._mul
-        if isinstance(other, El):
-            return Poly.of(ring, [mul(c, other.v) for c in self.cs])
-        if not self.cs or not other.cs:
-            return Poly.of(ring, [])
-        out = [ring.zero.v] * (len(self.cs) + len(other.cs) - 1)
-        for i, a in enumerate(self.cs):
-            for j, b in enumerate(other.cs):
-                out[i + j] = add(out[i + j], mul(a, b))
-        return Poly.of(ring, out)
-
     def monic(self) -> "Poly":
-        if not self.cs or self.ring._eq(self.cs[-1], self.ring.one.v):
+        if not self.cs or self.ring._eq(self.cs[-1], self.ring.one):
             return self
-        inv = self.leading.inverse().v
+        inv = self.ring.inverse(self.cs[-1])
         return Poly.of(self.ring, [self.ring._mul(inv, c) for c in self.cs])
 
     def derivative(self) -> "Poly":
         ring = self.ring
-        return Poly.of(ring, [ring._mul(c, ring.from_int(i).v)
-                              for i, c in enumerate(self.cs) if i])
+        return Poly.of(ring, [ring._mul(c, ring.payload(i)) for i, c in enumerate(self.cs) if i])
 
     def low_zero_count(self) -> int:
         """Number of leading zero coefficients from x^0 up (x^s | P)."""
-        eq, zero = self.ring._eq, self.ring.zero.v
+        eq, zero = self.ring._eq, self.ring.zero
         s = 0
         while s < len(self.cs) and eq(self.cs[s], zero):
             s += 1
@@ -166,7 +141,7 @@ class Poly:
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.cs[i]
-            if ring._eq(c, ring.zero.v):
+            if ring._eq(c, ring.zero):
                 continue
             term = ring.fmt(c) if i == 0 else ring.fmt_term(c, var if i == 1 else f"{var}^{i}")
             if parts and not term.startswith("-"):
@@ -189,7 +164,7 @@ def _require_commutative(ring: Ring, what: str):
 def _horner(ring: Ring, cs, x):
     """The payload p(x), with the accumulator multiplied by x from the right."""
     add, mul = ring._add, ring._mul
-    acc = ring.zero.v
+    acc = ring.zero
     for c in reversed(cs):
         acc = add(mul(acc, x), c)
     return acc
@@ -204,7 +179,7 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     inv_lead = ring._inv(b.cs[-1])
     if inv_lead is None:
         raise ValueError("divisor leading coefficient must be a unit")
-    add, mul, neg, eq, zero = ring._add, ring._mul, ring._neg, ring._eq, ring.zero.v
+    add, mul, neg, eq, zero = ring._add, ring._mul, ring._neg, ring._eq, ring.zero
     rem = list(a.cs)
     q = [zero] * max(0, len(rem) - len(b.cs) + 1)
     while len(rem) >= len(b.cs) and rem:
@@ -240,13 +215,14 @@ def is_root(p: Poly, x, value=None) -> bool:
     if value is None:
         value = _horner(ring, p.cs, x)
     if ring.exact:
-        return ring._eq(value, ring.zero.v)
+        return ring._eq(value, ring.zero)
     r = abs(x)
     return abs(value) <= ring.tol * sum(abs(c) * r ** i for i, c in enumerate(p.cs))
 
 
-def deflate(p: Poly, rho: El) -> Poly:
-    """Divide p by (x - rho) via synthetic division.
+def deflate(p: Poly, rho) -> Poly:
+    """Divide p by (x - rho) via synthetic division; rho is anything
+    ring.payload accepts.
 
     The remainder equals p(rho) and must vanish (by ``is_root``); otherwise
     NotAValidRoot is raised.
@@ -254,10 +230,10 @@ def deflate(p: Poly, rho: El) -> Poly:
     ring = p.ring
     if not p.cs:
         raise NotAValidRoot("cannot deflate the zero polynomial")
-    x = ring.el(rho).v
+    x = ring.payload(rho)
     add, mul = ring._add, ring._mul
     out = []
-    acc = ring.zero.v
+    acc = ring.zero
     for c in reversed(p.cs[1:]):
         acc = add(mul(acc, x), c)
         out.append(acc)
@@ -267,7 +243,7 @@ def deflate(p: Poly, rho: El) -> Poly:
     return Poly.of(ring, out[::-1])
 
 
-def _root_multiplicity(p: Poly, rho: El) -> int:
+def _root_multiplicity(p: Poly, rho) -> int:
     """How many times (x - rho) divides p, by repeated deflation."""
     count = 0
     try:
@@ -280,33 +256,34 @@ def _root_multiplicity(p: Poly, rho: El) -> int:
 
 @dataclass
 class RootReport:
-    """Common unit roots of a (P, Q) pair, with provenance.
+    """Common unit roots of a (P, Q) pair over ``ring``, with provenance.
 
-    roots holds (root, multiplicity) pairs in the ring's canonical order.
-    ``exhaustive`` is True when absence from the list proves absence of a
-    root; numeric (float) searches never claim that. ``gcd`` is the monic
-    gcd(P, Q) of a search over a field (Z/p, Q, Q(i)), else None.
+    roots holds (root payload, multiplicity) pairs in the ring's canonical
+    order. ``exhaustive`` is True when absence from the list proves absence
+    of a root; numeric (float) searches never claim that. ``gcd`` is the
+    monic gcd(P, Q) of a search over a field (Z/p, Q, Q(i)), else None.
     """
 
-    roots: list[tuple[El, int]]
+    ring: Ring
+    roots: list[tuple[object, int]]
     method: str
     exhaustive: bool
     notes: list[str] = field(default_factory=list)
     gcd: Poly | None = None
 
-    def deflated(self, rho: El) -> "RootReport":
+    def deflated(self, rho) -> "RootReport":
         """The report for (P/(x - rho), Q/(x - rho)), rho one of the roots.
 
         Needs the gcd: over a field the new gcd is gcd(P, Q)/(x - rho), so
         rho loses one multiplicity and every other root keeps its own.
         """
-        g = deflate(self.gcd, rho)
-        roots = [(r, m - 1 if r == rho else m) for r, m in self.roots]
+        ring, g = self.ring, deflate(self.gcd, rho)
+        roots = [(r, m - 1 if ring._eq(r, rho) else m) for r, m in self.roots]
         roots = [(r, m) for r, m in roots if m]
-        if isinstance(g.ring, IntegersMod):
-            return RootReport(roots, self.method, True, [], g)
+        if isinstance(ring, IntegersMod):
+            return RootReport(ring, roots, self.method, True, [], g)
         method, notes = _field_labels(g)
-        return RootReport(roots, method, True, notes, g)
+        return RootReport(ring, roots, method, True, notes, g)
 
     @property
     def found(self) -> bool:
@@ -316,8 +293,9 @@ class RootReport:
         if not self.roots:
             body = "none"
         else:
+            fmt = self.ring.fmt
             body = ", ".join(
-                str(r) if m == 1 else f"{r} (multiplicity {m})" for r, m in self.roots
+                fmt(r) if m == 1 else f"{fmt(r)} (multiplicity {m})" for r, m in self.roots
             )
         tail = "exhaustive" if self.exhaustive else "not exhaustive"
         return f"common unit roots: {body} [method {self.method}, {tail}]"
@@ -539,17 +517,17 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     m, pc, qc = ring.m, P.cs, Q.cs
     if ring.is_prime:
         G = Poly.of(ring, _gcd_p(pc, qc, m))
-        units = [El(ring, r) for r in _residue_unit_roots(pc, qc, [(m, 1)])]
-        return RootReport([(u, _root_multiplicity(G, u)) for u in units],
+        units = _residue_unit_roots(pc, qc, [(m, 1)])
+        return RootReport(ring, [(u, _root_multiplicity(G, u)) for u in units],
                           "exhaustive-units", True, [], G)
     if m > MAX_COMPOSITE_MODULUS:
         raise ParseError(
             f"root search over composite modulus {m} is refused: composite moduli "
             f"are factored by trial division, limited to moduli up to "
             f"{MAX_COMPOSITE_MODULUS}")
-    roots = [(El(ring, u), 1) for u in _residue_unit_roots(pc, qc, _prime_powers(m))]
+    roots = [(u, 1) for u in _residue_unit_roots(pc, qc, _prime_powers(m))]
     notes = ["composite modulus: multiplicities reported as 1"] if roots else []
-    return RootReport(roots, "exhaustive-units", True, notes)
+    return RootReport(ring, roots, "exhaustive-units", True, notes)
 
 
 # Integer polynomials over Q and Q(i): ascending lists of Gaussian integers
@@ -681,9 +659,8 @@ def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
         found = sorted((r for r in _rational_root_candidates(sf, gauss) if _annihilates(sf, r)),
                        key=ring._key)
     method, notes = _field_labels(full)
-    roots = [El(ring, r) for r in found]
-    return RootReport([(r, _root_multiplicity(full, r)) for r in roots], method, True, notes,
-                      full)
+    return RootReport(ring, [(r, _root_multiplicity(full, r)) for r in found], method, True,
+                      notes, full)
 
 
 def durand_kerner(coeffs: list[complex], max_iter: int = 200,
@@ -761,11 +738,11 @@ def _float_unit_roots(P: Poly, Q: Poly, ring: FloatComplex,
                 if abs(zp - zq) <= match_tol:
                     common.append(((zp + zq) / 2, min(mp, mq)))
                     break
-    roots = [(El(ring, z), m) for z, m in common if ring._inv(z) is not None]
+    roots = [(z, m) for z, m in common if ring._inv(z) is not None]
     # Quantize the ordering key so residual solver noise (~1e-16) cannot
     # flip which root the greedy chain consumes first.
-    roots.sort(key=lambda rm: (round(rm[0].v.real, 6), round(rm[0].v.imag, 6)))
-    return RootReport(roots, "numeric", False, notes)
+    roots.sort(key=lambda rm: (round(rm[0].real, 6), round(rm[0].imag, 6)))
+    return RootReport(ring, roots, "numeric", False, notes)
 
 
 def unit_roots(P: Poly, Q: Poly) -> RootReport:
@@ -784,22 +761,25 @@ def unit_roots(P: Poly, Q: Poly) -> RootReport:
     raise ParseError(f"no root search available over {ring}")
 
 
-def verified_roots(P: Poly, Q: Poly, claimed: list[El]) -> RootReport:
-    """Validate user-supplied roots by evaluation; multiplicity from repetition."""
-    _require_commutative(P.ring, "root verification")
-    counts: list[tuple[El, int]] = []
+def verified_roots(P: Poly, Q: Poly, claimed: list) -> RootReport:
+    """Validate user-supplied roots (anything ring.payload accepts) by
+    evaluation; multiplicity from repetition."""
+    ring = P.ring
+    _require_commutative(ring, "root verification")
+    counts: list[tuple[object, int]] = []
     for rho in claimed:
-        rho = P.ring.el(rho)
-        if not rho.is_unit:
-            raise NotAValidRoot(f"claimed root {rho} is not a unit")
-        if not is_root(P, rho.v):
-            raise NotAValidRoot(f"claimed root {rho} does not annihilate {P.fmt()}")
-        if not Q.is_zero and not is_root(Q, rho.v):
-            raise NotAValidRoot(f"claimed root {rho} does not annihilate {Q.fmt()}")
+        rho = ring.payload(rho)
+        text = ring.fmt(rho)
+        if ring._inv(rho) is None:
+            raise NotAValidRoot(f"claimed root {text} is not a unit")
+        if not is_root(P, rho):
+            raise NotAValidRoot(f"claimed root {text} does not annihilate {P.fmt()}")
+        if not Q.is_zero and not is_root(Q, rho):
+            raise NotAValidRoot(f"claimed root {text} does not annihilate {Q.fmt()}")
         for i, (r, m) in enumerate(counts):
-            if r == rho:
+            if ring._eq(r, rho):
                 counts[i] = (r, m + 1)
                 break
         else:
             counts.append((rho, 1))
-    return RootReport(counts, "user-supplied", False)
+    return RootReport(ring, counts, "user-supplied", False)

@@ -24,8 +24,8 @@ Python functions on raw ring payloads (gmap.Emitter), built on first use.
 The step inlines g and reads each coefficient at n from its period, so one
 function serves every n; it is the code of Recurrence.emit_periodic_step,
 which the engine's one-pass verify emits too. The simulation engine runs
-the kernel directly. Recurrence.step and GMap.apply are thin wrappers that
-unwrap their Vec arguments, call the kernel and wrap the result.
+the kernel directly. Recurrence.step and GMap.apply call the kernels on
+payload lists, one per vector.
 """
 
 from __future__ import annotations
@@ -38,30 +38,30 @@ from dataclasses import dataclass
 from . import gmap as gm
 from .errors import GMapSyntaxError, NotFoldable, ParseError
 from .poly import Poly
-from .rings import El, Module, Ring, Vec
+from .rings import Module, Ring
 
 
 class CoeffSeq:
-    """A periodic sequence of ring elements; period = number of stored values.
+    """A periodic sequence of payloads of ``ring``; period = number of
+    stored values.
 
     at(n) is well defined for negative n too (periodic extension), which the
-    factor construction relies on once periodicity is proved. ``payloads``
-    and payload_at(n) give the values' payloads, for code that computes on
-    payloads.
+    factor construction relies on once periodicity is proved. Values are
+    compared by the ring's equality, so float tolerance holds.
     """
 
-    __slots__ = ("values", "payloads")
+    __slots__ = ("ring", "values")
 
-    def __init__(self, values):
+    def __init__(self, ring: Ring, values):
         vals = tuple(values)
         if not vals:
             raise ParseError("coefficient sequence needs at least one value")
+        self.ring = ring
         self.values = vals
-        self.payloads = tuple([v.v for v in vals])
 
     @classmethod
-    def constant(cls, value: El) -> "CoeffSeq":
-        return cls((value,))
+    def constant(cls, ring: Ring, value) -> "CoeffSeq":
+        return cls(ring, (value,))
 
     @property
     def period(self) -> int:
@@ -69,32 +69,32 @@ class CoeffSeq:
 
     @property
     def is_constant(self) -> bool:
-        return len(self.values) == 1 or all(v == self.values[0] for v in self.values)
+        vals = self.values
+        return len(vals) == 1 or all(self.ring._eq(v, vals[0]) for v in vals[1:])
 
-    def at(self, n: int) -> El:
+    def at(self, n: int):
         return self.values[n % len(self.values)]
-
-    def payload_at(self, n: int):
-        return self.payloads[n % len(self.payloads)]
 
     def reduced(self) -> "CoeffSeq":
         """Collapse to the least divisor period that reproduces the values."""
-        n = len(self.values)
+        eq, vals = self.ring._eq, self.values
+        n = len(vals)
         for p in range(1, n):
-            if n % p == 0 and all(self.values[i] == self.values[i % p] for i in range(n)):
-                return CoeffSeq(self.values[:p])
+            if n % p == 0 and all(eq(vals[i], vals[i % p]) for i in range(n)):
+                return CoeffSeq(self.ring, vals[:p])
         return self
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSeq):
             return NotImplemented
         n = math.lcm(self.period, other.period)
-        return all(self.at(i) == other.at(i) for i in range(n))
+        return all(self.ring._eq(self.at(i), other.at(i)) for i in range(n))
 
     def __str__(self):
+        fmt = self.ring.fmt
         if len(self.values) == 1:
-            return str(self.values[0])
-        return "{" + ", ".join(str(v) for v in self.values) + "}@n"
+            return fmt(self.values[0])
+        return "{" + ", ".join(map(fmt, self.values)) + "}@n"
 
     __repr__ = __str__
 
@@ -102,26 +102,15 @@ class CoeffSeq:
 class GMap:
     """One of the four supported shapes of the nonlinear map g_n."""
 
-    def __init__(self, kind: str, module: Module, *, vec_values=None,
-                 scalar_values=None, exprs=None, seqs=None, sources=None):
+    def __init__(self, kind: str, module: Module, seqs=None, exprs=None, sources=None):
         self.kind = kind
         self.module = module
-        self.vec_values = tuple(vec_values) if vec_values is not None else None
-        self.scalar_values = tuple(scalar_values) if scalar_values is not None else None
-        self.exprs = tuple(exprs) if exprs is not None else None
+        # the periodic sequences as payload tuples: the forcing per
+        # component j under key j, the scale under key 0, and an
+        # expression's sequences under their names
         self.seqs = dict(seqs) if seqs is not None else {}
+        self.exprs = tuple(exprs) if exprs is not None else None
         self.sources = tuple(sources) if sources is not None else None
-        # the sequences as payload tuples, built once for every emission and
-        # report: the forcing per component j under key j, the scale under
-        # key 0, and an expression's sequences under their names
-        if kind == "constant-sequence":
-            self.seq_payloads = {j: tuple([v.parts[j].v for v in self.vec_values])
-                                 for j in range(module.dim)}
-        elif kind == "linear-scale":
-            self.seq_payloads = {0: tuple([c.v for c in self.scalar_values])}
-        else:
-            self.seq_payloads = {name: tuple([x.v for x in vals])
-                                 for name, vals in self.seqs.items()}
 
     @classmethod
     def zero(cls, module: Module) -> "GMap":
@@ -129,17 +118,19 @@ class GMap:
 
     @classmethod
     def constant_sequence(cls, module: Module, values) -> "GMap":
-        vals = tuple(module.el(v) for v in values)
+        """The forcing d_n = values[n % len(values)], each value what
+        Module.payloads accepts."""
+        vals = [module.payloads(v) for v in values]
         if not vals:
             raise ParseError("constant-sequence map needs at least one value")
-        return cls("constant-sequence", module, vec_values=vals)
+        return cls("constant-sequence", module, dict(enumerate(zip(*vals))))
 
     @classmethod
     def linear_scale(cls, module: Module, values) -> "GMap":
-        vals = tuple(module.ring.el(v) for v in values)
+        vals = tuple(module.ring.payload(v) for v in values)
         if not vals:
             raise ParseError("linear-scale map needs at least one value")
-        return cls("linear-scale", module, scalar_values=vals)
+        return cls("linear-scale", module, {0: vals})
 
     @classmethod
     def expression(cls, module: Module, exprs: list[str], seqs: dict | None = None) -> "GMap":
@@ -155,13 +146,13 @@ class GMap:
                 raise GMapSyntaxError(f"sequence name {name!r} is reserved")
             if not isinstance(vals, (list, tuple)) or not vals:
                 raise ParseError(f"sequence {name!r} must be a non-empty list")
-            parsed_seqs[name] = tuple(module.ring.el(v) for v in vals)
+            parsed_seqs[name] = tuple(module.ring.payload(v) for v in vals)
         asts = []
         for text in exprs:
             ast = gm.parse_expr(text)
             gm.validate_expr(ast, module.dim, set(parsed_seqs), module.ring)
             asts.append(ast)
-        return cls("expression", module, exprs=asts, seqs=parsed_seqs, sources=tuple(exprs))
+        return cls("expression", module, parsed_seqs, asts, exprs)
 
     @property
     def is_zero(self) -> bool:
@@ -174,13 +165,7 @@ class GMap:
 
     @property
     def period(self) -> int:
-        if self.kind == "constant-sequence":
-            return len(self.vec_values)
-        if self.kind == "linear-scale":
-            return len(self.scalar_values)
-        if self.kind == "expression":
-            return math.lcm(*(len(v) for v in self.seqs.values()))
-        return 1
+        return math.lcm(*(len(v) for v in self.seqs.values()))
 
     def emit(self, e: gm.Emitter) -> list[str] | None:
         """Emit g_n into ``e``, reading its argument from the locals w0 ..
@@ -190,11 +175,11 @@ class GMap:
         if self.kind == "zero":
             return None
         if self.kind == "constant-sequence":
-            return [e.seq((self, j), self.seq_payloads[j]) for j in range(dim)]
+            return [e.seq((self, j), self.seqs[j]) for j in range(dim)]
         if self.kind == "linear-scale":
-            c = e.seq((self, 0), self.seq_payloads[0])
+            c = e.seq((self, 0), self.seqs[0])
             return [ring.src_mul.format(c, f"w{j}") for j in range(dim)]
-        return e.exprs(self.exprs, self.seq_payloads, scope=self)
+        return e.exprs(self.exprs, self.seqs, scope=self)
 
     @functools.cached_property
     def kernel(self):
@@ -206,25 +191,26 @@ class GMap:
         e.unpack([f"w{j}" for j in range(self.module.dim)], "w")
         return e.function("n, w", f"[{', '.join(map(e.reduced, self.emit(e)))}]")
 
-    def apply(self, n: int, w: Vec) -> Vec:
+    def apply(self, n: int, w: list) -> list:
+        """g_n at the argument's payload list w, as a payload list."""
         if self.kernel is None:
-            return self.module.zero
-        return self.module.wrap(self.kernel(n, self.module.payloads(w)))
+            return [self.module.ring.zero] * self.module.dim
+        return self.kernel(n, w)
 
     def describe(self) -> str:
+        fmt = self.module.ring.fmt
         if self.kind == "zero":
             return "g = 0"
         if self.kind == "constant-sequence":
-            vals = ", ".join(str(v) for v in self.vec_values)
+            vals = ", ".join(fmt(v[0]) if len(v) == 1 else f"({', '.join(map(fmt, v))})"
+                             for v in zip(*self.seqs.values()))
             return f"g_n = forcing sequence [{vals}]"
         if self.kind == "linear-scale":
-            vals = ", ".join(str(v) for v in self.scalar_values)
-            return f"g_n(w) = c_n * w with c = [{vals}]"
+            return f"g_n(w) = c_n * w with c = [{', '.join(map(fmt, self.seqs[0]))}]"
         body = "; ".join(gm.format_expr(a) for a in self.exprs)
         if self.seqs:
-            legend = ", ".join(
-                f"{name} = [{', '.join(str(v) for v in vals)}]"
-                for name, vals in sorted(self.seqs.items()))
+            legend = ", ".join(f"{name} = [{', '.join(map(fmt, vals))}]"
+                               for name, vals in sorted(self.seqs.items()))
             return f"g_n(u) = ({body}) with {legend}"
         return f"g_n(u) = ({body})"
 
@@ -266,7 +252,8 @@ class Recurrence:
 
     @property
     def b_is_zero(self) -> bool:
-        return all(s.is_constant and s.at(0).is_zero for s in self.b)
+        eq, zero = self.ring._eq, self.ring.zero
+        return all(s.is_constant and eq(s.at(0), zero) for s in self.b)
 
     @functools.cached_property
     def kernel(self):
@@ -289,13 +276,13 @@ class Recurrence:
         the ring's equality) in every phase is dropped; in the other rows a
         zero is stored as ZERO, so it adds an exact zero."""
         ring, dim = self.ring, self.module.dim
-        eq, zero = ring._eq, ring.zero.v
+        eq, zero = ring._eq, ring.zero
         names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
         coeffs = {}
         for name, seq in zip(names, self.a + self.b if self.g.uses_argument else self.a):
-            nonzero = [not eq(c, zero) for c in seq.payloads]
+            nonzero = [not eq(c, zero) for c in seq.values]
             if any(nonzero):
-                vals = tuple(c if nz else zero for c, nz in zip(seq.payloads, nonzero))
+                vals = tuple(c if nz else zero for c, nz in zip(seq.values, nonzero))
                 coeffs[name] = e.seq((self, name), vals)
 
         def row_source(row, j):
@@ -317,12 +304,12 @@ class Recurrence:
             outs = [ring.src_add.format(r, c) for r, c in zip(outs, comps)]
         return outs
 
-    def step(self, n: int, window) -> Vec:
-        """Compute x_{n+1} from window[i] = x_{n-i} (i = 0..k)."""
+    def step(self, n: int, window) -> list:
+        """The payload list of x_{n+1}, from the payload lists
+        window[i] = x_{n-i} (i = 0..k)."""
         if len(window) != self.order:
             raise ValueError(f"window must hold {self.order} values, got {len(window)}")
-        hist = [self.module.payloads(x) for x in reversed(window)]
-        return self.module.wrap(self.kernel(n, hist))
+        return self.kernel(n, window[::-1])
 
     def char_pair(self) -> tuple[Poly, Poly]:
         """The pair (P, Q) for constant coefficients:
@@ -333,12 +320,12 @@ class Recurrence:
         if not self.constant_coeffs:
             raise ParseError("characteristic pair needs constant coefficients")
         ring = self.ring
-        pc = [ring._neg(s.values[0].v) for s in reversed(self.a)] + [ring.one.v]
-        return Poly.of(ring, pc), Poly.of(ring, [s.values[0].v for s in reversed(self.b)])
+        pc = [ring._neg(s.values[0]) for s in reversed(self.a)] + [ring.one]
+        return Poly.of(ring, pc), Poly.of(ring, [s.values[0] for s in reversed(self.b)])
 
     def describe(self, var: str = "x") -> str:
         ring = self.ring
-        zero = ring.zero.v
+        zero = ring.zero
 
         def row_terms(row):
             out = []
@@ -346,8 +333,8 @@ class Recurrence:
                 xs = f"{var}[n]" if i == 0 else f"{var}[n-{i}]"
                 if not s.is_constant:
                     out.append(f"{s}*{xs}")
-                elif not ring._eq(s.values[0].v, zero):
-                    out.append(ring.fmt_term(s.values[0].v, xs))
+                elif not ring._eq(s.values[0], zero):
+                    out.append(ring.fmt_term(s.values[0], xs))
             return out
         terms, inner = row_terms(self.a), row_terms(self.b)
         rhs = " + ".join(terms) if terms else ""
@@ -364,12 +351,13 @@ class Recurrence:
 
 
 def make_coeff(ring: Ring, entry) -> CoeffSeq:
-    """Config coefficient: a literal, or a list of literals (periodic)."""
+    """A coefficient: what ring.payload accepts, or a list of such values
+    (periodic)."""
     if isinstance(entry, list):
         if not entry:
             raise ParseError("a periodic coefficient needs at least one value")
-        return CoeffSeq(ring.el(v) for v in entry)
-    return CoeffSeq.constant(ring.el(entry))
+        return CoeffSeq(ring, [ring.payload(v) for v in entry])
+    return CoeffSeq.constant(ring, ring.payload(entry))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +375,8 @@ class FamilyInfo:
 
 
 def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo:
-    """Construct a recurrence from a named coefficient pattern.
+    """Construct a recurrence from a named coefficient pattern; params are
+    literals or payloads, and the rows are computed on payloads.
 
     Supported kinds:
 
@@ -408,48 +397,49 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
       can say what they mean.
     """
     ring = module.ring
+    add, neg, mul, fmt = ring._add, ring._neg, ring._mul, ring.fmt
     if kind == "fsc":
-        r = ring.el(params["r"])
-        if not r.is_unit:
-            raise ParseError(f"fsc parameter r must be a unit, got {r}")
-        btail = [ring.el(v) for v in params["b"]]
+        r = ring.payload(params["r"])
+        if ring._inv(r) is None:
+            raise ParseError(f"fsc parameter r must be a unit, got {fmt(r)}")
+        btail = [ring.payload(v) for v in params["b"]]
         if not btail:
             raise ParseError("fsc needs at least one b value")
         bfull = [ring.one] + btail + [ring.zero]
-        a_row = [r * bfull[j] - bfull[j + 1] for j in range(len(bfull) - 1)]
+        a_row = [add(mul(r, bfull[j]), neg(bfull[j + 1])) for j in range(len(bfull) - 1)]
         b_row = bfull[:-1]
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"r": r, "b": btail}, rec)
     if kind == "alsp":
-        a_list = [ring.el(v) for v in params["a"]]
+        a_list = [ring.payload(v) for v in params["a"]]
         if not a_list:
             raise ParseError("alsp needs at least one a value")
-        if a_list[-1].is_zero:
+        if ring._eq(a_list[-1], ring.zero):
             raise ParseError("alsp requires a nonzero last coefficient")
-        b = ring.el(params["b"])
-        if not b.is_unit:
-            raise ParseError(f"alsp parameter b must be a unit, got {b}")
+        b = ring.payload(params["b"])
+        if ring._inv(b) is None:
+            raise ParseError(f"alsp parameter b must be a unit, got {fmt(b)}")
         a_row = a_list + [ring.zero]
-        b_row = [b] + [-(a * b) for a in a_list]
+        b_row = [b] + [neg(mul(a, b)) for a in a_list]
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_list, "b": b}, rec)
     if kind == "o2b":
-        a_row = [ring.el(v) for v in params["a"]]
+        a_row = [ring.payload(v) for v in params["a"]]
         j = params["j"]
-        b = ring.el(params["b"])
+        b = ring.payload(params["b"])
         if not isinstance(j, int) or j < 0 or j + 1 >= len(a_row):
             raise ParseError(f"o2b gap j={j!r} must satisfy 0 <= j <= k-1")
         b_row = [ring.zero] * len(a_row)
         b_row[j] = ring.one
-        b_row[j + 1] = -b
+        b_row[j + 1] = neg(b)
         rec = Recurrence(module, a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_row, "j": j, "b": b}, rec)
     if kind == "linear":
-        a_row = [ring.el(v) for v in params["a"]]
-        forcing = GMap.constant_sequence(module, [module.parse(v) for v in params["c"]])
+        a_row = [ring.payload(v) for v in params["a"]]
+        forcing = GMap.constant_sequence(module, params["c"])
         b_row = [ring.zero] * len(a_row)
         rec = Recurrence(module, a_row, b_row, forcing)
-        return FamilyInfo(kind, {"a": a_row, "c": forcing.vec_values}, rec)
+        return FamilyInfo(kind, {"a": a_row, "c": list(zip(*forcing.seqs.values()))}, rec)
     if kind == "second-order":
         a_row = [make_coeff(ring, v) for v in params["a"]]
         b_row = [make_coeff(ring, v) for v in params["b"]]

@@ -1,4 +1,4 @@
-"""Coefficient rings, their elements, and module vectors.
+"""Coefficient rings, their payload operations, and the free module R^d.
 
 Six ring kinds are supported:
 
@@ -9,12 +9,12 @@ Six ring kinds are supported:
 * ``rational-quaternion`` Hamilton quaternions with rational components
 * ``float-quaternion``   Hamilton quaternions with float components
 
-Elements are lightweight wrappers (ring, payload) with operator sugar so the
-rest of the package can write ``t = x - alpha * x_prev``. Division is always
-right division: ``a / b`` means ``a * b**-1``, which matters for quaternions.
-
-The left module M = R^d is represented by Vec (a tuple of elements) with a
-left scalar action ``r * v``.
+A value is a payload, and a Ring holds the operations on its payloads
+(_add, _neg, _mul, _inv, _eq, fmt); no element class wraps them. Division is
+always right division, a * b^-1, which matters for quaternions.
+Ring.payload turns an int, a literal or a payload into the canonical
+payload, and Module.payloads does so for a vector of the module R^d, a list
+of component payloads.
 
 Payloads: an int in [0, m) for residues, a complex for float-complex, and a
 4-tuple of floats for float quaternions. The exact rings store ints over one
@@ -283,112 +283,6 @@ def _fmt_signed(parts: list[tuple[object, str]]) -> str:
     return "".join(chunks) or "0"
 
 
-class El:
-    """One ring element: a payload tagged with its ring.
-
-    Arithmetic delegates to the ring. Mixing elements of different rings is a
-    bug and raises ValueError. Plain ints coerce via ring.from_int.
-    """
-
-    __slots__ = ("ring", "v")
-
-    def __init__(self, ring: "Ring", v):
-        self.ring = ring
-        self.v = v
-
-    def _other(self, x):
-        if isinstance(x, El):
-            if x.ring is not self.ring and x.ring != self.ring:
-                raise ValueError(f"mixed rings: {self.ring} and {x.ring}")
-            return x.v
-        if isinstance(x, int):
-            return self.ring.from_int(x).v
-        return NotImplemented
-
-    def __add__(self, x):
-        w = self._other(x)
-        return NotImplemented if w is NotImplemented else El(self.ring, self.ring._add(self.v, w))
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        w = self._other(x)
-        return NotImplemented if w is NotImplemented else El(self.ring, self.ring._add(self.v, self.ring._neg(w)))
-
-    def __rsub__(self, x):
-        w = self._other(x)
-        return NotImplemented if w is NotImplemented else El(self.ring, self.ring._add(w, self.ring._neg(self.v)))
-
-    def __neg__(self):
-        return El(self.ring, self.ring._neg(self.v))
-
-    def __mul__(self, x):
-        if isinstance(x, Vec):
-            return NotImplemented  # handled by Vec.__rmul__
-        w = self._other(x)
-        return NotImplemented if w is NotImplemented else El(self.ring, self.ring._mul(self.v, w))
-
-    def __rmul__(self, x):
-        w = self._other(x)
-        return NotImplemented if w is NotImplemented else El(self.ring, self.ring._mul(w, self.v))
-
-    def __truediv__(self, x):
-        """Right division: a / b = a * b**-1."""
-        if isinstance(x, El) or isinstance(x, int):
-            other = x if isinstance(x, El) else self.ring.from_int(x)
-            return self * other.inverse()
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (self ** (-n)).inverse()
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self) -> "El":
-        w = self.ring._inv(self.v)
-        if w is None:
-            raise DivisionByNonUnit(f"{self.ring.fmt(self.v)} is not a unit in {self.ring}")
-        return El(self.ring, w)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring._inv(self.v) is not None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ring._eq(self.v, self.ring.zero.v)
-
-    def __eq__(self, x):
-        if isinstance(x, int):
-            x = self.ring.from_int(x)
-        if not isinstance(x, El) or x.ring is not self.ring and x.ring != self.ring:
-            return NotImplemented
-        return self.ring._eq(self.v, x.v)
-
-    def __hash__(self):
-        if not self.ring.exact:
-            raise TypeError(f"elements of {self.ring} are not hashable (inexact equality)")
-        return hash((self.ring.kind, self.v))
-
-    def sort_key(self):
-        return self.ring._key(self.v)
-
-    def __str__(self):
-        return self.ring.fmt(self.v)
-
-    def __repr__(self):
-        return f"<{self.ring.fmt(self.v)} in {self.ring}>"
-
-
 class Ring:
     """Base class: subclasses fill in payload-level operations."""
 
@@ -398,7 +292,8 @@ class Ring:
     exact: bool = True
 
     # payload ops, implemented by subclasses:
-    #   _add, _neg, _mul, _inv (None when not a unit), fmt, _parse, _normalize;
+    #   _add, _neg, _mul, _inv (None when not a unit), fmt, _parse, _normalize
+    #   (an int, a payload, or numbers as the subclass documents);
     #   _lazy_add and _lazy_mul, with _normal (see the module docstring)
     # _eq and _key (the canonical order) are the payload's own unless overridden
     # _finite: payload predicate that float rings set; None on exact rings
@@ -446,39 +341,30 @@ class Ring:
         return f"Ring({self})"
 
     @functools.cached_property
-    def zero(self) -> El:
-        return self.from_int(0)
+    def zero(self):
+        return self._normalize(0)
 
     @functools.cached_property
-    def one(self) -> El:
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> El:
-        raise NotImplementedError
+    def one(self):
+        return self._normalize(1)
 
     def char(self) -> int:
         """Characteristic: m for residues mod m, 0 otherwise."""
         return 0
 
-    def el(self, x) -> El:
-        """Coerce an int, literal string, element, or a number or tuple of
-        numbers that _normalize accepts into this ring."""
-        if isinstance(x, El):
-            if x.ring is not self and x.ring != self:
-                raise ValueError(f"element of {x.ring} used in {self}")
-            return x
+    def payload(self, x):
+        """The canonical payload of an int, a literal string, a payload, or
+        a number or tuple of numbers that _normalize accepts."""
         if isinstance(x, bool):
             raise ParseError("booleans are not ring elements")
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, str):
-            return El(self, self._parse(x))
-        return El(self, self._normalize(x))
+        return self._parse(x) if isinstance(x, str) else self._normalize(x)
 
-    def parse(self, text: str) -> El:
-        if not isinstance(text, str):
-            raise ParseError(f"element literal must be a string, got {type(text).__name__}")
-        return El(self, self._parse(text))
+    def inverse(self, v):
+        """The inverse of the payload v; DivisionByNonUnit for a non-unit."""
+        w = self._inv(v)
+        if w is None:
+            raise DivisionByNonUnit(f"{self.fmt(v)} is not a unit in {self}")
+        return w
 
     def _normalize(self, payload):
         raise ParseError(f"cannot interpret {payload!r} as an element of {self}")
@@ -489,7 +375,7 @@ class Ring:
     def fmt_term(self, v, xs: str) -> str:
         """The product v*xs as text: xs for 1, -xs for -1, and v in
         parentheses when a sign sits inside it."""
-        one = self.one.v
+        one = self.one
         if self._eq(v, one):
             return xs
         if self._eq(v, self._neg(one)):
@@ -569,9 +455,6 @@ class IntegersMod(_PlainOps, Ring):
     def char(self):
         return self.m
 
-    def from_int(self, n):
-        return El(self, n % self.m)
-
     def _normalize(self, payload):
         if isinstance(payload, int):
             return payload % self.m
@@ -606,9 +489,12 @@ class IntegersMod(_PlainOps, Ring):
 
 
 def _exact_parts(ring: "Ring", payload, size: int):
-    """The payload of a number or a ``size``-tuple of numbers (ints, or
-    rational numbers such as a fractions.Fraction) as parts over one
-    denominator."""
+    """The canonical payload of a payload, or of a number or a ``size``-tuple
+    of numbers (ints, or rational numbers such as a fractions.Fraction) as
+    parts over one denominator."""
+    if isinstance(payload, tuple) and len(payload) == size + 1 and \
+            all(type(c) is int for c in payload) and payload[-1] > 0:
+        return _reduced(*payload)
     parts = payload if isinstance(payload, tuple) and len(payload) == size else \
         (payload,) + (0,) * (size - 1)
     try:
@@ -642,9 +528,6 @@ class Rationals(_Exact):
     kind = "exact-rational"
     _lazy_add = staticmethod(_q_lazy_add)
     _lazy_mul = staticmethod(_q_lazy_mul)
-
-    def from_int(self, n):
-        return El(self, (n, 1))
 
     def _normalize(self, payload):
         """Accepts an int or Fraction."""
@@ -685,9 +568,6 @@ class GaussianRationals(_Exact):
     _lazy_add = staticmethod(_g_lazy_add)
     _lazy_mul = staticmethod(_g_lazy_mul)
     _key = staticmethod(functools.cmp_to_key(_gaussian_cmp))
-
-    def from_int(self, n):
-        return El(self, (n, 0, 1))
 
     def _normalize(self, payload):
         """Accepts an int or Fraction, or a pair of them (re, im)."""
@@ -735,9 +615,6 @@ class FloatComplex(_PlainOps, _Tolerant):
 
     def __str__(self):
         return f"C(float, tol={self.tol:g})"
-
-    def from_int(self, n):
-        return El(self, complex(n))
 
     def _normalize(self, payload):
         if isinstance(payload, (int, float, complex)):
@@ -805,9 +682,6 @@ class RationalQuaternions(_Exact):
     _lazy_add = staticmethod(_h_lazy_add)
     _lazy_mul = staticmethod(_h_lazy_mul)
 
-    def from_int(self, n):
-        return El(self, (n, 0, 0, 0, 1))
-
     def _normalize(self, payload):
         """Accepts an int or Fraction, or a 4-tuple of them (w, x, y, z)."""
         return _exact_parts(self, payload, 4)
@@ -840,9 +714,6 @@ class FloatQuaternions(_Tolerant):
 
     def __str__(self):
         return f"H(float, tol={self.tol:g})"
-
-    def from_int(self, n):
-        return El(self, (float(n), 0.0, 0.0, 0.0))
 
     def _normalize(self, payload):
         if isinstance(payload, tuple) and len(payload) == 4:
@@ -913,67 +784,6 @@ def make_ring(kind: str, modulus: int | None = None, tolerance: float | None = N
     return _RING_KINDS[kind]()
 
 
-class Vec:
-    """An element of the left module R^d: a tuple of ring elements."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if not self.parts:
-            raise ValueError("empty vector")
-
-    @property
-    def ring(self) -> Ring:
-        return self.parts[0].ring
-
-    @property
-    def dim(self) -> int:
-        return len(self.parts)
-
-    def _check(self, other: "Vec"):
-        if not isinstance(other, Vec) or other.dim != self.dim:
-            raise ValueError("vector dimension mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Vec(a + b for a, b in zip(self.parts, other.parts))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Vec(a - b for a, b in zip(self.parts, other.parts))
-
-    def __neg__(self):
-        return Vec(-a for a in self.parts)
-
-    def __rmul__(self, scalar):
-        """Left action r * v, applied componentwise."""
-        if isinstance(scalar, int):
-            scalar = self.ring.from_int(scalar)
-        if not isinstance(scalar, El):
-            return NotImplemented
-        return Vec(scalar * a for a in self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec) or other.dim != self.dim:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.parts, other.parts))
-
-    def __hash__(self):
-        return hash(tuple(self.parts))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.parts)
-
-    def __str__(self):
-        if self.dim == 1:
-            return str(self.parts[0])
-        return "(" + ", ".join(str(a) for a in self.parts) + ")"
-
-    __repr__ = __str__
-
-
 class Module:
     """The free left module R^d used as the state space."""
 
@@ -992,44 +802,11 @@ class Module:
     def __str__(self):
         return f"{self.ring}^{self.dim}"
 
-    @property
-    def zero(self) -> Vec:
-        return Vec([self.ring.zero] * self.dim)
-
-    def el(self, xs) -> Vec:
-        """Coerce a list of component values (or a single value when d=1)."""
-        if isinstance(xs, Vec):
-            if xs.dim != self.dim or xs.ring != self.ring:
-                raise ValueError(f"vector does not belong to {self}")
-            return xs
-        if not isinstance(xs, (list, tuple)):
-            xs = [xs]
-        if len(xs) != self.dim:
-            raise ParseError(f"expected {self.dim} components, got {len(xs)}")
-        return Vec(self.ring.el(x) for x in xs)
-
-    def parse(self, entry) -> Vec:
-        """Parse a config vector: a list of literals, or a bare literal (d=1)."""
-        if isinstance(entry, str):
+    def payloads(self, entry) -> list:
+        """The component payloads of a vector: a list of what Ring.payload
+        accepts, or one such value (a literal, or a payload) when d = 1."""
+        if not isinstance(entry, list):
             entry = [entry]
-        if not isinstance(entry, list) or len(entry) != self.dim:
-            raise ParseError(f"vector literal must list {self.dim} component(s), got {entry!r}")
-        return Vec(self.ring.parse(c) for c in entry)
-
-    def payloads(self, v: Vec) -> list:
-        """The component payloads of v, which must belong to this module."""
-        if not isinstance(v, Vec) or v.dim != self.dim:
-            raise ValueError("vector dimension mismatch")
-        ring = self.ring
-        for c in v.parts:
-            if c.ring is not ring and c.ring != ring:
-                raise ValueError(f"mixed rings: {ring} and {c.ring}")
-        return [c.v for c in v.parts]
-
-    def wrap(self, payloads) -> Vec:
-        """The vector with these component payloads."""
-        ring = self.ring
-        return Vec([El(ring, p) for p in payloads])
-
-    def fmt(self, v: Vec) -> list[str]:
-        return [str(c) for c in v.parts]
+        if len(entry) != self.dim:
+            raise ParseError(f"expected {self.dim} components, got {len(entry)}")
+        return [self.ring.payload(x) for x in entry]

@@ -3,8 +3,11 @@
 For every file under configs/ and every job of the first N blocks of each
 workload in bench/jobs.py (generated per seed, loaded read-only), runs
 ``factor``, ``verify`` and ``certify``, each with and without ``--json``, and
-records exit code, stdout and stderr. Two checkouts agree when their
-snapshots are equal, so comparing them is a diff of two files:
+records exit code, stdout and stderr. Every configs/ file also runs
+``simulate --emit csv`` and ``--emit json`` into a fresh temporary ``--out``
+directory, whose files are recorded by name with their text. Two checkouts
+agree when their snapshots are equal, so comparing them is a diff of two
+files:
 
     python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --out new.json
     python tests/snapshot_reports.py --root ../old --seeds 5 11 --blocks 2 --out old.json
@@ -14,7 +17,8 @@ snapshots are equal, so comparing them is a diff of two files:
 (default: the one holding this script). The commands run in this process
 through ``scfactor.cli.main``; an exception that escapes main is recorded as
 exit code "traceback" with its type and message. Paths of the checkout and
-of the temporary job directory are replaced by ``<root>`` and ``<jobs>``.
+of the temporary job and output directories are replaced by ``<root>``,
+``<jobs>`` and ``<out>``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,15 @@ def _variants(name: str, path: str):
             yield " ".join([command, name, *flags]), [command, path, *flags]
 
 
+def _simulate(main, name: str, path: str, replace: dict[str, str]):
+    for emit in ("csv", "json"):
+        with tempfile.TemporaryDirectory() as out:
+            record = _run(main, ["simulate", path, "--emit", emit, "--out", out],
+                          {out: "<out>", **replace})
+            record["files"] = {f.name: f.read_text() for f in sorted(Path(out).iterdir())}
+        yield f"simulate {name} --emit {emit}", record
+
+
 def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
     main, jobs = _load(root)
     records = {}
@@ -70,6 +83,7 @@ def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
     for path in sorted((root / "configs").glob("*.json")):
         for key, argv in _variants(f"configs/{path.name}", str(path)):
             records[key] = _run(main, argv, replace)
+        records.update(_simulate(main, f"configs/{path.name}", str(path), replace))
     with tempfile.TemporaryDirectory() as tmp:
         replace = {tmp: "<jobs>", **replace}
         for seed in seeds:

@@ -3,7 +3,9 @@
 Every expected value here was derived by hand (root finding, Horner factor
 coefficients, short trajectory tables) before being frozen; nothing is pinned
 from program output without an independent derivation noted inline.
-conftest.py prints one PASS/FAIL line per criterion after the run.
+conftest.py prints one PASS/FAIL line per criterion after the run. The
+library's values are payloads; hand arithmetic on them uses the element
+oracle (elements.py).
 """
 
 import random
@@ -11,10 +13,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from elements import El, criterion_check, el, pmul, vec
 
 from scfactor import (CertificateFailure, CoeffSeq, FactorizationChain, GMap,
                       Irreducible, Module, NotAValidRoot, Poly, Recurrence,
-                      build_family, build_variable_factor, criterion_check,
+                      build_family, build_variable_factor,
                       deflate, factor_chain, factor_once,
                       linear_complete, make_coeff, make_ring, simulate,
                       simulate_chain, simulate_substitution,
@@ -41,12 +44,18 @@ def sq_map(module):
 
 
 def coeff_of(poly, j):
-    return poly.coeffs[j] if j < len(poly.coeffs) else poly.ring.zero
+    """The coefficient of x^j as an El."""
+    return El(poly.ring, poly.coeff(j))
 
 
-def frac0(module, vec):
-    """First component of a rational vector as a Fraction."""
-    return Fraction(module.fmt(vec)[0])
+def linear(rho):
+    """x - rho for an El rho."""
+    return Poly(rho.ring, [(-rho).v, rho.ring.one])
+
+
+def frac0(module, v):
+    """First component of a rational vector (a payload list) as a Fraction."""
+    return Fraction(module.ring.fmt(v[0]))
 
 
 def test_criterion_01():
@@ -62,9 +71,9 @@ def test_criterion_01():
         rec = Recurrence(mod, ["0", "2", "1"], ["1", "0", "-1"], sq_map(mod))
         report = unit_roots(Poly(ring, ["-1", "-2", "0", "1"]),
                             Poly(ring, ["-1", "0", "1"]))
-        assert any(r == ring.el(m - 1) for r, _ in report.roots)
+        assert any(r == m - 1 for r, _ in report.roots)
 
-        step = factor_once(rec, ring.el(-1))
+        step = factor_once(rec, -1)
         assert step.factor.a == (make_coeff(ring, 1), make_coeff(ring, 1))
         assert step.factor.b == (make_coeff(ring, 1), make_coeff(ring, -1))
         assert step.factor.describe("t") == \
@@ -111,7 +120,7 @@ def test_criterion_02():
     ring5, mod5 = zmod(5)
     rec5 = Recurrence(mod5, ["0", "2", "1"], ["1", "-1", "-1"], sq_map(mod5))
     chain5 = factor_chain(rec5)
-    assert [str(s.rho) for s in chain5.steps] == ["3", "3"]
+    assert [s.rho for s in chain5.steps] == [3, 3]
 
 
 def test_criterion_03():
@@ -126,7 +135,7 @@ def test_criterion_03():
     g = GMap.expression(mod, ["c[n]*u1/u2", "d[n]*u1"], {"c": ["3"], "d": ["2"]})
     rec = Recurrence(mod, ["1", "0"], ["1", "-1"], g)
     chain = factor_chain(rec)
-    assert str(chain.steps[0].rho) == "1"
+    assert ring.fmt(chain.steps[0].rho) == "1"
     assert chain.complete and chain.depth == 2
 
     for window, x0 in ([["1", "1"], ["3", "2"]], Fraction(1)), \
@@ -170,9 +179,9 @@ def test_criterion_04():
 
     # The alternating seed alpha = (1, -1, 1, -1, ...) satisfies both side
     # conditions (alpha_n * alpha_{n-1} = -1 throughout).
-    cert = variable_certificate(rec, [ring.el(1), ring.el(-1)], horizon=8)
+    cert = variable_certificate(rec, ["1", "-1"], horizon=8)
     assert cert.proved_periodic and cert.period == 2
-    assert cert.alpha_seq() == CoeffSeq([ring.el(1), ring.el(-1)])
+    assert cert.alpha_seq() == CoeffSeq(ring, [(1, 1), (-1, 1)])
 
     # Hand-derived factor: a'_{0,n} = -alpha_n, a'_1 = 0, b'_0 = 1,
     # b'_{1,n} = alpha_{n-1}; both periodic sequences start at -1 for n = 0.
@@ -183,7 +192,7 @@ def test_criterion_04():
     assert step.factor.b[0] == make_coeff(ring, 1)
     assert step.factor.b[1] == make_coeff(ring, ["-1", "1"])
 
-    chain = variable_chain(rec, seeds=[[ring.el(1), ring.el(-1)]], horizon=8)
+    chain = variable_chain(rec, seeds=[["1", "-1"]], horizon=8)
     assert [s.route for s in chain.steps] == ["certificate", "shortcut"]
     assert chain.complete and chain.depth == 3
     assert chain.final_factor.describe("s") == "s[n+1] = g[n](s[n])"
@@ -201,17 +210,17 @@ def test_criterion_05():
     mod = Module(ring, 1)
 
     def quaternion(parts):
-        units = [ring.one, ring.parse("i"), ring.parse("j"), ring.parse("k")]
-        acc = ring.from_int(0)
+        units = [el(ring, u) for u in ("1", "i", "j", "k")]
+        acc = el(ring, 0)
         for c, u in zip(parts, units):
-            acc = acc + ring.from_int(c) * u
+            acc = acc + el(ring, c) * u
         return acc
 
     # constant coefficient: works exactly for the six square roots of -1
     for text in ("i", "j", "k", "-i", "-j", "-k"):
         rec = Recurrence(mod, [text, "0", "0"], ["1", "0", "1"],
                          GMap.linear_scale(mod, ["1/2"]))
-        u = ring.parse(text)
+        u = ring.payload(text)
         cert = variable_certificate(rec, [u, u], horizon=24)
         assert cert.proved_periodic and cert.period == 1
         chain = variable_chain(rec, seeds=[[u, u]], horizon=24)
@@ -224,10 +233,10 @@ def test_criterion_05():
     built = 0
     while built < 10:
         a = quaternion([rng.randint(-3, 3) for _ in range(4)])
-        if a.is_zero or a * a == ring.from_int(-1):
+        if a.is_zero or a * a == el(ring, -1):
             continue
         built += 1
-        minus_inv = -a.inverse()
+        a, minus_inv = a.v, (-a.inverse()).v
         rec = Recurrence(mod, [[a, minus_inv], "0", "0"], ["1", "0", "1"],
                          GMap.linear_scale(mod, ["1/2"]))
         cert = variable_certificate(rec, [a, minus_inv], horizon=16)
@@ -236,7 +245,7 @@ def test_criterion_05():
         assert step.factor.a[0] == make_coeff(ring, 0)
         assert step.factor.a[1] == make_coeff(ring, 0)
         assert step.factor.b[0] == make_coeff(ring, 1)
-        assert step.factor.b[1] == CoeffSeq([minus_inv, a])
+        assert step.factor.b[1] == CoeffSeq(ring, [minus_inv, a])
         chain = variable_chain(rec, seeds=[[a, minus_inv]], horizon=16)
         rep = verify_equivalence(rec, chain, ["1", "i+k", "2-j"], 100)
         assert rep.equal
@@ -251,8 +260,7 @@ def test_criterion_05():
     for s0 in pool:
         for s1 in pool:
             with pytest.raises(CertificateFailure) as err:
-                variable_certificate(qrec, [qring.el(s0), qring.el(s1)],
-                                     horizon=12)
+                variable_certificate(qrec, [s0, s1], horizon=12)
             assert err.value.n is not None and err.value.n <= 4
             if (s0, s1) in frozen:
                 assert err.value.n == frozen[(s0, s1)]
@@ -272,9 +280,9 @@ def test_criterion_06():
             steps = 12
 
             def rand_el():
-                return ring.from_int(rng.randint(-3, 3))
+                return el(ring, rng.randint(-3, 3))
 
-            rho = ring.parse(rng.choice(["1", "-1", "2", "-2", "1/2", "3"]))
+            rho = el(ring, rng.choice(["1", "-1", "2", "-2", "1/2", "3"]))
 
             def window_val():
                 return rng.randint(1, 9)
@@ -284,38 +292,38 @@ def test_criterion_06():
             steps = 30
 
             def rand_el():
-                return ring.el(rng.randrange(p))
+                return el(ring, rng.randrange(p))
 
-            rho = ring.el(rng.randrange(1, p))
+            rho = el(ring, rng.randrange(1, p))
 
             def window_val():
                 return rng.randrange(1, p)
 
         k = rng.randint(1, 4)
-        lin = Poly(ring, [-rho, ring.one])
-        acoeffs = [rand_el() for _ in range(k)] + [ring.one]
-        P = lin * Poly(ring, acoeffs)
+        lin = linear(rho)
+        acoeffs = [rand_el().v for _ in range(k)] + [ring.one]
+        P = pmul(lin, Poly(ring, acoeffs))
         while True:
             bcoeffs = [rand_el() for _ in range(k)]
             if any(not c.is_zero for c in bcoeffs):
                 break
-        Q = lin * Poly(ring, bcoeffs)
+        Q = pmul(lin, Poly(ring, [c.v for c in bcoeffs]))
         a_vals = [-coeff_of(P, k - i2) for i2 in range(k + 1)]
         b_vals = [coeff_of(Q, k - i2) for i2 in range(k + 1)]
         if over_q:
             g = GMap.linear_scale(mod, ["1/2"])
         else:
             g = sq_map(mod)
-        rec = Recurrence(mod, a_vals, b_vals, g)
+        rec = Recurrence(mod, [c.v for c in a_vals], [c.v for c in b_vals], g)
 
-        probes = [mod.el(rand_el()) for _ in range(k)]
-        ok = criterion_check(rec, CoeffSeq.constant(rho),
+        probes = [vec(mod, rand_el()) for _ in range(k)]
+        ok = criterion_check(rec, CoeffSeq.constant(ring, rho.v),
                              n=k + 1 + rng.randrange(6),
-                             u0_a=mod.el(rand_el()), u0_b=mod.el(rand_el()),
+                             u0_a=vec(mod, rand_el()), u0_b=vec(mod, rand_el()),
                              probes=probes)
         assert ok
 
-        step = factor_once(rec, rho)
+        step = factor_once(rec, rho.v)
         chain = FactorizationChain(rec, [step])
         window = [window_val() for _ in range(k + 1)]
         rep = verify_equivalence(rec, chain, window, steps)
@@ -325,10 +333,10 @@ def test_criterion_06():
         pos = rng.randrange(2 * (k + 1))
         bad_a, bad_b = list(a_vals), list(b_vals)
         if pos <= k:
-            bad_a[pos] = bad_a[pos] + ring.one
+            bad_a[pos] = bad_a[pos] + 1
         else:
-            bad_b[pos - k - 1] = bad_b[pos - k - 1] + ring.one
-        bad = Recurrence(mod, bad_a, bad_b, g)
+            bad_b[pos - k - 1] = bad_b[pos - k - 1] + 1
+        bad = Recurrence(mod, [c.v for c in bad_a], [c.v for c in bad_b], g)
         bad_rep = verify_equivalence(bad, chain, window, steps)
         assert not bad_rep.equal
         if pos <= k:
@@ -346,42 +354,42 @@ def test_criterion_07():
     for i in range(200):
         if i % 2 == 0:
             ring = make_ring("exact-rational")
-            rho = ring.parse(rng.choice(["1", "-1", "2", "-3", "1/2", "-2/3"]))
+            rho = el(ring, rng.choice(["1", "-1", "2", "-3", "1/2", "-2/3"]))
 
             def rand_el():
-                return ring.from_int(rng.randint(-4, 4))
+                return el(ring, rng.randint(-4, 4))
         else:
             p = prime_cycle[(i // 2) % 6]
             ring = make_ring("integers-mod-m", modulus=p)
-            rho = ring.el(rng.randrange(1, p))
+            rho = el(ring, rng.randrange(1, p))
 
             def rand_el():
-                return ring.el(rng.randrange(p))
+                return el(ring, rng.randrange(p))
 
         deg = rng.randint(0, 3)
         coeffs = [rand_el() for _ in range(deg)]
         lead = rand_el()
         while lead.is_zero:
             lead = rand_el()
-        A = Poly(ring, coeffs + [lead])
-        lin = Poly(ring, [-rho, ring.one])
+        A = Poly(ring, [c.v for c in coeffs + [lead]])
+        lin = linear(rho)
 
-        P = lin * A
-        assert deflate(P, rho) == A
-        assert lin * deflate(P, rho) == P
+        P = pmul(lin, A)
+        assert deflate(P, rho.v) == A
+        assert pmul(lin, deflate(P, rho.v)) == P
 
         if i % 4 == 0:
-            P2 = lin * lin * A
-            once = deflate(P2, rho)
-            assert once(rho).is_zero
-            assert P2.derivative()(rho).is_zero
-            assert deflate(once, rho) == A
+            P2 = pmul(lin, lin, A)
+            once = deflate(P2, rho.v)
+            assert El(ring, once(rho.v)).is_zero
+            assert El(ring, P2.derivative()(rho.v)).is_zero
+            assert deflate(once, rho.v) == A
 
         if i % 10 == 0:
-            sigma = rho + ring.one
-            if not P(sigma).is_zero:
+            sigma = rho + 1
+            if not El(ring, P(sigma.v)).is_zero:
                 with pytest.raises(NotAValidRoot):
-                    deflate(P, sigma)
+                    deflate(P, sigma.v)
 
 
 def test_criterion_08():
@@ -394,12 +402,12 @@ def test_criterion_08():
         p = [97, 193, 389][i % 3]
         ring, mod = zmod(p)
         k = rng.randint(1, 3)
-        roots = [ring.el(rng.randrange(1, p)) for _ in range(k)]
+        roots = [el(ring, rng.randrange(1, p)) for _ in range(k)]
         inner = Poly(ring, [ring.one])
         for r in roots:
-            inner = inner * Poly(ring, [-r, ring.one])
-        a_list = [-coeff_of(inner, k - 1 - j) for j in range(k)]
-        b = ring.el(rng.randrange(1, p))
+            inner = pmul(inner, linear(r))
+        a_list = [(-coeff_of(inner, k - 1 - j)).v for j in range(k)]
+        b = rng.randrange(1, p)
         fam = build_family(mod, "alsp", {"a": a_list, "b": b}, sq_map(mod))
         rec = fam.recurrence
 
@@ -413,9 +421,9 @@ def test_criterion_08():
         via_sub = simulate_substitution(sub, window, 100).reconstructed
         assert direct.end == via_chain.end == via_sub.end == k + 101
         for n in range(direct.end):
-            want = mod.fmt(direct.value_at(n))
-            assert mod.fmt(via_chain.value_at(n)) == want
-            assert mod.fmt(via_sub.value_at(n)) == want
+            want = list(map(ring.fmt, direct.value_at(n)))
+            assert list(map(ring.fmt, via_chain.value_at(n))) == want
+            assert list(map(ring.fmt, via_sub.value_at(n))) == want
 
 
 def test_criterion_09():
@@ -427,11 +435,11 @@ def test_criterion_09():
         p = [97, 193, 389, 769][i % 4]
         ring, mod = zmod(p)
         k = rng.randint(1, 4)
-        roots = [ring.el(rng.randrange(1, p)) for _ in range(k + 1)]
+        roots = [el(ring, rng.randrange(1, p)) for _ in range(k + 1)]
         P = Poly(ring, [ring.one])
         for r in roots:
-            P = P * Poly(ring, [-r, ring.one])
-        a_vals = [-coeff_of(P, k - j) for j in range(k + 1)]
+            P = pmul(P, linear(r))
+        a_vals = [(-coeff_of(P, k - j)).v for j in range(k + 1)]
         c_vals = [str(rng.randrange(p)) for _ in range(rng.randint(1, 3))]
         fam = build_family(mod, "linear", {"a": a_vals, "c": c_vals},
                            GMap.zero(mod))
@@ -439,8 +447,8 @@ def test_criterion_09():
 
         chain = linear_complete(rec)
         assert chain.complete and len(chain.steps) == k
-        consumed = [str(s.rho) for s in chain.steps]
-        leftover = str(chain.final_factor.a[0].at(0))
+        consumed = [ring.fmt(s.rho) for s in chain.steps]
+        leftover = ring.fmt(chain.final_factor.a[0].at(0))
         assert sorted(consumed + [leftover]) == sorted(str(r) for r in roots)
 
         window = [rng.randrange(p) for _ in range(k + 1)]
@@ -461,7 +469,7 @@ def test_criterion_10():
     chain = factor_chain(rec)
     assert chain.complete and chain.depth == 3
 
-    r0, r1 = chain.steps[0].rho.v, chain.steps[1].rho.v
+    r0, r1 = chain.steps[0].rho, chain.steps[1].rho
     assert abs(r0 - (-1j)) < 1e-8
     assert abs(r1 - 1j) < 1e-8
     assert chain.steps[0].root_report.method == "numeric"
@@ -469,12 +477,12 @@ def test_criterion_10():
 
     # Horner cofactors for rho = -i: p = (-1-i, i), q = (1/2, -i/2);
     # then for rho = +i on the order-2 factor: p = (-1,), q = (1/2,).
-    p0, p1 = (c.v for c in chain.steps[0].p)
-    q0, q1 = (c.v for c in chain.steps[0].q)
+    p0, p1 = chain.steps[0].p
+    q0, q1 = chain.steps[0].q
     assert abs(p0 - (-1 - 1j)) < 1e-8 and abs(p1 - 1j) < 1e-8
     assert abs(q0 - 0.5) < 1e-8 and abs(q1 - (-0.5j)) < 1e-8
-    (p0b,) = (c.v for c in chain.steps[1].p)
-    (q0b,) = (c.v for c in chain.steps[1].q)
+    (p0b,) = chain.steps[1].p
+    (q0b,) = chain.steps[1].q
     assert abs(p0b - (-1.0)) < 1e-8 and abs(q0b - 0.5) < 1e-8
 
     rep = verify_equivalence(rec, chain, ["0.5+0.1i", "-0.3", "0.2-0.2i"], 100)

@@ -10,15 +10,18 @@ job options (no roots or seeds, supplied roots, one or two seed windows).
 The driver must give the same chain report, or raise the same exception
 with the same message and root report.
 
-The one intended difference: a linear family over a noncommutative ring
-without seeds used to go to the root search, which refused it (or, at order
-1, returned an empty chain); it now gets the certificate routes like any
-other noncommutative job.
+Two intended differences: a linear family over a noncommutative ring
+without seeds used to go to the root search, which refused it; it now gets
+the certificate routes like any other noncommutative job. And a
+first-order recurrence is its own complete chain of depth 1 on every route,
+where the certificate routes used to raise Irreducible; the reference
+below has that fix.
 """
 
 import math
 from fractions import Fraction
 
+from elements import El, el as element, pmul
 from hypothesis import given, settings, strategies as st
 
 from scfactor import (CertificateFailure, CertificateNotPeriodic, GMap, Irreducible, Module,
@@ -74,24 +77,30 @@ def ref_second_order_shortcut(rec):
         raise ParseError("the shortcut applies to second-order recurrences only")
     if not rec.g.uses_argument:
         raise ParseError("the shortcut needs a map that reads its argument")
+    ring = rec.ring
     period = _span(rec.coeff_period)
+
+    def at(row, n):
+        return El(ring, row.at(n))
+    a0, a1, b0, b1 = rec.a[0], rec.a[1], rec.b[0], rec.b[1]
     for n in range(period):
-        for row, name in ((rec.b[0], "b_0"), (rec.b[1], "b_1")):
-            if not row.at(n).is_unit:
-                raise CertificateFailure(f"{name}({n}) = {row.at(n)} is not a unit", n=n)
-    alpha_vals = [-(rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)) for n in range(period)]
-    alpha = CoeffSeq(alpha_vals).reduced()
+        for row, name in ((b0, "b_0"), (b1, "b_1")):
+            if not at(row, n).is_unit:
+                raise CertificateFailure(f"{name}({n}) = {at(row, n)} is not a unit", n=n)
+    alpha_vals = [(-(at(b0, n + 1).inverse() * at(b1, n + 1))).v for n in range(period)]
+    alpha = CoeffSeq(ring, alpha_vals).reduced()
     span = math.lcm(alpha.period, rec.coeff_period)
-    ring, alpha_at = rec.ring, alpha.payload_at
+    alpha_at = alpha.at
     for n in range(span):
         if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
-            diff = rec.a[0].at(n) - rec.a[1].at(n) * rec.b[1].at(n).inverse() * rec.b[0].at(n) \
-                + rec.b[0].at(n + 1).inverse() * rec.b[1].at(n + 1)
+            diff = at(a0, n) - at(a1, n) * at(b1, n).inverse() * at(b0, n) \
+                + at(b0, n + 1).inverse() * at(b1, n + 1)
             raise CertificateFailure(
                 f"second-order closed condition fails: residual {diff}", n=n)
-        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero.v):
+        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero):
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
-    cert = UnitCertificate(seed=(alpha.at(0),), alphas=alpha.values, status="proved-periodic",
+    cert = UnitCertificate(ring=ring, seed=(alpha.at(0),), alphas=alpha.values,
+                           status="proved-periodic",
                            horizon=span, period=alpha.period, checked_upto=span,
                            notes=["alpha forced by the unit b row (no seed search)"])
     step = build_variable_factor(rec, cert)
@@ -120,12 +129,12 @@ def ref_variable_chain(rec, seeds=None, horizon=64):
             cert = variable_certificate(current, seed, horizon)
             if not cert.proved_periodic:
                 raise CertificateNotPeriodic(
-                    f"certificate from seed {[str(s) for s in cert.seed]} stayed "
+                    f"certificate from seed {[str(El(rec.ring, s)) for s in cert.seed]} stayed "
                     f"horizon-bounded at horizon {cert.horizon}; cannot build the factor")
             step = build_variable_factor(current, cert)
         steps.append(step)
         current = step.factor
-    if not steps:
+    if not steps and rec.order > 1:
         raise Irreducible("no reduction step could be constructed via certificates")
     return FactorizationChain(rec, steps, notes)
 
@@ -156,12 +165,12 @@ MAPS = ("zero", "constant-sequence", "linear-scale", "u1*u1", "u1 + 1", "linear"
 def _value(ring, t):
     a, b, c, d = t
     if ring.kind == "integers-mod-m":
-        return ring.el(a)
+        return element(ring, a)
     if ring.kind == "exact-rational":
-        return ring.el(Fraction(a, 1 + abs(b)))
+        return element(ring, Fraction(a, 1 + abs(b)))
     if ring.kind == "float-complex":
-        return ring.el(complex(a / 2, b))
-    return ring.el((a, Fraction(b, 2), c, d))
+        return element(ring, complex(a / 2, b))
+    return element(ring, (a, Fraction(b, 2), c, d))
 
 
 def _inv_product(alpha, n, i):
@@ -178,7 +187,7 @@ def _planted_head(alpha, a_rows, b_rows, period):
     0 = sum_i b_i(n) (alpha_{n-1}..alpha_{n-i})^(-1)."""
     a0, b0 = [], []
     for n in range(period):
-        acc_a, acc_b = alpha[n % len(alpha)], alpha[0].ring.zero
+        acc_a, acc_b = alpha[n % len(alpha)], element(alpha[0].ring, 0)
         for i in range(1, len(a_rows)):
             inv = _inv_product(alpha, n, i)
             acc_a = acc_a - a_rows[i][n] * inv
@@ -205,30 +214,33 @@ def jobs(draw):
         period = 1
     seq = st.lists(el, min_size=period, max_size=period)
     a_rows = [draw(seq) for _ in range(order)]
-    b_rows = [[ring.zero] * period if linear else draw(seq) for _ in range(order)]
+    b_rows = [[element(ring, 0)] * period if linear else draw(seq) for _ in range(order)]
     planted = draw(st.sampled_from((True, True, False)))
     alpha = draw(st.lists(units, min_size=period, max_size=period)) if planted else None
     second = None
     if planted and period == 1 and ring.commutative and order >= 2 and draw(st.booleans()):
         # two planted roots: P = (x - rho)(x - second) C and Q = (x - rho)(x - second) D
         second = draw(units)
-        both = Poly(ring, [-alpha[0], ring.one]) * Poly(ring, [-second, ring.one])
-        P = both * Poly(ring, draw(st.lists(el, min_size=k - 1, max_size=k - 1)) + [ring.one])
-        Q = both * Poly(ring, [] if linear else draw(st.lists(el, max_size=k - 1)))
-        a_rows = [[-P.coeff(k - i)] for i in range(order)]
-        b_rows = [[Q.coeff(k - i)] for i in range(order)]
+        both = pmul(Poly(ring, [(-alpha[0]).v, ring.one]), Poly(ring, [(-second).v, ring.one]))
+        P = pmul(both, Poly(ring, [x.v for x in draw(st.lists(el, min_size=k - 1, max_size=k - 1))]
+                             + [ring.one]))
+        q_cof = [] if linear else [x.v for x in draw(st.lists(el, max_size=k - 1))]
+        Q = pmul(both, Poly(ring, q_cof))
+        a_rows = [[-El(ring, P.coeff(k - i))] for i in range(order)]
+        b_rows = [[El(ring, Q.coeff(k - i))] for i in range(order)]
     elif planted:
         a_rows[0], b_rows[0] = _planted_head(alpha, a_rows, b_rows, period)
     if shape == "zero":
         g = GMap.zero(M)
     elif shape in ("constant-sequence", "linear"):
-        g = GMap.constant_sequence(M, [M.el([v]) for v in draw(st.lists(el, min_size=1,
-                                                                          max_size=2))])
+        g = GMap.constant_sequence(M, [[v.v] for v in draw(st.lists(el, min_size=1,
+                                                                       max_size=2))])
     elif shape == "linear-scale":
-        g = GMap.linear_scale(M, draw(st.lists(units, min_size=1, max_size=2)))
+        g = GMap.linear_scale(M, [v.v for v in draw(st.lists(units, min_size=1, max_size=2))])
     else:
         g = GMap.expression(M, [shape])
-    rec = Recurrence(M, [CoeffSeq(r) for r in a_rows], [CoeffSeq(r) for r in b_rows], g)
+    rec = Recurrence(M, [CoeffSeq(ring, [x.v for x in r]) for r in a_rows],
+                     [CoeffSeq(ring, [x.v for x in r]) for r in b_rows], g)
 
     fmt = ring.fmt
     root = [fmt(alpha[0].v)] if planted else []
@@ -240,12 +252,12 @@ def jobs(draw):
         window = st.lists(units, min_size=k, max_size=k)
         if planted:
             window = st.one_of(st.just([alpha[i % period] for i in range(k)]), window)
-        seeds = [draw(window)]
+        seeds = [[x.v for x in draw(window)]]
         if draw(st.booleans()):
             window = st.lists(units, min_size=max(k - 1, 1), max_size=max(k - 1, 1))
             if second is not None and k > 1:
                 window = st.one_of(st.just([second] * (k - 1)), window)
-            seeds.append(draw(window))
+            seeds.append([x.v for x in draw(window)])
     horizon = draw(st.sampled_from((2, 6, 12, 24)))
     return rec, "linear" if linear else None, roots, seeds, horizon
 
@@ -267,9 +279,10 @@ def test_driver_matches_old_dispatch(job):
     rec, family_kind, roots, seeds, horizon = job
     got = outcome(factor_chain, rec, roots=roots, seeds=seeds, horizon=horizon)
     want = outcome(ref_route, rec, family_kind, roots, seeds, horizon)
-    if family_kind == "linear" and seeds is None and not rec.ring.commutative:
-        # the intended change: the root search refused these (and a first-order
-        # base came back as an empty chain); now they take the certificate routes
-        assert want[0] == "NoncommutativeRing" or rec.order == 1
+    if family_kind == "linear" and seeds is None and not rec.ring.commutative \
+            and rec.order > 1:
+        # the intended change: the root search refused these; now they take
+        # the certificate routes
+        assert want[0] == "NoncommutativeRing"
         want = ("Irreducible", "no reduction step could be constructed via certificates", None)
     assert got == want

@@ -86,17 +86,49 @@ class TestFactor:
     @pytest.mark.parametrize("a", [["i", "2"], ["i"]], ids=["order-2", "order-1"])
     def test_linear_family_over_quaternions(self, capsys, tmp_path, command, a):
         # no root search over a noncommutative ring: the certificate routes,
-        # which find no step without seeds, as for any other recurrence over H
+        # which find no step without seeds, as for any other recurrence over
+        # H; a first-order recurrence has nothing to reduce and is its own
+        # complete chain
         path = tmp_path / "linear_h.json"
         path.write_text(json.dumps({
             "ring": {"kind": "rational-quaternion"}, "module": {"dim": 1},
             "family": {"kind": "linear", "params": {"a": a, "c": ["j"]}},
             "initial": ["1", "k"][:len(a)]}))
         code, out, err = run_cli(capsys, command, str(path), "--json")
-        assert (code, err) == (3, "")
-        assert json.loads(out) == {
-            "status": "irreducible", "notes": [],
-            "reason": "no reduction step could be constructed via certificates"}
+        report = json.loads(out)
+        if len(a) == 2:
+            assert (code, err) == (3, "")
+            assert report == {
+                "status": "irreducible", "notes": [],
+                "reason": "no reduction step could be constructed via certificates"}
+        else:
+            assert (code, err) == (0, "")
+            chain = report["chain"]
+            assert report["status"] == "reducible"
+            assert (chain["complete"], chain["depth"], chain["steps"]) == (True, 1, [])
+            assert report.get("verified", True)
+
+    @pytest.mark.parametrize("command", ["factor", "verify"])
+    @pytest.mark.parametrize("a, b", [([["2", "3"]], [["1", "1"]]), (["2"], ["1"])],
+                             ids=["periodic", "constant"])
+    def test_order_one_is_a_complete_chain_on_every_route(self, capsys, tmp_path, command,
+                                                          a, b):
+        # periodic coefficients take the certificate routes, constant ones the
+        # root route; either way an order-1 recurrence is a complete chain of
+        # depth 1 with no steps
+        path = tmp_path / "order1.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "integers-mod-m", "modulus": 7}, "module": {"dim": 1},
+            "recurrence": {"a": a, "b": b, "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+            "initial": ["1"]}))
+        code, out, err = run_cli(capsys, command, str(path), "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        chain = report["chain"]
+        assert (chain["complete"], chain["depth"], chain["steps"], chain["levels"]) == \
+            (True, 1, [], [])
+        if command == "verify":
+            assert report["verified"] and report["verification"]["chain"]["equal"]
 
 
 class TestVerify:

@@ -128,7 +128,8 @@ class TestBuildJob:
         doc["run"] = {"seeds": [["1", "-1"], ["3", "5"]]}
         job = build_job(doc)
         R = job.ring
-        assert job.run.seeds == [[R.el(1), R.el(-1)], [R.el(3), R.el(5)]]
+        assert job.run.seeds == [[1, 25], [3, 5]]
+        assert job.run.seeds == [[R.payload(1), R.payload(-1)], [R.payload(3), R.payload(5)]]
 
     def test_seed_window_length_is_k(self):
         doc = zp_doc()

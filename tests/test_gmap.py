@@ -2,9 +2,9 @@
 
 import pytest
 
-from scfactor import DivisionByNonUnit, GMapSyntaxError, TanhUnsupported
-from scfactor.gmap import (MAX_EXPR_DEPTH, eval_expr, expr_identifiers, format_expr,
-                           parse_expr, validate_expr)
+from scfactor import DivisionByNonUnit, GMap, GMapSyntaxError, TanhUnsupported
+from scfactor.gmap import (MAX_EXPR_DEPTH, expr_identifiers, format_expr, parse_expr,
+                           validate_expr)
 from scfactor.rings import FloatComplex, IntegersMod, Module, Rationals, RationalQuaternions
 
 
@@ -73,44 +73,46 @@ class TestFormat:
             assert parse_expr(format_expr(ast)) == ast
 
 
+def evaluate(text, ring, u, n, seqs=None):
+    """The first component of g_n(u) for the map whose first expression is
+    ``text`` (the others copy u1), over a module of dimension len(u); u
+    lists literals, and the result is a payload."""
+    M = Module(ring, len(u))
+    g = GMap.expression(M, [text] + ["u1"] * (len(u) - 1), seqs or {})
+    return g.apply(n, M.payloads(u))[0]
+
+
 class TestEval:
     def test_arithmetic_mod(self):
         R = IntegersMod(7)
-        ast = parse_expr("u1*u1 + 3")
-        out = eval_expr(ast, R, [R.el(4)], {}, 0)
-        assert out == R.el(5)
+        assert evaluate("u1*u1 + 3", R, ["4"], 0) == 5
 
     def test_sequence_mod_indexing(self):
         R = IntegersMod(7)
-        ast = parse_expr("c[n]")
-        seqs = {"c": (R.el(2), R.el(5))}
-        assert eval_expr(ast, R, [R.zero], seqs, 0) == R.el(2)
-        assert eval_expr(ast, R, [R.zero], seqs, 3) == R.el(5)
-        assert eval_expr(ast, R, [R.zero], seqs, 4) == R.el(2)
+        seqs = {"c": ["2", "5"]}
+        assert evaluate("c[n]", R, ["0"], 0, seqs) == 2
+        assert evaluate("c[n]", R, ["0"], 3, seqs) == 5
+        assert evaluate("c[n]", R, ["0"], 4, seqs) == 2
 
     def test_division_by_non_unit(self):
         R = IntegersMod(6)
-        ast = parse_expr("1/u1")
         with pytest.raises(DivisionByNonUnit) as ei:
-            eval_expr(ast, R, [R.el(3)], {}, 5)
+            evaluate("1/u1", R, ["3"], 5)
         assert ei.value.n == 5
 
     def test_noncommutative_division_order(self):
         R = RationalQuaternions()
-        ast = parse_expr("u1/u2")
-        out = eval_expr(ast, R, [R.parse("i"), R.parse("j")], {}, 0)
-        assert out == R.parse("-k")   # i * j^-1
+        out = evaluate("u1/u2", R, ["i", "j"], 0)
+        assert out == R.payload("-k")   # i * j^-1
 
     def test_tanh_real_axis(self):
         import math
         R = FloatComplex()
-        ast = parse_expr("tanh(u1)")
-        out = eval_expr(ast, R, [R.el(0.5)], {}, 0)
-        assert abs(out.v - math.tanh(0.5)) < 1e-15
+        out = evaluate("tanh(u1)", R, ["0.5"], 0)
+        assert abs(out - math.tanh(0.5)) < 1e-15
 
     def test_tanh_off_axis_raises(self):
         R = FloatComplex()
-        ast = parse_expr("tanh(u1)")
         with pytest.raises(TanhUnsupported) as ei:
-            eval_expr(ast, R, [R.parse("1+i")], {}, 7)
+            evaluate("tanh(u1)", R, ["1+i"], 7)
         assert ei.value.n == 7

@@ -9,10 +9,11 @@ it only for a change that is meant to alter reports:
 
 A refactor that must leave every report as it was can be checked more
 widely with tests/snapshot_reports.py (not collected by pytest). It writes
-exit code, stdout and stderr of the three commands, with and without
---json, for every shipped config and every job of the first N blocks of
-each workload in bench/jobs.py, to one JSON file; two checkouts agree when
-their files do:
+exit code, stdout and stderr of factor, verify and certify, with and
+without --json, for every shipped config and every job of the first N
+blocks of each workload in bench/jobs.py, and of simulate with both --emit
+formats (with the files written) for every shipped config, to one JSON
+file; two checkouts agree when their files do:
 
     python tests/snapshot_reports.py --root ../parent --seeds 5 11 --blocks 2 --out old.json
     python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --out new.json

@@ -1,12 +1,12 @@
 """The compiled payload kernel against the element-level step it replaced.
 
-The reference below is the step as it was written on El and Vec values:
-Recurrence.step summing its rows, GMap.apply dispatching on the map's shape,
-eval_expr walking the AST node by node, and the simulate loop that checked
-every new value for finiteness. Hypothesis draws small recurrences over all
-six ring kinds and all four map shapes, with periodic coefficients; the
-kernel must give bit-identical values, the same breakdown index and the
-same breakdown reason.
+The reference is the step as it was written on El and Vec values
+(elements.py): step summing its rows, apply dispatching on the map's
+shape, eval_expr walking the AST node by node, and below the simulate loop
+that checked every new value for finiteness. Hypothesis draws small
+recurrences over all six ring kinds and all four map shapes, with periodic
+coefficients; the kernel must give bit-identical values, the same
+breakdown index and the same breakdown reason.
 
 The generated chain rebuild is held the same way against the per-value
 loops of simulate_chain and simulate_substitution that it replaced, and
@@ -22,6 +22,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from elements import El, apply, eval_expr, step, wrap
 from hypothesis import given, settings, strategies as st
 
 from scfactor import (Breakdown, ConfigError, DivisionByNonUnit, GMap, Module, Recurrence,
@@ -29,88 +30,39 @@ from scfactor import (Breakdown, ConfigError, DivisionByNonUnit, GMap, Module, R
 from scfactor.engine import Trajectory, _propagated, simulate_substitution, transport
 from scfactor.factorize import (FactorizationChain, FactorStep, SubstitutionFactorization,
                                 level_name)
-from scfactor.gmap import (INVERSE_MEMO_SIZE, MAX_LAZY_FACTORS, _compile, eval_expr,
+from scfactor.gmap import (INVERSE_MEMO_SIZE, MAX_LAZY_FACTORS, Emitter, _compile,
                            format_expr, parse_expr)
 from scfactor.recurrence import CoeffSeq
-from scfactor.rings import MAX_MODULUS, MAX_PAYLOAD_BITS, El, Vec, _ratio_bits
+from scfactor.rings import MAX_MODULUS, MAX_PAYLOAD_BITS, _ratio_bits
 
 # ---------------------------------------------------------------------------
-# reference: the element-level step
+# reference: the element-level step, on payload arguments
 
 
 def ref_eval(ast, ring, u, seqs, n):
-    op = ast[0]
-    if op == "int":
-        return ring.from_int(ast[1])
-    if op == "u":
-        return u[ast[1] - 1]
-    if op == "seq":
-        vals = seqs[ast[1]]
-        return vals[n % len(vals)]
-    if op == "neg":
-        return -ref_eval(ast[1], ring, u, seqs, n)
-    if op == "inv":
-        val = ref_eval(ast[1], ring, u, seqs, n)
-        if not val.is_unit:
-            raise DivisionByNonUnit(f"inv of non-unit {val}", n=n)
-        return val.inverse()
-    if op == "tanh":
-        val = ref_eval(ast[1], ring, u, seqs, n)
-        z = val.v
-        if abs(z.imag) > ring.tol * max(1.0, abs(z.real)):
-            raise TanhUnsupported(f"tanh argument {val} has a non-negligible imaginary part", n=n)
-        return El(ring, complex(math.tanh(z.real), 0.0))
-    left = ref_eval(ast[1], ring, u, seqs, n)
-    right = ref_eval(ast[2], ring, u, seqs, n)
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if not right.is_unit:
-        raise DivisionByNonUnit(f"division by non-unit {right}", n=n)
-    return left * right.inverse()
+    return eval_expr(ast, ring, [El(ring, x) for x in u],
+                     {name: tuple(El(ring, v) for v in vals) for name, vals in seqs.items()}, n)
 
 
 def ref_apply(g, n, w):
-    if g.kind == "zero":
-        return g.module.zero
-    if g.kind == "constant-sequence":
-        return g.vec_values[n % len(g.vec_values)]
-    if g.kind == "linear-scale":
-        return g.scalar_values[n % len(g.scalar_values)] * w
-    return Vec(ref_eval(ast, g.module.ring, w.parts, g.seqs, n) for ast in g.exprs)
-
-
-def ref_row(rec, row, n, window):
-    ring = rec.ring
-    zero = ring.zero.v
-    acc = [zero] * rec.module.dim
-    for seq, x in zip(row, window):
-        c = seq.at(n).v
-        if ring._eq(c, zero):
-            continue
-        for j, p in enumerate(x.parts):
-            acc[j] = ring._add(acc[j], ring._mul(c, p.v))
-    return acc
+    return apply(g, n, wrap(g.module.ring, w))
 
 
 def ref_step(rec, n, window):
-    ring = rec.ring
-    acc = ref_row(rec, rec.a, n, window)
-    if not rec.g.is_zero:
-        if rec.g.uses_argument:
-            arg = Vec(El(ring, v) for v in ref_row(rec, rec.b, n, window))
-        else:
-            arg = rec.module.zero
-        acc = [ring._add(s, t.v) for s, t in zip(acc, ref_apply(rec.g, n, arg).parts)]
-    return Vec(El(ring, v) for v in acc)
+    return step(rec, n, [wrap(rec.ring, x) for x in window])
+
+
+def emitted_eval(ast, ring, u, seqs, n):
+    """One expression through gmap.Emitter, as GMap.kernel emits a map: the
+    argument u, the sequences and the value are payloads."""
+    e = Emitter(ring)
+    e.unpack([f"w{i}" for i in range(len(u))], "w")
+    [out] = e.exprs([ast], seqs)
+    return e.function("n, w", e.reduced(out))(n, u)
 
 
 def ref_is_finite(v):
-    for c in v.parts:
-        payload = c.v
+    for payload in v:
         if isinstance(payload, complex):
             if not (math.isfinite(payload.real) and math.isfinite(payload.imag)):
                 return False
@@ -121,11 +73,12 @@ def ref_is_finite(v):
 
 
 def ref_simulate(rec, init, steps):
+    """The values (payload lists) and breakdown of a run from ``init``."""
     values = list(init)
     for n in range(rec.k, rec.k + steps):
         window = [values[-1 - i] for i in range(rec.order)]
         try:
-            nxt = ref_step(rec, n, window)
+            nxt = ref_step(rec, n, window).v
         except (DivisionByNonUnit, TanhUnsupported) as exc:
             return values, Breakdown(n + 1, str(exc))
         if not ref_is_finite(nxt):
@@ -162,10 +115,11 @@ def _payload(ring, t):
 
 
 def elements(ring):
+    """Small payloads of ``ring``."""
     small = st.integers(min_value=-2, max_value=2)
     # zero itself often, so that zero coefficients and divisions by zero occur
     quads = st.one_of(st.just((0, 0, 0, 0)), st.tuples(small, small, small, small))
-    return quads.map(lambda t: ring.el(_payload(ring, t)))
+    return quads.map(lambda t: ring.payload(_payload(ring, t)))
 
 
 # Part denominators with common factors and unequal lcms, so that lazy sums
@@ -179,7 +133,7 @@ def uneven_elements(ring):
     part = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
                      st.sampled_from(UNEVEN_DENOMINATORS))
     parts = st.tuples(*[part] * EXACT_SIZES[ring.kind])
-    return st.one_of(st.just(0), parts).map(ring.el)
+    return st.one_of(st.just(0), parts).map(ring.payload)
 
 
 def asts(dim, tanh, max_leaves=4, factors=1):
@@ -214,7 +168,7 @@ def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 1
     M = Module(ring, dim)
     el = values(ring)
     periodic = st.lists(el, min_size=1, max_size=3)
-    vec = st.lists(el, min_size=dim, max_size=dim).map(M.el)
+    vec = st.lists(el, min_size=dim, max_size=dim)
     # expressions are the only maps that can break down, so they come most often
     shape = draw(st.sampled_from(SHAPES + ("expression", "expression")))
     if shape == "zero":
@@ -239,17 +193,20 @@ def cases(draw, kinds=st.sampled_from(KINDS), moduli=st.sampled_from([5, 6, 7, 1
     return rec, window, n
 
 
-def bits(v: Vec):
-    return [repr(c.v) for c in v.parts]
+def bits(v):
+    """The reprs of the payloads of a vector (a payload list)."""
+    return [repr(c) for c in v]
 
 
 def outcome(fn, *args):
-    """Bit pattern of the value, or the breakdown's type, message and step."""
+    """Bit pattern of the value (a payload, a payload list, an El or a Vec),
+    or the breakdown's type, message and step."""
     try:
         out = fn(*args)
     except (DivisionByNonUnit, TanhUnsupported) as exc:
         return type(exc).__name__, str(exc), exc.n
-    return [repr(out.v)] if isinstance(out, El) else bits(out)
+    out = getattr(out, "v", out)
+    return bits(out) if isinstance(out, list) else [repr(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +228,8 @@ def test_kernel_matches_element_reference(case):
     assert outcome(rec.g.apply, n, window[0]) == outcome(ref_apply, rec.g, n, window[0])
     ring = rec.ring
     for ast in rec.g.exprs or ():
-        assert outcome(eval_expr, ast, ring, window[0].parts, rec.g.seqs, n) == \
-            outcome(ref_eval, ast, ring, window[0].parts, rec.g.seqs, n)
+        assert outcome(emitted_eval, ast, ring, window[0], rec.g.seqs, n) == \
+            outcome(ref_eval, ast, ring, window[0], rec.g.seqs, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,15 +262,15 @@ def test_lazy_exact_kernels_match_reference(case):
     try:
         traj = simulate(rec, window, 6)
     except ConfigError:
-        assert any(_ratio_bits(c.v) > MAX_PAYLOAD_BITS for v in want for c in v.parts)
+        assert any(_ratio_bits(c) > MAX_PAYLOAD_BITS for v in want for c in v)
         return
     assert [bits(v) for v in traj.values] == [bits(v) for v in want]
     assert traj.breakdown == want_breakdown
-    assert all(canonical(p) for v in traj.payloads for p in v)
+    assert all(canonical(p) for v in traj.values for p in v)
     got = outcome(rec.g.apply, n, window[0])
     assert got == outcome(ref_apply, rec.g, n, window[0])
     if isinstance(got, list):
-        assert all(canonical(c.v) for c in rec.g.apply(n, window[0]).parts)
+        assert all(canonical(c) for c in rec.g.apply(n, window[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +285,9 @@ def test_breakdown_prints_reduced_residue(u1, text, message):
     R = make_ring("integers-mod-m", modulus=4)
     M = Module(R, 1)
     g = GMap.expression(M, [text])
-    assert outcome(eval_expr, parse_expr(text), R, [R.el(u1)], {}, 5) == \
+    assert outcome(emitted_eval, parse_expr(text), R, [u1], {}, 5) == \
         ("DivisionByNonUnit", message, 5)
-    assert outcome(g.apply, 5, M.el([u1])) == ("DivisionByNonUnit", message, 5)
+    assert outcome(g.apply, 5, [u1]) == ("DivisionByNonUnit", message, 5)
     rec = Recurrence(M, ["0"], ["1"], g)
     assert simulate(rec, [u1], 3).breakdown == Breakdown(1, message)
 
@@ -408,7 +365,7 @@ def test_inverse_memo_never_stores_a_non_unit(text, reason):
     M = Module(R, 1)
     rec = Recurrence(M, ["1"], ["1"], GMap.expression(M, [text]))
     for x0, bad in ((1, 2), (5, 10)):
-        init = [M.el([str(x0)])]
+        init = [M.payloads([str(x0)])]
         want = ref_simulate(rec, init, 6)[1]
         assert want == Breakdown(2, f"{reason} {bad}")
         for _ in range(2):
@@ -432,7 +389,7 @@ def test_long_product_stays_exact_and_small(monkeypatch):
                         lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
     x = MAX_MODULUS - 2
     want = math.prod(x + i for i in range(1, 2 ** 7 + 1)) % MAX_MODULUS
-    assert eval_expr(parse_expr(terms[0]), R, [R.el(x)], {}, 0).v == want
+    assert emitted_eval(parse_expr(terms[0]), R, [x], {}, 0) == want
     assert MAX_LAZY_FACTORS == 4 and sources[0].count("% m") == 16 + 2 + 1
 
 
@@ -450,7 +407,7 @@ def test_long_exact_product_reduced_every_few_factors(monkeypatch):
                         lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
     x = Fraction(-2, 3)
     want = math.prod(x + i for i in range(1, 2 ** 7 + 1))
-    got = eval_expr(parse_expr(terms[0]), R, [R.el(x)], {}, 0).v
+    got = emitted_eval(parse_expr(terms[0]), R, [R.payload(x)], {}, 0)
     assert got == (want.numerator, want.denominator)
     assert sources[0].count("_reduced(") == 16 + 2 + 1
 
@@ -475,7 +432,7 @@ def test_no_config_text_in_generated_code(kind):
             text = [repr(x) for x in (*code.co_names, *code.co_consts, *code.co_varnames)]
             assert not any("zz_marker" in t or "987654321" in t for t in text), text
     # the generated step still computes the recurrence
-    window = [M.el(["1", "2"]), M.el(["3", "4"])]
+    window = [M.payloads(["1", "2"]), M.payloads(["3", "4"])]
     assert outcome(rec.step, 0, window) == outcome(ref_step, rec, 0, window)
 
 
@@ -487,7 +444,7 @@ def _coprime_period_recurrence():
     rows = [[str((i * i + p) % 5) for i in range(p)] for p in (16, 9, 25, 7, 11, 13)]
     rec = Recurrence(M, rows[:3], rows[3:], GMap.expression(M, ["u1*u1 + 1"]))
     assert rec.coeff_period == 3603600
-    return rec, [M.el(["1"]), M.el(["2"]), M.el(["3"])]
+    return rec, [[1], [2], [3]]
 
 
 def test_compiles_bounded_by_zero_patterns(monkeypatch):
@@ -538,7 +495,7 @@ def test_values_share_compiled_code():
                        GMap.expression(M, [f"u1*u2 + {lit}", "inv(u2)"]))
             for a0, b1, lit in (("2", "7", "3"), ("9", "40", "8"))]
     assert recs[0].kernel.__code__ is recs[1].kernel.__code__
-    window = [M.el(["1", "2"]), M.el(["3", "4"]), M.el(["5", "6"])]
+    window = [M.payloads(["1", "2"]), M.payloads(["3", "4"]), M.payloads(["5", "6"])]
     for rec in recs:
         want, want_breakdown = ref_simulate(rec, window, 20)
         traj = simulate(rec, window, 20)
@@ -553,22 +510,25 @@ def test_values_share_compiled_code():
 
 def ref_transport(chain, initial):
     """The windows of every chain level on Vec values: level l drops the
-    first entry, w_i = prev_i - alpha_l(i-1) * prev_{i-1}."""
-    windows = [[chain.base.module.el(v) for v in initial]]
-    for l, step in enumerate(chain.steps, start=1):
+    first entry, w_i = prev_i - alpha_l(i-1) * prev_{i-1}; returned as
+    payload lists."""
+    ring = chain.base.ring
+    windows = [[wrap(ring, v) for v in initial]]
+    for l, st_ in enumerate(chain.steps, start=1):
         prev = windows[-1]  # indices l-1 .. k
-        windows.append([prev[i - l + 1] - step.alpha.at(i - 1) * prev[i - l]
+        windows.append([prev[i - l + 1] - El(ring, st_.alpha.at(i - 1)) * prev[i - l]
                         for i in range(l, chain.base.k + 1)])
-    return windows
+    return [[v.v for v in w] for w in windows]
 
 
 def ref_substitution_window(sub, initial):
-    """s_k = x_k - c_1 x_{k-1} - ... - c_k x_0 on Vec values."""
-    init = [sub.base.module.el(v) for v in initial]
+    """s_k = x_k - c_1 x_{k-1} - ... - c_k x_0 on Vec values, as a payload list."""
+    ring = sub.base.ring
+    init = [wrap(ring, v) for v in initial]
     s_k = init[sub.k]
     for j, c in enumerate(sub.sub_coeffs, start=1):
-        s_k = s_k - c * init[sub.k - j]
-    return s_k
+        s_k = s_k - El(ring, c) * init[sub.k - j]
+    return s_k.v
 
 
 def ref_simulate_chain(chain, initial, steps):
@@ -581,11 +541,11 @@ def ref_simulate_chain(chain, initial, steps):
                      start=depth, level=level_name(depth))
     end = below.end
     trajs = [below]
-    deeper = below.payloads
+    deeper = below.values
     for l in range(depth - 1, -1, -1):
-        alpha = [a.v for a in chain.steps[l].alpha.values]
+        alpha = chain.steps[l].alpha.values
         period = len(alpha)
-        vals = [module.payloads(v) for v in windows[l]]
+        vals = list(windows[l])
         for n in range(k, end - 1):
             a = alpha[n % period]
             vals.append([add(mul(a, w), d) for w, d in zip(vals[-1], deeper[n - l])])
@@ -600,12 +560,11 @@ def ref_simulate_substitution(sub, initial, steps):
     module = sub.base.module
     add, mul = module.ring._add, module.ring._mul
     k = sub.k
-    init = [module.el(v) for v in initial]
     s_traj = simulate(sub.factor, [ref_substitution_window(sub, initial)], steps,
                       start=k, level="s")
-    s_vals = s_traj.payloads
-    coeffs = [(j, c.v) for j, c in enumerate(sub.sub_coeffs, start=1)]
-    xs = [module.payloads(v) for v in init]
+    s_vals = s_traj.values
+    coeffs = list(enumerate(sub.sub_coeffs, start=1))
+    xs = list(initial)
     for n in range(k, s_traj.end - 1):
         acc = s_vals[n + 1 - k]
         for j, c in coeffs:
@@ -615,7 +574,7 @@ def ref_simulate_substitution(sub, initial, steps):
 
 
 def levels(trajs):
-    return [(t.level, t.start, [[repr(c) for c in p] for p in t.payloads], t.breakdown)
+    return [(t.level, t.start, [[repr(c) for c in p] for p in t.values], t.breakdown)
             for t in trajs]
 
 
@@ -630,10 +589,11 @@ def test_chain_rebuild_matches_per_value_loop(data, case, depth):
     ring, M = factor.ring, factor.module
     k = depth + factor.k
     base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
-    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(CoeffSeq)
+    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(
+        functools.partial(CoeffSeq, ring))
     steps = [FactorStep("certificate", data.draw(alphas), factor) for _ in range(depth)]
     chain = FactorizationChain(base, steps)
-    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim).map(M.el)
+    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim)
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
     run = simulate_chain(chain, initial, 8)
     assert levels(run.trajectories) == levels(ref_simulate_chain(chain, initial, 8))
@@ -648,7 +608,7 @@ def test_substitution_rebuild_matches_per_value_loop(data, case, k):
     base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
     coeffs = tuple(data.draw(st.lists(elements(ring), min_size=k, max_size=k)))
     sub = SubstitutionFactorization(base, coeffs, ring.one, factor)
-    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim).map(M.el)
+    vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim)
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
     run = simulate_substitution(sub, initial, 8)
     assert levels(run.trajectories) == levels(ref_simulate_substitution(sub, initial, 8))
@@ -665,9 +625,10 @@ def test_split_windows_match_element_reference(data, kind, dim, k):
         if kind == "integers-mod-m" else make_ring(kind)
     M = Module(ring, dim)
     base = Recurrence(M, ["0"] * (k + 1), ["0"] * (k + 1), GMap.zero(M))
-    vec = st.lists(elements(ring), min_size=dim, max_size=dim).map(M.el)
+    vec = st.lists(elements(ring), min_size=dim, max_size=dim)
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
-    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(CoeffSeq)
+    alphas = st.lists(elements(ring), min_size=1, max_size=3).map(
+        functools.partial(CoeffSeq, ring))
     depth = data.draw(st.integers(min_value=1, max_value=k))
     chain = FactorizationChain(base, [FactorStep("certificate", data.draw(alphas), base)
                                       for _ in range(depth)])

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 
 import pytest
+from elements import pmul
 from hypothesis import assume, example, given, settings, strategies as st
 
 from scfactor import NotAValidRoot, ParseError, Poly, deflate, durand_kerner, poly_gcd, unit_roots
@@ -21,7 +22,7 @@ from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
 
 
 def P(ring, *ascending):
-    return Poly(ring, [ring.el(c) for c in ascending])
+    return Poly(ring, ascending)
 
 
 class TestPolyBasics:
@@ -34,15 +35,15 @@ class TestPolyBasics:
     def test_horner_eval(self):
         R = Rationals()
         p = P(R, "-1", "-2", 0, 1)   # x^3 - 2x - 1
-        assert p(R.el(-1)) == R.zero
-        assert p(R.el(2)) == R.el(3)
+        assert p(-1) == R.zero
+        assert p("2") == (3, 1)
 
     def test_mul_and_divmod(self):
         from scfactor.poly import divmod_poly
         R = IntegersMod(7)
         a = P(R, 1, 1)       # x + 1
         b = P(R, "-1", "-1", 1)  # x^2 - x - 1
-        q, r = divmod_poly(a * b, a)
+        q, r = divmod_poly(pmul(a, b), a)
         assert q == b and r.is_zero
 
     def test_derivative_char_collapse(self):
@@ -80,52 +81,52 @@ class TestGcd:
 class TestDeflate:
     def test_frozen(self):
         R = Rationals()
-        out = deflate(P(R, "-1", "-2", 0, 1), R.el(-1))
+        out = deflate(P(R, "-1", "-2", 0, 1), R.payload(-1))
         assert out == P(R, "-1", "-1", 1)
 
     def test_non_root_raises(self):
         R = Rationals()
         with pytest.raises(NotAValidRoot):
-            deflate(P(R, "-1", "-2", 0, 1), R.el(2))
+            deflate(P(R, "-1", "-2", 0, 1), R.payload(2))
 
     def test_reconstruction(self):
         R = IntegersMod(11)
-        p = P(R, 3, 1) * P(R, "-4", 1)
-        out = deflate(p, R.el(4))
-        assert out * P(R, "-4", 1) == p
+        p = pmul(P(R, 3, 1), P(R, "-4", 1))
+        out = deflate(p, R.payload(4))
+        assert pmul(out, P(R, "-4", 1)) == p
 
 
 class TestUnitRoots:
     def test_z26_contains_minus_one(self):
         R = IntegersMod(26)
         rr = unit_roots(P(R, "-1", "-2", 0, 1), P(R, "-1", 0, 1))
-        assert (R.el(25), 1) in rr.roots
+        assert (R.payload(25), 1) in rr.roots
         assert rr.method == "exhaustive-units" and rr.exhaustive
 
     def test_z11_golden_pair(self):
         R = IntegersMod(11)
         Q = P(R, "-1", "-1", 1)
-        PP = P(R, 1, 1) * Q
+        PP = pmul(P(R, 1, 1), Q)
         rr = unit_roots(PP, Q)
-        assert [(int(r.v), m) for r, m in rr.roots] == [(4, 1), (8, 1)]
+        assert rr.roots == [(4, 1), (8, 1)]
 
     def test_z5_double_root(self):
         R = IntegersMod(5)
         Q = P(R, "-1", "-1", 1)
-        PP = P(R, 1, 1) * Q
+        PP = pmul(P(R, 1, 1), Q)
         rr = unit_roots(PP, Q)
-        assert [(int(r.v), m) for r, m in rr.roots] == [(3, 2)]
+        assert rr.roots == [(3, 2)]
 
     def test_composite_multiplicity_capped(self):
         R = IntegersMod(12)
         rr = unit_roots(P(R, "-1", "-2", 0, 1), P(R, "-1", 0, 1))
-        assert (R.el(11), 1) in rr.roots
+        assert (R.payload(11), 1) in rr.roots
         assert any("composite" in n for n in rr.notes)
 
     def test_rational_root(self):
         R = Rationals()
         rr = unit_roots(P(R, "-1", "-2", 0, 1), P(R, "-1", 0, 1))
-        assert [(str(r), m) for r, m in rr.roots] == [("-1", 1)]
+        assert [(R.fmt(r), m) for r, m in rr.roots] == [("-1", 1)]
         assert rr.exhaustive
 
     def test_rational_no_root(self):
@@ -136,7 +137,7 @@ class TestUnitRoots:
     def test_gaussian_pair(self):
         R = GaussianRationals()
         rr = unit_roots(P(R, 1, 0, 1), P(R, 0, 1, 0, 1))  # x^2+1, x^3+x
-        assert sorted(str(r) for r, _ in rr.roots) == ["-i", "i"]
+        assert sorted(R.fmt(r) for r, _ in rr.roots) == ["-i", "i"]
 
     def test_zero_root_dropped_with_note(self):
         R = Rationals()
@@ -151,7 +152,7 @@ class TestUnitRoots:
         PP = P(R, "-1", "1", "-1", "1")
         QQ = P(R, "1", "0", "1")
         rr = unit_roots(PP, QQ)
-        vals = [r.v for r, _ in rr.roots]
+        vals = [r for r, _ in rr.roots]
         assert len(vals) == 2
         assert abs(vals[0] - (-1j)) < 1e-8 and abs(vals[1] - 1j) < 1e-8
         assert rr.method == "numeric" and not rr.exhaustive
@@ -186,29 +187,29 @@ class TestVerifiedRoots:
     def test_good_claim(self):
         R = IntegersMod(11)
         Q = P(R, "-1", "-1", 1)
-        PP = P(R, 1, 1) * Q
-        rr = verified_roots(PP, Q, [R.el(4), R.el(8)])
+        PP = pmul(P(R, 1, 1), Q)
+        rr = verified_roots(PP, Q, [R.payload(4), R.payload(8)])
         assert rr.method == "user-supplied"
-        assert [(int(r.v), m) for r, m in rr.roots] == [(4, 1), (8, 1)]
+        assert rr.roots == [(4, 1), (8, 1)]
 
     def test_repeated_claim_counts_multiplicity(self):
         R = IntegersMod(5)
         Q = P(R, "-1", "-1", 1)
-        PP = P(R, 1, 1) * Q
-        rr = verified_roots(PP, Q, [R.el(3), R.el(3)])
-        assert [(int(r.v), m) for r, m in rr.roots] == [(3, 2)]
+        PP = pmul(P(R, 1, 1), Q)
+        rr = verified_roots(PP, Q, [R.payload(3), R.payload(3)])
+        assert rr.roots == [(3, 2)]
 
     def test_bad_claim(self):
         R = IntegersMod(11)
         Q = P(R, "-1", "-1", 1)
-        PP = P(R, 1, 1) * Q
+        PP = pmul(P(R, 1, 1), Q)
         with pytest.raises(NotAValidRoot):
-            verified_roots(PP, Q, [R.el(5)])
+            verified_roots(PP, Q, [R.payload(5)])
 
     def test_non_unit_claim(self):
         R = IntegersMod(12)
         with pytest.raises(NotAValidRoot):
-            verified_roots(P(R, 0, 1), Poly(R, []), [R.el(4)])
+            verified_roots(P(R, 0, 1), Poly(R, []), [R.payload(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +281,8 @@ def _assert_matches_scan(R, pc, qc):
     if PP.is_zero:
         return
     rr = unit_roots(PP, QQ)
-    want, notes = _scan_unit_roots([c.v for c in PP.coeffs], [c.v for c in QQ.coeffs], m)
-    assert [(r.v, mult) for r, mult in rr.roots] == want, (m, pc, qc)
+    want, notes = _scan_unit_roots(list(PP.coeffs), list(QQ.coeffs), m)
+    assert rr.roots == want, (m, pc, qc)
     assert (rr.method, rr.exhaustive, rr.notes) == ("exhaustive-units", True, notes)
 
 
@@ -560,8 +561,7 @@ class TestRationalRouteAgainstDivisors:
             with monkeypatch.context() as mp:
                 mp.setattr(poly_mod, "_rational_root_candidates", _divisor_candidates)
                 want = unit_roots(PP, QQ)
-            assert [(r.v, mult) for r, mult in got.roots] == \
-                [(r.v, mult) for r, mult in want.roots], (PP, QQ)
+            assert got.roots == want.roots, (PP, QQ)
             assert (got.method, got.exhaustive, got.notes) == \
                 (want.method, want.exhaustive, want.notes)
 
@@ -570,9 +570,9 @@ class TestRationalRouteAgainstDivisors:
         big = Fraction(10**12 + 39, 7)
         g = _rational_poly(R, [big, Fraction(-3, 5)], [-(10**24 + 7), 0, 1])
         t0 = time.perf_counter()
-        rr = unit_roots(g * P(R, 2, 1), g)
+        rr = unit_roots(pmul(g, P(R, 2, 1)), g)
         assert time.perf_counter() - t0 < 2.0
-        assert [(r.v, mult) for r, mult in rr.roots] == [((-3, 5), 1), ((10**12 + 39, 7), 1)]
+        assert rr.roots == [((-3, 5), 1), ((10**12 + 39, 7), 1)]
         assert rr.method == "rational-root" and rr.exhaustive
 
 
@@ -605,13 +605,13 @@ def _gaussian_divisor_candidates(zs, gauss):
             im = Fraction(a[1] * b[0] - a[0] * b[1], nb)
             for u in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 cands.add((re * u[0] - im * u[1], re * u[1] + im * u[0]))
-    return sorted(GaussianRationals().el(c).v for c in cands)
+    return sorted(GaussianRationals().payload(c) for c in cands)
 
 
 def _poly_with_roots(R, roots, cofactor):
-    out = Poly(R, [R.el(c) for c in cofactor])
+    out = Poly(R, cofactor)
     for r in roots:
-        out = out * Poly(R, [-R.el(r), R.one])
+        out = pmul(out, Poly(R, [R._neg(R.payload(r)), R.one]))
     return out
 
 
@@ -642,8 +642,7 @@ class TestGaussianRouteAgainstDivisors:
             with monkeypatch.context() as mp:
                 mp.setattr(poly_mod, "_rational_root_candidates", _gaussian_divisor_candidates)
                 want = unit_roots(PP, QQ)
-            assert [(r.v, mult) for r, mult in got.roots] == \
-                [(r.v, mult) for r, mult in want.roots], (PP, QQ)
+            assert got.roots == want.roots, (PP, QQ)
             assert (got.method, got.exhaustive, got.notes) == \
                 (want.method, want.exhaustive, want.notes)
 
@@ -653,10 +652,9 @@ class TestGaussianRouteAgainstDivisors:
         small = (Fraction(-3, 5), Fraction(2))
         g = _poly_with_roots(R, [big, small], [(-(10**24 + 7), 0), (0, 0), (1, 0)])
         t0 = time.perf_counter()
-        rr = unit_roots(g * P(R, 2, 1), g)
+        rr = unit_roots(pmul(g, P(R, 2, 1)), g)
         assert time.perf_counter() - t0 < 2.0
-        assert [(r.v, mult) for r, mult in rr.roots] == \
-            [((-3, 10, 5), 1), ((3 * (10**12 + 39), -7 * (10**9 + 7), 21), 1)]
+        assert rr.roots == [((-3, 10, 5), 1), ((3 * (10**12 + 39), -7 * (10**9 + 7), 21), 1)]
         assert rr.method == "rational-root" and rr.exhaustive
 
 
@@ -669,8 +667,8 @@ class TestPadicLifting:
         # g = (x - root)(x + 1) has |lead * root| = |g(0)|, so the root is read
         # off correctly only once M exceeds twice its size, one squaring later.
         g = _poly_with_roots(ring, [root, -1], [1])
-        rr = unit_roots(g * P(ring, 2, 1), g)
-        assert [r.v for r, _ in rr.roots] == sorted((ring.el(-1).v, ring.el(root).v))
+        rr = unit_roots(pmul(g, P(ring, 2, 1)), g)
+        assert [r for r, _ in rr.roots] == sorted((ring.payload(-1), ring.payload(root)))
 
     @pytest.mark.parametrize("ring, roots, prime", [
         # lead f = 5 after clearing denominators: 5 divides N(lead f)
@@ -690,9 +688,9 @@ class TestPadicLifting:
 
         monkeypatch.setattr(poly_mod, "_roots_mod_p", spy)
         g = _poly_with_roots(ring, roots, [1])
-        rr = unit_roots(g * P(ring, 1, 1), g)
+        rr = unit_roots(pmul(g, P(ring, 1, 1)), g)
         assert set(primes) == {prime}
-        assert sorted(r.v for r, _ in rr.roots) == sorted(ring.el(r).v for r in roots)
+        assert sorted(r for r, _ in rr.roots) == sorted(ring.payload(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------

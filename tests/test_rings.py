@@ -1,4 +1,5 @@
-"""Element arithmetic, parsing, and formatting across the six rings."""
+"""Payload arithmetic, parsing, and formatting across the six rings, and the
+element oracle's arithmetic on top of it."""
 
 import math
 import re
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scfactor import DivisionByNonUnit, Module, ParseError, Vec, make_ring
+from elements import el, vec, zero_vec
+from scfactor import DivisionByNonUnit, Module, ParseError, make_ring
 from scfactor.rings import (MAX_MODULUS, FloatComplex, GaussianRationals, IntegersMod,
                             Rationals, RationalQuaternions, _fmt_signed, _parse_terms, _qmul,
                             _ratio_bits, is_prime)
@@ -24,13 +26,13 @@ _QUAT = st.tuples(_QCOMP, _QCOMP, _QCOMP, _QCOMP)
 class TestIntegersMod:
     def test_inverse_frozen(self):
         R = IntegersMod(26)
-        assert R.el(7).inverse() == R.el(15)
-        assert R.el(7) * R.el(15) == R.one
+        assert el(R, 7).inverse() == el(R, 15)
+        assert el(R, 7) * el(R, 15) == el(R, 1)
 
     def test_non_unit_inverse_raises(self):
         R = IntegersMod(26)
         with pytest.raises(DivisionByNonUnit):
-            R.el(13).inverse()
+            el(R, 13).inverse()
 
     def test_prime_flag(self):
         assert IntegersMod(11).is_prime
@@ -61,7 +63,7 @@ class TestIntegersMod:
 
     def test_negative_literal_wraps(self):
         R = IntegersMod(7)
-        assert R.parse("-1") == R.el(6)
+        assert el(R, "-1") == el(R, 6)
 
     def test_bad_modulus(self):
         with pytest.raises(ParseError):
@@ -71,72 +73,72 @@ class TestIntegersMod:
 class TestRationals:
     def test_parse_fraction(self):
         R = Rationals()
-        assert str(R.parse("2/6")) == "1/3"
+        assert str(el(R, "2/6")) == "1/3"
 
     def test_division_by_zero(self):
         R = Rationals()
         with pytest.raises(DivisionByNonUnit):
-            R.el(1) / R.el(0)
+            el(R, 1) / el(R, 0)
 
     def test_every_nonzero_is_unit(self):
         R = Rationals()
-        assert R.el("-3/7").is_unit
-        assert not R.zero.is_unit
+        assert el(R, "-3/7").is_unit
+        assert not el(R, 0).is_unit
 
 
 class TestGaussianRationals:
     def test_inverse_frozen(self):
         R = GaussianRationals()
-        inv = R.parse("1+2i").inverse()
+        inv = el(R, "1+2i").inverse()
         assert str(inv) == "1/5-2/5i"
 
     def test_parse_format_roundtrip(self):
         R = GaussianRationals()
         for text in ["1/2-2/3i", "-i", "3", "2i", "-1/4+i"]:
-            assert R.parse(str(R.parse(text))) == R.parse(text)
+            assert el(R, str(el(R, text))) == el(R, text)
 
 
 class TestFloatComplex:
     def test_relative_tolerance_eq(self):
         R = FloatComplex(tolerance=1e-9)
-        assert R.el(1.0) == R.el(1.0 + 1e-12)
-        assert R.el(1.0) != R.el(1.0 + 1e-6)
+        assert el(R, 1.0) == el(R, 1.0 + 1e-12)
+        assert el(R, 1.0) != el(R, 1.0 + 1e-6)
 
     def test_scientific_literal(self):
         R = FloatComplex()
-        z = R.parse("1.5e-3+2i")
+        z = el(R, "1.5e-3+2i")
         assert z.v == complex(1.5e-3, 2.0)
 
     def test_hash_refused(self):
         R = FloatComplex()
         with pytest.raises(TypeError):
-            hash(R.el(1.0))
+            hash(el(R, 1.0))
 
     def test_fraction_literal_rejected(self):
         R = FloatComplex()
         with pytest.raises(ParseError):
-            R.parse("1/2")
+            el(R, "1/2")
 
 
 class TestQuaternions:
     def test_hamilton_products(self):
         R = RationalQuaternions()
-        i, j, k = R.parse("i"), R.parse("j"), R.parse("k")
+        i, j, k = el(R, "i"), el(R, "j"), el(R, "k")
         assert i * j == k
         assert j * i == -k
-        assert i * i == -R.one
+        assert i * i == -el(R, 1)
 
     def test_division_order_matters(self):
         R = RationalQuaternions()
-        i, j, k = R.parse("i"), R.parse("j"), R.parse("k")
+        i, j, k = el(R, "i"), el(R, "j"), el(R, "k")
         assert i / j == -k          # right division: i * j^-1
         assert j.inverse() * i == k
 
     def test_inverse_two_sided(self):
         R = RationalQuaternions()
-        q = R.parse("1+i+j+k")
-        assert q * q.inverse() == R.one
-        assert q.inverse() * q == R.one
+        q = el(R, "1+i+j+k")
+        assert q * q.inverse() == el(R, 1)
+        assert q.inverse() * q == el(R, 1)
         assert str(q.inverse()) == "1/4-1/4i-1/4j-1/4k"
 
     def test_not_commutative_flag(self):
@@ -145,13 +147,13 @@ class TestQuaternions:
     def test_parse_format_roundtrip(self):
         R = RationalQuaternions()
         for text in ["1-i+2j-k", "-1/2+1/2i", "j", "-k"]:
-            assert R.parse(str(R.parse(text))) == R.parse(text)
+            assert el(R, str(el(R, text))) == el(R, text)
 
     def test_scalar_payloads(self):
         R = RationalQuaternions()
-        assert R.el(Fraction(-3, 4)).v == (-3, 0, 0, 0, 4)
-        assert R.el(0).v == R.zero.v == (0, 0, 0, 0, 1)
-        assert R.el((Fraction(1, 6), 0, Fraction(-1, 4), 2)).v == (2, 0, -3, 24, 12)
+        assert el(R, Fraction(-3, 4)).v == (-3, 0, 0, 0, 4)
+        assert el(R, 0).v == R.zero == (0, 0, 0, 0, 1)
+        assert el(R, (Fraction(1, 6), 0, Fraction(-1, 4), 2)).v == (2, 0, -3, 24, 12)
 
     @settings(max_examples=300, deadline=None)
     @given(_QUAT, _QUAT)
@@ -288,56 +290,91 @@ class TestMakeRing:
 
     def test_tolerance_plumbed(self):
         R = make_ring("float-complex", tolerance=1e-3)
-        assert R.el(1.0) == R.el(1.0 + 1e-4)
+        assert el(R, 1.0) == el(R, 1.0 + 1e-4)
 
 
 class TestModule:
     def test_vector_arithmetic(self):
         M = Module(IntegersMod(7), 2)
-        v = M.parse(["1", "2"])
-        w = M.parse(["3", "4"])
-        assert v + w == M.parse(["4", "6"])
-        assert v - w == M.parse(["5", "5"])
-        assert IntegersMod(7).el(3) * v == M.parse(["3", "6"])
+        v = vec(M, ["1", "2"])
+        w = vec(M, ["3", "4"])
+        assert v + w == vec(M, ["4", "6"])
+        assert v - w == vec(M, ["5", "5"])
+        assert el(IntegersMod(7), 3) * v == vec(M, ["3", "6"])
 
     def test_bare_string_only_for_dim_one(self):
         M1 = Module(Rationals(), 1)
-        assert M1.parse("5/3") == M1.parse(["5/3"])
+        assert M1.payloads("5/3") == M1.payloads(["5/3"]) == [(5, 3)]
+        assert M1.payloads((10, 6)) == [(5, 3)]          # a bare payload
         M2 = Module(Rationals(), 2)
-        with pytest.raises(ParseError):
-            M2.parse("5/3")
+        with pytest.raises(ParseError, match="expected 2 components, got 1"):
+            M2.payloads("5/3")
 
     def test_component_count_checked(self):
         M = Module(Rationals(), 2)
         with pytest.raises(ParseError):
-            M.parse(["1"])
+            M.payloads(["1"])
 
     def test_is_zero(self):
         M = Module(IntegersMod(5), 2)
-        assert M.zero.is_zero
-        assert not M.parse(["0", "1"]).is_zero
+        assert zero_vec(M).is_zero
+        assert not vec(M, ["0", "1"]).is_zero
 
     def test_fmt_list(self):
         M = Module(GaussianRationals(), 2)
-        assert M.fmt(M.parse(["1/2-2/3i", "0"])) == ["1/2-2/3i", "0"]
+        assert list(map(M.ring.fmt, M.payloads(["1/2-2/3i", "0"]))) == ["1/2-2/3i", "0"]
+
+
+class TestRingPayload:
+    @pytest.mark.parametrize("kind, literal, payload", [
+        ("integers-mod-m", "-1", 6),
+        ("exact-rational", "2/6", (1, 3)),
+        ("gaussian-rational", "1/2-i", (1, -2, 2)),
+        ("float-complex", "1.5-2i", 1.5 - 2j),
+        ("rational-quaternion", "1/2+j", (1, 0, 2, 0, 2)),
+        ("float-quaternion", "0.5-k", (0.5, 0.0, 0.0, -1.0)),
+    ])
+    def test_literal_int_and_payload(self, kind, literal, payload):
+        # a literal, an int and a payload all come out canonical
+        R = make_ring(kind, modulus=7) if kind == "integers-mod-m" else make_ring(kind)
+        assert R.payload(literal) == payload
+        assert R.payload(payload) == payload
+        assert R.payload(3) == R._normalize(3) and R.payload(0) == R.zero
+        assert R._eq(R.payload(1), R.one)
+
+    def test_exact_payload_brought_to_lowest_terms(self):
+        assert Rationals().payload((4, 6)) == (2, 3)
+        assert RationalQuaternions().payload((2, 0, 4, 0, 6)) == (1, 0, 2, 0, 3)
+        with pytest.raises(ParseError):
+            Rationals().payload((1, 0))
+
+    def test_booleans_refused(self):
+        with pytest.raises(ParseError, match="booleans are not ring elements"):
+            IntegersMod(7).payload(True)
+
+    def test_inverse(self):
+        R = IntegersMod(26)
+        assert R.inverse(7) == 15
+        with pytest.raises(DivisionByNonUnit, match="13 is not a unit in Z_26"):
+            R.inverse(13)
 
 
 class TestElBasics:
     def test_int_comparison(self):
         R = IntegersMod(9)
-        assert R.el(4) == 4
-        assert R.el(4) == 13
+        assert el(R, 4) == 4
+        assert el(R, 4) == 13
 
     def test_cross_ring_rejected(self):
-        a = IntegersMod(5).el(1)
+        a = el(IntegersMod(5), 1)
         with pytest.raises(ValueError):
-            IntegersMod(7).el(a)
+            el(IntegersMod(7), a)
 
     def test_pow(self):
         R = IntegersMod(11)
-        assert R.el(2) ** 10 == R.one
+        assert el(R, 2) ** 10 == el(R, 1)
 
     def test_sort_key_orders_units(self):
         R = IntegersMod(12)
-        keys = [R.el(u).sort_key() for u in (1, 5, 7, 11)]
+        keys = [el(R, u).sort_key() for u in (1, 5, 7, 11)]
         assert keys == sorted(keys)
