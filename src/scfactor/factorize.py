@@ -5,36 +5,41 @@ recurrence in t (the factor) plus the first-order cofactor
 
     x_{n+1} = alpha_n x_n + t_{n+1},   t_{n+1} = x_{n+1} - alpha_n x_n,
 
-where every alpha_n is a unit. Two construction routes exist:
+where every alpha_n is a unit. One forward recursion on the alphas builds
+the factor on every route (_factor_rows): for each phase n, with i = 0..k,
+
+    a'_i(n) = a'_{i-1}(n) alpha_{n-i} + a_i(n),   a'_{-1} = -1
+    b'_i(n) = b'_{i-1}(n) alpha_{n-i} + b_i(n),   b'_{-1} = 0
+
+and t_{n+1} = sum_{i<k} a'_i(n) t_{n-i} + g_n(sum_{i<k} b'_i(n) t_{n-i}).
+alpha multiplies from the right, which keeps the recursion valid over H.
+The last row (a'_k, b'_k) is what the split leaves over: a'_k must vanish,
+and b'_k too when g reads its argument. The alphas come from one of two
+routes:
 
 * constant coefficients over a commutative ring: alpha_n = rho, a common
-  unit root of the characteristic pair (P, Q); factor coefficients come from
-  the Horner recursions p_i = rho p_{i-1} - a_i, q_i = rho q_{i-1} + b_i,
-  giving t_{n+1} = -sum p_i t_{n-i} + g_n(sum q_i t_{n-i}).
+  unit root of the characteristic pair (P, Q). The rows are the Horner rows
+  of P / (x - rho) and Q / (x - rho), and the last row is (-P(rho), Q(rho)).
 * general coefficients (periodic, possibly noncommutative ring): alpha_n is
   produced by the forward recursion
 
       alpha_n = sum_i a_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1)
 
   with the side condition sum_i b_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1) = 0
-  whenever g reads its argument. A certificate records the run; once the
+  whenever g reads its argument (ESa and ESb; the last row is zero at n
+  exactly when both hold there). A certificate records the run; once the
   alpha window recurs at a multiple of the coefficient period, the sequence
-  is pure-periodic and the factor coefficients
-
-      a'_i'(n) = -sum_{j>i'} a_j(n) (alpha_{n-i'-1} ... alpha_{n-j})^(-1)
-      b'_i'(n) = -sum_{j>i'} b_j(n) (alpha_{n-i'-1} ... alpha_{n-j})^(-1)
-
-  are well defined periodic sequences.
+  is pure-periodic and the rows are well defined periodic sequences.
 
 factor_chain is the one driver. At each level it takes the constant route
 when the job has no seeds and the level has constant coefficients over a
 commutative ring, and otherwise the certificate routes: the order-2 closed
 form, then the next seed window.
 
-Every value is a payload. The certificate route computes with the ring's
-lazy operations (rings: _lazy_add, _lazy_mul, _normal), as generated code
-does, and brings each alpha and each factor coefficient to its canonical
-payload once.
+Every value is a payload. The alpha recursion and the factor rows compute
+with the ring's lazy operations (rings: _lazy_add, _lazy_mul, _normal), as
+generated code does, and bring each alpha and each factor coefficient to its
+canonical payload once.
 """
 
 from __future__ import annotations
@@ -156,6 +161,34 @@ class FactorizationChain:
 
 
 # ---------------------------------------------------------------------------
+# the factor rows
+
+
+def _factor_rows(rec: Recurrence, alphas: tuple, span: int) -> tuple[list, list]:
+    """The rows a'_0..a'_k and b'_0..b'_k of the module docstring over the
+    phases 0..span-1, each a list of payloads; alphas is one period of the
+    alpha sequence, alpha_m = alphas[m % len(alphas)].
+
+    Each value is computed with the lazy operations and normalized once.
+    Rows i < k are the factor's. For a constant alpha = rho the last row is
+    (-P(rho), Q(rho)), over H the right evaluations.
+    """
+    ring = rec.ring
+    add, mul, normal = ring._lazy_add, ring._lazy_mul, ring._normal
+    period, neg_one = len(alphas), ring._neg(ring.one)
+    a_rows, b_rows = [[] for _ in rec.a], [[] for _ in rec.b]
+    for n in range(span):
+        a, b = neg_one, ring.zero
+        for i, (a_seq, b_seq, a_row, b_row) in enumerate(zip(rec.a, rec.b, a_rows, b_rows)):
+            alpha = alphas[(n - i) % period]
+            a = normal(add(mul(a, alpha), a_seq.at(n)))
+            b = normal(add(mul(b, alpha), b_seq.at(n)))
+            a_row.append(a)
+            b_row.append(b)
+    return a_rows, b_rows
+
+
+# ---------------------------------------------------------------------------
 # constant-coefficient route
 
 
@@ -163,8 +196,8 @@ def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> Facto
     """One reduction step at a common unit root of the characteristic pair.
 
     rho is anything ring.payload accepts. Validates it (a unit that
-    annihilates P, and Q unless Q = 0) and builds the factor coefficients by
-    the Horner recursions, which are the coefficients of P / (x - rho) and
+    annihilates P, and Q unless Q = 0) by the last row of _factor_rows at
+    alpha = rho, whose other rows are the coefficients of P / (x - rho) and
     Q / (x - rho).
     """
     ring = rec.ring
@@ -180,29 +213,20 @@ def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> Facto
     P, Q = rec.char_pair()
     if ring._inv(r) is None:
         raise NotAValidRoot(f"{ring.fmt(r)} is not a unit in {ring}")
-    if not is_root(P, r):
+    (*a_rows, a_k), (*b_rows, b_k) = _factor_rows(rec, (r,), 1)
+    if not is_root(P, r, ring._neg(a_k[0])):
         raise NotAValidRoot(f"{ring.fmt(r)} is not a root of P = {P.fmt()}")
-    if not Q.is_zero and not is_root(Q, r):
+    if not Q.is_zero and not is_root(Q, r, b_k[0]):
         raise NotAValidRoot(f"{ring.fmt(r)} is not a root of Q = {Q.fmt()}")
 
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    p, q = [], []
-    prev_p, prev_q = ring.one, ring.zero
-    for a, b in zip(rec.a[:-1], rec.b[:-1]):
-        prev_p = add(mul(r, prev_p), neg(a.values[0]))
-        prev_q = add(mul(r, prev_q), b.values[0])
-        p.append(prev_p)
-        q.append(prev_q)
-
-    p, q = tuple(p), tuple(q)
-    factor = Recurrence(rec.module, [neg(c) for c in p], q, rec.g)
     return FactorStep(
         route="constant-root",
         alpha=CoeffSeq.constant(ring, r),
-        factor=factor,
+        factor=Recurrence(rec.module, [CoeffSeq(ring, c) for c in a_rows],
+                          [CoeffSeq(ring, c) for c in b_rows], rec.g),
         rho=r,
-        p=p,
-        q=q,
+        p=tuple(ring._neg(c[0]) for c in a_rows),
+        q=tuple(c[0] for c in b_rows),
         root_report=report,
     )
 
@@ -318,38 +342,18 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
 
 
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
-    """Materialize the order-k factor from a proved-periodic certificate."""
+    """Materialize the order-k factor from a proved-periodic certificate:
+    the rows of _factor_rows over the common period of the alphas and the
+    coefficients."""
     if not cert.proved_periodic:
         raise CertificateNotPeriodic(
             "factor construction requires a proved-periodic certificate "
             f"(status is {cert.status!r})")
     ring = rec.ring
-    k = rec.k
     alpha = cert.alpha_seq()
-    span = _span(alpha.period, rec.coeff_period)
-    add, mul, neg, normal = ring._lazy_add, ring._lazy_mul, ring._neg, ring._normal
-
-    new_a: list[CoeffSeq] = []
-    new_b: list[CoeffSeq] = []
-    for ip in range(k):
-        avals = []
-        bvals = []
-        for n in range(span):
-            acc_a = acc_b = ring.zero
-            prod = None
-            for j in range(ip + 1, k + 1):
-                # gamma_{ip+1, j}(n) = alpha_{n-ip-1} * ... * alpha_{n-j}
-                a = alpha.at(n - j)
-                prod = a if prod is None else mul(prod, a)
-                inv = ring.inverse(prod)
-                acc_a = add(acc_a, mul(rec.a[j].at(n), inv))
-                acc_b = add(acc_b, mul(rec.b[j].at(n), inv))
-            avals.append(normal(neg(acc_a)))
-            bvals.append(normal(neg(acc_b)))
-        new_a.append(CoeffSeq(ring, avals).reduced())
-        new_b.append(CoeffSeq(ring, bvals).reduced())
-
-    factor = Recurrence(rec.module, new_a, new_b, rec.g)
+    a_rows, b_rows = _factor_rows(rec, alpha.values, _span(alpha.period, rec.coeff_period))
+    factor = Recurrence(rec.module, [CoeffSeq(ring, c).reduced() for c in a_rows[:-1]],
+                        [CoeffSeq(ring, c).reduced() for c in b_rows[:-1]], rec.g)
     return FactorStep(route="certificate", alpha=alpha, factor=factor, certificate=cert)
 
 
@@ -531,18 +535,6 @@ class SubstitutionFactorization:
     def k(self) -> int:
         return len(self.sub_coeffs)
 
-    def describe(self) -> str:
-        ring = self.base.ring
-        terms = []
-        for j, c in enumerate(self.sub_coeffs, start=1):
-            if ring._eq(c, ring.zero):
-                continue
-            xs = f"x[n-{j}]"
-            terms.append(xs if ring._eq(c, ring.one) else f"{ring.fmt(c)}*{xs}")
-        sub = " - ".join(["x[n]"] + terms) if terms else "x[n]"
-        return (f"s[n] = {sub}; s[n+1] = g[n]({ring.fmt(self.b)}*s[n]) "
-                "when b != 1 else g[n](s[n])")
-
 
 def substitution_factorization(fam) -> SubstitutionFactorization:
     """Build the direct substitution split from an alsp FamilyInfo."""
@@ -551,8 +543,9 @@ def substitution_factorization(fam) -> SubstitutionFactorization:
     rec = fam.recurrence
     a_list = fam.params["a"]
     b = fam.params["b"]
-    module = rec.module
-    factor = Recurrence(module, [module.ring.zero], [b], rec.g)
+    ring = rec.ring
+    factor = Recurrence(rec.module, [CoeffSeq.constant(ring, ring.zero)],
+                        [CoeffSeq.constant(ring, b)], rec.g)
     return SubstitutionFactorization(rec, tuple(a_list), b, factor)
 
 

@@ -209,15 +209,20 @@ def is_root(p: Poly, x, value=None) -> bool:
 
     Exact rings test value = 0. Over float-complex, whose equality is an
     absolute test (|v| <= tol) near zero, |p(x)| is judged against the
-    size of the Horner terms instead: |p(x)| <= tol * sum |c_i| |x|^i.
+    size of the Horner terms instead: |p(x)| <= tol * sum |c_i| |x|^i, with
+    the sum by Horner on magnitudes, so that overflow gives inf. A
+    non-finite p(x) is never a root.
     """
     ring = p.ring
     if value is None:
         value = _horner(ring, p.cs, x)
     if ring.exact:
         return ring._eq(value, ring.zero)
-    r = abs(x)
-    return abs(value) <= ring.tol * sum(abs(c) * r ** i for i, c in enumerate(p.cs))
+    size, r = 0.0, math.hypot(x.real, x.imag)
+    for c in reversed(p.cs):
+        size = size * r + math.hypot(c.real, c.imag)
+    v = math.hypot(value.real, value.imag)
+    return math.isfinite(v) and v <= ring.tol * size
 
 
 def deflate(p: Poly, rho) -> Poly:

@@ -197,23 +197,6 @@ class GMap:
             return [self.module.ring.zero] * self.module.dim
         return self.kernel(n, w)
 
-    def describe(self) -> str:
-        fmt = self.module.ring.fmt
-        if self.kind == "zero":
-            return "g = 0"
-        if self.kind == "constant-sequence":
-            vals = ", ".join(fmt(v[0]) if len(v) == 1 else f"({', '.join(map(fmt, v))})"
-                             for v in zip(*self.seqs.values()))
-            return f"g_n = forcing sequence [{vals}]"
-        if self.kind == "linear-scale":
-            return f"g_n(w) = c_n * w with c = [{', '.join(map(fmt, self.seqs[0]))}]"
-        body = "; ".join(gm.format_expr(a) for a in self.exprs)
-        if self.seqs:
-            legend = ", ".join(f"{name} = [{', '.join(map(fmt, vals))}]"
-                               for name, vals in sorted(self.seqs.items()))
-            return f"g_n(u) = ({body}) with {legend}"
-        return f"g_n(u) = ({body})"
-
 
 class Recurrence:
     """One recurrence of order k+1 over module R^d."""
@@ -398,6 +381,12 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
     """
     ring = module.ring
     add, neg, mul, fmt = ring._add, ring._neg, ring._mul, ring.fmt
+
+    def constant_rows(a_row, b_row, gmap):
+        # the rows are canonical payloads already, so Recurrence keeps them
+        return Recurrence(module, [CoeffSeq.constant(ring, v) for v in a_row],
+                          [CoeffSeq.constant(ring, v) for v in b_row], gmap)
+
     if kind == "fsc":
         r = ring.payload(params["r"])
         if ring._inv(r) is None:
@@ -408,7 +397,7 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
         bfull = [ring.one] + btail + [ring.zero]
         a_row = [add(mul(r, bfull[j]), neg(bfull[j + 1])) for j in range(len(bfull) - 1)]
         b_row = bfull[:-1]
-        rec = Recurrence(module, a_row, b_row, g)
+        rec = constant_rows(a_row, b_row, g)
         return FamilyInfo(kind, {"r": r, "b": btail}, rec)
     if kind == "alsp":
         a_list = [ring.payload(v) for v in params["a"]]
@@ -421,7 +410,7 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
             raise ParseError(f"alsp parameter b must be a unit, got {fmt(b)}")
         a_row = a_list + [ring.zero]
         b_row = [b] + [neg(mul(a, b)) for a in a_list]
-        rec = Recurrence(module, a_row, b_row, g)
+        rec = constant_rows(a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_list, "b": b}, rec)
     if kind == "o2b":
         a_row = [ring.payload(v) for v in params["a"]]
@@ -432,13 +421,13 @@ def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo
         b_row = [ring.zero] * len(a_row)
         b_row[j] = ring.one
         b_row[j + 1] = neg(b)
-        rec = Recurrence(module, a_row, b_row, g)
+        rec = constant_rows(a_row, b_row, g)
         return FamilyInfo(kind, {"a": a_row, "j": j, "b": b}, rec)
     if kind == "linear":
         a_row = [ring.payload(v) for v in params["a"]]
         forcing = GMap.constant_sequence(module, params["c"])
         b_row = [ring.zero] * len(a_row)
-        rec = Recurrence(module, a_row, b_row, forcing)
+        rec = constant_rows(a_row, b_row, forcing)
         return FamilyInfo(kind, {"a": a_row, "c": list(zip(*forcing.seqs.values()))}, rec)
     if kind == "second-order":
         a_row = [make_coeff(ring, v) for v in params["a"]]

@@ -647,9 +647,6 @@ class FloatComplex(_PlainOps, _Tolerant):
     def _eq(self, a, b):
         return abs(a - b) <= self.tol * max(abs(a), abs(b), 1.0)
 
-    def _key(self, a):
-        return (a.real, a.imag)
-
     def fmt(self, v):
         return _fmt_signed([(v.real, ""), (v.imag, "i")])
 

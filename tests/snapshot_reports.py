@@ -6,12 +6,16 @@ workload in bench/jobs.py (generated per seed, loaded read-only), runs
 records exit code, stdout and stderr. Every configs/ file also runs
 ``simulate --emit csv`` and ``--emit json`` into a fresh temporary ``--out``
 directory, whose files are recorded by name with their text. Two checkouts
-agree when their snapshots are equal, so comparing them is a diff of two
-files:
+agree when their snapshots are equal:
 
-    python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --out new.json
     python tests/snapshot_reports.py --root ../old --seeds 5 11 --blocks 2 --out old.json
-    diff old.json new.json
+    python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --against old.json
+
+``--against OLD.json`` compares the new snapshot with one written before: it
+prints each record key that differs, or exists on one side only, with a
+unified diff of its stdout, stderr and files (and both exit codes when they
+differ), and exits 1 if any record differs. ``--out`` writes the snapshot;
+at least one of the two is needed.
 
 ``--root`` names the checkout whose src/, configs/ and bench/jobs.py are used
 (default: the one holding this script). The commands run in this process
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import importlib.util
 import io
 import json
@@ -96,18 +101,60 @@ def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
     return records
 
 
-def main() -> None:
+def _text_fields(record: dict) -> dict[str, str]:
+    fields = {"stdout": record["stdout"], "stderr": record["stderr"]}
+    fields.update((f"files/{name}", text) for name, text in record.get("files", {}).items())
+    return fields
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """The keys of the records that differ between two snapshots, each
+    printed with its differences."""
+    differing = []
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) == new.get(key):
+            continue
+        differing.append(key)
+        if key not in new or key not in old:
+            print(f"== {key}: only in the {'old' if key in old else 'new'} snapshot")
+            continue
+        print(f"== {key}")
+        if old[key]["exit"] != new[key]["exit"]:
+            print(f"exit: {old[key]['exit']} -> {new[key]['exit']}")
+        before, after = _text_fields(old[key]), _text_fields(new[key])
+        for field in sorted(before.keys() | after.keys()):
+            lines = list(difflib.unified_diff(
+                before.get(field, "").splitlines(keepends=True),
+                after.get(field, "").splitlines(keepends=True),
+                f"old {field}", f"new {field}"))
+            if lines:
+                sys.stdout.writelines(lines)
+                print()
+    return differing
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout to snapshot (default: this script's)")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--blocks", type=int, required=True, help="blocks per workload and seed")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--out", type=Path, help="JSON file to write")
+    ap.add_argument("--against", type=Path, help="snapshot JSON file to compare with")
     args = ap.parse_args()
+    if args.out is None and args.against is None:
+        ap.error("give --out, --against or both")
     records = snapshot(args.root.resolve(), args.seeds, args.blocks)
-    args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    if args.out is not None:
+        args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    if args.against is None:
+        return 0
+    differing = compare(json.loads(args.against.read_text()), records)
+    print(f"{len(differing)} of {len(records)} records differ from {args.against}",
+          file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -577,6 +577,19 @@ class TestErrors:
         code, out, err = run_cli(capsys, "verify", str(p))
         assert code == 0 and "verification PASSED" in out
 
+    @pytest.mark.parametrize("argv", [["factor"], ["factor", "--json"], ["verify"]],
+                             ids=["factor", "factor-json", "verify"])
+    def test_huge_claimed_float_root_is_not_a_root(self, capsys, tmp_path, configs_dir, argv):
+        # is_root computed |rho|**i, which overflowed at 1e200: factor exited
+        # 1 with a traceback from OverflowError
+        doc = json.loads((configs_dir / "float_chain.json").read_text())
+        doc["run"] = {"roots": ["1e200"]}
+        p = tmp_path / "big_root.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+        assert code == 3 and out == ""
+        assert err == "error: claimed root 1e+200 does not annihilate x^3 - x^2 + x - 1.0\n"
+
 
 class TestParser:
     def test_built_once(self):

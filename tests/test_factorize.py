@@ -396,8 +396,10 @@ class TestExactCertificateNeedsNoWrapCheck:
 
 
 def _ref_factor_rows(rec, alpha):
-    """The factor's rows a', b' as build_variable_factor built them on El
-    values, one ring operation at a time."""
+    """The factor's rows a', b' as the double sums
+    a'_i(n) = -sum_{j>i} a_j(n) (alpha_{n-i-1} .. alpha_{n-j})^(-1) (b' alike)
+    on El values, one ring operation at a time; they equal the forward
+    recursion's rows when both alpha identities hold."""
     ring = rec.ring
     span = math.lcm(alpha.period, rec.coeff_period)
     alphas = seq_els(alpha)
@@ -467,13 +469,31 @@ class TestCertificateOnPayloads:
             assert list(cert.alphas) == [a.v for a in want]
             assert all(_canonical(R, a) for a in cert.alphas)
 
-        alpha = CoeffSeq(R, [rand_unit().v for _ in range(L)]).reduced()
-        cert = UnitCertificate(R, alpha.values[:1], alpha.values, "proved-periodic", L,
-                               alpha.period, L)
+        # the factor half, on a genuine certificate: plant a periodic unit
+        # alpha and factor rows a', b', compose the base rows
+        # a_i(n) = a'_i(n) - a'_{i-1}(n) alpha_{n-i} (a'_{-1} = -1, a'_k = 0;
+        # b likewise from 0) and certify from the planted seed. The factor
+        # gives back exactly the planted rows, which are also the double sums
+        # of the El reference.
+        alpha = [rand_unit() for _ in range(L)]
+        planted = [[[rand_el() for _ in range(rng.randint(1, L))] for _ in range(k)]
+                   for _ in "ab"]
+        span = math.lcm(L, *(len(r) for rows in planted for r in rows))
+        base = []
+        for rows, start in zip(planted, (el(R, -1), el(R, 0))):
+            full = [[start] * span, *([r[n % len(r)] for n in range(span)] for r in rows),
+                    [el(R, 0)] * span]
+            base.append([CoeffSeq(R, [(full[i + 1][n] - full[i][n] * alpha[(n - i) % L]).v
+                                      for n in range(span)]).reduced() for i in range(k + 1)])
+        rec = Recurrence(M, base[0], base[1], GMap.linear_scale(M, ["3"]))
+        cert = variable_certificate(rec, [alpha[n % L].v for n in range(k)], span + k)
+        assert cert.proved_periodic
         fac = build_variable_factor(rec, cert).factor
-        ref_a, ref_b = _ref_factor_rows(rec, alpha)
-        for got, ref in zip((*fac.a, *fac.b), (*ref_a, *ref_b)):
-            assert got.values == ref.values
+        ref_a, ref_b = _ref_factor_rows(rec, cert.alpha_seq())
+        want = [CoeffSeq(R, [r[n % len(r)].v for n in range(span)]).reduced().values
+                for rows in planted for r in rows]
+        for got, ref, w in zip((*fac.a, *fac.b), (*ref_a, *ref_b), want, strict=True):
+            assert got.values == ref.values == w
             assert all(_canonical(R, v) for v in got.values)
 
 

@@ -13,11 +13,13 @@ exit code, stdout and stderr of factor, verify and certify, with and
 without --json, for every shipped config and every job of the first N
 blocks of each workload in bench/jobs.py, and of simulate with both --emit
 formats (with the files written) for every shipped config, to one JSON
-file; two checkouts agree when their files do:
+file; two checkouts agree when their files do. ``--against`` compares the
+new snapshot with an older file: it prints each differing record key with
+a unified diff of its stdout, stderr and files, and exits 1 if any record
+differs:
 
     python tests/snapshot_reports.py --root ../parent --seeds 5 11 --blocks 2 --out old.json
-    python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --out new.json
-    diff old.json new.json
+    python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --against old.json
 """
 
 import contextlib

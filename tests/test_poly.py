@@ -16,7 +16,8 @@ from scfactor import NotAValidRoot, ParseError, Poly, deflate, durand_kerner, po
 from scfactor import poly as poly_mod
 from scfactor.cli import main
 from scfactor.errors import NoncommutativeRing
-from scfactor.poly import MAX_COMPOSITE_MODULUS, MAX_PRIME_SEARCH_DEGREE, verified_roots
+from scfactor.poly import (MAX_COMPOSITE_MODULUS, MAX_PRIME_SEARCH_DEGREE, is_root,
+                           verified_roots)
 from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
                             Rationals, RationalQuaternions)
 
@@ -210,6 +211,17 @@ class TestVerifiedRoots:
         R = IntegersMod(12)
         with pytest.raises(NotAValidRoot):
             verified_roots(P(R, 0, 1), Poly(R, []), [R.payload(4)])
+
+    def test_overflowing_float_claim_is_not_a_root(self):
+        # |rho|**i raised OverflowError at |rho| = 1e200; the size of the
+        # Horner terms now overflows to inf, and a p(rho) that is not finite
+        # is never a root, although inf <= tol * inf
+        R = FloatComplex()
+        p = P(R, -1, 0, 0, 1)
+        assert not is_root(p, R.payload("1e200"))
+        assert not is_root(p, R.payload("1e200"), complex("inf"))
+        assert not is_root(p, R.payload(1), complex("nan"))
+        assert is_root(p, R.payload(1)) and is_root(p, R.payload("-0.5+0.8660254037844386i"))
 
 
 # ---------------------------------------------------------------------------

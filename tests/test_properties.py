@@ -11,6 +11,7 @@ from scfactor import (GMap, Module, Poly, Recurrence, build_family, deflate,
                       factor_chain, factor_once, make_coeff,
                       make_ring, poly_gcd, simulate, verify_equivalence)
 from scfactor.cli import canonical_json
+from scfactor.factorize import _factor_rows
 from scfactor.poly import divmod_poly
 
 PRIMES = [5, 7, 11, 13, 97]
@@ -201,6 +202,25 @@ class TestFactorOnceAgainstDeflation:
         if not Q.is_zero:
             Q1 = deflate(Q, rho)
             assert wrap(R, step.q) == wrap(R, [Q1.coeff(k - 1 - i) for i in range(k)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring=st.sampled_from(COMMUTATIVE_RINGS), rho=scalar_parts,
+           rows=st.lists(st.tuples(scalar_parts, scalar_parts), min_size=2, max_size=5))
+    def test_last_row_is_the_pair_at_rho(self, ring, rho, rows):
+        # for any constant unit rho, a root or not, the last row of the factor
+        # rows is (-P(rho), Q(rho)): the same payloads on the exact rings, and
+        # on float-complex the same floats by ==, not by the ring's tolerance
+        # (a zero's sign may differ: the rows negate where Horner subtracts)
+        kind, modulus = ring
+        R = make_ring(kind, modulus=modulus)
+        rho = _scalar(R, rho)
+        assume(R._inv(rho) is not None)
+        M = Module(R, 1)
+        rec = Recurrence(M, [_scalar(R, a) for a, _ in rows], [_scalar(R, b) for _, b in rows],
+                         sq_map(M))
+        P, Q = rec.char_pair()
+        (*_, a_k), (*_, b_k) = _factor_rows(rec, (rho,), 1)
+        assert (R._neg(a_k[0]), b_k[0]) == (P(rho), Q(rho))
 
 
 class TestEngineProperties:
