@@ -30,8 +30,6 @@ from .errors import ConfigError, GMapSyntaxError, ParseError, ScfactorError
 from .recurrence import FamilyInfo, GMap, Recurrence, build_family, fold_system
 from .rings import Module, Ring, make_ring
 
-_FLOAT_RING_KINDS = {"float-complex", "float-quaternion"}
-
 
 def schema() -> dict:
     """The job-config JSON schema shipped with the package."""
@@ -420,8 +418,6 @@ def build_job(doc: dict) -> JobConfig:
     """Validate a parsed document and construct the working objects."""
     validate_document(doc)
     ringdoc = doc["ring"]
-    if "tolerance" in ringdoc and ringdoc["kind"] not in _FLOAT_RING_KINDS:
-        raise ConfigError("ring.tolerance only applies to float rings")
     try:
         ring = make_ring(ringdoc["kind"], modulus=ringdoc.get("modulus"),
                          tolerance=ringdoc.get("tolerance"))

@@ -31,10 +31,10 @@ routes:
   alpha window recurs at a multiple of the coefficient period, the sequence
   is pure-periodic and the rows are well defined periodic sequences.
 
-factor_chain is the one driver. At each level it takes the constant route
-when the job has no seeds and the level has constant coefficients over a
-commutative ring, and otherwise the certificate routes: the order-2 closed
-form, then the next seed window.
+factor_chain is the one driver. Its level routes are data, the ordered tuple
+_ROUTES = (_constant_root, _shortcut, _seed_window): each takes the level and
+the job state and returns a FactorStep, None when it does not apply, or the
+note that ends the chain. Each level takes the first answer that is not None.
 
 Every value is a payload. The alpha recursion and the factor rows compute
 with the ring's lazy operations (rings: _lazy_add, _lazy_mul, _normal), as
@@ -111,7 +111,8 @@ class UnitCertificate:
     def alpha_seq(self) -> CoeffSeq:
         if not self.proved_periodic:
             raise CertificateNotPeriodic(
-                "alpha sequence is only globally defined for proved-periodic certificates")
+                f"certificate from seed {list(map(self.ring.fmt, self.seed))} stayed "
+                f"horizon-bounded at horizon {self.horizon}; cannot build the factor")
         return CoeffSeq(self.ring, self.alphas[: self.period]).reduced()
 
 
@@ -344,11 +345,7 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
     """Materialize the order-k factor from a proved-periodic certificate:
     the rows of _factor_rows over the common period of the alphas and the
-    coefficients."""
-    if not cert.proved_periodic:
-        raise CertificateNotPeriodic(
-            "factor construction requires a proved-periodic certificate "
-            f"(status is {cert.status!r})")
+    coefficients. A horizon-bounded one raises CertificateNotPeriodic."""
     ring = rec.ring
     alpha = cert.alpha_seq()
     a_rows, b_rows = _factor_rows(rec, alpha.values, _span(alpha.period, rec.coeff_period))
@@ -415,87 +412,90 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
 # the chain
 
 
+@dataclass
+class _Job:
+    """The job state the routes share; roots is None when each level searches."""
+
+    roots: list | None
+    seeds: list | None
+    horizon: int
+    steps: list[FactorStep] = field(default_factory=list)
+    report: RootReport | None = None
+
+
+def _constant_root(level: Recurrence, job: _Job):
+    """A common unit root of (P, Q), with no seeds and constant coefficients
+    over a commutative ring: the next supplied root, else the first of the
+    report one level up deflated by its root (exact rings), else of a fresh
+    search. Over a composite modulus it refuses a second step."""
+    ring = level.ring
+    if job.seeds is not None or not ring.commutative or not level.constant_coeffs:
+        return None
+    if job.steps and isinstance(ring, IntegersMod) and not ring.is_prime:
+        return (f"{ring} has a composite modulus: stopped after one reduction "
+                "(repeated deflation needs an integral domain)")
+    if job.roots is not None:
+        if not job.roots:
+            return ""
+        report = verified_roots(*level.char_pair(), [job.roots.pop(0)])
+    elif job.report is not None and job.report.gcd is not None:
+        report = job.report.deflated(job.steps[-1].rho)
+    else:
+        report = unit_roots(*level.char_pair())
+    job.report = report
+    if report.found:
+        return factor_once(level, report.roots[0][0], report)
+    if job.steps:
+        return f"stopped at order {level.order}: {report.describe()}"
+    P, Q = level.char_pair()
+    raise Irreducible(f"no common unit root of P = {P.fmt()} and Q = {Q.fmt()}; "
+                      f"{report.describe()}", report)
+
+
+def _shortcut(level: Recurrence, job: _Job):
+    """The order-2 closed form, when the map reads its argument; a failure
+    passes the level on while seed windows remain."""
+    if level.order != 2 or not level.g.uses_argument:
+        return None
+    try:
+        return second_order_shortcut(level)
+    except CertificateFailure as exc:
+        return None if job.seeds else f"stopped at order {level.order}: {exc}"
+
+
+def _seed_window(level: Recurrence, job: _Job):
+    """The certificate from the next seed window, run to the horizon."""
+    if job.seeds:
+        return build_variable_factor(
+            level, variable_certificate(level, job.seeds.pop(0), job.horizon))
+    return "" if level.order == 2 else f"stopped at order {level.order}: no seed window provided"
+
+
+_ROUTES = (_constant_root, _shortcut, _seed_window)
+
+
 def factor_chain(rec: Recurrence, roots: list | None = None, seeds=None,
                  horizon: int = 64) -> FactorizationChain:
-    """Reduce level by level, choosing the route at each level.
-
-    * Constant root, when there are no ``seeds`` and the level has constant
-      coefficients over a commutative ring. The root is the next of
-      ``roots``, checked by verified_roots, or else the first of the
-      level's report: the report one level up deflated by its root
-      (RootReport.deflated, which keeps repeated roots, over Z/p, Q and
-      Q(i)), or else a fresh unit_roots search (float reports). Over a
-      composite modulus the chain stops after one such step.
-    * Certificates, at every other level: the order-2 shortcut when the map
-      reads its argument, then the next window of ``seeds``, run to
-      ``horizon``. A failed shortcut falls through to a seed.
-
-    The chain stops, with a note, at the first level where its route gives
-    no step; a failing seed raises. With no step at all it raises
-    Irreducible, carrying the root report on the constant route.
+    """Reduce level by level along _ROUTES. Each route takes (level, job
+    state) and returns a FactorStep, None when it does not apply, or the
+    note that ends the chain ("" for a silent stop); each level takes the
+    first answer that is not None, so a refused level ends the chain.
+    Seeds, even none, turn the constant route off. With no step at all it
+    raises Irreducible (with the root report, from the constant route).
     """
-    ring = rec.ring
-    composite = isinstance(ring, IntegersMod) and not ring.is_prime
-    supplied = list(roots) if roots else None
-    seeds = None if seeds is None else list(seeds)
-
-    def by_root(level: Recurrence) -> bool:
-        return seeds is None and ring.commutative and level.constant_coeffs
-
-    steps: list[FactorStep] = []
-    notes: list[str] = []
-    current, report = rec, None
-    while current.order > 1:
-        if by_root(current):
-            if composite and steps:
-                notes.append(
-                    f"{ring} has a composite modulus: stopped after one reduction "
-                    "(repeated deflation needs an integral domain)")
-                break
-            if supplied is not None:
-                if not supplied:
-                    break
-                report = verified_roots(*current.char_pair(), [supplied.pop(0)])
-            elif report is not None and report.gcd is not None:
-                report = report.deflated(step.rho)
-            else:
-                report = unit_roots(*current.char_pair())
-            if not report.found:
-                if not steps:
-                    P, Q = rec.char_pair()
-                    raise Irreducible(
-                        f"no common unit root of P = {P.fmt()} and Q = {Q.fmt()}; "
-                        f"{report.describe()}", report)
-                notes.append(f"stopped at order {current.order}: {report.describe()}")
-                break
-            step = factor_once(current, report.roots[0][0], report)
-        else:
-            step = None
-            if current.order == 2 and current.g.uses_argument:
-                try:
-                    step = second_order_shortcut(current)
-                except CertificateFailure as exc:
-                    if not seeds:
-                        notes.append(f"stopped at order {current.order}: {exc}")
-                        break
-            if step is None:
-                if not seeds:
-                    if current.order != 2:
-                        notes.append(
-                            f"stopped at order {current.order}: no seed window provided")
-                    break
-                cert = variable_certificate(current, seeds.pop(0), horizon)
-                if not cert.proved_periodic:
-                    raise CertificateNotPeriodic(
-                        f"certificate from seed {list(map(ring.fmt, cert.seed))} stayed "
-                        f"horizon-bounded at horizon {cert.horizon}; cannot build the factor")
-                step = build_variable_factor(current, cert)
-        steps.append(step)
-        current = step.factor
+    job = _Job(list(roots) if roots else None, None if seeds is None else list(seeds), horizon)
+    level, note = rec, ""
+    while level.order > 1:
+        answer = next(a for a in (route(level, job) for route in _ROUTES) if a is not None)
+        if not isinstance(answer, FactorStep):
+            note = answer
+            break
+        job.steps.append(answer)
+        level = answer.factor
     # a first-order base is its own complete chain on every route
-    if not steps and rec.order > 1 and not by_root(rec):
+    if not job.steps and rec.order > 1:
         raise Irreducible("no reduction step could be constructed via certificates")
-    return FactorizationChain(rec, steps, notes)
+    return FactorizationChain(rec, job.steps, [note] if note else [])
 
 
 def linear_complete(rec: Recurrence, roots: list | None = None) -> FactorizationChain:

@@ -225,11 +225,11 @@ class Recurrence:
     def order(self) -> int:
         return len(self.a)
 
-    @property
+    @functools.cached_property
     def constant_coeffs(self) -> bool:
         return all(s.is_constant for s in self.a) and all(s.is_constant for s in self.b)
 
-    @property
+    @functools.cached_property
     def coeff_period(self) -> int:
         return math.lcm(*(s.period for s in self.a), *(s.period for s in self.b))
 

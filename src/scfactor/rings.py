@@ -768,17 +768,15 @@ def make_ring(kind: str, modulus: int | None = None, tolerance: float | None = N
     """Build a ring from its config description."""
     if kind not in _RING_KINDS:
         raise ParseError(f"unknown ring kind {kind!r}; expected one of {sorted(_RING_KINDS)}")
+    if tolerance is not None and kind not in ("float-complex", "float-quaternion"):
+        raise ParseError(f"ring kind {kind!r} does not take a tolerance")
     if kind == "integers-mod-m":
         if modulus is None:
             raise ParseError("ring kind integers-mod-m requires a modulus")
         return IntegersMod(modulus)
     if modulus is not None:
         raise ParseError(f"ring kind {kind!r} does not take a modulus")
-    if kind in ("float-complex", "float-quaternion"):
-        return _RING_KINDS[kind]() if tolerance is None else _RING_KINDS[kind](tolerance)
-    if tolerance is not None:
-        raise ParseError(f"ring kind {kind!r} does not take a tolerance")
-    return _RING_KINDS[kind]()
+    return _RING_KINDS[kind]() if tolerance is None else _RING_KINDS[kind](tolerance)
 
 
 class Module:

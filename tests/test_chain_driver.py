@@ -16,11 +16,18 @@ the certificate routes like any other noncommutative job. And a
 first-order recurrence is its own complete chain of depth 1 on every route,
 where the certificate routes used to raise Irreducible; the reference
 below has that fix.
+
+The tests at the end pin the route contract of factor_chain's _ROUTES:
+when each route applies, how it stops, and that the driver itself names no
+route or ring kind.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from elements import El, el as element, pmul
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +36,8 @@ from scfactor import (CertificateFailure, CertificateNotPeriodic, GMap, Irreduci
                       build_variable_factor, factor_chain, factor_once, make_ring, unit_roots,
                       variable_certificate, verified_roots)
 from scfactor.cli import _chain_obj, _root_report_obj, canonical_json
-from scfactor.factorize import FactorizationChain, FactorStep, _row_sum, _span
+from scfactor.factorize import (FactorizationChain, FactorStep, _constant_root, _Job,
+                                _row_sum, _seed_window, _shortcut, _span)
 from scfactor.recurrence import CoeffSeq
 from scfactor.rings import IntegersMod
 
@@ -286,3 +294,87 @@ def test_driver_matches_old_dispatch(job):
         assert want[0] == "NoncommutativeRing"
         want = ("Irreducible", "no reduction step could be constructed via certificates", None)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the route contract: each route says when it applies and how it stops
+
+
+def _rec(kind, a, b, g="zero", modulus=None):
+    M = Module(make_ring(kind, modulus=modulus), 1)
+    return Recurrence(M, a, b, GMap.zero(M) if g == "zero" else GMap.expression(M, [g]))
+
+
+def test_constant_root_applies_only_without_seeds_over_commutative_constant_rows():
+    # P = (x - 1)(x - 2) over Q
+    rec = _rec("exact-rational", ["3", "-2"], ["0", "0"])
+    assert isinstance(_constant_root(rec, _Job(None, None, 64)), FactorStep)
+    assert _constant_root(rec, _Job(None, [], 64)) is None
+    assert _constant_root(rec, _Job(None, [["1"]], 64)) is None
+    quaternion = _rec("rational-quaternion", ["3", "-2"], ["0", "0"])
+    assert _constant_root(quaternion, _Job(None, None, 64)) is None
+    periodic = _rec("exact-rational", [["3", "1"], "-2"], ["0", "0"])
+    assert _constant_root(periodic, _Job(None, None, 64)) is None
+
+
+def test_shortcut_applies_only_at_order_two_with_a_map_that_reads_its_argument():
+    order3 = _rec("exact-rational", ["1", "1", "1"], ["1", "1", "1"], g="u1*u1")
+    assert _shortcut(order3, _Job(None, [], 64)) is None
+    ignores = _rec("exact-rational", ["1", "1"], ["1", "1"])
+    assert _shortcut(ignores, _Job(None, [], 64)) is None
+    # b = (1, 1) forces alpha = -1, and the closed condition holds for a = (-2, -1)
+    reads = _rec("exact-rational", ["-2", "-1"], ["1", "1"], g="u1*u1")
+    assert _shortcut(reads, _Job(None, [], 64)).route == "shortcut"
+
+
+def test_composite_modulus_note_at_the_second_level():
+    # P = (x - 1)^3 over Z/12: one step at rho = 1, then the refusal
+    rec = _rec("integers-mod-m", ["3", "-3", "1"], ["0", "0", "0"], modulus=12)
+    chain = factor_chain(rec)
+    assert len(chain.steps) == 1 and chain.final_factor.order == 2
+    assert chain.notes == [f"{rec.ring} has a composite modulus: stopped after one reduction "
+                           "(repeated deflation needs an integral domain)"]
+    job = _Job(None, None, 64, list(chain.steps))
+    assert _constant_root(chain.final_factor, job) == chain.notes[0]
+
+
+def test_failed_shortcut_falls_through_to_a_seed_only_while_seeds_remain():
+    # b_0 = 0 is no unit, so the shortcut fails; the seed alpha = 1 solves
+    # alpha = 3 - 2 / alpha with a vacuous b side
+    rec = _rec("exact-rational", ["3", "-2"], ["0", "0"], g="u1*u1")
+    stop = "stopped at order 2: b_0(0) = 0 is not a unit (at step n=0)"
+    assert _shortcut(rec, _Job(None, [], 64)) == stop
+    assert _shortcut(rec, _Job(None, None, 64)) == stop
+    job = _Job(None, [["1"]], 64)
+    assert _shortcut(rec, job) is None
+    assert _seed_window(rec, job).route == "certificate"
+    assert job.seeds == []
+    assert factor_chain(rec, seeds=[["1"]]).steps[0].route == "certificate"
+    with pytest.raises(Irreducible):
+        factor_chain(rec, seeds=[])
+
+
+# names that would mean factor_chain picks a route itself
+ROUTE_NAMES = {"IntegersMod", "is_prime", "commutative", "constant_coeffs", "uses_argument",
+               "second_order_shortcut", "variable_certificate", "factor_once"}
+FACTORIZE = Path(__file__).resolve().parent.parent / "src" / "scfactor" / "factorize.py"
+
+
+def names_in_function(source: str, name: str) -> set[str]:
+    """Every name and attribute that the body of function ``name`` mentions."""
+    fn = next(node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_factor_chain_holds_no_route_branch():
+    assert names_in_function(FACTORIZE.read_text(), "factor_chain") & ROUTE_NAMES == set()
+
+
+def test_the_route_guard_sees_what_it_refuses():
+    source = ("def factor_chain(rec):\n"
+              "    if isinstance(rec.ring, IntegersMod) and rec.constant_coeffs:\n"
+              "        return factor_once(rec, 1)\n")
+    assert names_in_function(source, "factor_chain") & ROUTE_NAMES == {
+        "IntegersMod", "constant_coeffs", "factor_once"}

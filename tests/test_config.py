@@ -156,7 +156,7 @@ class TestBuildJob:
     def test_tolerance_rejected_on_exact_ring(self):
         doc = zp_doc()
         doc["ring"] = {"kind": "exact-rational", "tolerance": 1e-6}
-        with pytest.raises(ConfigError, match="only applies to float rings"):
+        with pytest.raises(ConfigError, match="bad ring: ring kind 'exact-rational' does not take a tolerance"):
             build_job(doc)
 
     def test_initial_window_size(self):

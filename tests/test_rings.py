@@ -292,6 +292,20 @@ class TestMakeRing:
         R = make_ring("float-complex", tolerance=1e-3)
         assert el(R, 1.0) == el(R, 1.0 + 1e-4)
 
+    @pytest.mark.parametrize("kind", ["integers-mod-m", "exact-rational", "gaussian-rational",
+                                      "rational-quaternion"])
+    def test_tolerance_refused_on_exact_kinds(self, kind):
+        modulus = 7 if kind == "integers-mod-m" else None
+        with pytest.raises(ParseError, match=f"ring kind '{kind}' does not take a tolerance"):
+            make_ring(kind, modulus=modulus, tolerance=0.5)
+
+    @pytest.mark.parametrize("kind", ["float-complex", "float-quaternion"])
+    def test_modulus_refused_on_float_kinds(self, kind):
+        with pytest.raises(ParseError, match=f"ring kind '{kind}' does not take a modulus"):
+            make_ring(kind, modulus=7)
+        with pytest.raises(ParseError, match="does not take a modulus"):
+            make_ring(kind, modulus=7, tolerance=1e-6)
+
 
 class TestModule:
     def test_vector_arithmetic(self):
