@@ -30,7 +30,12 @@ same level update as _rebuild, and compares the top level's new value with
 the direct one. Only the windows live, in locals, so its memory does not
 grow with the number of steps. When one side breaks down, each side runs on
 from its window through the simulate loop (_run) to find its breakdown and
-end.
+end. The initial window is made canonical once (_window), and the levels'
+windows are peeled from it.
+
+Both loops are generated once per shape (gmap.generated): the level
+coefficients are values (_level_values), and the number of levels, the
+coefficients per level and whether each has period 1 are the shape.
 
 On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
 nonlinear map can double the size of the values every step. A run refuses
@@ -137,7 +142,7 @@ def transport(chain: FactorizationChain, initial) -> list[list[list]]:
     first entry: w_i = prev_i - alpha_l(i-1) * prev_{i-1} for i = l..k, so the
     level-l window covers indices l..k.
     """
-    return _split(chain, initial)[3][::-1]
+    return _split(chain, _window(chain.base, initial))[3][::-1]
 
 
 @dataclass
@@ -159,9 +164,10 @@ class ChainRun:
         return {t.level: t for t in self.trajectories}
 
 
-def _split(factorization, initial):
-    """A chain or substitution split cut at its deepest level: (factor,
-    names, levels, windows), from the deepest level up. ``levels`` lists
+def _split(factorization, window):
+    """A chain or substitution split cut at its deepest level, from the top
+    level's initial ``window`` (payload lists, as _window gives them):
+    (factor, names, levels, windows), from the deepest level up. ``levels`` lists
     the rebuild coefficients c_1, c_2, ... (periodic payload tuples) of each
     level above the factor, as _rebuild takes them; ``names`` and
     ``windows`` give every level's name and initial payload window, the
@@ -182,7 +188,7 @@ def _split(factorization, initial):
         names = [level_name(l) for l in range(len(levels) + 1)]
     ring, k = factor.ring, factorization.base.k
     add, neg, mul = ring._add, ring._neg, ring._mul
-    windows = [_window(factorization.base, initial)]
+    windows = [window]
     for coeffs in levels:
         above, window = windows[-1], []
         # every window ends at k, so v_i is above[i - k - 1]
@@ -194,6 +200,16 @@ def _split(factorization, initial):
             window.append(u)
         windows.append(window)
     return factor, names[::-1], levels[::-1], windows[::-1]
+
+
+def _level_values(levels) -> dict:
+    """The values _emit_levels reads, by role: level l's coefficients under
+    the tag L<l>."""
+    values: dict = {}
+    for l, coeffs in enumerate(levels):
+        for j, c in enumerate(coeffs):
+            gm.seq_values(values, f"L{l}", j, c)
+    return values
 
 
 def _unpack_levels(e: gm.Emitter, levels, dim: int):
@@ -213,19 +229,18 @@ def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
     value at n+1.
 
     Level l's value at n+1 is the value under it at n+1 plus
-    c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order, where v is
-    level l itself and levels[l] lists the periodic payload tuples c_1,
-    c_2, ...; the new value becomes the newest lag and the others shift
-    back. Values are reduced (mod m, or to lowest terms) only where a value
-    is stored.
+    c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order as one
+    expression, where v is level l itself and levels[l] lists the periodic
+    payload tuples c_1, c_2, ... (read as _level_values stores them); the
+    new value becomes the newest lag and the others shift back. Values are
+    reduced (mod m, or to lowest terms) only where a value is stored.
     """
     ring = e.ring
     for l, coeffs in enumerate(levels):
-        cs = [e.seq((l, j), c) for j, c in enumerate(coeffs)]
+        cs = [e.seq(f"L{l}", j) for j in range(len(coeffs))]
         for c in range(len(under)):
-            acc = under[c]
-            for coeff, lag in zip(cs, lags[l]):
-                acc = e.let(ring.src_add.format(acc, ring.src_mul.format(coeff, lag[c])))
+            acc = e.fold(under[c], [ring.src_mul.format(coeff, lag[c])
+                                    for coeff, lag in zip(cs, lags[l])])
             names = [lag[c] for lag in lags[l]]
             e.line(f"{', '.join(names)} = {', '.join([e.reduced(acc), *names[:-1]])}")
         under = lags[l][0]
@@ -233,9 +248,6 @@ def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
 
 
 def _level_params(levels) -> list[str]:
-    # the lists are parameters, not namespace entries: the namespace and the
-    # function refer to each other, which would keep the lists alive until
-    # the next full garbage collection
     return [f"O{l}" for l in range(len(levels))]
 
 
@@ -246,15 +258,19 @@ def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
     """
     if not levels:
         return
-    e = gm.Emitter(module.ring)
-    lags = _unpack_levels(e, levels, module.dim)
-    appends = [e.let(f"{name}.append") for name in _level_params(levels)]
-    under = [f"u{c}" for c in range(module.dim)]
-    e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
-    _emit_levels(e, levels, lags, under)
-    for append, lag in zip(appends, lags):
-        e.line(f"{append}([{', '.join(lag[0])}])")
-    e.function(", ".join(["lo, hi, B", *_level_params(levels)]), "None")(lo, hi, below, *outs)
+
+    def emit(e):
+        lags = _unpack_levels(e, levels, module.dim)
+        appends = [e.let(f"{name}.append") for name in _level_params(levels)]
+        under = [f"u{c}" for c in range(module.dim)]
+        e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
+        _emit_levels(e, levels, lags, under)
+        for append, lag in zip(appends, lags):
+            e.line(f"{append}([{', '.join(lag[0])}])")
+        e.end()
+        return ", ".join(["lo, hi, B", *_level_params(levels)]), "None"
+    gm.generated(module.ring, ("rebuild", module.dim), _level_values(levels), emit,
+                 lo, hi, below, *outs)
 
 
 def simulate_chain(factorization, initial, steps: int) -> ChainRun:
@@ -267,7 +283,8 @@ def simulate_chain(factorization, initial, steps: int) -> ChainRun:
     sum a_{j-1} x_{n-j}, exists from n = k, and x is rebuilt as x_{n+1} =
     s_{n+1} + sum a_{j-1} x_{n+1-j}. Both rebuild from n = k.
     """
-    factor, names, levels, windows = _split(factorization, initial)
+    factor, names, levels, windows = _split(factorization,
+                                            _window(factorization.base, initial))
     module, k = factor.module, factorization.base.k
     starts = [k + 1 - len(window) for window in windows]
     below = simulate(factor, windows[0], steps, start=starts[0], level=names[0])
@@ -335,69 +352,79 @@ class EquivalenceReport:
         return "; ".join(lines)
 
 
-def _verify_loop(rec: Recurrence, factor: Recurrence, levels):
-    """The generated loop of verify_equivalence. Each n steps the direct
-    recurrence and the deepest factor, rebuilds the levels above and
-    compares the top level's value at n+1 with the direct one.
+def _verify_loop(rec: Recurrence, factor: Recurrence, levels, *args):
+    """The generated loop of verify_equivalence, run on ``args``. Each n
+    steps the direct recurrence and the deepest factor, rebuilds the levels
+    above and compares the top level's value at n+1 with the direct one.
 
-    kernel(lo, hi, rel_tol, X, F, O0, ...) takes the payload windows of the
-    direct run, the factor and each level, and returns (n, first, max_dev,
-    X', F'). It stops at a step n where either side breaks down, or gives a
-    non-finite value or one past MAX_PAYLOAD_BITS (X', F' are the windows
-    before step n), or, on an exact ring, after the first divergence
+    The loop takes (lo, hi, rel_tol, X, F, O0, ...), the payload windows of
+    the direct run, the factor and each level, and returns (n, first,
+    max_dev, X', F'). It stops at a step n where either side breaks down, or
+    gives a non-finite value or one past MAX_PAYLOAD_BITS (X', F' are the
+    windows before step n), or, on an exact ring, after the first divergence
     (n is one past it, the windows after it); n = hi when it ran through.
     Exact rings compare with ==, which is every exact ring's equality.
+
+    The direct recurrence and the factor read their values under the tags
+    X and F, as their windows are named, and their maps under G, or G and H
+    when they are two maps.
     """
     ring, dim = rec.ring, rec.module.dim
-    e = gm.Emitter(ring)
-    sides = []
-    for tag, r in (("x", rec), ("f", factor)):
-        names = [[f"{tag}{i}_{j}" for j in range(dim)] for i in range(r.order)]
-        for i, row in enumerate(names):
-            e.unpack(row, f"{tag.upper()}[{-1 - i}]")
-        sides.append((tag, r, names))
-    lags = _unpack_levels(e, levels, dim)
-    state = ", ".join("[" + ", ".join(f"[{', '.join(row)}]" for row in reversed(names)) + "]"
-                      for _, _, names in sides)
-    stop = f"return n, first, dev, {state}"
-    fin = ring._finite and e.bind(ring._finite)
-    oversize = ring._oversize and e.bind(ring._oversize)
-    e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
-    e.block("try:")
-    e.block("for n in range(lo, hi):")
-    news = []
-    for tag, r, names in sides:
-        new = []
-        for out in r.emit_periodic_step(e, tag + "{}_{}"):
-            out = e.reduced(out)
-            new.append(out if out.isidentifier() else e.let(out))
-        if fin:
-            e.line(f"if {' or '.join(f'not {fin}({v})' for v in new)}: {stop}")
-        if oversize:
-            e.line(f"if {' or '.join(f'{oversize}({v})' for v in new)}: {stop}")
-        news.append(new)
-    for (_, _, names), new in zip(sides, news):
-        for j, v in enumerate(new):
-            col = [row[j] for row in names]
-            e.line(f"{', '.join(col)} = {', '.join([v, *col[:-1]])}")
-    top, direct = _emit_levels(e, levels, lags, news[1]), news[0]
-    if ring.exact:
-        e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
-               f"return n + 1, n + 1, dev, {state}")
-    else:
-        deviation, zero = e.bind(_deviation), e.bind([ring.zero] * dim)
-        a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
-        d = e.let(f"{deviation}({a}, {b})")
-        e.line(f"dev = max(dev, {d})")
-        e.line(f"if first is None and {d} > RT * max({deviation}({a}, {zero}), "
-               f"{deviation}({b}, {zero}), 1.0): first = n + 1")
-    e.end()
-    e.end()
-    e.block(f"except {e.bind((DivisionByNonUnit, TanhUnsupported))}:")
-    e.line(stop)
-    e.end()
-    return e.function(", ".join(["lo, hi, RT, X, F", *_level_params(levels)]),
-                      f"hi, first, dev, {state}")
+    shared = factor.g is rec.g
+    sides = (("X", rec, "G"), ("F", factor, "G" if shared else "H"))
+    values = {"FIN": ring._finite, "BIG": ring._oversize, "DEV": _deviation,
+              "ZEROS": [ring.zero] * dim, "BREAKS": (DivisionByNonUnit, TanhUnsupported),
+              **_level_values(levels)}
+    for tag, r, gtag in sides:
+        values.update(r.values(tag, gtag))
+
+    def emit(e):
+        names = [[[f"{tag.lower()}{i}_{j}" for j in range(dim)] for i in range(r.order)]
+                 for tag, r, _ in sides]
+        for (tag, _, _), rows in zip(sides, names):
+            for i, row in enumerate(rows):
+                e.unpack(row, f"{tag}[{-1 - i}]")
+        lags = _unpack_levels(e, levels, dim)
+        state = ", ".join("[" + ", ".join(f"[{', '.join(row)}]" for row in reversed(rows)) + "]"
+                          for rows in names)
+        stop = f"return n, first, dev, {state}"
+        e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
+        e.block("try:")
+        e.block("for n in range(lo, hi):")
+        news = []
+        for tag, r, gtag in sides:
+            new = []
+            for out in r.emit_periodic_step(e, tag.lower() + "{}_{}", tag, gtag):
+                out = e.reduced(out)
+                new.append(out if out.isidentifier() else e.let(out))
+            if ring._finite is not None:
+                e.line(f"if {' or '.join(f'not FIN({v})' for v in new)}: {stop}")
+            if ring._oversize is not None:
+                e.line(f"if {' or '.join(f'BIG({v})' for v in new)}: {stop}")
+            news.append(new)
+        for rows, new in zip(names, news):
+            for j, v in enumerate(new):
+                col = [row[j] for row in rows]
+                e.line(f"{', '.join(col)} = {', '.join([v, *col[:-1]])}")
+        top, direct = _emit_levels(e, levels, lags, news[1]), news[0]
+        if ring.exact:
+            e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
+                   f"return n + 1, n + 1, dev, {state}")
+        else:
+            a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
+            d = e.let(f"DEV({a}, {b})")
+            e.line(f"dev = max(dev, {d})")
+            e.line(f"if first is None and {d} > RT * max(DEV({a}, ZEROS), DEV({b}, ZEROS), "
+                   f"1.0): first = n + 1")
+        e.end()
+        e.end()
+        e.block("except BREAKS:")
+        e.line(stop)
+        e.end()
+        return (", ".join(["lo, hi, RT, X, F", *_level_params(levels)]),
+                f"hi, first, dev, {state}")
+    key = ("verify", dim, rec.shape, factor.shape, shared)
+    return gm.generated(ring, key, values, emit, *args)
 
 
 def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
@@ -424,10 +451,10 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     if rel_tol is None:
         rel_tol = 1e-9
     direct = _window(rec, initial)
-    factor, _, levels, windows = _split(chain, initial)
+    factor, _, levels, windows = _split(chain, direct)
     lo, hi = rec.k, rec.k + steps
-    n, first_div, max_dev, direct, window = _verify_loop(rec, factor, levels)(
-        lo, hi, rel_tol, direct, *windows)
+    n, first_div, max_dev, direct, window = _verify_loop(rec, factor, levels,
+                                                         lo, hi, rel_tol, direct, *windows)
     db = cb = None
     if n < hi:
         db = _run(rec, deque(direct, maxlen=len(direct)), n, hi)

@@ -464,11 +464,12 @@ def _shortcut(level: Recurrence, job: _Job):
 
 
 def _seed_window(level: Recurrence, job: _Job):
-    """The certificate from the next seed window, run to the horizon."""
+    """The certificate from the next seed window, run to the horizon; with
+    no window left, the note that says so."""
     if job.seeds:
         return build_variable_factor(
             level, variable_certificate(level, job.seeds.pop(0), job.horizon))
-    return "" if level.order == 2 else f"stopped at order {level.order}: no seed window provided"
+    return f"stopped at order {level.order}: no seed window provided"
 
 
 _ROUTES = (_constant_root, _shortcut, _seed_window)

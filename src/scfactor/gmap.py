@@ -34,15 +34,29 @@ products of more than MAX_LAZY_FACTORS factors. A residue inverse is read
 from the ring's memo (Ring.inverses); on a miss the checked raiser tests
 the unit, raises for a non-unit, and stores the inverse while the memo
 holds fewer than INVERSE_MEMO_SIZE entries. Within one map, a repeated
-subtree and a repeated inverse are computed once per step.
+subtree and a repeated inverse are computed once per step, and a sum of
+coefficient terms is one expression.
+
 GMap.kernel, Recurrence.kernel, the engine's chain rebuild and its one-pass
-verify are built on it. A source holds no config values, so it is compiled
-once per process (up to COMPILE_CACHE_SIZE sources) and shared by every
-function with that shape.
+verify are built on it through generated, which writes and compiles a
+function once per process for each shape of job (keeping the
+COMPILE_CACHE_SIZE shapes used last). The shape is what the source depends
+on: the ring class, the dimension and orders, the zero pattern of each
+coefficient row and whether its period is 1, each map's kind and the form of
+its ASTs (expr_form: literals and sequence names by position), which maps
+share one scope, and the number of levels and whether each level's period is
+1. A job's values never enter the source. A walk over the job's objects
+collects them into one tuple, each named by its role (seq_values,
+map_values): coefficients, sequences, level alphas, literal payloads, and
+the ring's operations, m, ZERO, INVS, DIV, INV and TANH. The function
+unpacks the tuple into locals first, so a job of a seen shape emits
+nothing, and the cache keeps no job's value or ring. parse_expr keeps each
+text's AST the same way.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -61,6 +75,10 @@ _FUNCS = ("inv", "tanh")
 # unary minus, inv, tanh) and the depth of the AST, which long chains of binary
 # operators also grow. Evaluation and formatting recurse once per level.
 MAX_EXPR_DEPTH = 200
+
+# Generated functions kept per process, one per shape (see generated), and
+# parsed expressions, one per text.
+COMPILE_CACHE_SIZE = 256
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -174,9 +192,16 @@ class _Parser:
 
 
 def parse_expr(text: str):
-    """Parse one expression into its AST tuple tree."""
+    """Parse one expression into its AST tuple tree. An AST is immutable, so
+    each text is parsed once per process (up to COMPILE_CACHE_SIZE texts);
+    a text that fails is parsed, and fails the same way, every time."""
     if not isinstance(text, str) or not text.strip():
         raise GMapSyntaxError("empty expression")
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _parse(text: str):
     ast = _Parser(text).parse()
     depth, stack = 0, [(ast, 1)]
     while stack:
@@ -230,16 +255,6 @@ MAX_LAZY_FACTORS = 4
 INVERSE_MEMO_SIZE = 1 << 10
 
 
-# Code objects kept per process. A generated source holds no config values,
-# so recurrences that differ only in their values share one entry.
-COMPILE_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(source: str):
-    return compile(source, "<scfactor kernel>", "exec")
-
-
 def _checked_inverse(ring: Ring, what: str):
     """The raiser: the inverse of the reduced value v, or DivisionByNonUnit
     naming v. On a residue ring it stores the inverse of a unit in the
@@ -267,26 +282,89 @@ def _tanh(ring: Ring):
     return tanh
 
 
-class Emitter:
-    """Python source for one function on a ring's payloads, built line by line.
+# A sum of coefficient terms is one expression of at most this many terms;
+# a longer sum goes on from a local, so that no expression nests deeper than
+# the parser accepts, however long the row.
+MAX_SUM_TERMS = 16
 
-    Values are bound in the namespace ``ns`` (K<i> literals, S<i> and P<i>
-    sequences and their periods, the ring's operations and lazy operations,
-    _reduced, ZERO, m, the inverse memo INVS, and DIV, INV and TANH, which
-    raise breakdowns carrying the step n), so the source holds no config
-    text. Each line is one operation into a fresh
-    local t<i>, in evaluation order, so no expression meets the parser's
-    nesting limit. Operands keep their order (left * right); ``/`` is
+
+def _ring_values(ring: Ring) -> dict:
+    """What generated code reads of the ring: its operations and lazy
+    operations, _reduced, ZERO, m, the inverse memo INVS, and DIV, INV and
+    TANH, which raise breakdowns carrying the step n."""
+    return {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
+            "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul, "_reduced": _reduced,
+            "ZERO": ring.zero, "m": ring.char(), "INVS": ring.inverses,
+            "DIV": _checked_inverse(ring, "division by non-unit"),
+            "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
+
+
+def _role(tag: str, key) -> str:
+    """The name of a value in generated code, and of its local there."""
+    return f"{tag}_{key}"
+
+
+def seq_values(values: dict, tag: str, key, seq: tuple) -> None:
+    """Store a periodic payload tuple as Emitter.seq(tag, key) reads it: the
+    value itself for period 1, else the tuple and its period."""
+    role = _role(tag, key)
+    if len(seq) == 1:
+        values[role] = seq[0]
+    else:
+        values[role], values[role + "P"] = seq, len(seq)
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def expr_form(asts: tuple, seq_names: tuple) -> tuple[tuple, tuple]:
+    """(literals, form) of the ASTs of one map: its distinct int literals in
+    ascending order, and the ASTs with each literal replaced by its position
+    there and each sequence name by its position in ``seq_names``. The
+    code of a map depends on its form, not on its literals or names."""
+    literals, stack = set(), list(asts)
+    while stack:
+        node = stack.pop()
+        if node[0] == "int":
+            literals.add(node[1])
+        else:
+            stack.extend(c for c in node[1:] if isinstance(c, tuple))
+    literals = tuple(sorted(literals))
+    index = {("int", k): i for i, k in enumerate(literals)}
+    index.update((("seq", name), i) for i, name in enumerate(seq_names))
+
+    def form(node):
+        if node[0] in ("int", "seq"):
+            return node[0], index[node]
+        return (node[0], *[form(c) if isinstance(c, tuple) else c for c in node[1:]])
+    return literals, tuple(map(form, asts))
+
+
+def map_values(values: dict, tag: str, literals, seqs: dict, ring: Ring) -> None:
+    """Store what the code of one map reads under ``tag`` (Emitter.seq and
+    Emitter.exprs): its sequences by their position in ``seqs``, and its
+    int literals (expr_form) as payloads, by their position."""
+    for i, seq in enumerate(seqs.values()):
+        seq_values(values, tag, i, seq)
+    for i, k in enumerate(literals):
+        values[_role(tag, f"K{i}")] = ring.payload(k)
+
+
+class Emitter:
+    """Python source for one generated function on a ring's payloads, built
+    line by line (see generated).
+
+    The source reads each of the job's values as a local named by its role:
+    a sequence or coefficient row by its tag and key (seq_values), a
+    literal by its map's tag and position (map_values), and the ring's
+    values (_ring_values). It holds no config text. Each line is one
+    operation into a fresh local t<i>, in evaluation order, so no expression
+    meets the parser's nesting limit; a sum of coefficient terms is one
+    expression (fold). Operands keep their order (left * right); ``/`` is
     left * right^-1.
     """
 
-    def __init__(self, ring: Ring):
+    def __init__(self, ring: Ring, values: dict):
         self.ring = ring
-        self.ns = {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
-                   "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul, "_reduced": _reduced,
-                   "ZERO": ring.zero, "m": ring.char(), "INVS": ring.inverses,
-                   "DIV": _checked_inverse(ring, "division by non-unit"),
-                   "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
+        self.values = values
         self.lines: list[str] = []
         self.indent = ""
         self._ids = itertools.count()
@@ -294,10 +372,12 @@ class Emitter:
         self._memo: dict = {}
         self._scope = None
 
-    def bind(self, value, prefix: str = "K") -> str:
-        name = f"{prefix}{next(self._ids)}"
-        self.ns[name] = value
-        return name
+    def name(self, role: str) -> str:
+        """The local holding the value of ``role``. A role that the job's
+        values do not hold fails here, as the source is written."""
+        if role not in self.values:
+            raise KeyError(f"generated code reads {role!r}, which its values do not hold")
+        return role
 
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
@@ -323,52 +403,63 @@ class Emitter:
         fmt = self.ring.src_reduce
         return text if fmt is None else fmt.format(text)
 
-    def seq(self, key, values) -> str:
-        """The value at step n of a periodic payload sequence, read once.
-        ``key`` names the sequence among all emitted into this function."""
-        if key not in self._seqs:
-            self._seqs[key] = self.bind(values[0]) if len(values) == 1 else \
-                self.let(f"{self.bind(tuple(values), 'S')}[n % {self.bind(len(values), 'P')}]")
-        return self._seqs[key]
+    def seq(self, tag: str, key) -> str:
+        """The value at step n of the periodic sequence that seq_values
+        stored under (tag, key), read once per function."""
+        role = _role(tag, key)
+        if role not in self._seqs:
+            self._seqs[role] = self.name(role) if role + "P" not in self.values else \
+                self.let(f"{self.name(role)}[n % {self.name(role + 'P')}]")
+        return self._seqs[role]
 
-    def exprs(self, asts, seqs, scope=None) -> list[str]:
-        """Emit the ASTs of one map in order; returns the source of each
-        value. u<i> reads the local w<i-1>; seqs maps sequence names to
-        payload tuples, keyed in this function as (scope, name). Repeated
-        subtrees and inverses of the same operand are computed once; those
-        that do not read the argument are shared with every later map of
-        the same scope in this function, which runs them first."""
+    def fold(self, acc: str | None, terms) -> str | None:
+        """The source of acc + terms[0] + terms[1] + ..., summed left to
+        right (from terms[0] when acc is None), as one expression per
+        MAX_SUM_TERMS terms; acc itself when there is no term."""
+        for i, term in enumerate(terms):
+            if i and i % MAX_SUM_TERMS == 0:
+                acc = self.let(acc)
+            acc = term if acc is None else self.ring.src_add.format(acc, term)
+        return acc
+
+    def exprs(self, form, tag: str) -> list[str]:
+        """Emit one map's ASTs, in their form (expr_form), in order, reading
+        the values that map_values stored under ``tag``; returns the source
+        of each value. u<i> reads the local w<i-1>. Repeated subtrees and
+        inverses of the same operand are computed once; those that do not
+        read the argument are shared with every later map of the same tag in
+        this function, which runs them first."""
         self._memo = {key: v for key, v in self._memo.items() if not v[2]}
-        self._scope = scope
-        return [self._expr(ast, seqs)[0] for ast in asts]
+        self._scope = tag
+        return [self._expr(ast)[0] for ast in form]
 
-    def _expr(self, ast, seqs):
+    def _expr(self, ast):
         """(source, factors, reads): the value is at most a product of
         ``factors`` reduced values, up to sums, when the ring reduces lazily,
         and ``reads`` tells whether it reads the argument."""
         key = (self._scope, ast)
         if key not in self._memo:
-            self._memo[key] = self._node(ast, seqs)
+            self._memo[key] = self._node(ast)
         return self._memo[key]
 
-    def _node(self, ast, seqs):
+    def _node(self, ast):
         ring, op = self.ring, ast[0]
         if op == "int":
-            return self.bind(ring.payload(ast[1])), 1, False
+            return self.name(_role(self._scope, f"K{ast[1]}")), 1, False
         if op == "u":
             return f"w{ast[1] - 1}", 1, True
         if op == "seq":
-            return self.seq((self._scope, ast[1]), seqs[ast[1]]), 1, False
+            return self.seq(self._scope, ast[1]), 1, False
         if op not in ("add", "sub", "mul", "div", "neg", "inv", "tanh"):
             raise GMapSyntaxError(f"unknown AST node {op!r}")
-        left, lf, reads = self._expr(ast[1], seqs)
+        left, lf, reads = self._expr(ast[1])
         if op == "neg":
             return self.let(ring.src_neg.format(left)), lf, reads
         if op == "inv":
             return self._inverse(left, "INV", reads), 1, reads
         if op == "tanh":
             return self.let(f"TANH({self.reduced(left)}, n)"), 1, reads
-        right, rf, right_reads = self._expr(ast[2], seqs)
+        right, rf, right_reads = self._expr(ast[2])
         reads = reads or right_reads
         if op in ("add", "sub"):
             fmt = ring.src_add if op == "add" else ring.src_sub
@@ -395,12 +486,49 @@ class Emitter:
             self._memo[key] = (name, 1, reads)
         return self._memo[key][0]
 
-    def function(self, params: str, result: str):
-        """Compile the lines as ``def kernel(params)`` returning ``result``,
-        at most once per process for each source."""
-        body = "".join(f"    {line}\n" for line in [*self.lines, f"return {result}"])
-        exec(_compile(f"def kernel({params}):\n{body}"), self.ns)
-        return self.ns["kernel"]
+    def source(self, params: str, result: str) -> str:
+        """``def make(V, params)``: its first line unpacks V, the values in
+        the order of self.values, into locals named by their roles; then the
+        lines run, and it returns ``result``."""
+        lines = [f"[{', '.join(self.values)}] = V", *self.lines, f"return {result}"]
+        body = "".join(f"    {line}\n" for line in lines)
+        return f"def make({', '.join(['V', *filter(None, [params])])}):\n{body}"
+
+
+# The generated functions of the process by shape key, least recently used
+# first: each is the function ``make`` of a compiled source, whose globals
+# hold nothing else.
+_KERNELS: collections.OrderedDict = collections.OrderedDict()
+
+
+def generated(ring: Ring, key, values: dict, emit, *args):
+    """make(V, *args), where make is the generated function of this job's
+    shape and V holds the job's values.
+
+    ``values`` maps the role of each value the source reads to this job's
+    value, as the caller's walk over its objects collects them (seq_values,
+    map_values); the ring's (_ring_values) are added here. The shape is the
+    ring class, ``key`` (what else the source depends on) and the roles in
+    their order. The first job of a shape calls emit(e), which writes the
+    lines into an Emitter e and returns (params, result) for Emitter.source;
+    the source is compiled once, and kept while it is among the
+    COMPILE_CACHE_SIZE shapes used last. A later job of the shape emits
+    nothing, and the cache keeps no job's value, ring or namespace.
+    """
+    values = {**_ring_values(ring), **values}
+    key = (type(ring), key, tuple(values))
+    make = _KERNELS.get(key)
+    if make is None:
+        e = Emitter(ring, values)
+        params, result = emit(e)
+        ns: dict = {}
+        exec(compile(e.source(params, result), "<scfactor kernel>", "exec"), ns)
+        make = _KERNELS[key] = ns.pop("make")
+        if len(_KERNELS) > COMPILE_CACHE_SIZE:
+            _KERNELS.popitem(last=False)
+    else:
+        _KERNELS.move_to_end(key)
+    return make(tuple(values.values()), *args)
 
 
 def format_expr(ast) -> str:

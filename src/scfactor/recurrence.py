@@ -20,12 +20,14 @@ known to reduce; fold_system merges d scalar recurrences sharing the same
 coefficient rows into one module recurrence.
 
 Recurrence.kernel and GMap.kernel are the step and the map as generated
-Python functions on raw ring payloads (gmap.Emitter), built on first use.
+Python functions on raw ring payloads (gmap.generated), built on first use.
 The step inlines g and reads each coefficient at n from its period, so one
 function serves every n; it is the code of Recurrence.emit_periodic_step,
-which the engine's one-pass verify emits too. The simulation engine runs
-the kernel directly. Recurrence.step and GMap.apply call the kernels on
-payload lists, one per vector.
+which the engine's one-pass verify emits too. Each object names the values
+its code reads (values) and what else its code depends on (shape), so the
+code is written once per shape. The simulation engine runs the kernel
+directly. Recurrence.step and GMap.apply call the kernels on payload lists,
+one per vector.
 """
 
 from __future__ import annotations
@@ -167,29 +169,54 @@ class GMap:
     def period(self) -> int:
         return math.lcm(*(len(v) for v in self.seqs.values()))
 
-    def emit(self, e: gm.Emitter) -> list[str] | None:
-        """Emit g_n into ``e``, reading its argument from the locals w0 ..
-        w<d-1>; returns the source of each output component, unreduced, or
-        None for the zero map."""
+    @functools.cached_property
+    def _form(self) -> tuple:
+        """(literals, form) of an expression map (gmap.expr_form), else
+        no literal and no form."""
+        return ((), None) if self.exprs is None else gm.expr_form(self.exprs, tuple(self.seqs))
+
+    @property
+    def shape(self) -> tuple:
+        """What of the map's code the roles of its values do not tell: the
+        kind and the form of its ASTs."""
+        return self.kind, self._form[1]
+
+    def values(self, tag: str) -> dict:
+        """The values emit(e, tag) reads, by role (gmap.map_values)."""
+        out: dict = {}
+        gm.map_values(out, tag, self._form[0], self.seqs, self.module.ring)
+        return out
+
+    def emit(self, e: gm.Emitter, tag: str) -> list[str] | None:
+        """Emit g_n into ``e``, reading its values under ``tag`` and its
+        argument from the locals w0 .. w<d-1>; returns the source of each
+        output component, unreduced, or None for the zero map."""
         ring, dim = self.module.ring, self.module.dim
         if self.kind == "zero":
             return None
         if self.kind == "constant-sequence":
-            return [e.seq((self, j), self.seqs[j]) for j in range(dim)]
+            return [e.seq(tag, j) for j in range(dim)]
         if self.kind == "linear-scale":
-            c = e.seq((self, 0), self.seqs[0])
+            c = e.seq(tag, 0)
             return [ring.src_mul.format(c, f"w{j}") for j in range(dim)]
-        return e.exprs(self.exprs, self.seqs, scope=self)
+        return e.exprs(self._form[1], tag)
 
     @functools.cached_property
     def kernel(self):
-        """g_n on payloads, generated once: kernel(n, w) maps the argument's
-        payload list w to a payload list. None for the zero map."""
+        """g_n on payloads: kernel(n, w) maps the argument's payload list w
+        to a payload list. None for the zero map. The code is generated once
+        per process for each shape (gmap.generated)."""
         if self.kind == "zero":
             return None
-        e = gm.Emitter(self.module.ring)
-        e.unpack([f"w{j}" for j in range(self.module.dim)], "w")
-        return e.function("n, w", f"[{', '.join(map(e.reduced, self.emit(e)))}]")
+
+        def emit(e):
+            e.block("def kernel(n, w):")
+            e.unpack([f"w{j}" for j in range(self.module.dim)], "w")
+            e.line(f"return [{', '.join(map(e.reduced, self.emit(e, 'G')))}]")
+            e.end()
+            return "", "kernel"
+        return gm.generated(self.module.ring, ("map", self.module.dim, self.shape),
+                            self.values("G"), emit)
 
     def apply(self, n: int, w: list) -> list:
         """g_n at the argument's payload list w, as a payload list."""
@@ -238,51 +265,74 @@ class Recurrence:
         eq, zero = self.ring._eq, self.ring.zero
         return all(s.is_constant and eq(s.at(0), zero) for s in self.b)
 
+    @property
+    def shape(self) -> tuple:
+        """What of the step's code its values' roles do not tell: the order
+        and the map's shape."""
+        return self.order, self.g.shape
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        """The coefficient rows the step reads, by name (a0 .., then b0 ..
+        when g reads its argument): each row that is not zero (by the ring's
+        equality) in every phase, with its zeros stored as the zero
+        payload, so that they add an exact zero."""
+        eq, zero = self.ring._eq, self.ring.zero
+        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
+        rows = {}
+        for name, seq in zip(names, self.a + self.b if self.g.uses_argument else self.a):
+            nonzero = [not eq(c, zero) for c in seq.values]
+            if any(nonzero):
+                rows[name] = tuple(c if nz else zero for c, nz in zip(seq.values, nonzero))
+        return rows
+
+    def values(self, tag: str, gtag: str) -> dict:
+        """The values emit_periodic_step(e, x, tag, gtag) reads, by role."""
+        out = self.g.values(gtag)
+        for name, row in self._rows.items():
+            gm.seq_values(out, tag, name, row)
+        return out
+
     @functools.cached_property
     def kernel(self):
         """The step on payloads: kernel(n, hist) is x_{n+1}, where hist is a
         list of payload lists whose last k+1 entries are x_{n-k} .. x_n
         (oldest first). It runs the code of emit_periodic_step, generated
-        on first use; the source holds no coefficient values, so it is
-        compiled once per process for each shape of recurrence."""
-        e = gm.Emitter(self.ring)
-        for i in range(self.order):
-            e.unpack([f"x{i}_{j}" for j in range(self.module.dim)], f"hist[{-1 - i}]")
-        outs = self.emit_periodic_step(e, "x{}_{}")
-        return e.function("n, hist", f"[{', '.join(map(e.reduced, outs))}]")
+        once per process for each shape of recurrence (gmap.generated)."""
+        def emit(e):
+            e.block("def kernel(n, hist):")
+            for i in range(self.order):
+                e.unpack([f"x{i}_{j}" for j in range(self.module.dim)], f"hist[{-1 - i}]")
+            outs = self.emit_periodic_step(e, "x{}_{}", "X", "G")
+            e.line(f"return [{', '.join(map(e.reduced, outs))}]")
+            e.end()
+            return "", "kernel"
+        return gm.generated(self.ring, ("step", self.module.dim, self.shape),
+                            self.values("X", "G"), emit)
 
-    def emit_periodic_step(self, e: gm.Emitter, x: str) -> list[str]:
+    def emit_periodic_step(self, e: gm.Emitter, x: str, tag: str, gtag: str) -> list[str]:
         """Emit x_{n+1} into ``e`` and return each component's source,
         unreduced; x.format(i, j) is the local holding component j of
-        x_{n-i}. Each coefficient a_i(n), b_i(n) is read at n from its
-        period and multiplies x_{n-i} from the left. A row that is zero (by
-        the ring's equality) in every phase is dropped; in the other rows a
-        zero is stored as ZERO, so it adds an exact zero."""
+        x_{n-i}, and the values are read under ``tag`` (the rows) and
+        ``gtag`` (the map), as values(tag, gtag) stores them. Each
+        coefficient a_i(n), b_i(n) is read at n from its period and
+        multiplies x_{n-i} from the left, and each row sum is one
+        expression (Emitter.fold)."""
         ring, dim = self.ring, self.module.dim
-        eq, zero = ring._eq, ring.zero
-        names = [f"{row}{i}" for row in "ab" for i in range(self.order)]
-        coeffs = {}
-        for name, seq in zip(names, self.a + self.b if self.g.uses_argument else self.a):
-            nonzero = [not eq(c, zero) for c in seq.values]
-            if any(nonzero):
-                vals = tuple(c if nz else zero for c, nz in zip(seq.values, nonzero))
-                coeffs[name] = e.seq((self, name), vals)
+        coeffs = {name: e.seq(tag, name) for name in self._rows}
 
         def row_source(row, j):
             # on float rings from the zero payload, as an accumulator would:
             # 0.0 + -0.0 is 0.0, so the sign of a zero depends on it
-            acc = None if ring.exact else "ZERO"
-            for name, c in coeffs.items():
-                if name[0] == row:
-                    term = ring.src_mul.format(c, x.format(name[1:], j))
-                    acc = e.let(term if acc is None else ring.src_add.format(acc, term))
-            return "ZERO" if acc is None else acc
+            terms = [ring.src_mul.format(c, x.format(name[1:], j))
+                     for name, c in coeffs.items() if name[0] == row]
+            return e.fold(None if ring.exact else "ZERO", terms) or "ZERO"
 
         outs = [row_source("a", j) for j in range(dim)]
         if self.g.uses_argument:
             for j in range(dim):
                 e.line(f"w{j} = {e.reduced(row_source('b', j))}")
-        comps = self.g.emit(e)
+        comps = self.g.emit(e, gtag)
         if comps is not None:
             outs = [ring.src_add.format(r, c) for r, c in zip(outs, comps)]
         return outs

@@ -64,6 +64,9 @@ MAX_LITERAL_EXPONENT = int(MAX_PAYLOAD_BITS * math.log10(2))
 
 _RESIDUE_RE = re.compile(r"[+-]?\d+")
 
+# Literal texts whose payloads one ring keeps (Ring.payload).
+LITERAL_MEMO_SIZE = 1 << 10
+
 # One term of an element literal: a signed coefficient and an optional unit.
 _TERM_RE = re.compile(r"([+-]?[^ijk]*)([ijk]?)")
 
@@ -352,12 +355,27 @@ class Ring:
         """Characteristic: m for residues mod m, 0 otherwise."""
         return 0
 
+    @functools.cached_property
+    def _literals(self) -> dict:
+        return {}
+
     def payload(self, x):
         """The canonical payload of an int, a literal string, a payload, or
-        a number or tuple of numbers that _normalize accepts."""
+        a number or tuple of numbers that _normalize accepts. Payloads are
+        immutable, so the ring keeps the payloads of up to LITERAL_MEMO_SIZE
+        literals and parses each of those once; a literal that fails is
+        parsed, and fails the same way, every time."""
+        if isinstance(x, str):
+            memo = self._literals
+            v = memo.get(x)
+            if v is None:
+                v = self._parse(x)
+                if len(memo) < LITERAL_MEMO_SIZE:
+                    memo[x] = v
+            return v
         if isinstance(x, bool):
             raise ParseError("booleans are not ring elements")
-        return self._parse(x) if isinstance(x, str) else self._normalize(x)
+        return self._normalize(x)
 
     def inverse(self, v):
         """The inverse of the payload v; DivisionByNonUnit for a non-unit."""

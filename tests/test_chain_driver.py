@@ -130,8 +130,7 @@ def ref_variable_chain(rec, seeds=None, horizon=64):
                     break
         if step is None:
             if not seeds:
-                if current.order != 2:
-                    notes.append(f"stopped at order {current.order}: no seed window provided")
+                notes.append(f"stopped at order {current.order}: no seed window provided")
                 break
             seed = seeds.pop(0)
             cert = variable_certificate(current, seed, horizon)
@@ -352,6 +351,17 @@ def test_failed_shortcut_falls_through_to_a_seed_only_while_seeds_remain():
     assert factor_chain(rec, seeds=[["1"]]).steps[0].route == "certificate"
     with pytest.raises(Irreducible):
         factor_chain(rec, seeds=[])
+
+
+def test_seedless_order_two_stop_says_why():
+    # x_{n+1} = 3x_n - 3x_{n-1} + x_{n-2} over Q with a zero map: the seed
+    # (1, 1) takes one step, and at order 2 the shortcut does not apply (the
+    # map ignores its argument) and no seed is left; the chain says so
+    rec = _rec("exact-rational", ["3", "-3", "1"], ["0", "0", "0"])
+    chain = factor_chain(rec, seeds=[["1", "1"]])
+    assert len(chain.steps) == 1 and chain.final_factor.order == 2
+    assert not chain.complete
+    assert chain.notes == ["stopped at order 2: no seed window provided"]
 
 
 # names that would mean factor_chain picks a route itself

@@ -8,6 +8,7 @@ one-pass verify is held against the simulate-then-compare code it replaced.
 import builtins
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,9 @@ from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
                       transport, trajectory_csv, trajectory_json_obj,
                       variable_chain, verify_equivalence)
 from scfactor.config import load_job
-from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation
+from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation, _verify_loop
 from scfactor.factorize import SubstitutionFactorization
-from scfactor.gmap import _compile
+from scfactor.gmap import _KERNELS, Emitter
 
 
 def sq_map(module):
@@ -642,7 +643,7 @@ def test_shared_map_subexpressions_computed_once_per_step(monkeypatch):
                         seqs)
     rec = Recurrence(M, ["0", "2", "1"], ["1", "-1", "-1"], g)
     chain = factor_chain(rec)
-    _compile.cache_clear()
+    _KERNELS.clear()
     sources = []
     real_compile = builtins.compile
     monkeypatch.setattr(builtins, "compile",
@@ -671,3 +672,117 @@ def test_verify_memory_flat_in_steps(configs_dir):
             tracemalloc.stop()
         assert rep.equal and rep.compared == steps + 3
     assert abs(peaks[1] - peaks[0]) < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the shape cache: a verify loop is written and compiled once per shape
+
+
+def count_emission(monkeypatch):
+    """Count, from here on, the lines Emitter writes and the sources compiled."""
+    counts = {"lines": 0, "compiles": 0}
+    real_line, real_compile = Emitter.line, builtins.compile
+
+    def line(self, text):
+        counts["lines"] += 1
+        real_line(self, text)
+
+    def compile_(*args, **kwargs):
+        counts["compiles"] += 1
+        return real_compile(*args, **kwargs)
+    monkeypatch.setattr(Emitter, "line", line)
+    monkeypatch.setattr(builtins, "compile", compile_)
+    return counts
+
+
+def shape_case(kind="integers-mod-m", modulus=11, a=("0", "2", "1"), exprs=None,
+               seq=("2",), levels=((4,),), shared=True):
+    """A direct recurrence, a factor and levels for _verify_loop: order 3
+    and order 2 over R^2, one map of one sequence c and the literals 3, 5."""
+    M = Module(make_ring(kind, modulus=modulus), 2)
+    exprs = exprs or ["c[n]*u1*u2 + 3", "u1 - 5"]
+
+    def g():
+        return GMap.expression(M, exprs, {"c": list(seq)})
+    rec = Recurrence(M, list(a), ["1", "-1", "-1"], g())
+    factor = Recurrence(M, ["1", "1"], ["1", "-1"], rec.g if shared else g())
+    return rec, factor, [[tuple(M.ring.payload(v) for v in c)] for c in levels]
+
+
+def run_loop(rec, factor, levels, steps=6):
+    ring, dim = rec.ring, rec.module.dim
+
+    def window(n):
+        return [[ring.payload(i + j + 1) for j in range(dim)] for i in range(n)]
+    return _verify_loop(rec, factor, levels, rec.k, rec.k + steps, 1e-9, window(rec.order),
+                        window(factor.order), *[window(len(c)) for c in levels])
+
+
+@pytest.mark.parametrize("change", [
+    {"a": ("0", "0", "1")},                                   # a zero row
+    {"a": ("0", "2", ["1", "5"])},                            # a period from 1 to 2
+    {"exprs": ["c[n]*u1*u2 + 7", "u1 - 5"]},                  # one literal, now the larger
+    {"exprs": ["c[n]*u1*u2 + 3", "u1 + 5"]},                  # one operator
+    {"levels": ((4,), (5,))},                                 # one level more
+    {"shared": False},                                        # two maps, one AST
+    {"kind": "exact-rational", "modulus": None},              # the ring class
+], ids=["zero-row", "period", "literal", "operator", "levels", "separate-map", "ring"])
+def test_each_shape_feature_gets_its_own_code(monkeypatch, change):
+    _KERNELS.clear()
+    run_loop(*shape_case())
+    counts = count_emission(monkeypatch)
+    run_loop(*shape_case(**change))
+    assert counts["lines"] > 0 and counts["compiles"] == 1
+
+
+def test_seen_shape_emits_nothing_and_runs_as_cold():
+    # other modulus, coefficients, sequence, literals (in the same order, as
+    # in the first job) and level coefficient: only values differ
+    other = {"modulus": 13, "a": ("0", "7", "5"), "seq": ("6",),
+             "exprs": ["c[n]*u1*u2 + 8", "u1 - 9"], "levels": ((12,),)}
+    _KERNELS.clear()
+    run_loop(*shape_case())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = count_emission(monkeypatch)
+        warm = run_loop(*shape_case(**other))
+    assert counts == {"lines": 0, "compiles": 0}
+    _KERNELS.clear()
+    assert run_loop(*shape_case(**other)) == warm
+
+
+def test_seen_verify_job_emits_nothing(monkeypatch):
+    # the same job over Z/11 and Z/19, with other map values: a second
+    # verify of the same shape writes no line and compiles nothing, and
+    # reports what a cold run reports
+    def job(p, lit, c):
+        M = Module(make_ring("integers-mod-m", modulus=p), 1)
+        g = GMap.expression(M, [f"c[n]*u1*u1 + {lit}"], {"c": c})
+        rec = Recurrence(M, ["0", "2", "1"], ["1", "-1", "-1"], g)
+        return rec, factor_chain(rec), ["1", "2", "3"], 60
+    verify_equivalence(*job(11, 3, ["1", "2"]))
+    rec, chain, initial, steps = job(19, 7, ["5", "4"])
+    assert len(chain.steps) == 2 and chain.complete
+    counts = count_emission(monkeypatch)
+    warm = verify_equivalence(rec, chain, initial, steps)
+    assert counts == {"lines": 0, "compiles": 0}
+    monkeypatch.undo()
+    _KERNELS.clear()
+    assert verify_equivalence(rec, chain, initial, steps) == warm
+    assert warm == ref_verify(rec, chain, initial, steps)
+
+
+def test_cache_keeps_no_job():
+    # after a verify, a chain run and both kernels, the ring of the job dies
+    # with its objects: the cached functions' globals hold nothing of it
+    ring = make_ring("integers-mod-m", modulus=11)
+    M = Module(ring, 1)
+    rec = Recurrence(M, ["0", "2", "1"], ["1", "-1", "-1"],
+                     GMap.expression(M, ["c[n]*u1*u1 + 3/u1"], {"c": ["1", "2"]}))
+    chain = factor_chain(rec)
+    assert verify_equivalence(rec, chain, ["1", "2", "3"], 30).compared > 0
+    assert simulate_chain(chain, ["1", "2", "3"], 10).reconstructed.values
+    assert rec.g.kernel and rec.kernel
+    assert all(make.__globals__.keys() == {"__builtins__"} for make in _KERNELS.values())
+    ref = weakref.ref(ring)
+    del ring, M, rec, chain
+    assert ref() is None

@@ -30,8 +30,8 @@ from scfactor import (Breakdown, ConfigError, DivisionByNonUnit, GMap, Module, R
 from scfactor.engine import Trajectory, _propagated, simulate_substitution, transport
 from scfactor.factorize import (FactorizationChain, FactorStep, SubstitutionFactorization,
                                 level_name)
-from scfactor.gmap import (INVERSE_MEMO_SIZE, MAX_LAZY_FACTORS, Emitter, _compile,
-                           format_expr, parse_expr)
+from scfactor.gmap import (INVERSE_MEMO_SIZE, MAX_LAZY_FACTORS, _KERNELS, expr_form,
+                           format_expr, generated, map_values, parse_expr)
 from scfactor.recurrence import CoeffSeq
 from scfactor.rings import MAX_MODULUS, MAX_PAYLOAD_BITS, _ratio_bits
 
@@ -55,10 +55,15 @@ def ref_step(rec, n, window):
 def emitted_eval(ast, ring, u, seqs, n):
     """One expression through gmap.Emitter, as GMap.kernel emits a map: the
     argument u, the sequences and the value are payloads."""
-    e = Emitter(ring)
-    e.unpack([f"w{i}" for i in range(len(u))], "w")
-    [out] = e.exprs([ast], seqs)
-    return e.function("n, w", e.reduced(out))(n, u)
+    literals, form = expr_form((ast,), tuple(seqs))
+
+    def emit(e):
+        e.unpack([f"w{i}" for i in range(len(u))], "w")
+        [out] = e.exprs(form, "G")
+        return "n, w", e.reduced(out)
+    values = {}
+    map_values(values, "G", literals, seqs, ring)
+    return generated(ring, ("eval", len(u), form), values, emit, n, u)
 
 
 def ref_is_finite(v):
@@ -299,7 +304,7 @@ def test_repeated_subexpressions_computed_once(monkeypatch, kind, modulus, swap)
     # d[n] + e[n] and its inverse appear in both components: each is computed
     # once per step, and a breakdown keeps the reason of the first
     # occurrence evaluated (d + e vanishes at odd n)
-    _compile.cache_clear()
+    _KERNELS.clear()
     R = make_ring(kind, modulus=modulus)
     M = Module(R, 2)
     exprs = ["c[n]*u1*u2/(d[n]+e[n]) + u1", "inv(d[n]+e[n])*u1 - c[n]*u2*u2"]
@@ -451,7 +456,7 @@ def test_compiles_bounded_by_zero_patterns(monkeypatch):
     # 2000 phases, with several zero patterns among them, take one compile:
     # the step reads every coefficient at n from its period; emptied first,
     # the compile cache cannot hold it from an earlier test
-    _compile.cache_clear()
+    _KERNELS.clear()
     rec, init = _coprime_period_recurrence()
     compiles = []
     real_compile = builtins.compile
@@ -501,6 +506,28 @@ def test_values_share_compiled_code():
         traj = simulate(rec, window, 20)
         assert [bits(v) for v in traj.values] == [bits(v) for v in want]
         assert traj.breakdown == want_breakdown
+
+
+@pytest.mark.parametrize("kind", ["integers-mod-m", "exact-rational", "float-complex"])
+def test_order_300_rows(kind):
+    # rows of 300 terms, summed in one expression per MAX_SUM_TERMS terms,
+    # compile and step as the element-level step does; so does a
+    # substitution level of 299 coefficients
+    ring = make_ring(kind, modulus=10007) if kind == "integers-mod-m" else make_ring(kind)
+    M = Module(ring, 1)
+    order = 300
+    rec = Recurrence(M, [str(i % 7 - 3) for i in range(order)],
+                     [str(i % 5 - 2) for i in range(order)], GMap.expression(M, ["u1*u1 + 1"]))
+    init = [[ring.payload(i % 3 - 1)] for i in range(order)]
+    want, want_breakdown = ref_simulate(rec, init, 4)
+    traj = simulate(rec, init, 4)
+    assert [bits(v) for v in traj.values] == [bits(v) for v in want]
+    assert traj.breakdown == want_breakdown is None
+    factor = Recurrence(M, ["1"], ["0"], GMap.zero(M))
+    sub = SubstitutionFactorization(rec, tuple(ring.payload(i % 4 - 1) for i in range(order - 1)),
+                                    ring.one, factor)
+    run = simulate_substitution(sub, init, 4)
+    assert levels(run.trajectories) == levels(ref_simulate_substitution(sub, init, 4))
 
 
 # ---------------------------------------------------------------------------
