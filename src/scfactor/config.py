@@ -48,12 +48,10 @@ class RunOptions:
 
 @dataclass
 class JobConfig:
-    doc: dict
     ring: Ring
     module: Module
     recurrence: Recurrence
     family: FamilyInfo | None
-    from_system: bool
     initial: list
     run: RunOptions = field(default_factory=RunOptions)
 
@@ -426,7 +424,6 @@ def build_job(doc: dict) -> JobConfig:
     module = Module(ring, doc["module"]["dim"])
 
     family = None
-    from_system = False
     if "recurrence" in doc:
         rec = _build_recurrence(module, doc["recurrence"])
     elif "family" in doc:
@@ -444,7 +441,6 @@ def build_job(doc: dict) -> JobConfig:
             raise ConfigError(f"bad family ({fdoc['kind']}): {exc}") from exc
         rec = family.recurrence
     else:
-        from_system = True
         try:
             rec = fold_system(module, doc["system"]["components"])
         except (ParseError, ScfactorError) as exc:
@@ -452,8 +448,7 @@ def build_job(doc: dict) -> JobConfig:
 
     initial = _parse_initial(module, doc["initial"], rec.order)
     run = _parse_run(module, doc.get("run"), rec.k)
-    return JobConfig(doc=doc, ring=ring, module=module, recurrence=rec,
-                     family=family, from_system=from_system,
+    return JobConfig(ring=ring, module=module, recurrence=rec, family=family,
                      initial=initial, run=run)
 
 

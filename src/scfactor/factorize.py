@@ -65,6 +65,11 @@ from .rings import MAX_PAYLOAD_BITS, IntegersMod, Ring
 # arithmetic, so periods 2 to 17 (lcm 510510) would take over a second.
 MAX_COEFF_SPAN = 1 << 16
 
+# Largest certificate horizon: the alpha recursion runs one row of ring
+# arithmetic per n up to it, and at 10^5 `certify --json` on a proved-periodic
+# quaternion config takes about a second and writes about a megabyte.
+MAX_HORIZON = 100000
+
 
 def _span(*periods: int) -> int:
     span = math.lcm(*periods)
@@ -288,6 +293,8 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
             raise CertificateFailure(f"seed value alpha_{idx} = {fmt(s)} is not a unit", n=idx)
     if horizon < k + 1:
         raise ParseError(f"horizon must be at least {k + 1}")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON}")
 
     need_esb = rec.g.uses_argument
     alphas = list(seed)

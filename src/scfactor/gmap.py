@@ -25,8 +25,9 @@ tuple tree (binary nodes fully parenthesized, unary children parenthesized).
 
 Emitter writes trees as generated Python functions on ring payloads, with
 each ring's operations as source text (Ring.src_add and the other
-templates): operators on residues and complex floats, calls to payload
-functions on the other rings. Every exact ring reduces lazily: residues mod
+templates): operators on residues and complex floats, calls to the lazy
+operations (_ladd, _lmul) and _neg on the other rings; generated code calls
+no canonical _add or _mul. Every exact ring reduces lazily: residues mod
 m, and rationals, Gaussian rationals and rational quaternions to lowest
 terms (their sums and products skip the gcd, see rings), at the outputs,
 before every inverse (so a breakdown names the reduced value), and in
@@ -234,16 +235,6 @@ def validate_expr(ast, dim: int, seq_names, ring: Ring):
         validate_expr(child, dim, seq_names, ring)
 
 
-def expr_identifiers(ast) -> set[str]:
-    out = set()
-    if ast[0] == "seq":
-        out.add(ast[1])
-    for child in ast[1:]:
-        if isinstance(child, tuple):
-            out |= expr_identifiers(child)
-    return out
-
-
 # A product of more than this many lazy values is reduced on the spot, so
 # lazy reduction keeps every intermediate int within a few times the size of
 # a stored value however long the expression is.
@@ -289,12 +280,11 @@ MAX_SUM_TERMS = 16
 
 
 def _ring_values(ring: Ring) -> dict:
-    """What generated code reads of the ring: its operations and lazy
-    operations, _reduced, ZERO, m, the inverse memo INVS, and DIV, INV and
+    """What generated code reads of the ring: its lazy operations _ladd and
+    _lmul, _neg, _reduced, ZERO, m, the inverse memo INVS, and DIV, INV and
     TANH, which raise breakdowns carrying the step n."""
-    return {"_add": ring._add, "_neg": ring._neg, "_mul": ring._mul,
-            "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul, "_reduced": _reduced,
-            "ZERO": ring.zero, "m": ring.char(), "INVS": ring.inverses,
+    return {"_neg": ring._neg, "_ladd": ring._lazy_add, "_lmul": ring._lazy_mul,
+            "_reduced": _reduced, "ZERO": ring.zero, "m": ring.char(), "INVS": ring.inverses,
             "DIV": _checked_inverse(ring, "division by non-unit"),
             "INV": _checked_inverse(ring, "inv of non-unit"), "TANH": _tanh(ring)}
 
@@ -355,10 +345,11 @@ class Emitter:
     The source reads each of the job's values as a local named by its role:
     a sequence or coefficient row by its tag and key (seq_values), a
     literal by its map's tag and position (map_values), and the ring's
-    values (_ring_values). It holds no config text. Each line is one
-    operation into a fresh local t<i>, in evaluation order, so no expression
-    meets the parser's nesting limit; a sum of coefficient terms is one
-    expression (fold). Operands keep their order (left * right); ``/`` is
+    values (_ring_values), whose operations are its lazy ones, brought to
+    the canonical payload by Ring.src_reduce (reduced). It holds no config
+    text. Each line is one operation into a fresh local t<i>, in evaluation
+    order, so no expression meets the parser's nesting limit; a sum of
+    coefficient terms is one expression (fold). Operands keep their order (left * right); ``/`` is
     left * right^-1.
     """
 

@@ -161,13 +161,21 @@ def _require_commutative(ring: Ring, what: str):
         raise NoncommutativeRing(f"{what} requires a commutative ring, got {ring}")
 
 
-def _horner(ring: Ring, cs, x):
-    """The payload p(x), with the accumulator multiplied by x from the right."""
-    add, mul = ring._add, ring._mul
-    acc = ring.zero
+def _horner_rows(ring: Ring, cs, x) -> list:
+    """The Horner accumulators of p at x, from the top coefficient down, with
+    the accumulator multiplied by x from the right; the last is p(x). Each
+    is one lazy product and sum, reduced once."""
+    add, mul, normal = ring._lazy_add, ring._lazy_mul, ring._normal
+    acc, rows = ring.zero, []
     for c in reversed(cs):
-        acc = add(mul(acc, x), c)
-    return acc
+        acc = normal(add(mul(acc, x), c))
+        rows.append(acc)
+    return rows
+
+
+def _horner(ring: Ring, cs, x):
+    """The payload p(x)."""
+    return _horner_rows(ring, cs, x)[-1] if cs else ring.zero
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -236,16 +244,11 @@ def deflate(p: Poly, rho) -> Poly:
     if not p.cs:
         raise NotAValidRoot("cannot deflate the zero polynomial")
     x = ring.payload(rho)
-    add, mul = ring._add, ring._mul
-    out = []
-    acc = ring.zero
-    for c in reversed(p.cs[1:]):
-        acc = add(mul(acc, x), c)
-        out.append(acc)
-    rem = add(mul(acc, x), p.cs[0])
+    rows = _horner_rows(ring, p.cs, x)
+    rem = rows.pop()
     if not is_root(p, x, rem):
         raise NotAValidRoot(f"{ring.fmt(x)} is not a root (remainder {ring.fmt(rem)})")
-    return Poly.of(ring, out[::-1])
+    return Poly.of(ring, rows[::-1])
 
 
 def _root_multiplicity(p: Poly, rho) -> int:

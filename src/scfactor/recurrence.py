@@ -261,11 +261,6 @@ class Recurrence:
         return math.lcm(*(s.period for s in self.a), *(s.period for s in self.b))
 
     @property
-    def b_is_zero(self) -> bool:
-        eq, zero = self.ring._eq, self.ring.zero
-        return all(s.is_constant and eq(s.at(0), zero) for s in self.b)
-
-    @property
     def shape(self) -> tuple:
         """What of the step's code its values' roles do not tell: the order
         and the map's shape."""

@@ -9,29 +9,29 @@ Six ring kinds are supported:
 * ``rational-quaternion`` Hamilton quaternions with rational components
 * ``float-quaternion``   Hamilton quaternions with float components
 
-A value is a payload, and a Ring holds the operations on its payloads
-(_add, _neg, _mul, _inv, _eq, fmt); no element class wraps them. Division is
-always right division, a * b^-1, which matters for quaternions.
-Ring.payload turns an int, a literal or a payload into the canonical
-payload, and Module.payloads does so for a vector of the module R^d, a list
-of component payloads.
+A value is a payload, and a Ring holds the operations on its payloads; no
+element class wraps them. Division is always right division, a * b^-1,
+which matters for quaternions. Ring.payload turns an int, a literal or a
+payload into the canonical payload, and Module.payloads does so for a vector
+of the module R^d, a list of component payloads.
 
 Payloads: an int in [0, m) for residues, a complex for float-complex, and a
 4-tuple of floats for float quaternions. The exact rings store ints over one
 denominator: a rational n/d is (n, d), a Gaussian rational (x + yi)/d is
 (x, y, d), and a rational quaternion (w + xi + yj + zk)/d is (w, x, y, z, d),
 always with d > 0 and the gcd of all entries 1, so equal values have equal
-payloads. A sum or product works on ints and reduces by one gcd, where a
-tuple of fractions would reduce each part by its own.
-Literals keep the grammar of fractions.Fraction (``1.5``, ``1e-3``,
+payloads. Literals keep the grammar of fractions.Fraction (``1.5``, ``1e-3``,
 ``-3/4``) and the text of its errors; each part prints as the reduced n/d.
 
-Lazy operations (Ring._lazy_add, _lazy_mul and _normal) serve generated code
-and the certificate route: on residues a sum or product is not reduced mod
-m, and on the exact rings it is exact but not in lowest terms (numerators
-times numerators over d1*d2, sums over lcm(d1, d2)). _normal brings a value
-to its canonical payload once, where it is stored. On the float rings the
-lazy operations are the payload operations themselves.
+Arithmetic has one definition per ring: the lazy sum and product
+(Ring._lazy_add, _lazy_mul), negation and the inverse, and _normal, which
+brings a lazy value to its canonical payload. A lazy sum or product is not
+reduced mod m on residues, and on the exact rings it is exact but not in
+lowest terms (numerators times numerators over d1*d2, sums over
+lcm(d1, d2)); on the float rings _normal is the identity. The canonical
+Ring._add and _mul are _normal of the lazy operations. Generated code and
+the certificate route use the lazy operations and reduce once, where a value
+is stored.
 """
 
 from __future__ import annotations
@@ -103,20 +103,6 @@ def _parse_rational(text: str) -> tuple[int, int]:
     if d == 0:
         raise ZeroDivisionError(f"Fraction({n}, 0)")
     return _reduced(n, d)
-
-
-def _exact_add(a, b):
-    """The sum of two payloads (c_1, .., c_k, d) of an exact ring, canonical
-    (Henrici): a common factor of the summed parts and the denominator
-    divides gcd(d1, d2)."""
-    d1, d2 = a[-1], b[-1]
-    g = math.gcd(d1, d2)
-    if g == 1:
-        return (*[x * d2 + y * d1 for x, y in zip(a[:-1], b[:-1])], d1 * d2)
-    s, t = d1 // g, d2 // g
-    parts = [x * t + y * s for x, y in zip(a[:-1], b[:-1])]
-    h = math.gcd(*parts, g)
-    return (*parts, s * d2) if h == 1 else (*[c // h for c in parts], s * (d2 // h))
 
 
 def _exact_neg(a):
@@ -291,13 +277,13 @@ class Ring:
 
     kind: str = "?"
     commutative: bool = True
-    finite: bool = False
     exact: bool = True
 
-    # payload ops, implemented by subclasses:
-    #   _add, _neg, _mul, _inv (None when not a unit), fmt, _parse, _normalize
-    #   (an int, a payload, or numbers as the subclass documents);
-    #   _lazy_add and _lazy_mul, with _normal (see the module docstring)
+    # Payload operations, defined once per ring by each subclass:
+    #   _lazy_add, _lazy_mul and _normal (see the module docstring), _neg,
+    #   _inv (None when not a unit), fmt, _parse, and _normalize (an int, a
+    #   payload, or numbers as the subclass documents).
+    # _add and _mul are derived here; _normal is the identity unless overridden.
     # _eq and _key (the canonical order) are the payload's own unless overridden
     # _finite: payload predicate that float rings set; None on exact rings
     # _oversize: payload predicate, set on the exact rings whose values can
@@ -308,16 +294,22 @@ class Ring:
     _oversize = None
     inverses = None
 
-    # Source templates for generated step functions (gmap.Emitter). The base
-    # class calls the payload operations, which the generated code looks up
-    # as _add, _neg and _mul. src_reduce, when set, brings a lazy value back
-    # to its canonical payload; it is applied to step outputs, map arguments
+    # Source templates for generated step functions (gmap.Emitter), which
+    # looks the lazy operations up as _ladd and _lmul, and _neg as _neg.
+    # src_reduce, when set, is _normal as source: it brings a lazy value back
+    # to its canonical payload, and is applied to step outputs, map arguments
     # and the operands of inverses.
-    src_add = "_add({}, {})"
-    src_sub = "_add({}, _neg({}))"
-    src_mul = "_mul({}, {})"
+    src_add = "_ladd({}, {})"
+    src_sub = "_ladd({}, _neg({}))"
+    src_mul = "_lmul({}, {})"
     src_neg = "_neg({})"
     src_reduce = None
+
+    def _add(self, a, b):
+        return self._normal(self._lazy_add(a, b))
+
+    def _mul(self, a, b):
+        return self._normal(self._lazy_mul(a, b))
 
     def _descriptor(self) -> tuple:
         return (self.kind,)
@@ -436,21 +428,24 @@ def is_prime(n: int) -> bool:
 
 
 class _PlainOps:
-    """Source templates for rings whose payloads take Python's operators."""
+    """Rings whose payloads take Python's operators: they are the lazy
+    operations, and the templates write them as source."""
 
     src_add = "({} + {})"
     src_sub = "({} - {})"
     src_mul = "({} * {})"
     src_neg = "(-{})"
+    _lazy_add = staticmethod(operator.add)
+    _lazy_mul = staticmethod(operator.mul)
+
+    def _neg(self, a):
+        return self._normal(-a)
 
 
 class IntegersMod(_PlainOps, Ring):
     """Residue ring Z_m. Units are the residues coprime to m."""
 
-    finite = True
     src_reduce = "({} % m)"
-    _lazy_add = staticmethod(operator.add)
-    _lazy_mul = staticmethod(operator.mul)
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 2:
@@ -484,15 +479,6 @@ class IntegersMod(_PlainOps, Ring):
             raise ParseError(f"bad residue literal {t!r} for {self}")
         return int(t) % self.m
 
-    def _add(self, a, b):
-        return (a + b) % self.m
-
-    def _neg(self, a):
-        return (-a) % self.m
-
-    def _mul(self, a, b):
-        return (a * b) % self.m
-
     def _normal(self, v):
         return v % self.m
 
@@ -506,37 +492,44 @@ class IntegersMod(_PlainOps, Ring):
         return str(v)
 
 
-def _exact_parts(ring: "Ring", payload, size: int):
-    """The canonical payload of a payload, or of a number or a ``size``-tuple
-    of numbers (ints, or rational numbers such as a fractions.Fraction) as
-    parts over one denominator."""
-    if isinstance(payload, tuple) and len(payload) == size + 1 and \
-            all(type(c) is int for c in payload) and payload[-1] > 0:
-        return _reduced(*payload)
-    parts = payload if isinstance(payload, tuple) and len(payload) == size else \
-        (payload,) + (0,) * (size - 1)
-    try:
-        return _over_lcm([_reduced(c.numerator, c.denominator) for c in parts])
-    except (AttributeError, TypeError):
-        return Ring._normalize(ring, payload)
-
-
 class _Exact(Ring):
-    """Source templates of the exact rings: lazy sums and products, brought
-    to lowest terms by _reduced where a value is stored, as residues are
+    """The exact rings: a payload (c_1, .., c_k, d) holds one part per unit
+    of ``units`` over one denominator. Lazy sums and products are brought to
+    lowest terms by _reduced where a value is stored, as residues are
     reduced mod m."""
 
-    src_add = "_ladd({}, {})"
-    src_sub = "_ladd({}, _neg({}))"
-    src_mul = "_lmul({}, {})"
+    units = ("",)
     src_reduce = "_reduced(*{})"
-    _add = staticmethod(_exact_add)
     _neg = staticmethod(_exact_neg)
     _oversize = staticmethod(_oversize)
 
     @staticmethod
     def _normal(v):
         return _reduced(*v)
+
+    def _normalize(self, payload):
+        """The canonical payload of a payload, or of a number or a tuple of
+        numbers, one per unit (ints, or rational numbers such as a
+        fractions.Fraction), as parts over one denominator."""
+        size = len(self.units)
+        if isinstance(payload, tuple) and len(payload) == size + 1 and \
+                all(type(c) is int for c in payload) and payload[-1] > 0:
+            return _reduced(*payload)
+        parts = payload if isinstance(payload, tuple) and len(payload) == size else \
+            (payload,) + (0,) * (size - 1)
+        try:
+            return _over_lcm([_reduced(c.numerator, c.denominator) for c in parts])
+        except (AttributeError, TypeError):
+            return super()._normalize(payload)
+
+    def _parse(self, text):
+        terms = _parse_terms(text, "".join(self.units), _parse_rational,
+                             lambda a, b: _reduced(*_q_lazy_add(a, b)))
+        return _over_lcm([terms.get(u, (0, 1)) for u in self.units])
+
+    def fmt(self, v):
+        d = v[-1]
+        return _fmt_signed([(_ratio_text(n, d), u) for n, u in zip(v[:-1], self.units)])
 
 
 class Rationals(_Exact):
@@ -547,27 +540,18 @@ class Rationals(_Exact):
     _lazy_add = staticmethod(_q_lazy_add)
     _lazy_mul = staticmethod(_q_lazy_mul)
 
-    def _normalize(self, payload):
-        """Accepts an int or Fraction."""
-        return _exact_parts(self, payload, 1)
-
     def _parse(self, text):
         try:
             return _parse_rational(text.strip().replace(" ", ""))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}: {exc}") from exc
 
-    def _mul(self, a, b):
-        """The product in lowest terms (Henrici): each numerator is reduced
-        against the other denominator."""
-        (n1, d1), (n2, d2) = a, b
-        g, h = math.gcd(n1, d2), math.gcd(n2, d1)
-        return ((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
-
+    # _inv is unrolled per ring: generated code calls it through INV and DIV.
     def _inv(self, a):
         n, d = a
         return None if n == 0 else (d, n) if n > 0 else (-d, -n)
 
+    # fmt is unrolled: _Exact.fmt is slower, and reports print every value.
     def fmt(self, v):
         return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
 
@@ -583,26 +567,18 @@ class GaussianRationals(_Exact):
     gcd(x, y, d) = 1. Roots are ordered by real, then imaginary part."""
 
     kind = "gaussian-rational"
+    units = ("", "i")
     _lazy_add = staticmethod(_g_lazy_add)
     _lazy_mul = staticmethod(_g_lazy_mul)
     _key = staticmethod(functools.cmp_to_key(_gaussian_cmp))
 
-    def _normalize(self, payload):
-        """Accepts an int or Fraction, or a pair of them (re, im)."""
-        return _exact_parts(self, payload, 2)
-
-    def _parse(self, text):
-        terms = _parse_terms(text, "i", _parse_rational, _exact_add)
-        return _over_lcm([terms.get("", (0, 1)), terms.get("i", (0, 1))])
-
-    def _mul(self, a, b):
-        return _reduced(*_g_lazy_mul(a, b))
-
+    # _inv is unrolled per ring: generated code calls it through INV and DIV.
     def _inv(self, a):
         x, y, d = a
         n = x * x + y * y
         return None if n == 0 else _reduced(x * d, -y * d, n)
 
+    # fmt is unrolled: _Exact.fmt is slower, and reports print every value.
     def fmt(self, v):
         x, y, d = v
         return _fmt_signed([(_ratio_text(x, d), ""), (_ratio_text(y, d), "i")])
@@ -642,17 +618,6 @@ class FloatComplex(_PlainOps, _Tolerant):
     def _parse(self, text):
         terms = _parse_terms(text, "i", float)
         return complex(*_finite_parts((terms.get("", 0.0), terms.get("i", 0.0)), text))
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    _lazy_add, _lazy_mul = _add, _mul
 
     def _finite(self, a):
         return math.isfinite(a.real) and math.isfinite(a.imag)
@@ -694,30 +659,17 @@ class RationalQuaternions(_Exact):
 
     kind = "rational-quaternion"
     commutative = False
+    units = _QUNITS
     _lazy_add = staticmethod(_h_lazy_add)
     _lazy_mul = staticmethod(_h_lazy_mul)
 
-    def _normalize(self, payload):
-        """Accepts an int or Fraction, or a 4-tuple of them (w, x, y, z)."""
-        return _exact_parts(self, payload, 4)
-
-    def _parse(self, text):
-        terms = _parse_terms(text, "ijk", _parse_rational, _exact_add)
-        return _over_lcm([terms.get(u, (0, 1)) for u in _QUNITS])
-
-    def _mul(self, a, b):
-        return _reduced(*_h_lazy_mul(a, b))
-
+    # _inv is unrolled per ring: generated code calls it through INV and DIV.
     def _inv(self, a):
         w, x, y, z, d = a
         n = w * w + x * x + y * y + z * z
         if n == 0:
             return None
         return _reduced(w * d, -x * d, -y * d, -z * d, n)
-
-    def fmt(self, v):
-        d = v[4]
-        return _fmt_signed([(_ratio_text(n, d), u) for n, u in zip(v[:4], _QUNITS)])
 
 
 class FloatQuaternions(_Tolerant):
@@ -741,16 +693,13 @@ class FloatQuaternions(_Tolerant):
         terms = _parse_terms(text, "ijk", float)
         return _finite_parts(tuple(terms.get(u, 0.0) for u in _QUNITS), text)
 
-    def _add(self, a, b):
+    _lazy_mul = staticmethod(_qmul)
+
+    def _lazy_add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        return _qmul(a, b)
-
-    _lazy_add, _lazy_mul = _add, _mul
 
     def _abs(self, a):
         return math.sqrt(sum(c * c for c in a))

@@ -5,7 +5,10 @@ its ring and gives it operators (+, -, *, right division a / b = a * b^-1,
 ** and unary -, with ints coerced into the ring), and a Vec is a tuple of
 them, an element of the module R^d, with the left action r * v. Every
 operator calls one of the ring's canonical payload operations (_add, _neg,
-_mul, _inv, _eq), never a lazy operation or generated code.
+_mul, _inv, _eq), never generated code. _add and _mul are the ring's lazy
+sum and product brought to the canonical payload at once, so the oracle
+reduces after every operation, where generated code reduces lazily across
+an expression; that difference is what the oracle checks.
 
 On that arithmetic, step, apply and eval_expr evaluate a recurrence, its
 map and an expression the way the recurrence is written, and

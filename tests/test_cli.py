@@ -474,6 +474,27 @@ class TestErrors:
         assert err == ("error: alpha_11801 exceeds the size limit of 8192 bits "
                        "per numerator or denominator\n")
 
+    @pytest.mark.parametrize("command, horizon, flag", [
+        ("certify", 100001, True),
+        ("certify", 10 ** 7, False),
+        ("factor", 10 ** 7, False),
+        ("verify", 10 ** 7, False),
+    ], ids=["certify-flag", "certify-run", "factor-run", "verify-run"])
+    def test_horizon_limit(self, capsys, tmp_path, configs_dir, command, horizon, flag):
+        # the certificate recursion runs one row per n up to the horizon;
+        # at 10^7 it ran for over a minute
+        doc = json.loads((configs_dir / "np.json").read_text())
+        if not flag:
+            doc["run"]["horizon"] = horizon
+        p = tmp_path / "horizon.json"
+        p.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(p),
+                                 *(["--horizon", str(horizon)] if flag else []))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: horizon {horizon} exceeds the limit of 100000\n"
+
     def test_coefficient_period_limit(self, capsys, tmp_path):
         # periods 34, 39, 55 and 7 have lcm 510510 = 2*3*5*7*11*13*17
         rows = [[str(1 + i % 3) for i in range(p)] for p in (34, 39, 55, 7)]

@@ -107,7 +107,6 @@ class TestBuildJob:
         assert job.recurrence.order == 3
         assert len(job.initial) == 3
         assert job.family is None and job.family_kind is None
-        assert not job.from_system
 
     def test_run_defaults(self):
         job = build_job(zp_doc())
@@ -392,7 +391,6 @@ class TestFiles:
 
     def test_system_config_folds(self, configs_dir):
         job = load_job(str(configs_dir / "ds.json"))
-        assert job.from_system
         assert job.module.dim == 2
         assert job.recurrence.order == 2
 

@@ -3,8 +3,7 @@
 import pytest
 
 from scfactor import DivisionByNonUnit, GMap, GMapSyntaxError, TanhUnsupported
-from scfactor.gmap import (MAX_EXPR_DEPTH, expr_identifiers, format_expr, parse_expr,
-                           validate_expr)
+from scfactor.gmap import MAX_EXPR_DEPTH, format_expr, parse_expr, validate_expr
 from scfactor.rings import FloatComplex, IntegersMod, Module, Rationals, RationalQuaternions
 
 
@@ -59,10 +58,6 @@ class TestValidate:
         validate_expr(ast, 1, set(), FloatComplex())
         with pytest.raises(TanhUnsupported):
             validate_expr(ast, 1, set(), Rationals())
-
-    def test_identifiers(self):
-        ast = parse_expr("c[n]*u1 + d[n]")
-        assert expr_identifiers(ast) == {"c", "d"}
 
 
 class TestFormat:

@@ -605,13 +605,25 @@ def levels(trajs):
             for t in trajs]
 
 
+def run_outcome(run, *args):
+    """The levels of run(*args), a ChainRun or a list of trajectories, or
+    the message of the ConfigError it raises when a value passes
+    MAX_PAYLOAD_BITS."""
+    try:
+        out = run(*args)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    return levels(getattr(out, "trajectories", out))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), cases(dims=st.integers(min_value=1, max_value=3)),
        st.integers(min_value=1, max_value=3))
 def test_chain_rebuild_matches_per_value_loop(data, case, depth):
     # the drawn recurrence is the final factor, which can break down; the
     # alphas are drawn freely, since the rebuild does not depend on them
-    # making a true factorization
+    # making a true factorization, so they can drive the factor's values
+    # past MAX_PAYLOAD_BITS, where both sides raise the same ConfigError
     factor = case[0]
     ring, M = factor.ring, factor.module
     k = depth + factor.k
@@ -622,8 +634,8 @@ def test_chain_rebuild_matches_per_value_loop(data, case, depth):
     chain = FactorizationChain(base, steps)
     vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim)
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
-    run = simulate_chain(chain, initial, 8)
-    assert levels(run.trajectories) == levels(ref_simulate_chain(chain, initial, 8))
+    assert run_outcome(simulate_chain, chain, initial, 8) == \
+        run_outcome(ref_simulate_chain, chain, initial, 8)
 
 
 @settings(max_examples=75, deadline=None)
@@ -637,8 +649,25 @@ def test_substitution_rebuild_matches_per_value_loop(data, case, k):
     sub = SubstitutionFactorization(base, coeffs, ring.one, factor)
     vec = st.lists(elements(ring), min_size=M.dim, max_size=M.dim)
     initial = data.draw(st.lists(vec, min_size=k + 1, max_size=k + 1))
-    run = simulate_substitution(sub, initial, 8)
-    assert levels(run.trajectories) == levels(ref_simulate_substitution(sub, initial, 8))
+    assert run_outcome(simulate_substitution, sub, initial, 8) == \
+        run_outcome(ref_simulate_substitution, sub, initial, 8)
+
+
+def test_oversize_final_factor_gives_one_outcome():
+    # x[n+1] = x[n]^2 from 10^1000 - 1 (3322 bits) passes MAX_PAYLOAD_BITS at
+    # its second step; the chain and the substitution split over it both
+    # stop with the ConfigError of their reference
+    M = Module(make_ring("exact-rational"), 1)
+    one = M.ring.one
+    factor = Recurrence(M, ["0"], ["1"], GMap.expression(M, ["u1*u1"]))
+    base = Recurrence(M, ["0", "0"], ["0", "0"], GMap.zero(M))
+    initial = [M.payloads("1"), M.payloads("1e1000")]
+    chain = FactorizationChain(base, [FactorStep("certificate", CoeffSeq(M.ring, [one]), factor)])
+    sub = SubstitutionFactorization(base, (one,), one, factor)
+    for split, ref in ((chain, ref_simulate_chain), (sub, ref_simulate_substitution)):
+        got = run_outcome(simulate_chain, split, initial, 8)
+        assert got[0] == "ConfigError" and "index 3 " in got[1]
+        assert got == run_outcome(ref, split, initial, 8)
 
 
 @settings(max_examples=150, deadline=None)

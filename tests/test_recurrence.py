@@ -88,7 +88,6 @@ class TestRecurrence:
                          GMap.expression(M, ["u1*u1"], {}))
         assert rec.k == 2 and rec.order == 3
         assert rec.constant_coeffs and rec.coeff_period == 1
-        assert not rec.b_is_zero
 
     def test_step_frozen_z7(self, z7):
         M = Module(z7, 1)
@@ -206,7 +205,6 @@ class TestFamilies:
         M = Module(z7, 1)
         fam = build_family(M, "linear", {"a": ["1", "2"], "c": ["3"]}, None)
         rec = fam.recurrence
-        assert rec.b_is_zero
         assert rec.g.kind == "constant-sequence"
         assert rec.step(0, [[1], [1]]) == [6]
         assert fam.params["c"] == [(3,)]

