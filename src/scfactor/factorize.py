@@ -27,9 +27,10 @@ routes:
 
   with the side condition sum_i b_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1) = 0
   whenever g reads its argument (ESa and ESb; the last row is zero at n
-  exactly when both hold there). A certificate records the run; once the
-  alpha window recurs at a multiple of the coefficient period, the sequence
-  is pure-periodic and the rows are well defined periodic sequences.
+  exactly when both hold there). A certificate records the run; on an exact
+  ring it ends where the seed window recurs at a multiple of the coefficient
+  period, since the run repeats from there: the alphas are pure-periodic and
+  the rows well defined periodic sequences.
 
 factor_chain is the one driver. Its level routes are data, the ordered tuple
 _ROUTES = (_constant_root, _shortcut, _seed_window): each takes the level and
@@ -45,7 +46,7 @@ canonical payload once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     CertificateFailure,
@@ -94,24 +95,30 @@ class UnitCertificate:
     """A verified run of the alpha recursion over ``ring``; seed and alphas
     are payloads.
 
-    status is "proved-periodic" (period set: the wrapped alpha sequence
-    satisfies esa/esb for every n, see variable_certificate) or
-    "horizon-bounded" (recursion ran clean to the horizon but no period was
-    established).
+    status follows from period: "proved-periodic" when it is set (the wrapped
+    alpha sequence satisfies ESa and ESb for every n, see
+    variable_certificate), else "horizon-bounded"; either way the run is
+    checked up to n = horizon.
     """
 
     ring: Ring
     seed: tuple
     alphas: tuple
-    status: str
     horizon: int
     period: int | None = None
-    checked_upto: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
     def proved_periodic(self) -> bool:
-        return self.status == "proved-periodic"
+        return self.period is not None
+
+    @property
+    def status(self) -> str:
+        return "proved-periodic" if self.proved_periodic else "horizon-bounded"
+
+    @property
+    def checked_upto(self) -> int:
+        return self.horizon
 
     def alpha_seq(self) -> CoeffSeq:
         if not self.proved_periodic:
@@ -181,7 +188,7 @@ def _factor_rows(rec: Recurrence, alphas: tuple, span: int) -> tuple[list, list]
     """
     ring = rec.ring
     add, mul, normal = ring._lazy_add, ring._lazy_mul, ring._normal
-    period, neg_one = len(alphas), ring._neg(ring.one)
+    period, neg_one = len(alphas), ring.neg_one
     a_rows, b_rows = [[] for _ in rec.a], [[] for _ in rec.b]
     for n in range(span):
         a, b = neg_one, ring.zero
@@ -241,24 +248,45 @@ def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> Facto
 # variable-coefficient route
 
 
-def _row_sum(ring, row, alpha_at, n: int):
-    """sum_i row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) for a coefficient row,
-    on payloads: alpha_at(m) is the payload of alpha_m, and the sum is
-    normalized once.
-
-    For row rec.a this is the right side of ESa; for rec.b, the value of ESb.
-    On exact rings trailing zero coefficients add nothing, so the alpha
-    product stops at the last nonzero one.
+def _row_sums(rec: Recurrence, alpha_at, n: int):
+    """(a, b) at phase n on payloads, alpha_at(m) the payload of alpha_m: a is
+    the ESa sum, sum_i a_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1), and b the ESb
+    sum if ESb fails, else None (also when g ignores its argument). Both rows
+    share each inverse, and each sum is normalized once. ESb holds when b_0(n)
+    equals minus the rest of its sum by ring._eq, a test relative to the terms
+    on float rings. On exact rings the product stops at the last index where
+    either row is nonzero.
     """
+    ring = rec.ring
     add, mul, eq, zero = ring._lazy_add, ring._lazy_mul, ring._eq, ring.zero
-    acc, *coeffs = [seq.at(n) for seq in row]
-    while ring.exact and coeffs and eq(coeffs[-1], zero):
-        coeffs.pop()
-    prod = None
-    for i, c in enumerate(coeffs, start=1):
+    a = [seq.at(n) for seq in rec.a]
+    b = [seq.at(n) for seq in rec.b] if rec.g.uses_argument else None
+    k = len(a) - 1
+    while ring.exact and k and eq(a[k], zero) and (b is None or eq(b[k], zero)):
+        k -= 1
+    a_sum, b_rest, prod = a[0], zero, None
+    for i in range(1, k + 1):
         prod = alpha_at(n - i) if prod is None else mul(prod, alpha_at(n - i))
-        acc = add(acc, mul(c, ring.inverse(prod)))
-    return ring._normal(acc)
+        inv = ring.inverse(prod)
+        a_sum = add(a_sum, mul(a[i], inv))
+        if b is not None:
+            b_rest = add(b_rest, mul(b[i], inv))
+    if b is not None and not eq(b[0], ring._neg(b_rest := ring._normal(b_rest))):
+        return ring._normal(a_sum), ring._add(b[0], b_rest)
+    return ring._normal(a_sum), None
+
+
+def _wrapped_failure(rec: Recurrence, alpha_at, span: int):
+    """The first (n, side) with n < span where the periodic alpha sequence
+    alpha_at fails ESa (side "a") or ESb (side "b"); None when none does."""
+    eq = rec.ring._eq
+    for n in range(span):
+        a_sum, b_sum = _row_sums(rec, alpha_at, n)
+        if not eq(alpha_at(n), a_sum):
+            return n, "a"
+        if b_sum is not None:
+            return n, "b"
+    return None
 
 
 def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertificate:
@@ -266,24 +294,23 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     ring.payload accepts).
 
     Every produced alpha_n must be a unit and, when g reads its argument,
-    the b-side sum must vanish at every step; the first violation raises
+    ESb must hold at every step; the first violation raises
     CertificateFailure with the step index.
 
-    The certificate is upgraded to proved-periodic when the k-window recurs
-    at a position p that is a multiple of the coefficient period. The
-    identities of the wrapped (purely periodic) sequence then hold for all n,
-    including the early indices n < k whose conditions reach alpha at
-    negative indices: on an exact ring the run from p repeats the run from 0
-    (same window, same coefficients), so each wrapped identity is the forward
-    identity at some n' = n (mod p) with k <= n' <= horizon, already checked.
-    On a float ring the window only recurs within tolerance, so the wrapped
-    sequence is re-verified over one full common period.
+    The period is the first p = n + 1 - k, a multiple of the coefficient
+    period, where the window alpha_p .. alpha_n is the seed window. On an
+    exact ring the run from p then repeats the run from 0 (same window, same
+    coefficients): every later alpha is alpha_{m mod p} and every later
+    identity one already checked, so the loop stops there, and the wrapped
+    sequence satisfies ESa and ESb for all n, even n < k. On a float ring the
+    window recurs only within tolerance, so the run goes on to the horizon
+    and the wrapped sequence is re-verified over one period.
     """
     k = rec.k
     if k < 1:
         raise ParseError("certificates apply to recurrences of order >= 2")
     ring = rec.ring
-    eq, zero, fmt, oversize = ring._eq, ring.zero, ring.fmt, ring._oversize
+    eq, fmt, oversize = ring._eq, ring.fmt, ring._oversize
     seed = tuple(ring.payload(s) for s in seed)
     if len(seed) != k:
         raise CertificateFailure(
@@ -296,57 +323,34 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     if horizon > MAX_HORIZON:
         raise ConfigError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON}")
 
-    need_esb = rec.g.uses_argument
-    alphas = list(seed)
-
-    def alpha_hist(m: int):
-        if m < 0:
-            raise CertificateFailure(
-                "alpha recursion reached an index before the seed window", n=m)
-        return alphas[m]
-
-    notes = []
-    if not need_esb:
-        notes.append("map ignores its argument; b-side condition is vacuous")
-
+    notes = [] if rec.g.uses_argument else [
+        "map ignores its argument; b-side condition is vacuous"]
+    coeff_period, alphas, period = rec.coeff_period, list(seed), None
     for n in range(k, horizon + 1):
-        if need_esb:
-            val = _row_sum(ring, rec.b, alpha_hist, n)
-            if not eq(val, zero):
-                raise CertificateFailure(
-                    f"b-side sum is {fmt(val)}, not 0, with alpha window "
-                    f"{[fmt(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
-        nxt = _row_sum(ring, rec.a, alpha_hist, n)
+        nxt, b_sum = _row_sums(rec, alphas.__getitem__, n)
+        if b_sum is not None:
+            raise CertificateFailure(
+                f"b-side sum is {fmt(b_sum)}, not 0, with alpha window "
+                f"{[fmt(alphas[n - i]) for i in range(1, k + 1)]}", n=n)
         if oversize is not None and oversize(nxt):
             raise ConfigError(f"alpha_{n} exceeds the size limit of {MAX_PAYLOAD_BITS} "
                               "bits per numerator or denominator")
         if ring._inv(nxt) is None:
             raise CertificateFailure(f"alpha_{n} = {fmt(nxt)} is not a unit", n=n)
         alphas.append(nxt)
-
-    coeff_period = rec.coeff_period
-    period = None
-    for p in range(coeff_period, len(alphas) - k + 1, coeff_period):
-        if all(eq(alphas[p + i], alphas[i]) for i in range(k)):
+        p = n + 1 - k
+        if period is None and p % coeff_period == 0 and all(map(eq, alphas[p:], seed)):
             period = p
-            break
+            if ring.exact:
+                alphas += [alphas[m % p] for m in range(n + 1, horizon + 1)]
+                break
 
-    if period is not None and not ring.exact:
-        wrapped = CoeffSeq(ring, alphas[:period]).at
-        for n in range(math.lcm(period, coeff_period)):
-            if not eq(wrapped(n), _row_sum(ring, rec.a, wrapped, n)):
-                side = "a"
-            elif need_esb and not eq(_row_sum(ring, rec.b, wrapped, n), zero):
-                side = "b"
-            else:
-                continue
-            notes.append(
-                f"window recurs at {period} but the wrapped {side}-side identity fails "
-                f"at n={n}; certificate stays horizon-bounded")
-            period = None
-            break
-    status = "horizon-bounded" if period is None else "proved-periodic"
-    return UnitCertificate(ring, seed, tuple(alphas), status, horizon, period, horizon, notes)
+    if period is not None and not ring.exact and \
+            (failure := _wrapped_failure(rec, CoeffSeq(ring, alphas[:period]).at, period)):
+        notes.append(f"window recurs at {period} but the wrapped {failure[1]}-side identity "
+                     f"fails at n={failure[0]}; certificate stays horizon-bounded")
+        period = None
+    return UnitCertificate(ring, seed, tuple(alphas), horizon, period, notes)
 
 
 def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
@@ -370,7 +374,8 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
 
         a_0(n) - a_1(n) b_1(n)^(-1) b_0(n) + b_0(n+1)^(-1) b_1(n+1) = 0.
 
-    The step is built through the shared certificate machinery, so failures
+    The step is built through the shared certificate machinery (the wrapped
+    check of _wrapped_failure, then build_variable_factor), so failures
     surface as CertificateFailure and the factor agrees with the general
     construction by construction.
     """
@@ -379,7 +384,7 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
     if not rec.g.uses_argument:
         raise ParseError("the shortcut needs a map that reads its argument")
     ring = rec.ring
-    add, neg, mul, fmt = ring._add, ring._neg, ring._mul, ring.fmt
+    add, neg, mul, inverse, fmt = ring._add, ring._neg, ring._mul, ring.inverse, ring.fmt
     a0, a1 = rec.a[0].at, rec.a[1].at
     b0, b1 = rec.b[0].at, rec.b[1].at
     period = _span(rec.coeff_period)
@@ -387,32 +392,21 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
         for row, name in ((b0, "b_0"), (b1, "b_1")):
             if ring._inv(row(n)) is None:
                 raise CertificateFailure(f"{name}({n}) = {fmt(row(n))} is not a unit", n=n)
-    inverse = ring.inverse
     alpha = CoeffSeq(ring, [neg(mul(inverse(b0(n + 1)), b1(n + 1)))
                             for n in range(period)]).reduced()
-    span = math.lcm(alpha.period, rec.coeff_period)
-    alpha_at = alpha.at
-    for n in range(span):
-        if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
-            diff = add(add(a0(n), neg(mul(mul(a1(n), inverse(b1(n))), b0(n)))),
-                       mul(inverse(b0(n + 1)), b1(n + 1)))
-            raise CertificateFailure(
-                f"second-order closed condition fails: residual {fmt(diff)}", n=n)
-        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero):
+    failure = _wrapped_failure(rec, alpha.at, period)
+    if failure is not None:
+        n, side = failure
+        if side == "b":
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
-    cert = UnitCertificate(
-        ring=ring,
-        seed=(alpha.at(0),),
-        alphas=alpha.values,
-        status="proved-periodic",
-        horizon=span,
-        period=alpha.period,
-        checked_upto=span,
-        notes=["alpha forced by the unit b row (no seed search)"],
-    )
-    step = build_variable_factor(rec, cert)
-    return FactorStep(route="shortcut", alpha=step.alpha, factor=step.factor,
-                      certificate=cert)
+        diff = add(add(a0(n), neg(mul(mul(a1(n), inverse(b1(n))), b0(n)))),
+                   mul(inverse(b0(n + 1)), b1(n + 1)))
+        raise CertificateFailure(
+            f"second-order closed condition fails: residual {fmt(diff)}", n=n)
+    cert = UnitCertificate(ring=ring, seed=(alpha.at(0),), alphas=alpha.values, horizon=period,
+                           period=alpha.period,
+                           notes=["alpha forced by the unit b row (no seed search)"])
+    return replace(build_variable_factor(rec, cert), route="shortcut")
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,17 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     inv_lead = ring._inv(b.cs[-1])
     if inv_lead is None:
         raise ValueError("divisor leading coefficient must be a unit")
-    add, mul, neg, eq, zero = ring._add, ring._mul, ring._neg, ring._eq, ring.zero
+    add, mul, normal, eq, zero = ring._lazy_add, ring._lazy_mul, ring._normal, ring._eq, ring.zero
     rem = list(a.cs)
     q = [zero] * max(0, len(rem) - len(b.cs) + 1)
     while len(rem) >= len(b.cs) and rem:
         k = len(rem) - len(b.cs)
-        factor = mul(rem[-1], inv_lead)
+        factor = ring._mul(rem[-1], inv_lead)
         if not eq(factor, zero):
             q[k] = factor
+            neg_factor = ring._neg(factor)
             for i, bc in enumerate(b.cs):
-                rem[k + i] = add(rem[k + i], neg(mul(factor, bc)))
+                rem[k + i] = normal(add(rem[k + i], mul(neg_factor, bc)))
         rem.pop()
     return Poly.of(ring, q), Poly.of(ring, rem)
 

@@ -343,6 +343,10 @@ class Ring:
     def one(self):
         return self._normalize(1)
 
+    @functools.cached_property
+    def neg_one(self):
+        return self._neg(self.one)
+
     def char(self) -> int:
         """Characteristic: m for residues mod m, 0 otherwise."""
         return 0
@@ -385,10 +389,9 @@ class Ring:
     def fmt_term(self, v, xs: str) -> str:
         """The product v*xs as text: xs for 1, -xs for -1, and v in
         parentheses when a sign sits inside it."""
-        one = self.one
-        if self._eq(v, one):
+        if self._eq(v, self.one):
             return xs
-        if self._eq(v, self._neg(one)):
+        if self._eq(v, self.neg_one):
             return f"-{xs}"
         text = self.fmt(v)
         if "+" in text[1:] or "-" in text[1:]:

@@ -5,7 +5,9 @@ workload in bench/jobs.py (generated per seed, loaded read-only), runs
 ``factor``, ``verify`` and ``certify``, each with and without ``--json``, and
 records exit code, stdout and stderr. Every configs/ file also runs
 ``simulate --emit csv`` and ``--emit json`` into a fresh temporary ``--out``
-directory, whose files are recorded by name with their text. Two checkouts
+directory, whose files are recorded by name with their text, and every one
+that sets ``run.seeds`` runs ``certify --json --horizon 1000``, whose
+certificate outlives its period. Two checkouts
 agree when their snapshots are equal:
 
     python tests/snapshot_reports.py --root ../old --seeds 5 11 --blocks 2 --out old.json
@@ -38,6 +40,9 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("factor", "verify", "certify")
+
+# The horizon of the certify record of every config that sets run.seeds.
+LONG_HORIZON = "1000"
 
 
 def _load(root: Path):
@@ -89,6 +94,10 @@ def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
         for key, argv in _variants(f"configs/{path.name}", str(path)):
             records[key] = _run(main, argv, replace)
         records.update(_simulate(main, f"configs/{path.name}", str(path), replace))
+        if json.loads(path.read_text()).get("run", {}).get("seeds"):
+            argv = ["certify", str(path), "--json", "--horizon", LONG_HORIZON]
+            records[f"certify configs/{path.name} --json --horizon {LONG_HORIZON}"] = \
+                _run(main, argv, replace)
     with tempfile.TemporaryDirectory() as tmp:
         replace = {tmp: "<jobs>", **replace}
         for seed in seeds:

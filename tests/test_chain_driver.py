@@ -37,7 +37,7 @@ from scfactor import (CertificateFailure, CertificateNotPeriodic, GMap, Irreduci
                       variable_certificate, verified_roots)
 from scfactor.cli import _chain_obj, _root_report_obj, canonical_json
 from scfactor.factorize import (FactorizationChain, FactorStep, _constant_root, _Job,
-                                _row_sum, _seed_window, _shortcut, _span)
+                                _seed_window, _shortcut, _span)
 from scfactor.recurrence import CoeffSeq
 from scfactor.rings import IntegersMod
 
@@ -80,6 +80,17 @@ def ref_factor_chain(rec, roots=None):
     return FactorizationChain(rec, steps, notes)
 
 
+def ref_row_sum(ring, row, alpha_at, n, start=0):
+    """sum_{i >= start} row_i(n) (alpha_{n-1} .. alpha_{n-i})^(-1) on payloads,
+    one canonical ring operation at a time; alpha_at(m) is a payload."""
+    acc, prod = ring.zero, ring.one
+    for i, seq in enumerate(row):
+        if i >= start:
+            acc = ring._add(acc, ring._mul(seq.at(n), ring.inverse(prod)))
+        prod = ring._mul(prod, alpha_at(n - i - 1))
+    return acc
+
+
 def ref_second_order_shortcut(rec):
     if rec.order != 2:
         raise ParseError("the shortcut applies to second-order recurrences only")
@@ -100,16 +111,16 @@ def ref_second_order_shortcut(rec):
     span = math.lcm(alpha.period, rec.coeff_period)
     alpha_at = alpha.at
     for n in range(span):
-        if not ring._eq(alpha_at(n), _row_sum(ring, rec.a, alpha_at, n)):
+        if not ring._eq(alpha_at(n), ref_row_sum(ring, rec.a, alpha_at, n)):
             diff = at(a0, n) - at(a1, n) * at(b1, n).inverse() * at(b0, n) \
                 + at(b0, n + 1).inverse() * at(b1, n + 1)
             raise CertificateFailure(
                 f"second-order closed condition fails: residual {diff}", n=n)
-        if not ring._eq(_row_sum(ring, rec.b, alpha_at, n), ring.zero):
+        # ESb as b_0(n) = -(the rest of the sum), relative on float rings
+        if not ring._eq(b0.at(n), ring._neg(ref_row_sum(ring, rec.b, alpha_at, n, 1))):
             raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
     cert = UnitCertificate(ring=ring, seed=(alpha.at(0),), alphas=alpha.values,
-                           status="proved-periodic",
-                           horizon=span, period=alpha.period, checked_upto=span,
+                           horizon=span, period=alpha.period,
                            notes=["alpha forced by the unit b row (no seed search)"])
     step = build_variable_factor(rec, cert)
     return FactorStep(route="shortcut", alpha=step.alpha, factor=step.factor, certificate=cert)

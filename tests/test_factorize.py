@@ -9,6 +9,7 @@ are payloads; the references compute on the element oracle (elements.py).
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,12 @@ from elements import El, criterion_check, el, pmul, psub, seq_els, vec
 from scfactor import (CertificateFailure, CertificateNotPeriodic, CoeffSeq,
                       ConfigError, GMap, Irreducible, Module, NoncommutativeRing,
                       ParseError, Recurrence,
-                      build_family, build_variable_factor,
-                      factor_chain, factor_once, make_ring, o2b_reducibility,
+                      build_family, build_variable_factor, factor_chain,
+                      factor_once, load_job, make_ring, o2b_reducibility,
                       second_order_shortcut, substitution_factorization,
                       unit_roots, variable_certificate, variable_chain)
-from scfactor.factorize import MAX_COEFF_SPAN, UnitCertificate
+from scfactor import factorize
+from scfactor.factorize import MAX_COEFF_SPAN, MAX_HORIZON, UnitCertificate, _row_sums
 from scfactor.poly import Poly
 
 
@@ -293,7 +295,7 @@ class TestVariableCertificate:
         M = Module(R, 1)
         rec = Recurrence(M, [["1"] * 257, "1"], ["0", "0"], GMap.zero(M))
         alphas = tuple((i, 1) for i in range(1, 257))
-        cert = UnitCertificate(R, alphas[:1], alphas, "proved-periodic", 256, 256, 256)
+        cert = UnitCertificate(R, alphas[:1], alphas, 256, 256)
         assert 65792 > MAX_COEFF_SPAN
         with pytest.raises(ConfigError, match="common period 65792 .* exceeds the limit"):
             build_variable_factor(rec, cert)
@@ -393,6 +395,100 @@ class TestExactCertificateNeedsNoWrapCheck:
         except CertificateFailure:
             return
         assert (cert.status, cert.period, cert.notes) == _wrapped_reference(rec, cert)
+
+
+class TestRowSums:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["integers-mod-m/7", "exact-rational", "gaussian-rational",
+                                 "rational-quaternion"]),
+           seed=st.integers(0, 2**32), reads=st.booleans())
+    def test_matches_element_reference(self, kind, seed, reads):
+        # a and b rows whose trailing zeros start at independent indices,
+        # the b row sometimes solved for ESb, and g that reads its argument
+        # or not: the a sum is the reference's, and the b sum is too when
+        # it is nonzero and g reads it
+        name, _, m = kind.partition("/")
+        R = make_ring(name, modulus=int(m)) if m else make_ring(name)
+        rng = random.Random(seed)
+        size = {"exact-rational": 1, "gaussian-rational": 2, "rational-quaternion": 4}
+
+        def rand_el():
+            if m:
+                return el(R, rng.randrange(int(m)))
+            return el(R, tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 6)))
+                               for _ in range(size[name])))
+
+        def rand_unit():
+            val = rand_el()
+            return val if val.is_unit else el(R, 1)
+
+        def rand_row():
+            last = rng.randint(0, k)
+            return [rand_el() if i <= last else el(R, 0) for i in range(k + 1)]
+
+        def seqs(row):
+            return [CoeffSeq(R, [x.v]) for x in row]
+
+        k, L, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 5)
+        alphas = [rand_unit() for _ in range(L)]
+
+        def at(i):
+            return alphas[i % L]
+        a, b = rand_row(), rand_row()
+        if rng.random() < 0.5:
+            b[0] = -_ref_row_sum(seqs([el(R, 0)] + b[1:]), at, n)
+        M = Module(R, 1)
+        rec = Recurrence(M, seqs(a), seqs(b), GMap.linear_scale(M, ["3"]) if reads else GMap.zero(M))
+        a_sum, b_sum = _row_sums(rec, lambda i: at(i).v, n)
+        assert a_sum == _ref_row_sum(rec.a, at, n).v
+        want_b = _ref_row_sum(rec.b, at, n)
+        assert b_sum == (want_b.v if reads and not want_b.is_zero else None)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _full_run_certificate(rec, seed, horizon):
+    """The certificate of the alpha recursion run to the horizon on an exact
+    ring, with the period searched after the run, one canonical operation at
+    a time: (alpha_{n-1} .. alpha_{n-i})^(-1) is alpha_{n-i}^(-1) times the
+    one for i - 1, from the inverse of each alpha."""
+    ring, k = rec.ring, rec.k
+    alphas = [ring.payload(s) for s in seed]
+    inverses = [ring.inverse(x) for x in alphas]
+
+    def row_sum(row, n):
+        acc, inv = ring.zero, ring.one
+        for i, seq in enumerate(row):
+            if seq.at(n) != ring.zero:
+                acc = ring._add(acc, ring._mul(seq.at(n), inv))
+            if i < k:
+                inv = ring._mul(inverses[n - i - 1], inv)
+        return acc
+    for n in range(k, horizon + 1):
+        assert not rec.g.uses_argument or row_sum(rec.b, n) == ring.zero
+        alphas.append(row_sum(rec.a, n))
+        inverses.append(ring.inverse(alphas[-1]))
+    period = next((p for p in range(rec.coeff_period, horizon + 2 - k, rec.coeff_period)
+                   if alphas[p:p + k] == alphas[:k]), None)
+    notes = [] if rec.g.uses_argument else [
+        "map ignores its argument; b-side condition is vacuous"]
+    return UnitCertificate(ring, tuple(alphas[:k]), tuple(alphas), horizon, period, notes)
+
+
+class TestCertificateStopsAtItsPeriod:
+    @pytest.mark.parametrize("name", ["np", "quaternion_const", "quaternion_family"])
+    def test_work_is_one_period_and_the_certificate_the_full_run(self, name, monkeypatch):
+        job = load_job(str(CONFIGS / f"{name}.json"))
+        rec, seed = job.recurrence, job.run.seeds[0]
+        calls = []
+        monkeypatch.setattr(factorize, "_row_sums",
+                            lambda *args: calls.append(args[2]) or _row_sums(*args))
+        for horizon in (rec.k + 1, 8, 64, 1000, MAX_HORIZON):
+            calls.clear()
+            cert = variable_certificate(rec, seed, horizon)
+            assert cert == _full_run_certificate(rec, seed, horizon)
+        assert cert.proved_periodic and len(calls) <= cert.period + rec.k
 
 
 def _ref_factor_rows(rec, alpha):
@@ -518,6 +614,25 @@ class TestSecondOrderShortcut:
                          GMap.linear_scale(M, ["1/2"]))
         with pytest.raises(CertificateFailure):
             second_order_shortcut(rec)
+
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10])
+    def test_float_b_side_is_judged_relative_to_its_terms(self, scale):
+        # period-2 rows over float-complex with b rows of this size and a_0
+        # solved so that the closed condition holds; ESb compares b_0(n)
+        # with minus the rest of its sum, so these pass as small rows do
+        R = make_ring("float-complex")
+        M = Module(R, 1)
+        rng = random.Random(25)
+
+        def row(size):
+            return [complex(rng.uniform(-size, size), rng.uniform(-size, size)) for _ in "01"]
+        for _ in range(100):
+            b0, b1, a1 = row(scale), row(scale), row(1)
+            a0 = [a1[n] / b1[n] * b0[n] - b1[1 - n] / b0[1 - n] for n in range(2)]
+            step = second_order_shortcut(
+                Recurrence(M, [a0, a1], [b0, b1], GMap.linear_scale(M, ["0.5"])))
+            assert step.route == "shortcut" and step.alpha.period == 2
 
 
 class TestVariableChain:
