@@ -13,12 +13,12 @@ Exit codes: 0 success; 2 malformed config or an input past a stated limit;
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -325,6 +325,20 @@ def _print_outcome(job: JobConfig, out: FactorOutcome) -> None:
 # commands
 
 
+# The largest number of steps verify and simulate run: simulate holds every
+# trajectory in memory, and `simulate --steps 100000` on exzp_z11.json takes
+# about 0.5 s and peaks at about 60 MB.
+MAX_STEPS = 100000
+
+
+def _steps(args, job: JobConfig) -> int:
+    """The steps verify and simulate run: --steps, else run.steps, at most MAX_STEPS."""
+    steps = args.steps if args.steps is not None else job.run.steps
+    if steps > MAX_STEPS:
+        raise ConfigError(f"steps {steps} exceeds the limit of {MAX_STEPS}")
+    return steps
+
+
 def _cmd_factor(args) -> int:
     job = load_job(args.config)
     out = resolve_factorization(job)
@@ -337,7 +351,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_verify(args) -> int:
     job = load_job(args.config)
-    steps = args.steps if args.steps is not None else job.run.steps
+    steps = _steps(args, job)
     out = resolve_factorization(job)
     if not out.reducible:
         if args.json:
@@ -382,7 +396,7 @@ def _write_traj(traj: Trajectory, job: JobConfig, outdir: Path, stem: str,
 
 def _cmd_simulate(args) -> int:
     job = load_job(args.config)
-    steps = args.steps if args.steps is not None else job.run.steps
+    steps = _steps(args, job)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -456,57 +470,137 @@ def _cmd_certify(args) -> int:
 # entry point
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --steps: an int of at least 1, as run.steps in the schema."""
+def _int(text: str) -> int:
+    """An option's int value; the ValueError carries argparse's message."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """--steps: an int of at least 1, as run.steps in the schema."""
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
+@dataclass(frozen=True)
+class _Option:
+    """One option after the config path: a switch (False unless given), or
+    an option with a value, which ``convert`` turns from its text (raising
+    ValueError with argparse's message) or which must be one of ``choices``."""
+
+    flag: str
+    convert: object = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+    @property
+    def switch(self) -> bool:
+        return self.convert is None and self.choices is None
+
+
+# Each command: its handler, its help, the help of its config path, and its options.
+_COMMANDS = {
+    "factor": (_cmd_factor, "decide reducibility and print the chain", "job config JSON path",
+               (_Option("--json", help="emit a JSON report"),)),
+    "verify": (_cmd_verify, "factor, simulate both forms, compare", None, (
+        _Option("--steps", _positive_int,
+                help="steps to simulate (default: run.steps from the config)"),
+        _Option("--json"))),
+    "simulate": (_cmd_simulate, "write trajectory files per level", None, (
+        _Option("--steps", _positive_int),
+        _Option("--emit", choices=("csv", "json"), default="csv"),
+        _Option("--out", str, required=True, help="output directory"))),
+    "certify": (_cmd_certify, "run the alpha recursion from a seed", None, (
+        _Option("--seed", str, help="comma-separated ring literals for the alpha window"),
+        _Option("--horizon", _int),
+        _Option("--json"))),
+}
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives an argv that is a command, its config
+    path, then whole option names, each value passing its option's check;
+    None for any other argv. A word that starts with "-" is never read as
+    the path or a value, as argparse may take it for an option."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    func, _help, _config_help, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "config": argv[1]}
+    args.update((opt.dest, False if opt.switch else opt.default) for opt in options)
+    by_flag = {opt.flag: opt for opt in options}
+    given = set()
+    words = iter(argv[2:])
+    for word in words:
+        opt = by_flag.get(word)
+        if opt is None:
+            return None
+        given.add(word)
+        if opt.switch:
+            args[opt.dest] = True
+            continue
+        text = next(words, "-")
+        if text.startswith("-") or (opt.choices is not None and text not in opt.choices):
+            return None
+        try:
+            args[opt.dest] = text if opt.convert is None else opt.convert(text)
+        except ValueError:
+            return None
+    if any(opt.required and opt.flag not in given for opt in options):
+        return None
+    return SimpleNamespace(**args, func=func)
+
+
+def _argparse_type(convert):
+    """``convert`` as an argparse type: its ValueError message becomes the usage error."""
+    import argparse
+
+    def checked(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it as it was."""
+def build_parser():
+    """The argparse parser of the same commands, built once per process on
+    the first argv that _read_argv leaves to it; parse_args leaves it as it
+    was. It alone writes help and usage errors."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="scfactor",
         description="Factor nonlinear recurrences over rings and verify the "
                     "factorization by simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="decide reducibility and print the chain")
-    p.add_argument("config", help="job config JSON path")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("verify", help="factor, simulate both forms, compare")
-    p.add_argument("config")
-    p.add_argument("--steps", type=_positive_int, default=None,
-                   help="steps to simulate (default: run.steps from the config)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("simulate", help="write trajectory files per level")
-    p.add_argument("config")
-    p.add_argument("--steps", type=_positive_int, default=None)
-    p.add_argument("--emit", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("certify", help="run the alpha recursion from a seed")
-    p.add_argument("config")
-    p.add_argument("--seed", default=None,
-                   help="comma-separated ring literals for the alpha window")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+    for name, (func, help_text, config_help, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", help=config_help)
+        for opt in options:
+            if opt.switch:
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, type=opt.convert and _argparse_type(opt.convert),
+                               choices=opt.choices, default=opt.default,
+                               required=opt.required, help=opt.help)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

@@ -7,13 +7,16 @@ into a ready-to-use JobConfig; every malformed input surfaces as
 ConfigError with the offending location in the message.
 
 The shipped ``config.schema.json`` is the one definition of the format.
-``validate_document`` checks a document against it with a small
-interpreter of exactly the JSON Schema keywords that file uses, compiled
-once per process; a schema keyword outside that set raises ValueError, so
-a later schema edit cannot drop a rule silently. One rule is stricter than
-JSON Schema: ``integer`` means a JSON integer, so ``5.0`` is refused. Of
-several errors, the one reported is the one the reference validator's
-best-match rule picks; the test suite checks both against that validator.
+``validate_document`` checks a document against it with one Python
+predicate generated from the file, compiled once per process on first use.
+Only a document the predicate refuses goes to a small interpreter of the
+same rules, which names the error. Both implement exactly the JSON Schema
+keywords that file uses; a schema keyword outside that set raises
+ValueError, so a later schema edit cannot drop a rule silently. One rule is
+stricter than JSON Schema: ``integer`` means a JSON integer, so ``5.0`` is
+refused. Of several errors, the one reported is the one the reference
+validator's best-match rule picks; the test suite checks the interpreter
+against that validator, and the predicate against the interpreter.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -179,9 +183,18 @@ def _const(value, node, compile_node):
     return lambda x: () if x == value else [_Error("const", value, x, node)]
 
 
+def _limit(value):
+    # the predicate writes a bound into its source by repr
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValueError(f"config schema: only finite numeric bounds are supported, "
+                         f"got {value!r}")
+    return value
+
+
 def _bound(keyword, applies, fails):
     """A keyword that compares an instance of one type with the keyword's value."""
     def make(value, node, compile_node):
+        _limit(value)
         return lambda x: [_Error(keyword, value, x, node)] if applies(x) and fails(x, value) else ()
     return make
 
@@ -328,13 +341,188 @@ def _best(errors: list) -> tuple[tuple, str]:
     return path, _MESSAGES[best.keyword](best.instance, best.value)
 
 
+# ---------------------------------------------------------------------------
+# schema predicate
+#
+# The interpreter's rules as one generated Python function that answers only
+# whether an instance is valid. A type keyword tests the exact Python type
+# of a JSON value; a keyword that applies to one JSON type is guarded by the
+# interpreter's own test of that type, which the node's type keyword, or the
+# type its enclosing node already checked, makes redundant.
+
+_SOURCE_TYPES = {
+    "object": "type({0}) is dict",
+    "array": "type({0}) is list",
+    "string": "type({0}) is str",
+    "integer": "type({0}) is int",
+    "number": "type({0}) in _NUMBER",
+    "boolean": "type({0}) is bool",
+    "null": "{0} is None",
+}
+_SOURCE_GUARDS = {
+    "object": "isinstance({0}, dict)",
+    "array": "isinstance({0}, list)",
+    "number": "(isinstance({0}, _NUMBER) and not isinstance({0}, bool))",
+}
+# the keywords whose predicate is a function of its own
+_COMPOSITE = {"properties", "additionalProperties", "items", "allOf", "if", "not", "oneOf"}
+
+
+class _Predicate:
+    """Python source of the predicate of a schema, one ``def`` per $defs
+    entry and per composite subschema (equal ones shared), each returning
+    one boolean expression. Only the schema's keys and constants reach the
+    source, each through repr."""
+
+    def __init__(self, root: dict):
+        self.lines = ["_NUMBER = (int, float)"]
+        self.names: dict = {}   # (repr of a subschema, known type) -> function name
+        self.todo: list = []
+        self.constants: dict = {}  # sorted keys -> name of their frozenset
+        self.refs = {name: self.reserve(node) for name, node in root.get("$defs", {}).items()}
+        self.entry = self.reserve(root)
+        while self.todo:
+            name, node, known = self.todo.pop()
+            self.lines.append(f"def {name}(x):\n    return {self.conjunction(node, 'x', known)}")
+
+    def function(self, node, known=None) -> str:
+        """The name of a function testing ``node`` on an instance of the
+        ``known`` type (None: any)."""
+        if isinstance(node, dict) and node.keys() == {"$ref"}:
+            return self.ref(node["$ref"])
+        return self.reserve(node, known)
+
+    def reserve(self, node, known=None) -> str:
+        """The name of the function of ``node`` itself; its body is written later."""
+        key = (repr(node), known)
+        if key not in self.names:
+            self.names[key] = f"_p{len(self.names)}"
+            self.todo.append((self.names[key], node, known))
+        return self.names[key]
+
+    def ref(self, target: str) -> str:
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in self.refs:
+            raise ValueError(f"config schema: unsupported $ref {target!r}")
+        return self.refs[name]
+
+    def constant(self, keys) -> str:
+        keys = tuple(sorted(keys))
+        if keys not in self.constants:
+            self.constants[keys] = f"_k{len(self.constants)}"
+            self.lines.append(f"{self.constants[keys]} = frozenset({keys!r})")
+        return self.constants[keys]
+
+    def test(self, node, var: str, known=None) -> str:
+        """An expression that holds when the instance ``var`` satisfies ``node``."""
+        if isinstance(node, dict) and _COMPOSITE.intersection(node):
+            return f"{self.function(node, known)}({var})"
+        return self.conjunction(node, var, known)
+
+    def conjunction(self, node, var: str, known) -> str:
+        if not isinstance(node, dict):
+            raise ValueError(f"config schema: subschema {node!r} is not an object")
+        types = node.get("type")
+        if isinstance(types, str):
+            known = types
+        terms, guarded = [], {}
+        if types is not None:
+            tests = [_SOURCE_TYPES[t].format(var) for t in _names(types)]
+            terms.append(tests[0] if len(tests) == 1 else f"({' or '.join(tests)})")
+        # required first: a property it names is then read without a test
+        for keyword in sorted(node, key=lambda k: k != "required"):
+            value = node[keyword]
+            if keyword in _PASSIVE or keyword == "type":
+                continue
+            if keyword not in _KEYWORDS and keyword != "$ref":
+                raise ValueError(f"config schema: keyword {keyword!r} is not supported")
+            guard, term = self.keyword(keyword, value, node, var, known)
+            if guard is None or guard == known or (guard, known) == ("number", "integer"):
+                terms.append(term)
+            else:
+                guarded.setdefault(guard, []).append(term)
+        for guard, checks in guarded.items():
+            terms.append(f"(not {_SOURCE_GUARDS[guard].format(var)} or {' and '.join(checks)})")
+        return f"({' and '.join(terms)})" if terms else "True"
+
+    def keyword(self, keyword, value, node, var, known) -> tuple:
+        """The JSON type ``keyword`` applies to (None: every instance) and
+        the expression of its check."""
+        if keyword == "$ref":
+            return None, f"{self.ref(value)}({var})"
+        if keyword == "enum":
+            return None, f"{var} in {tuple(_strings(value))!r}"
+        if keyword == "const":
+            return None, f"{var} == {_strings([value])[0]!r}"
+        if keyword == "minimum":
+            return "number", f"not {var} < {_limit(value)!r}"
+        if keyword == "exclusiveMinimum":
+            return "number", f"not {var} <= {_limit(value)!r}"
+        if keyword == "minItems":
+            return "array", f"not len({var}) < {_limit(value)!r}"
+        if keyword == "items":
+            return "array", f"all(map({self.function(value)}, {var}))"
+        if keyword == "required":
+            return "object", " and ".join(f"{p!r} in {var}" for p in value) or "True"
+        if keyword == "properties":
+            required = node.get("required", ())
+            return "object", " and ".join(
+                self.test(sub, f"{var}[{p!r}]") if p in required else
+                f"({p!r} not in {var} or {self.test(sub, f'{var}[{p!r}]')})"
+                for p, sub in value.items()) or "True"
+        if keyword == "additionalProperties":
+            known_keys = node.get("properties", {})
+            if value is True:
+                return None, "True"
+            if value is False:
+                return "object", f"{var}.keys() <= {self.constant(known_keys)}"
+            sub = self.function(value)
+            if not known_keys:
+                return "object", f"all(map({sub}, {var}.values()))"
+            return "object", (f"all({sub}(v) for k, v in {var}.items() "
+                              f"if k not in {self.constant(known_keys)})")
+        if keyword == "allOf":
+            return None, " and ".join(self.test(s, var, known) for s in value)
+        if keyword == "if":
+            then, other = (self.test(node[k], var, known) if k in node else "True"
+                           for k in ("then", "else"))
+            return None, f"({then} if {self.test(value, var, known)} else {other})"
+        if keyword == "not":
+            return None, f"not {self.test(value, var, known)}"
+        # oneOf: exactly one branch holds
+        return None, f"({' + '.join(self.test(s, var, known) for s in value)}) == 1"
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def compile_predicate(root: dict):
+    """The predicate of a JSON schema written in the keywords compile_schema
+    implements: True exactly when compile_schema's check finds no error.
+    It refuses what compile_schema refuses, with ValueError, before any
+    instance is seen."""
+    gen = _Predicate(root)
+    namespace: dict = {}
+    exec(compile(gen.source(), "<config schema predicate>", "exec"), namespace)
+    return namespace[gen.entry]
+
+
+@functools.cache
+def _document_holds():
+    return compile_predicate(schema())
+
+
 @functools.cache
 def _check_document():
     return compile_schema(schema())
 
 
 def validate_document(doc: dict) -> None:
-    """Structural validation against the shipped schema."""
+    """Structural validation against the shipped schema: the generated
+    predicate decides, and the interpreter, run only on a document the
+    predicate refuses, names the error."""
+    if _document_holds()(doc):
+        return
     errors = _check_document()(doc)
     if errors:
         path, message = _best(errors)

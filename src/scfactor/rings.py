@@ -399,15 +399,20 @@ class Ring:
         return f"{text}*{xs}"
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below
-# 3317044064679887385961981, the least strong pseudoprime to all of them
-# (OEIS A014233); moduli are refused from there on.
+# Miller-Rabin with the first j primes as bases is exact below the least
+# strong pseudoprime to all of them (OEIS A014233), listed here with j; for
+# all 13 that is 3317044064679887385961981, and moduli are refused from there on.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12),
+              (3317044064679887385961981, 13))
 MAX_MODULUS = 3317044064679887385961980
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n <= MAX_MODULUS."""
+    """Deterministic Miller-Rabin primality test, exact for n <= MAX_MODULUS.
+    It tries only as many bases as n's size needs."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -417,7 +422,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in _MR_BASES:
+    j = next((j for bound, j in _MR_BOUNDS if n < bound), len(_MR_BASES))
+    for b in _MR_BASES[:j]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -7,8 +7,10 @@ records exit code, stdout and stderr. Every configs/ file also runs
 ``simulate --emit csv`` and ``--emit json`` into a fresh temporary ``--out``
 directory, whose files are recorded by name with their text, and every one
 that sets ``run.seeds`` runs ``certify --json --horizon 1000``, whose
-certificate outlives its period. Two checkouts
-agree when their snapshots are equal:
+certificate outlives its period. The error paths are recorded too: a fixed
+list of malformed argv (help included), and ``factor`` on one invalid
+config per kind of schema keyword. Two checkouts agree when their snapshots
+are equal:
 
     python tests/snapshot_reports.py --root ../old --seeds 5 11 --blocks 2 --out old.json
     python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --against old.json
@@ -21,20 +23,22 @@ at least one of the two is needed.
 
 ``--root`` names the checkout whose src/, configs/ and bench/jobs.py are used
 (default: the one holding this script). The commands run in this process
-through ``scfactor.cli.main``; an exception that escapes main is recorded as
-exit code "traceback" with its type and message. Paths of the checkout and
-of the temporary job and output directories are replaced by ``<root>``,
-``<jobs>`` and ``<out>``.
+through ``scfactor.cli.main``, with help formatted for 80 columns; an
+exception that escapes main is recorded as exit code "traceback" with its
+type and message. Paths of the checkout and of the temporary job and output
+directories are replaced by ``<root>``, ``<jobs>`` and ``<out>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import difflib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +47,35 @@ COMMANDS = ("factor", "verify", "certify")
 
 # The horizon of the certify record of every config that sets run.seeds.
 LONG_HORIZON = "1000"
+
+# Malformed argv, each run on configs/exzp_z11.json ("{config}") with a
+# fresh output directory ("{out}").
+MALFORMED_ARGV = (
+    (), ("frobnicate", "{config}"),
+    ("factor", "-h"), ("verify", "-h"), ("simulate", "-h"), ("certify", "-h"),
+    ("verify", "{config}", "--steps", "five"), ("verify", "{config}", "--steps", "0"),
+    ("verify", "{config}", "--js"), ("verify", "{config}", "--steps=5"),
+    ("simulate", "{config}"), ("simulate", "{config}", "--emit", "xml", "--out", "{out}"),
+)
+
+# Configs that fail one kind of schema keyword each: (name, path, new value),
+# the value None deleting the key; the base is configs/exzp_z11.json.
+INVALID_CONFIGS = (
+    ("type", ("module", "dim"), "1"),
+    ("enum", ("ring",), {"kind": "integers"}),
+    ("const", ("recurrence", "g", "kind"), "quadratic"),
+    ("minimum", ("ring", "modulus"), 1),
+    ("exclusiveMinimum", ("run", "rel_tol"), 0),
+    ("required", ("initial",), None),
+    ("additionalProperties", ("run", "max_period"), 4),
+    ("minItems", ("initial",), []),
+    ("items", ("initial", 0), 1),
+    ("if-then", ("ring", "modulus"), None),
+    ("if-else-not", ("ring", "kind"), "exact-rational"),
+    ("oneOf-none", ("recurrence",), None),
+    ("oneOf-several", ("system",), {"components": [{"a": ["1"], "b": ["1"], "expr": "u1"}]}),
+    ("ref", ("recurrence", "a", 0), {"x": "1"}),
+)
 
 
 def _load(root: Path):
@@ -86,6 +119,29 @@ def _simulate(main, name: str, path: str, replace: dict[str, str]):
         yield f"simulate {name} --emit {emit}", record
 
 
+def _error_paths(main, root: Path, tmp: Path, replace: dict[str, str]):
+    config = root / "configs" / "exzp_z11.json"
+    for words in MALFORMED_ARGV:
+        key = " ".join(["argv:", *words]).format(config="<config>", out="<out>")
+        with tempfile.TemporaryDirectory() as out:
+            argv = [word.format(config=config, out=out) for word in words]
+            yield key, _run(main, argv, {out: "<out>", **replace})
+    base = json.loads(config.read_text())
+    for name, path, value in INVALID_CONFIGS:
+        doc = copy.deepcopy(base)
+        *parents, key = path
+        parent = doc
+        for part in parents:
+            parent = parent[part]
+        if value is None:
+            del parent[key]
+        else:
+            parent[key] = value
+        p = tmp / f"invalid-{name}.json"
+        p.write_text(json.dumps(doc))
+        yield f"factor invalid-{name}.json", _run(main, ["factor", str(p)], replace)
+
+
 def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
     main, jobs = _load(root)
     records = {}
@@ -100,6 +156,7 @@ def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
                 _run(main, argv, replace)
     with tempfile.TemporaryDirectory() as tmp:
         replace = {tmp: "<jobs>", **replace}
+        records.update(_error_paths(main, root, Path(tmp), replace))
         for seed in seeds:
             for workload in jobs.WORKLOADS:
                 blocks = jobs.make_blocks(workload, seed, n_blocks)
@@ -153,6 +210,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.out is None and args.against is None:
         ap.error("give --out, --against or both")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     records = snapshot(args.root.resolve(), args.seeds, args.blocks)
     if args.out is not None:
         args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

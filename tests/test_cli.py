@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scfactor.cli import build_parser, canonical_json, main
+from scfactor.cli import _read_argv, build_parser, canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -495,6 +495,26 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: horizon {horizon} exceeds the limit of 100000\n"
 
+    @pytest.mark.parametrize("steps, flag", [(100001, True), (10 ** 7, False)],
+                             ids=["flag", "run"])
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_steps_limit(self, capsys, tmp_path, configs_dir, command, steps, flag):
+        # simulate holds every trajectory: 10^5 steps take about 0.5 s and 60 MB
+        doc = json.loads((configs_dir / "exzp_z11.json").read_text())
+        if not flag:
+            doc.setdefault("run", {})["steps"] = steps
+        p = tmp_path / "steps.json"
+        p.write_text(json.dumps(doc))
+        argv = [command, str(p), *(["--steps", str(steps)] if flag else [])]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: steps {steps} exceeds the limit of 100000\n"
+        assert not (tmp_path / "out").exists()
+
     def test_coefficient_period_limit(self, capsys, tmp_path):
         # periods 34, 39, 55 and 7 have lcm 510510 = 2*3*5*7*11*13*17
         rows = [[str(1 + i % 3) for i in range(p)] for p in (34, 39, 55, 7)]
@@ -642,6 +662,41 @@ class TestParser:
         assert not (tmp_path / "out").exists()
 
 
+# words of an argv: commands, paths, whole and partial option names, and
+# values that pass or fail each option's check
+_ARGV_WORDS = st.sampled_from([
+    "factor", "verify", "simulate", "certify", "c.json", "out", "-", "--", "-h", "",
+    "--json", "--steps", "--emit", "--out", "--seed", "--horizon", "--js", "--steps=5",
+    "-1", "0", "5", " 7", "1_0", "five", "2.5", "csv", "json", "xml", "1,2", "-1,2"])
+
+
+class TestArgvTable:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ARGV_WORDS, max_size=7))
+    @example(["verify", "c.json", "--json", "--steps", "5"])
+    @example(["simulate", "c.json", "--steps", " 7", "--out", "out", "--emit", "json"])
+    @example(["certify", "c.json", "--seed", "1,2", "--horizon", "1_0", "--json"])
+    def test_table_reads_as_argparse(self, argv):
+        args = _read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "c.json", "--json"], ["factor", "c.json"],
+        ["simulate", "c.json", "--out", "o"], ["certify", "c.json", "--horizon", "9"]])
+    def test_well_formed_argv_read_from_table(self, argv):
+        assert _read_argv(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["verify"], ["frob", "c.json"], ["verify", "-h"], ["verify", "c.json", "--js"],
+        ["verify", "c.json", "--steps=5"], ["verify", "c.json", "--steps", "five"],
+        ["verify", "c.json", "--steps", "0"], ["verify", "--json", "c.json"],
+        ["simulate", "c.json"], ["simulate", "c.json", "--out", "o", "--emit", "xml"],
+        ["certify", "c.json", "--horizon", "-1"], ["verify", "c.json", "--", "--json"]])
+    def test_other_argv_left_to_argparse(self, argv):
+        assert _read_argv(argv) is None
+
+
 # JSON values as reports hold them: str keys, nesting, and every scalar type
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=-2**300, max_value=2**300),
@@ -686,3 +741,23 @@ def test_runtime_never_imports_fractions(configs_dir, argv):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_well_formed_argv_never_imports_argparse(configs_dir):
+    # argparse is imported only for help and usage errors
+    script = (
+        "import contextlib, io, sys\n"
+        "from scfactor.cli import main\n"
+        f"argv = ['verify', {str(configs_dir / 'exzp_z11.json')!r}, '--json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(argv)\n"
+        "assert code == 0, code\n"
+        "assert 'argparse' not in sys.modules\n"
+        "main(argv + ['--steps', 'five'])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.endswith("scfactor verify: error: argument --steps: "
+                               "invalid int value: 'five'\n"), run.stderr

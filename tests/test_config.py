@@ -18,7 +18,8 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from scfactor import ConfigError, RunOptions, build_job, load_job
-from scfactor.config import compile_schema, read_config_file, schema, validate_document
+from scfactor.config import (compile_predicate, compile_schema, read_config_file, schema,
+                              validate_document)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +57,12 @@ def reference():
     return validators.extend(cls, type_checker=checker)(schema())
 
 
+@functools.cache
+def shipped_checks():
+    """The shipped schema's generated predicate and interpreter check."""
+    return compile_predicate(schema()), compile_schema(schema())
+
+
 def reference_message(doc):
     error = best_match(reference().iter_errors(doc))
     if error is None:
@@ -84,6 +91,49 @@ OTHER_VALUES = [True, False, None, 0, 7, -1, 7.0, 0.5, "", "x", [], {}, ["1"], [
 # exclusiveMinimum 0)
 NUMBERS = [-1, 0, 1, 2, 0.0, 1e-12, 0.5, 1.0, 2.0]
 SOURCES = ("recurrence", "family", "system")
+
+
+def mutated(data):
+    """One mutation of a shipped or generated document: another JSON type at
+    some path, a number near a bound, a deleted key, an unknown key, or a
+    second source."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(corpus()), label="doc"))
+    op = data.draw(st.sampled_from(["replace", "number", "delete", "add", "source"]),
+                   label="op")
+    if op == "number":  # every document has module.dim
+        path = data.draw(st.sampled_from(
+            [p for p in paths(doc) if type(at(doc, p)) in (int, float)]), label="path")
+        at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(NUMBERS), label="value")
+    elif op == "source":
+        key = data.draw(st.sampled_from([k for k in SOURCES if k not in doc]), label="key")
+        donor = data.draw(st.sampled_from([d for d in corpus() if key in d]), label="donor")
+        doc[key] = copy.deepcopy(donor[key])
+    elif op == "add":
+        where = data.draw(st.sampled_from(
+            [p for p in paths(doc) if isinstance(at(doc, p), dict)]), label="where")
+        at(doc, where)["unknown"] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+    else:
+        path = data.draw(st.sampled_from(list(paths(doc))[1:]), label="path")
+        parent = at(doc, path[:-1])
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+    return doc
+
+
+# schemas neither compile_schema nor compile_predicate implements
+UNSUPPORTED = [
+    ({"properties": {"a": {"type": "string", "pattern": "^x"}}}, "'pattern' is not supported"),
+    ({"oneOf": [{"$ref": "other.json#/x"}]}, "unsupported \\$ref"),
+    ({"items": {"$ref": "#/$defs/missing"}}, "unsupported \\$ref"),
+    ({"enum": ["a", 1]}, "only string enum and const"),
+    ({"not": True}, "is not an object"),
+    ({"minimum": float("inf")}, "only finite numeric bounds"),
+    ({"$defs": {"unused": {"format": "date"}}}, "'format' is not supported"),
+]
+UNSUPPORTED_IDS = ["pattern", "external-ref", "missing-def", "numeric-enum", "boolean-schema",
+                   "infinite-bound", "unused-def"]
 
 
 def zp_doc():
@@ -283,45 +333,52 @@ class TestSchemaValidation:
         doc = schema()
         validator_for(doc).check_schema(doc)
 
-    @pytest.mark.parametrize("bad, match", [
-        ({"properties": {"a": {"type": "string", "pattern": "^x"}}}, "'pattern' is not supported"),
-        ({"oneOf": [{"$ref": "other.json#/x"}]}, "unsupported \\$ref"),
-        ({"items": {"$ref": "#/$defs/missing"}}, "unsupported \\$ref"),
-        ({"enum": ["a", 1]}, "only string enum and const"),
-        ({"not": True}, "is not an object"),
-    ], ids=["pattern", "external-ref", "missing-def", "numeric-enum", "boolean-schema"])
+    @pytest.mark.parametrize("bad, match", UNSUPPORTED, ids=UNSUPPORTED_IDS)
     def test_unsupported_schema_refused(self, bad, match):
         with pytest.raises(ValueError, match=match):
             compile_schema(bad)
 
+    @pytest.mark.parametrize("bad, match", UNSUPPORTED, ids=UNSUPPORTED_IDS)
+    def test_predicate_refuses_unsupported_schema(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            compile_predicate(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_predicate_agrees_with_interpreter(self, data):
+        doc = mutated(data)
+        holds, check = shipped_checks()
+        assert holds(doc) == (not check(doc))
+
+    @pytest.mark.parametrize("instance", [
+        {}, {"a": None}, {"a": "x"}, {"a": 0}, {"a": 1.5}, {"a": True}, {"a": []}, {"a": [1, 2]},
+        {"a": {}}, {"a": {"b": 1}}, {"a": {"b": 1, "c": 2}}, {"a": ["x"]}, {"a": [1, "x"]}])
+    def test_predicate_applies_keywords_by_type(self, instance):
+        # no type keyword: each keyword tests only instances of its own JSON type
+        untyped = {"properties": {"a": {
+            "minimum": 1, "exclusiveMinimum": 0, "minItems": 2, "items": {"type": "integer"},
+            "required": ["b"], "additionalProperties": False, "properties": {"b": {}}}}}
+        holds = compile_predicate(untyped)
+        assert holds(instance) == (not compile_schema(untyped)(instance))
+
+    def test_predicate_follows_refs(self):
+        holds = compile_predicate({"type": "array", "items": {"$ref": "#/$defs/a"},
+                                   "$defs": {"a": {"$ref": "#/$defs/b"},
+                                             "b": {"type": "string"}}})
+        assert holds(["x", ""]) and holds([])
+        assert not holds(["x", 1]) and not holds("x")
+
+    def test_predicate_quotes_schema_keys(self):
+        key = "a' or True or '\\"
+        holds = compile_predicate({"type": "object", "required": [key],
+                                   "properties": {key: {"const": key}}})
+        assert holds({key: key})
+        assert not holds({key: "a"}) and not holds({}) and not holds({"a": key})
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_interpreter_agrees_with_jsonschema(self, data):
-        # one mutation of a shipped or generated document: another JSON type
-        # at some path, a number near a bound, a deleted key, an unknown key,
-        # or a second source
-        doc = copy.deepcopy(data.draw(st.sampled_from(corpus()), label="doc"))
-        op = data.draw(st.sampled_from(["replace", "number", "delete", "add", "source"]),
-                       label="op")
-        if op == "number":  # every document has module.dim
-            path = data.draw(st.sampled_from(
-                [p for p in paths(doc) if type(at(doc, p)) in (int, float)]), label="path")
-            at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(NUMBERS), label="value")
-        elif op == "source":
-            key = data.draw(st.sampled_from([k for k in SOURCES if k not in doc]), label="key")
-            donor = data.draw(st.sampled_from([d for d in corpus() if key in d]), label="donor")
-            doc[key] = copy.deepcopy(donor[key])
-        elif op == "add":
-            where = data.draw(st.sampled_from(
-                [p for p in paths(doc) if isinstance(at(doc, p), dict)]), label="where")
-            at(doc, where)["unknown"] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
-        else:
-            path = data.draw(st.sampled_from(list(paths(doc))[1:]), label="path")
-            parent = at(doc, path[:-1])
-            if op == "delete":
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+        doc = mutated(data)
         expected = reference_message(doc)
         try:
             validate_document(doc)

@@ -53,10 +53,12 @@ class TestIntegersMod:
             assert is_prime(m) == want, m
 
     def test_is_prime_rejects_pseudoprimes(self):
-        # Carmichael numbers, then the least strong pseudoprimes to the
-        # bases 2, 2..7 and 2..37 (the last is caught only by base 41).
-        for m in (561, 1105, 1729, 2465, 2821, 6601, 8911, 2047, 3215031751,
-                  318665857834031151167461):
+        # Carmichael numbers, then the least strong pseudoprimes to the first
+        # j primes as bases (OEIS A014233), where is_prime moves on from j to
+        # more bases; the last is caught only by base 41.
+        for m in (561, 1105, 1729, 2465, 2821, 6601, 8911, 2047, 1373653, 25326001,
+                  3215031751, 2152302898747, 3474749660383, 341550071728321,
+                  3825123056546413051, 318665857834031151167461):
             assert not is_prime(m), m
         for p in (10**9 + 7, 10**18 + 9, 2**61 - 1, 2**89 - 1):
             assert is_prime(p), p
