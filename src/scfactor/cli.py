@@ -160,11 +160,7 @@ def _chain_obj(chain: FactorizationChain, memo: dict) -> dict:
             "factor": _rec_obj(st.factor, level_name(i), memo),
         }
         if st.rho is not None:
-            obj["rho"] = fmt(st.rho)
-        if st.p is not None:
-            obj["p"] = list(map(fmt, st.p))
-        if st.q is not None:
-            obj["q"] = list(map(fmt, st.q))
+            obj.update(rho=fmt(st.rho), p=list(map(fmt, st.p)), q=list(map(fmt, st.q)))
         if st.certificate is not None:
             obj["certificate"] = _cert_obj(st.certificate)
         if st.root_report is not None:

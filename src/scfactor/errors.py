@@ -70,13 +70,15 @@ class Irreducible(ScfactorError):
 
 
 class CertificateFailure(ScfactorError):
-    """The unit-sequence certificate recursion failed at step ``n``."""
+    """The unit-sequence certificate recursion failed at step ``n``; ``side``
+    is "a" or "b" when a built step names the identity that failed there."""
 
-    def __init__(self, reason: str, n: int | None = None):
+    def __init__(self, reason: str, n: int | None = None, side: str | None = None):
         message = reason if n is None else f"{reason} (at step n={n})"
         super().__init__(message)
         self.reason = reason
         self.n = n
+        self.side = side
 
 
 class CertificateNotPeriodic(ScfactorError):

@@ -13,24 +13,24 @@ the factor on every route (_factor_rows): for each phase n, with i = 0..k,
 
 and t_{n+1} = sum_{i<k} a'_i(n) t_{n-i} + g_n(sum_{i<k} b'_i(n) t_{n-i}).
 alpha multiplies from the right, which keeps the recursion valid over H.
-The last row (a'_k, b'_k) is what the split leaves over: a'_k must vanish,
-and b'_k too when g reads its argument. The alphas come from one of two
-routes:
+The last row (a'_k, b'_k) is what the split leaves over: a'_k(n) vanishes
+exactly when alpha_n = sum_i a_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1) (ESa),
+and b'_k(n), which must vanish too when g reads its argument, exactly when
+sum_i b_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1) = 0 (ESb). A route only
+proposes a periodic alpha. One builder, _step, computes the rows once over
+the common period, judges the last row (poly._vanishes: zero on exact rings,
+small against the same recursion on magnitudes on float rings), and builds
+the factor or names the first phase and side where the split fails:
 
-* constant coefficients over a commutative ring: alpha_n = rho, a common
-  unit root of the characteristic pair (P, Q). The rows are the Horner rows
-  of P / (x - rho) and Q / (x - rho), and the last row is (-P(rho), Q(rho)).
-* general coefficients (periodic, possibly noncommutative ring): alpha_n is
-  produced by the forward recursion
-
-      alpha_n = sum_i a_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1)
-
-  with the side condition sum_i b_i(n) (alpha_{n-1} ... alpha_{n-i})^(-1) = 0
-  whenever g reads its argument (ESa and ESb; the last row is zero at n
-  exactly when both hold there). A certificate records the run; on an exact
-  ring it ends where the seed window recurs at a multiple of the coefficient
-  period, since the run repeats from there: the alphas are pure-periodic and
-  the rows well defined periodic sequences.
+* constant root (factor_once): alpha_n = rho, a common unit root of the
+  characteristic pair (P, Q); the rows are the Horner rows of P / (x - rho)
+  and Q / (x - rho), the last row (-P(rho), Q(rho)).
+* certificate (build_variable_factor): the alphas of the forward recursion
+  ESa from a seed window, checked against ESb at every step. On an exact
+  ring the run ends where the seed window recurs at a multiple of the
+  coefficient period, since it repeats from there: the alphas are periodic.
+* shortcut (second_order_shortcut): at order 2, the alpha that ESb forces
+  when the b row is a unit.
 
 factor_chain is the one driver. Its level routes are data, the ordered tuple
 _ROUTES = (_constant_root, _shortcut, _seed_window): each takes the level and
@@ -46,7 +46,7 @@ canonical payload once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     CertificateFailure,
@@ -57,7 +57,7 @@ from .errors import (
     NotAValidRoot,
     ParseError,
 )
-from .poly import RootReport, is_root, unit_roots, verified_roots
+from .poly import RootReport, _vanishes, unit_roots, verified_roots
 from .recurrence import CoeffSeq, Recurrence
 from .rings import MAX_PAYLOAD_BITS, IntegersMod, Ring
 
@@ -130,17 +130,26 @@ class UnitCertificate:
 
 @dataclass
 class FactorStep:
-    """One order reduction: cofactor data plus the factor recurrence; rho, p
-    and q are payloads."""
+    """One order reduction: cofactor data plus the factor recurrence; rho is
+    a payload."""
 
     route: str                      # "constant-root" | "certificate" | "shortcut"
     alpha: CoeffSeq
     factor: Recurrence
     rho: object = None              # constant route only
-    p: tuple | None = None
-    q: tuple | None = None
     certificate: UnitCertificate | None = None
     root_report: RootReport | None = None
+
+    @property
+    def p(self) -> tuple | None:
+        """Constant route: P / (x - rho) from the top, minus the factor's a row."""
+        neg = self.factor.ring._neg
+        return None if self.rho is None else tuple(neg(seq.at(0)) for seq in self.factor.a)
+
+    @property
+    def q(self) -> tuple | None:
+        """Constant route: Q / (x - rho) from the top, the factor's b row."""
+        return None if self.rho is None else tuple(seq.at(0) for seq in self.factor.b)
 
 
 @dataclass
@@ -174,7 +183,7 @@ class FactorizationChain:
 
 
 # ---------------------------------------------------------------------------
-# the factor rows
+# the one step builder
 
 
 def _factor_rows(rec: Recurrence, alphas: tuple, span: int) -> tuple[list, list]:
@@ -201,6 +210,25 @@ def _factor_rows(rec: Recurrence, alphas: tuple, span: int) -> tuple[list, list]
     return a_rows, b_rows
 
 
+def _step(level: Recurrence, alpha: CoeffSeq, span: int, **fields):
+    """The reduction step of level at the periodic alpha over span, a common
+    period of the alphas and the coefficients, from one run of _factor_rows.
+    Returns the first (n, side) where the last row does not vanish, side "a"
+    before "b" at each phase ("b" only when g reads its argument); else the
+    FactorStep with the route's fields."""
+    ring, alphas = level.ring, alpha.values
+    a_rows, b_rows = _factor_rows(level, alphas, span)
+    sides = (("a", a_rows.pop(), level.a, 1.0), ("b", b_rows.pop(), level.b, 0.0))
+    for n in range(span):
+        for side, last, row, size in sides[:1 + level.g.uses_argument]:
+            steps = ((alphas[(n - i) % len(alphas)], seq.at(n)) for i, seq in enumerate(row))
+            if not _vanishes(ring, last[n], size, steps):
+                return n, side
+    factor = Recurrence(level.module, [CoeffSeq(ring, c).reduced() for c in a_rows],
+                        [CoeffSeq(ring, c).reduced() for c in b_rows], level.g)
+    return FactorStep(alpha=alpha, factor=factor, **fields)
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient route
 
@@ -208,10 +236,10 @@ def _factor_rows(rec: Recurrence, alphas: tuple, span: int) -> tuple[list, list]
 def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> FactorStep:
     """One reduction step at a common unit root of the characteristic pair.
 
-    rho is anything ring.payload accepts. Validates it (a unit that
-    annihilates P, and Q unless Q = 0) by the last row of _factor_rows at
-    alpha = rho, whose other rows are the coefficients of P / (x - rho) and
-    Q / (x - rho).
+    rho is anything ring.payload accepts and must be a unit. It is proposed
+    to _step as the constant alpha, whose last row is (-P(rho), Q(rho)), so
+    rho is refused unless it annihilates P, and Q when g reads its argument.
+    The other rows are the coefficients of P / (x - rho) and Q / (x - rho).
     """
     ring = rec.ring
     if not ring.commutative:
@@ -223,25 +251,14 @@ def factor_once(rec: Recurrence, rho, report: RootReport | None = None) -> Facto
     if rec.order < 2:
         raise ParseError("a first-order recurrence has nothing to reduce")
     r = ring.payload(rho)
-    P, Q = rec.char_pair()
     if ring._inv(r) is None:
         raise NotAValidRoot(f"{ring.fmt(r)} is not a unit in {ring}")
-    (*a_rows, a_k), (*b_rows, b_k) = _factor_rows(rec, (r,), 1)
-    if not is_root(P, r, ring._neg(a_k[0])):
-        raise NotAValidRoot(f"{ring.fmt(r)} is not a root of P = {P.fmt()}")
-    if not Q.is_zero and not is_root(Q, r, b_k[0]):
-        raise NotAValidRoot(f"{ring.fmt(r)} is not a root of Q = {Q.fmt()}")
-
-    return FactorStep(
-        route="constant-root",
-        alpha=CoeffSeq.constant(ring, r),
-        factor=Recurrence(rec.module, [CoeffSeq(ring, c) for c in a_rows],
-                          [CoeffSeq(ring, c) for c in b_rows], rec.g),
-        rho=r,
-        p=tuple(ring._neg(c[0]) for c in a_rows),
-        q=tuple(c[0] for c in b_rows),
-        root_report=report,
-    )
+    if isinstance(step := _step(rec, CoeffSeq.constant(ring, r), 1, route="constant-root",
+                                rho=r, root_report=report), FactorStep):
+        return step
+    P, Q = rec.char_pair()
+    name, poly = ("P", P) if step[1] == "a" else ("Q", Q)
+    raise NotAValidRoot(f"{ring.fmt(r)} is not a root of {name} = {poly.fmt()}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +370,19 @@ def variable_certificate(rec: Recurrence, seed, horizon: int = 64) -> UnitCertif
     return UnitCertificate(ring, seed, tuple(alphas), horizon, period, notes)
 
 
-def build_variable_factor(rec: Recurrence, cert: UnitCertificate) -> FactorStep:
-    """Materialize the order-k factor from a proved-periodic certificate:
-    the rows of _factor_rows over the common period of the alphas and the
-    coefficients. A horizon-bounded one raises CertificateNotPeriodic."""
-    ring = rec.ring
+def build_variable_factor(rec: Recurrence, cert: UnitCertificate,
+                          route: str = "certificate") -> FactorStep:
+    """The step of _step at the alphas of a proved-periodic certificate,
+    labelled route. A horizon-bounded certificate raises
+    CertificateNotPeriodic, and alphas that do not split rec (which the proof
+    rules out on exact rings) CertificateFailure with the phase and side."""
     alpha = cert.alpha_seq()
-    a_rows, b_rows = _factor_rows(rec, alpha.values, _span(alpha.period, rec.coeff_period))
-    factor = Recurrence(rec.module, [CoeffSeq(ring, c).reduced() for c in a_rows[:-1]],
-                        [CoeffSeq(ring, c).reduced() for c in b_rows[:-1]], rec.g)
-    return FactorStep(route="certificate", alpha=alpha, factor=factor, certificate=cert)
+    if isinstance(step := _step(rec, alpha, _span(alpha.period, rec.coeff_period), route=route,
+                                certificate=cert), FactorStep):
+        return step
+    n, side = step
+    raise CertificateFailure(f"the {side}-side identity fails for the certified alpha",
+                             n=n, side=side)
 
 
 def second_order_shortcut(rec: Recurrence) -> FactorStep:
@@ -374,10 +394,10 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
 
         a_0(n) - a_1(n) b_1(n)^(-1) b_0(n) + b_0(n+1)^(-1) b_1(n+1) = 0.
 
-    The step is built through the shared certificate machinery (the wrapped
-    check of _wrapped_failure, then build_variable_factor), so failures
-    surface as CertificateFailure and the factor agrees with the general
-    construction by construction.
+    The forced alpha goes through build_variable_factor like a certificate's,
+    so the factor agrees with the general construction by construction; a
+    phase where it does not split rec is reported as the failure of that
+    closed condition (side a) or of the b-side condition.
     """
     if rec.order != 2:
         raise ParseError("the shortcut applies to second-order recurrences only")
@@ -394,19 +414,19 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
                 raise CertificateFailure(f"{name}({n}) = {fmt(row(n))} is not a unit", n=n)
     alpha = CoeffSeq(ring, [neg(mul(inverse(b0(n + 1)), b1(n + 1)))
                             for n in range(period)]).reduced()
-    failure = _wrapped_failure(rec, alpha.at, period)
-    if failure is not None:
-        n, side = failure
-        if side == "b":
-            raise CertificateFailure("b-side condition fails for the forced alpha", n=n)
-        diff = add(add(a0(n), neg(mul(mul(a1(n), inverse(b1(n))), b0(n)))),
-                   mul(inverse(b0(n + 1)), b1(n + 1)))
-        raise CertificateFailure(
-            f"second-order closed condition fails: residual {fmt(diff)}", n=n)
     cert = UnitCertificate(ring=ring, seed=(alpha.at(0),), alphas=alpha.values, horizon=period,
                            period=alpha.period,
                            notes=["alpha forced by the unit b row (no seed search)"])
-    return replace(build_variable_factor(rec, cert), route="shortcut")
+    try:
+        return build_variable_factor(rec, cert, route="shortcut")
+    except CertificateFailure as exc:
+        n = exc.n
+        if exc.side == "b":
+            raise CertificateFailure("b-side condition fails for the forced alpha", n=n) from None
+        diff = add(add(a0(n), neg(mul(mul(a1(n), inverse(b1(n))), b0(n)))),
+                   mul(inverse(b0(n + 1)), b1(n + 1)))
+        raise CertificateFailure(
+            f"second-order closed condition fails: residual {fmt(diff)}", n=n) from None
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .errors import NoncommutativeRing, NotAValidRoot, ParseError
-from .rings import (FloatComplex, GaussianRationals, IntegersMod, Rationals, Ring, _reduced,
-                    is_prime)
+from .rings import (MAX_PAYLOAD_BITS, FloatComplex, GaussianRationals, IntegersMod, Rationals,
+                    Ring, _reduced, is_prime)
 
 
 def _trimmed(ring: Ring, cs: list) -> tuple:
@@ -203,35 +203,43 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via Euclid. Intended for fields; gcd(a, 0) is monic a."""
-    _require_commutative(a.ring, "polynomial gcd")
+    """Monic gcd via Euclid. Intended for fields; gcd(a, 0) is monic a. Over Q
+    and Q(i) the remainders swell, so one with a part past MAX_PAYLOAD_BITS is
+    refused."""
+    ring = a.ring
+    _require_commutative(ring, "polynomial gcd")
+    oversize = ring._oversize
     x, y = a, b
     while not y.is_zero:
         _, r = divmod_poly(x, y)
+        if oversize is not None and any(map(oversize, r.cs)):
+            raise ParseError(f"gcd over {ring} is refused: a remainder of Euclid's algorithm "
+                             f"exceeds the size limit of {MAX_PAYLOAD_BITS} bits per numerator "
+                             "or denominator")
         x, y = y, r
     return x.monic()
 
 
-def is_root(p: Poly, x, value=None) -> bool:
-    """Whether p(x) = 0 for a payload x, given value = p(x) when the caller
-    has it.
-
-    Exact rings test value = 0. Over float-complex, whose equality is an
-    absolute test (|v| <= tol) near zero, |p(x)| is judged against the
-    size of the Horner terms instead: |p(x)| <= tol * sum |c_i| |x|^i, with
-    the sum by Horner on magnitudes, so that overflow gives inf. A
-    non-finite p(x) is never a root.
-    """
-    ring = p.ring
-    if value is None:
-        value = _horner(ring, p.cs, x)
+def _vanishes(ring: Ring, value, size: float, steps) -> bool:
+    """Whether value, the end of a Horner recursion v_i = v_{i-1} x_i + c_i
+    over steps = ((x_i, c_i), ...), is zero: exactly on an exact ring; on a
+    float ring, whose equality is absolute near zero, within tol times the
+    same recursion on magnitudes from size (overflow gives inf), and never
+    when it is not finite."""
     if ring.exact:
         return ring._eq(value, ring.zero)
-    size, r = 0.0, math.hypot(x.real, x.imag)
-    for c in reversed(p.cs):
-        size = size * r + math.hypot(c.real, c.imag)
-    v = math.hypot(value.real, value.imag)
-    return math.isfinite(v) and v <= ring.tol * size
+    for x, c in steps:
+        size = size * ring._abs(x) + ring._abs(c)
+    return math.isfinite(value := ring._abs(value)) and value <= ring.tol * size
+
+
+def is_root(p: Poly, x, value=None) -> bool:
+    """Whether p(x) = 0 for a payload x, given value = p(x) when the caller
+    has it: _vanishes over p's Horner steps, so on float-complex |p(x)| is
+    judged against tol * sum |c_i| |x|^i."""
+    if value is None:
+        value = _horner(p.ring, p.cs, x)
+    return _vanishes(p.ring, value, 0.0, ((x, c) for c in reversed(p.cs)))
 
 
 def deflate(p: Poly, rho) -> Poly:
@@ -526,7 +534,7 @@ def _finite_unit_roots(P: Poly, Q: Poly, ring: IntegersMod) -> RootReport:
     m, pc, qc = ring.m, P.cs, Q.cs
     if ring.is_prime:
         G = Poly.of(ring, _gcd_p(pc, qc, m))
-        units = _residue_unit_roots(pc, qc, [(m, 1)])
+        units = [u for u in _roots_mod_p(G.cs, m) if u]
         return RootReport(ring, [(u, _root_multiplicity(G, u)) for u in units],
                           "exhaustive-units", True, [], G)
     if m > MAX_COMPOSITE_MODULUS:
@@ -653,8 +661,16 @@ def _field_labels(g: Poly) -> tuple[str, list[str]]:
             ["dropped root 0 (not a unit)"] if s else [])
 
 
+# Euclid over Q and Q(i) costs about deg^2 operations on coefficients of up
+# to MAX_PAYLOAD_BITS bits, so a search over a P of higher degree is refused.
+MAX_FIELD_SEARCH_DEGREE = 48
+
+
 def _exact_field_unit_roots(P: Poly, Q: Poly) -> RootReport:
     ring = P.ring
+    if P.degree > MAX_FIELD_SEARCH_DEGREE:
+        raise ParseError(f"root search over {ring} with P of degree {P.degree} is refused: "
+                         f"the search is limited to degree {MAX_FIELD_SEARCH_DEGREE}")
     full = poly_gcd(P, Q)
     s = full.low_zero_count()
     g = Poly.of(ring, full.cs[s:])  # g(0) != 0, so no candidate that g annihilates is zero

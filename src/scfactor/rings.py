@@ -166,11 +166,20 @@ def _over_lcm(pairs) -> tuple:
     return (*[n * (d // e) for n, e in pairs], d)
 
 
+def _int_text(n) -> str:
+    """str(n), but "<b-bit integer>" for an int past Python's int-to-str
+    digit limit, so that formatting a value never raises."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{abs(n).bit_length()}-bit integer>"
+
+
 def _ratio_text(n: int, d: int):
     """The part n/d for _fmt_signed: an int when d divides n, else the text
     of n/d in lowest terms."""
     g = math.gcd(n, d)
-    return n // g if d == g else f"{n // g}/{d // g}"
+    return n // g if d == g else f"{_int_text(n // g)}/{_int_text(d // g)}"
 
 
 def _ratio_bits(v) -> int:
@@ -264,7 +273,7 @@ def _fmt_signed(parts: list[tuple[object, str]]) -> str:
         elif unit and coef == -1:
             txt = "-" + unit
         else:
-            txt = (str(coef) if not isinstance(coef, float) else repr(coef)) + unit
+            txt = (_int_text(coef) if not isinstance(coef, float) else repr(coef)) + unit
         if chunks and not txt.startswith("-"):
             chunks.append("+" + txt)
         else:
@@ -562,7 +571,10 @@ class Rationals(_Exact):
 
     # fmt is unrolled: _Exact.fmt is slower, and reports print every value.
     def fmt(self, v):
-        return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
+        try:
+            return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
+        except ValueError:  # a part too long for int-to-str conversion
+            return _Exact.fmt(self, v)
 
 
 def _gaussian_cmp(a, b):
@@ -635,6 +647,8 @@ class FloatComplex(_PlainOps, _Tolerant):
         if self._eq(a, 0j):
             return None
         return 1.0 / a
+
+    _abs = staticmethod(abs)
 
     def _eq(self, a, b):
         return abs(a - b) <= self.tol * max(abs(a), abs(b), 1.0)

@@ -277,6 +277,21 @@ class TestCertify:
                                "--seed", "1,zebra")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["certify", "factor"])
+    def test_failure_naming_a_value_too_long_to_print(self, capsys, tmp_path, command):
+        # the b-side sum 10^2466 / (10^-2466)^2 has 7399 digits, past Python's
+        # int-to-str limit: certify exited 1 with a ValueError traceback, and
+        # factor exited 3 with "root search failed: Exceeds the limit"
+        doc = {"ring": {"kind": "exact-rational"}, "module": {"dim": 1},
+               "recurrence": {"a": ["1", "1", "1"], "b": ["0", "0", "1e2466"],
+                              "g": {"kind": "linear-scale", "values": ["2"]}},
+               "initial": ["1", "2", "3"], "run": {"seeds": [["1e-2466", "1e-2466"]]}}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(p), "--json")
+        assert code == 3 and err == ""
+        assert json.loads(out)["reason"].startswith("b-side sum is <24576-bit integer>, not 0")
+
 
 class TestErrors:
     def test_missing_config(self, capsys):

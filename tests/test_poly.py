@@ -18,8 +18,8 @@ from scfactor.cli import main
 from scfactor.errors import NoncommutativeRing
 from scfactor.poly import (MAX_COMPOSITE_MODULUS, MAX_PRIME_SEARCH_DEGREE, is_root,
                            verified_roots)
-from scfactor.rings import (FloatComplex, GaussianRationals, IntegersMod,
-                            Rationals, RationalQuaternions)
+from scfactor.rings import (MAX_LITERAL_EXPONENT, FloatComplex, GaussianRationals,
+                            IntegersMod, Rationals, RationalQuaternions)
 
 
 def P(ring, *ascending):
@@ -381,6 +381,17 @@ class TestResidueRootsAgainstScan:
         R = IntegersMod(MAX_COMPOSITE_MODULUS + 2)
         with pytest.raises(ParseError, match=str(MAX_COMPOSITE_MODULUS)):
             unit_roots(P(R, 1, 1), Poly(R, []))
+
+    def test_prime_search_takes_gcd_of_p_and_q_once(self, monkeypatch):
+        # the roots come from the report's own gcd(P, Q); the search used to
+        # take it a second time for the residue route
+        R = IntegersMod(10007)
+        pc, qc = _from_roots([2, 3, 5, 7], [1], 10007), _from_roots([3, 7, 11], [4], 10007)
+        calls, gcd_p = [], poly_mod._gcd_p
+        monkeypatch.setattr(poly_mod, "_gcd_p",
+                            lambda a, b, p: calls.append((list(a), list(b))) or gcd_p(a, b, p))
+        report = unit_roots(Poly(R, pc), Poly(R, qc))
+        assert [r for r, _ in report.roots] == [3, 7] and calls.count((pc, qc)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -767,3 +778,67 @@ def test_composite_modulus_over_cap_exits_2(tmp_path, capsys):
     assert main(["factor", path]) == 2
     err = capsys.readouterr().err
     assert str(MAX_COMPOSITE_MODULUS) in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Euclid over Q and Q(i): a degree limit, and a size limit on each remainder
+
+
+def _field_job(tmp_path, kind, order, draw):
+    """A factor job over ``kind``, dim 1, g = u1*u1 and initial all "1",
+    whose a and b rows come from random.Random(1), all of a and then all of b."""
+    rng = random.Random(1)
+    a, b = [draw(rng) for _ in range(order)], [draw(rng) for _ in range(order)]
+    doc = {"ring": {"kind": kind}, "module": {"dim": 1},
+           "recurrence": {"a": a, "b": b, "g": {"kind": "expression", "exprs": ["u1*u1"]}},
+           "initial": ["1"] * order}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _digits(n):
+    return lambda rng: str(rng.randint(-10**n, 10**n))
+
+
+class TestFieldSearchLimits:
+    # each of these ran from 0.13 s to past a minute before the limits
+    @pytest.mark.parametrize("kind, order, draw, code", [
+        ("exact-rational", 40, lambda rng: str(rng.randint(-9, 9)), 3),
+        ("exact-rational", 60, lambda rng: str(rng.randint(-9, 9)), 2),
+        ("exact-rational", 80, lambda rng: str(rng.randint(-9, 9)), 2),
+        ("exact-rational", 160, lambda rng: str(rng.randint(-9, 9)), 2),
+        ("gaussian-rational", 60, lambda rng: str(rng.randint(-9, 9)), 2),
+        ("exact-rational", 20, _digits(30), 2),
+        ("exact-rational", 30, _digits(30), 2),
+        ("exact-rational", 40, _digits(30), 2),
+        ("exact-rational", 20, _digits(200), 2),
+        ("exact-rational", poly_mod.MAX_FIELD_SEARCH_DEGREE, _digits(MAX_LITERAL_EXPONENT), 2),
+        ("gaussian-rational", poly_mod.MAX_FIELD_SEARCH_DEGREE, _digits(MAX_LITERAL_EXPONENT), 2),
+    ])
+    def test_search_ends_within_a_second(self, tmp_path, capsys, kind, order, draw, code):
+        path = _field_job(tmp_path, kind, order, draw)
+        start = time.perf_counter()
+        assert main(["factor", path, "--json"]) == code
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 3 or err.count("\n") == 1 and "is refused" in err
+
+    def test_degree_limit(self):
+        # x^d - 1 has the unit roots 1 and -1 at the limit and is refused past it
+        R = Rationals()
+        d = poly_mod.MAX_FIELD_SEARCH_DEGREE
+        assert unit_roots(P(R, -1, *[0] * (d - 1), 1), P(R)).roots == [((-1, 1), 1), ((1, 1), 1)]
+        with pytest.raises(ParseError, match=f"^root search over exact-rational with P of "
+                                             f"degree {d + 1} is refused: the search is "
+                                             f"limited to degree {d}$"):
+            unit_roots(P(R, -1, *[0] * d, 1), P(R))
+
+    def test_remainder_size_limit(self):
+        # 10^2000 x^3 + x + 1 and x^2 leave the remainders x + 1 and 1; with
+        # x^2 + 3 the second remainder has a part of about 13300 bits
+        R = Rationals()
+        big = 10**2000
+        assert poly_gcd(P(R, 1, 1, 0, big), P(R, 0, 0, 1)) == P(R, 1)
+        with pytest.raises(ParseError, match="exceeds the size limit of 8192 bits"):
+            poly_gcd(P(R, 1, 1, 0, big), P(R, 3, 0, 1))

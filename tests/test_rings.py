@@ -96,6 +96,15 @@ class TestRationals:
         assert el(R, "-3/7").is_unit
         assert not el(R, 0).is_unit
 
+    @pytest.mark.parametrize("kind", ["exact-rational", "gaussian-rational",
+                                      "rational-quaternion"])
+    def test_part_too_long_to_print_is_written_by_its_size(self, kind):
+        # 10^5000 has more digits than int-to-str conversion allows
+        R = make_ring(kind)
+        assert R.fmt(R.payload(-10**5000)) == "-<16610-bit integer>"
+        assert R.fmt(R.payload(Fraction(3, 10**5000))) == "3/<16610-bit integer>"
+        assert R.fmt(R.payload(Fraction(10**5000, 7))) == "<16610-bit integer>/7"
+
 
 class TestGaussianRationals:
     def test_inverse_frozen(self):
