@@ -26,7 +26,7 @@ from . import engine
 from .config import JobConfig, load_job
 from .engine import Trajectory, trajectory_csv, trajectory_json_obj, verify_equivalence
 from .errors import (CertificateFailure, CertificateNotPeriodic, ConfigError,
-                     GMapSyntaxError, Irreducible, NotFoldable, ParseError,
+                     GMapSyntaxError, Irreducible, NoConvergence, NotFoldable, ParseError,
                      ScfactorError)
 # linear_complete and variable_chain are not called here, but
 # bench/tracing.TARGETS wraps them under this module's name.
@@ -250,7 +250,7 @@ def resolve_factorization(job: JobConfig) -> FactorOutcome:
         out.root_report = exc.report
     except (CertificateFailure, CertificateNotPeriodic) as exc:
         out.reason = str(exc)
-    except ValueError as exc:
+    except NoConvergence as exc:
         out.reason = f"root search failed: {exc}"
     out.reducible = out.chain is not None or out.substitution is not None
     if out.chain is None and out.substitution is not None and out.reason:

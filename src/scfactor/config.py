@@ -9,14 +9,15 @@ ConfigError with the offending location in the message.
 The shipped ``config.schema.json`` is the one definition of the format.
 ``validate_document`` checks a document against it with one Python
 predicate generated from the file, compiled once per process on first use.
-Only a document the predicate refuses goes to a small interpreter of the
-same rules, which names the error. Both implement exactly the JSON Schema
-keywords that file uses; a schema keyword outside that set raises
-ValueError, so a later schema edit cannot drop a rule silently. One rule is
-stricter than JSON Schema: ``integer`` means a JSON integer, so ``5.0`` is
-refused. Of several errors, the one reported is the one the reference
-validator's best-match rule picks; the test suite checks the interpreter
-against that validator, and the predicate against the interpreter.
+Only a document the predicate refuses is walked again, by ``_errors``,
+which lists its failed keywords to name the error. The two read their type
+and keyword tests from one pair of tables and implement exactly the JSON
+Schema keywords that file uses; the generator refuses any other keyword
+with ValueError, so a later schema edit cannot drop a rule silently. One
+rule is stricter than JSON Schema: ``integer`` means a JSON integer, so
+``5.0`` is refused. Of several errors, the one reported is the one the
+reference validator's best-match rule picks; the test suite checks the
+messages against that validator, and the predicate against the walker.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import heapq
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -80,25 +80,47 @@ def read_config_file(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# schema interpreter
+# the rules shared by the predicate and the error walker
 #
-# A compiled check maps an instance to the list of its errors, empty (or ())
-# when the instance is valid, so valid input builds no error objects except
-# in the failed branches of a oneOf. Each keyword applies only to instances
-# of its JSON type, as in JSON Schema.
+# Each test is Python source over the instance {x} and a keyword's value
+# {v}. The predicate generator writes it into its source, the value inserted
+# by repr; the walker compiles it, on first use, into a function of (x, v).
 
-_IS_TYPE = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
+# JSON type -> (the test of a type keyword, which checks the exact Python type
+# of a JSON value; the guard of a keyword that applies only to that type)
+_TYPES = {
+    "object": ("type({x}) is dict", "isinstance({x}, dict)"),
+    "array": ("type({x}) is list", "isinstance({x}, list)"),
+    "string": ("type({x}) is str", None),
     # a JSON integer: JSON Schema would also admit 5.0, which no integer
     # field of a config can use
-    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
-    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
+    "integer": ("type({x}) is int", None),
+    "number": ("type({x}) in _NUMBER",
+               "(isinstance({x}, _NUMBER) and not isinstance({x}, bool))"),
+    "boolean": ("type({x}) is bool", None),
+    "null": ("{x} is None", None),
 }
-_is_number = _IS_TYPE["number"]
+_NUMBER = (int, float)
+
+# keyword -> (the JSON type it applies to, None for every instance; its test)
+_INSTANCE = {
+    "enum": (None, "{x} in {v}"),
+    "const": (None, "{x} == {v}"),
+    "minimum": ("number", "not {x} < {v}"),
+    "exclusiveMinimum": ("number", "not {x} <= {v}"),
+    "minItems": ("array", "not len({x}) < {v}"),
+}
+
+
+@functools.cache
+def _function(source: str):
+    """The test ``source`` as a function of (x, v)."""
+    return eval(f"lambda x, v=None: {source.format(x='x', v='v')}", {"_NUMBER": _NUMBER})
+
+
+def _is(type_name: str, x) -> bool:
+    """Whether a keyword that applies to ``type_name`` applies to ``x``."""
+    return _function(_TYPES[type_name][1])(x)
 
 
 def _names(types) -> list:
@@ -106,10 +128,17 @@ def _names(types) -> list:
 
 
 def _type_test(types):
-    """The predicate for a ``type`` value: one type name or a list of them."""
-    tests = [_IS_TYPE[t] for t in _names(types)]
-    return tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests)
+    """The test of a ``type`` value: one type name or a list of them."""
+    tests = [_function(_TYPES[t][0]) for t in _names(types)]
+    return lambda x: any(t(x) for t in tests)
 
+
+# ---------------------------------------------------------------------------
+# schema errors
+#
+# Run only on a document the predicate refuses: the walker lists every
+# failed keyword, and _best picks the one the reference validator's
+# best-match rule reports.
 
 # the reference validator's message for each keyword, from the instance and
 # the value the failed check recorded
@@ -132,7 +161,7 @@ _MESSAGES = {
 
 @dataclass(slots=True)
 class _Error:
-    """One failed keyword; path is relative to the instance its check was given."""
+    """One failed keyword; path is relative to the instance its walk began at."""
 
     keyword: str
     value: object
@@ -150,181 +179,57 @@ class _Error:
         return (-len(self.path), self.path, self.keyword != "oneOf", not matches)
 
 
-def _errors_at(children) -> list:
-    """The errors of (key, check, value) children, each path prefixed by its key."""
+def _errors(node: dict, x, root: dict, path: tuple = ()) -> list:
+    """The failed keywords of instance ``x`` under ``node``, a subschema of
+    ``root``, each at ``path`` (the place of ``x``) plus its place within
+    ``x``. Keywords are read in the node's order, which decides the best
+    match among equal errors; the errors inside a oneOf are placed relative
+    to its instance."""
     errors = []
-    for key, check, value in children:
-        for e in check(value):
-            e.path = (key, *e.path)
-            errors.append(e)
+    for keyword, value in node.items():
+        if keyword in _INSTANCE:
+            applies, test = _INSTANCE[keyword]
+            if (applies is None or _is(applies, x)) and not _function(test)(x, value):
+                errors.append(_Error(keyword, value, x, node, path=path))
+        elif keyword == "type":
+            if not _type_test(value)(x):
+                errors.append(_Error(keyword, value, x, node, path=path))
+        elif keyword == "$ref":
+            errors += _errors(root["$defs"][value.removeprefix("#/$defs/")], x, root, path)
+        elif keyword == "allOf":
+            for sub in value:
+                errors += _errors(sub, x, root, path)
+        elif keyword == "if":
+            branch = node.get("else" if _errors(value, x, root) else "then")
+            if branch is not None:
+                errors += _errors(branch, x, root, path)
+        elif keyword == "not":
+            if not _errors(value, x, root):
+                errors.append(_Error(keyword, value, x, node, path=path))
+        elif keyword == "oneOf":
+            failed = [_errors(sub, x, root) for sub in value]
+            valid = [sub for sub, e in zip(value, failed) if not e]
+            if len(valid) > 1:
+                errors.append(_Error(keyword, valid[1:] + valid[:1], x, node, path=path))
+            elif not valid:
+                errors.append(_Error(keyword, None, x, node, [e for f in failed for e in f], path))
+        elif keyword == "items" and _is("array", x):
+            for i, item in enumerate(x):
+                errors += _errors(value, item, root, (*path, i))
+        elif keyword == "required" and _is("object", x):
+            errors += [_Error(keyword, p, x, node, path=path) for p in value if p not in x]
+        elif keyword == "properties" and _is("object", x):
+            for key, sub in value.items():
+                if key in x:
+                    errors += _errors(sub, x[key], root, (*path, key))
+        elif keyword == "additionalProperties" and _is("object", x):
+            extra = [key for key in x if key not in node.get("properties", ())]
+            if value is False and extra:
+                errors.append(_Error(keyword, sorted(extra, key=str), x, node, path=path))
+            elif isinstance(value, dict):
+                for key in extra:
+                    errors += _errors(value, x[key], root, (*path, key))
     return errors
-
-
-def _type(types, node, compile_node):
-    test = _type_test(types)
-    return lambda x: () if test(x) else [_Error("type", types, x, node)]
-
-
-def _strings(values):
-    # enum and const compare with ==, which is JSON equality for strings only
-    if not all(isinstance(v, str) for v in values):
-        raise ValueError(f"config schema: only string enum and const values are supported, "
-                         f"got {values!r}")
-    return values
-
-
-def _enum(values, node, compile_node):
-    values = _strings(values)
-    return lambda x: () if x in values else [_Error("enum", values, x, node)]
-
-
-def _const(value, node, compile_node):
-    _strings([value])
-    return lambda x: () if x == value else [_Error("const", value, x, node)]
-
-
-def _limit(value):
-    # the predicate writes a bound into its source by repr
-    if not (_is_number(value) and math.isfinite(value)):
-        raise ValueError(f"config schema: only finite numeric bounds are supported, "
-                         f"got {value!r}")
-    return value
-
-
-def _bound(keyword, applies, fails):
-    """A keyword that compares an instance of one type with the keyword's value."""
-    def make(value, node, compile_node):
-        _limit(value)
-        return lambda x: [_Error(keyword, value, x, node)] if applies(x) and fails(x, value) else ()
-    return make
-
-
-def _required(names, node, compile_node):
-    return lambda x: ([_Error("required", p, x, node) for p in names if p not in x]
-                      if isinstance(x, dict) else ())
-
-
-def _properties(props, node, compile_node):
-    pairs = [(key, compile_node(sub)) for key, sub in props.items()]
-    return lambda x: (_errors_at((key, sub, x[key]) for key, sub in pairs if key in x)
-                      if isinstance(x, dict) else ())
-
-
-def _additional_properties(extra, node, compile_node):
-    known = set(node.get("properties", ()))
-    if extra is True:
-        return lambda x: ()
-    if extra is False:
-        def check(x):
-            unexpected = [key for key in x if key not in known] if isinstance(x, dict) else ()
-            return ([_Error("additionalProperties", sorted(unexpected, key=str), x, node)]
-                    if unexpected else ())
-        return check
-    sub = compile_node(extra)
-    return lambda x: (_errors_at((key, sub, v) for key, v in x.items() if key not in known)
-                      if isinstance(x, dict) else ())
-
-
-def _items(schema, node, compile_node):
-    sub = compile_node(schema)
-    # any(map(...)) keeps the common all-valid case in C; paths are built
-    # only once some item has failed
-    return lambda x: (_errors_at((i, sub, v) for i, v in enumerate(x))
-                      if isinstance(x, list) and any(map(sub, x)) else ())
-
-
-def _all_of(schemas, node, compile_node):
-    subs = [compile_node(s) for s in schemas]
-    return lambda x: [e for sub in subs for e in sub(x)]
-
-
-def _if(schema, node, compile_node):
-    cond = compile_node(schema)
-    then = compile_node(node["then"]) if "then" in node else None
-    other = compile_node(node["else"]) if "else" in node else None
-
-    def check(x):
-        branch = other if cond(x) else then
-        return branch(x) if branch is not None else ()
-    return check
-
-
-def _not(schema, node, compile_node):
-    sub = compile_node(schema)
-    return lambda x: () if sub(x) else [_Error("not", schema, x, node)]
-
-
-def _one_of(schemas, node, compile_node):
-    subs = [compile_node(s) for s in schemas]
-
-    def check(x):
-        context, valid = [], []
-        for schema, sub in zip(schemas, subs):
-            e = sub(x)
-            if e:
-                context += e
-            else:
-                valid.append(schema)
-        if len(valid) == 1:
-            return ()
-        if valid:
-            return [_Error("oneOf", valid[1:] + valid[:1], x, node)]
-        return [_Error("oneOf", None, x, node, context)]
-    return check
-
-
-_KEYWORDS = {
-    "type": _type, "enum": _enum, "const": _const,
-    "minimum": _bound("minimum", _is_number, operator.lt),
-    "exclusiveMinimum": _bound("exclusiveMinimum", _is_number, operator.le),
-    "minItems": _bound("minItems", _IS_TYPE["array"], lambda x, n: len(x) < n),
-    "required": _required, "properties": _properties,
-    "additionalProperties": _additional_properties, "items": _items,
-    "allOf": _all_of, "if": _if, "not": _not, "oneOf": _one_of,
-}
-# read by their neighbours ("then", "else"), by $ref ("$defs"), or annotations
-_PASSIVE = {"then", "else", "$defs", "$schema", "title"}
-
-
-def compile_schema(root: dict):
-    """The check for a JSON schema written in the keywords this module implements.
-
-    The check maps an instance to the list of its errors, empty when valid.
-    Any other keyword, a ``$ref`` outside ``#/$defs/``, or a subschema that
-    is not an object raises ValueError here, before any instance is seen.
-    """
-    defs: dict = {}
-
-    def ref(target, node, compile_node):
-        name = target.removeprefix("#/$defs/")
-        if name == target or name not in root.get("$defs", {}):
-            raise ValueError(f"config schema: unsupported $ref {target!r}")
-        return lambda x: defs[name](x)
-
-    def compile_node(node):
-        if not isinstance(node, dict):
-            raise ValueError(f"config schema: subschema {node!r} is not an object")
-        checks = []
-        for keyword, value in node.items():
-            if keyword in _PASSIVE:
-                continue
-            make = ref if keyword == "$ref" else _KEYWORDS.get(keyword)
-            if make is None:
-                raise ValueError(f"config schema: keyword {keyword!r} is not supported")
-            checks.append(make(value, node, compile_node))
-        if len(checks) == 1:
-            return checks[0]
-
-        def check(x):
-            errors = []
-            for c in checks:
-                errors += c(x)
-            return errors
-        return check
-
-    for name, node in root.get("$defs", {}).items():
-        defs[name] = compile_node(node)
-    return compile_node(root)
 
 
 def _best(errors: list) -> tuple[tuple, str]:
@@ -344,28 +249,31 @@ def _best(errors: list) -> tuple[tuple, str]:
 # ---------------------------------------------------------------------------
 # schema predicate
 #
-# The interpreter's rules as one generated Python function that answers only
-# whether an instance is valid. A type keyword tests the exact Python type
-# of a JSON value; a keyword that applies to one JSON type is guarded by the
-# interpreter's own test of that type, which the node's type keyword, or the
-# type its enclosing node already checked, makes redundant.
+# The schema as one generated Python function that answers only whether an
+# instance is valid. A keyword that applies to one JSON type is guarded by
+# that type's guard, which the node's type keyword, or the type its
+# enclosing node already checked, makes redundant.
 
-_SOURCE_TYPES = {
-    "object": "type({0}) is dict",
-    "array": "type({0}) is list",
-    "string": "type({0}) is str",
-    "integer": "type({0}) is int",
-    "number": "type({0}) in _NUMBER",
-    "boolean": "type({0}) is bool",
-    "null": "{0} is None",
-}
-_SOURCE_GUARDS = {
-    "object": "isinstance({0}, dict)",
-    "array": "isinstance({0}, list)",
-    "number": "(isinstance({0}, _NUMBER) and not isinstance({0}, bool))",
-}
 # the keywords whose predicate is a function of its own
 _COMPOSITE = {"properties", "additionalProperties", "items", "allOf", "if", "not", "oneOf"}
+# read by their neighbours ("then", "else"), by $ref ("$defs"), or annotations
+_PASSIVE = {"then", "else", "$defs", "$schema", "title"}
+
+
+def _written(keyword: str, value):
+    """The value of an instance keyword as the predicate writes it; refused
+    when its repr would not test what the schema means."""
+    if keyword in ("enum", "const"):
+        # compared with ==, which is JSON equality for strings only
+        values = value if keyword == "enum" else [value]
+        if not all(isinstance(v, str) for v in values):
+            raise ValueError(f"config schema: only string enum and const values are "
+                             f"supported, got {values!r}")
+        return tuple(values) if keyword == "enum" else value
+    if not (_type_test("number")(value) and math.isfinite(value)):
+        raise ValueError(f"config schema: only finite numeric bounds are supported, "
+                         f"got {value!r}")
+    return value
 
 
 class _Predicate:
@@ -427,39 +335,29 @@ class _Predicate:
             known = types
         terms, guarded = [], {}
         if types is not None:
-            tests = [_SOURCE_TYPES[t].format(var) for t in _names(types)]
+            tests = [_TYPES[t][0].format(x=var) for t in _names(types)]
             terms.append(tests[0] if len(tests) == 1 else f"({' or '.join(tests)})")
         # required first: a property it names is then read without a test
         for keyword in sorted(node, key=lambda k: k != "required"):
-            value = node[keyword]
             if keyword in _PASSIVE or keyword == "type":
                 continue
-            if keyword not in _KEYWORDS and keyword != "$ref":
-                raise ValueError(f"config schema: keyword {keyword!r} is not supported")
-            guard, term = self.keyword(keyword, value, node, var, known)
+            guard, term = self.keyword(keyword, node[keyword], node, var, known)
             if guard is None or guard == known or (guard, known) == ("number", "integer"):
                 terms.append(term)
             else:
                 guarded.setdefault(guard, []).append(term)
         for guard, checks in guarded.items():
-            terms.append(f"(not {_SOURCE_GUARDS[guard].format(var)} or {' and '.join(checks)})")
+            terms.append(f"(not {_TYPES[guard][1].format(x=var)} or {' and '.join(checks)})")
         return f"({' and '.join(terms)})" if terms else "True"
 
     def keyword(self, keyword, value, node, var, known) -> tuple:
         """The JSON type ``keyword`` applies to (None: every instance) and
         the expression of its check."""
+        if keyword in _INSTANCE:
+            applies, test = _INSTANCE[keyword]
+            return applies, test.format(x=var, v=repr(_written(keyword, value)))
         if keyword == "$ref":
             return None, f"{self.ref(value)}({var})"
-        if keyword == "enum":
-            return None, f"{var} in {tuple(_strings(value))!r}"
-        if keyword == "const":
-            return None, f"{var} == {_strings([value])[0]!r}"
-        if keyword == "minimum":
-            return "number", f"not {var} < {_limit(value)!r}"
-        if keyword == "exclusiveMinimum":
-            return "number", f"not {var} <= {_limit(value)!r}"
-        if keyword == "minItems":
-            return "array", f"not len({var}) < {_limit(value)!r}"
         if keyword == "items":
             return "array", f"all(map({self.function(value)}, {var}))"
         if keyword == "required":
@@ -489,18 +387,20 @@ class _Predicate:
             return None, f"({then} if {self.test(value, var, known)} else {other})"
         if keyword == "not":
             return None, f"not {self.test(value, var, known)}"
-        # oneOf: exactly one branch holds
-        return None, f"({' + '.join(self.test(s, var, known) for s in value)}) == 1"
+        if keyword == "oneOf":  # exactly one branch holds
+            return None, f"({' + '.join(self.test(s, var, known) for s in value)}) == 1"
+        raise ValueError(f"config schema: keyword {keyword!r} is not supported")
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
 def compile_predicate(root: dict):
-    """The predicate of a JSON schema written in the keywords compile_schema
-    implements: True exactly when compile_schema's check finds no error.
-    It refuses what compile_schema refuses, with ValueError, before any
-    instance is seen."""
+    """The predicate of a JSON schema: True exactly when ``_errors`` finds
+    no error. A keyword outside the tables above, a ``$ref`` outside
+    ``#/$defs/``, a subschema that is not an object, a non-string enum or
+    const value, or a bound that is not a finite number raises ValueError
+    here, before any instance is seen."""
     gen = _Predicate(root)
     namespace: dict = {}
     exec(compile(gen.source(), "<config schema predicate>", "exec"), namespace)
@@ -512,18 +412,14 @@ def _document_holds():
     return compile_predicate(schema())
 
 
-@functools.cache
-def _check_document():
-    return compile_schema(schema())
-
-
 def validate_document(doc: dict) -> None:
     """Structural validation against the shipped schema: the generated
-    predicate decides, and the interpreter, run only on a document the
-    predicate refuses, names the error."""
+    predicate decides, and the walker, run only on a document the predicate
+    refuses, names the error."""
     if _document_holds()(doc):
         return
-    errors = _check_document()(doc)
+    root = schema()
+    errors = _errors(root, doc, root)
     if errors:
         path, message = _best(errors)
         where = "/".join(map(str, path)) or "(top level)"

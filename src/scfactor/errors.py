@@ -54,6 +54,11 @@ class NoncommutativeRing(ScfactorError):
     """A polynomial-based operation was requested over a noncommutative ring."""
 
 
+class NoConvergence(ScfactorError, ValueError):
+    """A numeric root iteration did not reach its residual tolerance: no
+    reliable root set, which is not the same as no roots."""
+
+
 class NotAValidRoot(ScfactorError):
     """A claimed root is not a unit or does not annihilate the polynomial(s)."""
 

@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .errors import NoncommutativeRing, NotAValidRoot, ParseError
+from .errors import NoConvergence, NoncommutativeRing, NotAValidRoot, ParseError
 from .rings import (MAX_PAYLOAD_BITS, FloatComplex, GaussianRationals, IntegersMod, Rationals,
                     Ring, _reduced, is_prime)
 
@@ -692,9 +692,9 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 200,
                   residual_tol: float = 1e-10) -> list[complex]:
     """All roots of a complex polynomial, coefficients ascending.
 
-    Simultaneous iteration from the usual spiral start. Raises ValueError when
-    the iteration does not reach the residual tolerance: callers treat that as
-    "no reliable root set", never as "no roots".
+    Simultaneous iteration from the usual spiral start. Raises NoConvergence
+    when the iteration does not reach the residual tolerance: callers treat
+    that as "no reliable root set", never as "no roots".
     """
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0.0:
@@ -731,7 +731,7 @@ def durand_kerner(coeffs: list[complex], max_iter: int = 200,
     scale = max(1.0, max(abs(z) for z in zs)) ** n
     bad = [z for z in zs if abs(val(z)) > residual_tol * scale]
     if bad:
-        raise ValueError(f"root iteration did not converge (worst residual at {bad[0]:.3g})")
+        raise NoConvergence(f"root iteration did not converge (worst residual at {bad[0]:.3g})")
     return zs
 
 

@@ -8,9 +8,10 @@ records exit code, stdout and stderr. Every configs/ file also runs
 directory, whose files are recorded by name with their text, and every one
 that sets ``run.seeds`` runs ``certify --json --horizon 1000``, whose
 certificate outlives its period. The error paths are recorded too: a fixed
-list of malformed argv (help included), and ``factor`` on one invalid
-config per kind of schema keyword. Two checkouts agree when their snapshots
-are equal:
+list of malformed argv (help included), and ``factor`` on invalid configs,
+one per kind of schema keyword and per way the error search descends (a
+schema-valued ``additionalProperties``, a ``oneOf`` branch, an ``if``/``then``
+branch). Two checkouts agree when their snapshots are equal:
 
     python tests/snapshot_reports.py --root ../old --seeds 5 11 --blocks 2 --out old.json
     python tests/snapshot_reports.py --seeds 5 11 --blocks 2 --against old.json
@@ -58,8 +59,10 @@ MALFORMED_ARGV = (
     ("simulate", "{config}"), ("simulate", "{config}", "--emit", "xml", "--out", "{out}"),
 )
 
-# Configs that fail one kind of schema keyword each: (name, path, new value),
-# the value None deleting the key; the base is configs/exzp_z11.json.
+# Configs that fail one kind of schema keyword, or one descent of the error
+# search, each: (name, path, new value), the value None deleting the key, and
+# optionally the top-level keys the change replaces; the base is
+# configs/exzp_z11.json.
 INVALID_CONFIGS = (
     ("type", ("module", "dim"), "1"),
     ("enum", ("ring",), {"kind": "integers"}),
@@ -75,6 +78,10 @@ INVALID_CONFIGS = (
     ("oneOf-none", ("recurrence",), None),
     ("oneOf-several", ("system",), {"components": [{"a": ["1"], "b": ["1"], "expr": "u1"}]}),
     ("ref", ("recurrence", "a", 0), {"x": "1"}),
+    ("additionalProperties-schema", ("recurrence", "g", "sequences"), {"d": "1"}),
+    ("oneOf-branch", ("recurrence", "g"), {"kind": "expression"}),
+    ("oneOf-deepest", ("recurrence", "g"), {"kind": "expression", "exprs": []}),
+    ("family-if-then", ("family",), {"kind": "fsc", "params": {"b": ["1"]}}, "recurrence"),
 )
 
 
@@ -127,8 +134,10 @@ def _error_paths(main, root: Path, tmp: Path, replace: dict[str, str]):
             argv = [word.format(config=config, out=out) for word in words]
             yield key, _run(main, argv, {out: "<out>", **replace})
     base = json.loads(config.read_text())
-    for name, path, value in INVALID_CONFIGS:
+    for name, path, value, *replaced in INVALID_CONFIGS:
         doc = copy.deepcopy(base)
+        for key in replaced:
+            del doc[key]
         *parents, key = path
         parent = doc
         for part in parents:

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through cli.main."""
 
 import errno
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scfactor import factorize, poly
 from scfactor.cli import _read_argv, build_parser, canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +43,25 @@ class TestFactor:
         code, out, _ = run_cli(capsys, "factor", str(configs_dir / "np_constant.json"))
         assert code == 3
         assert "irreducible:" in out
+
+    def test_root_search_that_does_not_converge(self, capsys, configs_dir, monkeypatch):
+        # without iterations durand_kerner stays at its spiral start, far from the roots
+        monkeypatch.setattr(poly, "durand_kerner",
+                            functools.partial(poly.durand_kerner, max_iter=0))
+        code, out, _ = run_cli(capsys, "factor", str(configs_dir / "float_chain.json"))
+        assert code == 3
+        assert "irreducible: root search failed: root iteration did not converge " \
+            "(worst residual at " in out
+
+    def test_value_error_off_the_root_search_is_not_labelled_a_root_search(
+            self, configs_dir, monkeypatch):
+        # a ValueError elsewhere is a fault, not a failed root search: it was
+        # reported as "root search failed: broken certificate" with exit 3
+        def broken(*args, **kwargs):
+            raise ValueError("broken certificate")
+        monkeypatch.setattr(factorize, "variable_certificate", broken)
+        with pytest.raises(ValueError, match="^broken certificate$"):
+            main(["factor", str(configs_dir / "np.json")])
 
     def test_o2b_verdict_line(self, capsys, configs_dir):
         code, out, _ = run_cli(capsys, "factor", str(configs_dir / "o2b_z7.json"))
