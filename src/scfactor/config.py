@@ -496,6 +496,14 @@ def _parse_run(module: Module, rdoc: dict | None, k: int) -> RunOptions:
     return run
 
 
+# The most values one window of a recurrence holds (module.dim times the
+# order). Generated code unrolls every window value: at 1536, the slowest
+# planted Z/101 job measured, `verify` of dim 1 and order 1536, took
+# 0.55-0.74 s (about half of it the root search) and 77 MB; at dim 1536 and
+# order 1 it took 0.34-0.59 s and 88 MB. At 2048 the same jobs took up to 1.3 s.
+MAX_WINDOW_VALUES = 1536
+
+
 def build_job(doc: dict) -> JobConfig:
     """Validate a parsed document and construct the working objects."""
     validate_document(doc)
@@ -529,6 +537,9 @@ def build_job(doc: dict) -> JobConfig:
             rec = fold_system(module, doc["system"]["components"])
         except (ParseError, ScfactorError) as exc:
             raise ConfigError(f"bad system: {exc}") from exc
+    if module.dim * rec.order > MAX_WINDOW_VALUES:
+        raise ConfigError(f"dim {module.dim} times order {rec.order} is {module.dim * rec.order} "
+                          f"values per window, past the limit of {MAX_WINDOW_VALUES}")
 
     initial = _parse_initial(module, doc["initial"], rec.order)
     run = _parse_run(module, doc.get("run"), rec.k)

@@ -9,33 +9,35 @@ Breakdowns (division by a non-unit, tanh domain violations, non-finite
 floats) are data, not crashes: the trajectory is truncated and the breakdown
 index and reason are recorded.
 
-Every run works on raw ring payloads: simulate iterates the recurrence's
-generated step function (Recurrence.kernel). A chain and the alsp
-substitution are one kind of split (_split): levels above a deepest factor,
-each with rebuild coefficients c_1, c_2, ... (the chain's cofactors have the
-one coefficient alpha_l, the substitution's x level has k), and every
-level's initial window peeled on payloads from the one above it.
-simulate_chain, also bound as simulate_substitution, runs the deepest level
-through simulate, then rebuilds every level above it in one generated loop
-(_rebuild, built with gmap.Emitter like the step): each step adds
-c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the value of the level below, level
-after level from the deepest up, with the latest values in locals and
-values reduced only where they are stored. A Trajectory holds those payload
-lists and its module, and the serializers format them with the ring's fmt.
+Every run works on raw ring payloads, in one generated step loop (_loop).
+A chain and the alsp substitution are one kind of split (_split): levels
+above a deepest factor, each with rebuild coefficients c_1, c_2, ... (the
+chain's cofactors have the one coefficient alpha_l, the substitution's x
+level has k), and every level's initial window peeled on payloads from the
+one above it. Each n of the loop steps its sides with the code of their
+recurrences (Recurrence.emit_periodic_step), then rebuilds every level
+above the last side: it adds c_1(n)*v_n + c_2(n)*v_{n-1} + ... to the value
+of the level below, level after level from the deepest up. The latest
+values live in locals, and values are reduced only where they are stored.
+The loop checks breakdowns, finiteness and MAX_PAYLOAD_BITS, and reports
+which stopped it. Its callers:
 
-verify_equivalence stores no trajectory: one generated loop (_verify_loop)
-steps the direct recurrence and the deepest factor with the code of their
-kernels (Recurrence.emit_periodic_step), rebuilds the levels above with the
-same level update as _rebuild, and compares the top level's new value with
-the direct one. Only the windows live, in locals, so its memory does not
-grow with the number of steps. When one side breaks down, each side runs on
-from its window through the simulate loop (_run) to find its breakdown and
-end. The initial window is made canonical once (_window), and the levels'
-windows are peeled from it.
+* simulate steps one recurrence and keeps every value;
+* simulate_chain, also bound as simulate_substitution, steps the deepest
+  factor, rebuilds the levels above it in the same pass, and keeps every
+  level's values. A Trajectory holds those payload lists and its module,
+  and the serializers format them with the ring's fmt;
+* verify_equivalence steps the direct recurrence and the deepest factor
+  and compares the rebuilt top level with the direct value. It keeps only
+  the windows, so its memory does not grow with the number of steps. When
+  it stops early, each side runs on alone from its window, keeping
+  nothing, to find its breakdown and end. The initial window is made
+  canonical once (_window), and the levels' windows are peeled from it.
 
-Both loops are generated once per shape (gmap.generated): the level
-coefficients are values (_level_values), and the number of levels, the
-coefficients per level and whether each has period 1 are the shape.
+The loop is generated once per shape (gmap.generated): the level
+coefficients are values, and the sides' shapes, whether values are kept,
+the number of levels, the coefficients per level and whether each has
+period 1 are the shape.
 
 On the unbounded exact rings (rational, Gaussian, rational-quaternion) a
 nonlinear map can double the size of the values every step. A run refuses
@@ -47,7 +49,6 @@ ConfigError (exit 2) instead of running on for hours.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import gmap as gm
@@ -97,38 +98,18 @@ def _window(rec: Recurrence, initial) -> list[list]:
     return list(map(rec.module.payloads, initial))
 
 
-def _run(rec: Recurrence, hist, lo: int, hi: int) -> Breakdown | None:
-    """Append the values of the steps n = lo .. hi-1 to ``hist``, which ends
-    with x_{lo-k} .. x_lo (payload lists, oldest first); returns the
-    breakdown that stops the run, if any. A value larger than
-    MAX_PAYLOAD_BITS on an exact ring raises ConfigError."""
-    step, finite, oversize = rec.kernel, rec.ring._finite, rec.ring._oversize
-    for n in range(lo, hi):
-        try:
-            nxt = step(n, hist)
-        except (DivisionByNonUnit, TanhUnsupported) as exc:
-            return Breakdown(n + 1, str(exc))
-        if finite is not None and not all(map(finite, nxt)):
-            return Breakdown(n + 1, "value is not finite")
-        if oversize is not None and any(map(oversize, nxt)):
-            raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
-                              f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
-        hist.append(nxt)
-    return None
-
-
 def simulate(rec: Recurrence, initial, steps: int, start: int = 0,
              level: str = "x") -> Trajectory:
     """Iterate the recurrence from its initial window.
 
     ``initial`` lists x_start .. x_{start+k} (oldest first). The result
     covers indices start .. start+k+steps unless a breakdown truncates it.
-    The run works on payloads through ``rec.kernel``. A value larger than
-    MAX_PAYLOAD_BITS on an exact ring raises ConfigError.
+    The run is the one-side loop (_run) with every value kept. A value
+    larger than MAX_PAYLOAD_BITS on an exact ring raises ConfigError.
     """
     hist = _window(rec, initial)
     lo = start + rec.k
-    return Trajectory(level, start, rec.module, hist, _run(rec, hist, lo, lo + steps))
+    return Trajectory(level, start, rec.module, hist, _run(rec, (), True, lo, lo + steps, hist))
 
 
 def _propagated(below: Breakdown | None) -> Breakdown | None:
@@ -169,7 +150,7 @@ def _split(factorization, window):
     level's initial ``window`` (payload lists, as _window gives them):
     (factor, names, levels, windows), from the deepest level up. ``levels`` lists
     the rebuild coefficients c_1, c_2, ... (periodic payload tuples) of each
-    level above the factor, as _rebuild takes them; ``names`` and
+    level above the factor, as _loop takes them; ``names`` and
     ``windows`` give every level's name and initial payload window, the
     factor's first.
 
@@ -202,27 +183,6 @@ def _split(factorization, window):
     return factor, names[::-1], levels[::-1], windows[::-1]
 
 
-def _level_values(levels) -> dict:
-    """The values _emit_levels reads, by role: level l's coefficients under
-    the tag L<l>."""
-    values: dict = {}
-    for l, coeffs in enumerate(levels):
-        for j, c in enumerate(coeffs):
-            gm.seq_values(values, f"L{l}", j, c)
-    return values
-
-
-def _unpack_levels(e: gm.Emitter, levels, dim: int):
-    """Unpack the latest values of every level from its list O<l>; returns
-    the locals: [l][j][c] is component c of level l's value j steps back."""
-    lags = []
-    for l, coeffs in enumerate(levels):
-        lags.append([[f"v{l}_{j}_{c}" for c in range(dim)] for j in range(len(coeffs))])
-        for j, names in enumerate(lags[l]):
-            e.unpack(names, f"O{l}[{-1 - j}]")
-    return lags
-
-
 def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
     """Emit step n of every level, from the deepest up, onto the value
     ``under`` (locals) of the level below at n+1; returns the top level's
@@ -231,9 +191,11 @@ def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
     Level l's value at n+1 is the value under it at n+1 plus
     c_1(n)*v_n + c_2(n)*v_{n-1} + ..., summed in that order as one
     expression, where v is level l itself and levels[l] lists the periodic
-    payload tuples c_1, c_2, ... (read as _level_values stores them); the
-    new value becomes the newest lag and the others shift back. Values are
-    reduced (mod m, or to lowest terms) only where a value is stored.
+    payload tuples c_1, c_2, ... (read under the tag L<l>, as _loop stores
+    them); lags[l][j][c] is the local of component c of level l's value j
+    steps back, and the new value becomes the newest lag as the others
+    shift back. Values are reduced (mod m, or to lowest terms) only where a
+    value is stored.
     """
     ring = e.ring
     for l, coeffs in enumerate(levels):
@@ -247,35 +209,117 @@ def _emit_levels(e: gm.Emitter, levels, lags, under: list[str]) -> list[str]:
     return under
 
 
-def _level_params(levels) -> list[str]:
-    return [f"O{l}" for l in range(len(levels))]
+# The reason _loop gives for a value past MAX_PAYLOAD_BITS, which _run turns
+# into ConfigError.
+_OVERSIZE = object()
 
 
-def _rebuild(module: Module, levels, lo: int, hi: int, below, outs) -> None:
-    """Extend the payload lists ``outs`` (deepest level first) by the steps
-    n = lo .. hi-1 of _emit_levels, in one generated loop. ``below`` holds
-    the values under the deepest level, below[i] at index lo + 1 + i.
+def _loop(sides, levels, keep: bool, lo: int, hi: int, rel_tol, *windows):
+    """The engine's one step loop, generated once per shape, run on the
+    payload windows of ``sides`` and then of ``levels`` (deepest first, as
+    _split gives them) for n = lo .. hi-1.
+
+    ``sides`` is one recurrence, or the direct recurrence and the deepest
+    factor of a split. Each n steps every side, then rebuilds the levels
+    above the last side (_emit_levels); with two sides it compares the top
+    level's value at n+1 with the direct one (exact rings with ==, which is
+    every exact ring's equality; float rings relative to ``rel_tol``). With
+    ``keep``, every new value is appended to its window, so the windows grow
+    into trajectories; else only the latest values live, in locals.
+
+    Returns (n, reason, first, max_dev, *side windows). The loop stops at a
+    step n where a side breaks down (reason is the breakdown's text), gives
+    a value that is not finite or one past MAX_PAYLOAD_BITS (reason
+    _OVERSIZE); the windows are then those before step n. With two sides
+    on an exact ring it also stops after the first divergence (n and first
+    are one past it, the windows after it). n = hi, reason None when it ran
+    through.
+
+    The sides read their values under the tags X and F, as their windows
+    are named, and their maps under G, or G and H when they are two maps.
     """
-    if not levels:
-        return
+    ring, dim = sides[0].ring, sides[0].module.dim
+    shared = sides[-1].g is sides[0].g
+    tags = [("X", sides[0], "G"), ("F", sides[-1], "G" if shared else "H")][:len(sides)]
+    values = {"FIN": ring._finite, "BIG": ring._oversize, "SIZE": _OVERSIZE, "DEV": _deviation,
+              "ZEROS": [ring.zero] * dim, "BREAKS": (DivisionByNonUnit, TanhUnsupported)}
+    for l, coeffs in enumerate(levels):
+        for j, c in enumerate(coeffs):
+            gm.seq_values(values, f"L{l}", j, c)
+    for tag, r, gtag in tags:
+        values.update(r.values(tag, gtag))
+    # each window's list, and the number of its latest values the loop reads
+    params = [tag for tag, _, _ in tags] + [f"O{l}" for l in range(len(levels))]
+    sizes = [r.order for _, r, _ in tags] + [len(coeffs) for coeffs in levels]
 
     def emit(e):
-        lags = _unpack_levels(e, levels, module.dim)
-        appends = [e.let(f"{name}.append") for name in _level_params(levels)]
-        under = [f"u{c}" for c in range(module.dim)]
-        e.block(f"for n, [{', '.join(under)}] in zip(range(lo, hi), B):")
-        _emit_levels(e, levels, lags, under)
-        for append, lag in zip(appends, lags):
-            e.line(f"{append}([{', '.join(lag[0])}])")
+        # lags[w][i][c]: the local of component c of window w's value i steps back
+        lags = [[[f"{param.lower()}_{i}_{c}" for c in range(dim)] for i in range(size)]
+                for param, size in zip(params, sizes)]
+        for param, rows in zip(params, lags):
+            for i, row in enumerate(rows):
+                e.unpack(row, f"{param}[{-1 - i}]")
+        names = lags[:len(tags)]
+        appends = [e.let(f"{param}.append") for param in params] if keep else []
+        state = ", ".join("[" + ", ".join(f"[{', '.join(row)}]" for row in reversed(rows)) + "]"
+                          for rows in names)
+        stop = "return n, {}, first, dev, " + state
+        e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
+        e.block("try:")
+        e.block("for n in range(lo, hi):")
+        news = []
+        for tag, r, gtag in tags:
+            new = []
+            for out in r.emit_periodic_step(e, tag.lower() + "_{}_{}", tag, gtag):
+                out = e.reduced(out)
+                new.append(out if out.isidentifier() else e.let(out))
+            if ring._finite is not None:
+                e.line(f"if {' or '.join(f'not FIN({v})' for v in new)}: "
+                       + stop.format(repr("value is not finite")))
+            if ring._oversize is not None:
+                e.line(f"if {' or '.join(f'BIG({v})' for v in new)}: {stop.format('SIZE')}")
+            news.append(new)
+        for rows, new in zip(names, news):
+            for j, v in enumerate(new):
+                col = [row[j] for row in rows]
+                e.line(f"{', '.join(col)} = {', '.join([v, *col[:-1]])}")
+        top, direct = _emit_levels(e, levels, lags[len(tags):], news[-1]), news[0]
+        for append, rows in zip(appends, lags):
+            e.line(f"{append}([{', '.join(rows[0])}])")
+        if len(tags) == 2 and ring.exact:
+            e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
+                   f"return n + 1, None, n + 1, dev, {state}")
+        elif len(tags) == 2:
+            a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
+            d = e.let(f"DEV({a}, {b})")
+            e.line(f"dev = max(dev, {d})")
+            e.line(f"if first is None and {d} > RT * max(DEV({a}, ZEROS), DEV({b}, ZEROS), "
+                   f"1.0): first = n + 1")
         e.end()
-        return ", ".join(["lo, hi, B", *_level_params(levels)]), "None"
-    gm.generated(module.ring, ("rebuild", module.dim), _level_values(levels), emit,
-                 lo, hi, below, *outs)
+        e.end()
+        e.block("except BREAKS as exc:")
+        e.line(stop.format("str(exc)"))
+        e.end()
+        return ", ".join(["lo, hi, RT", *params]), f"hi, None, first, dev, {state}"
+    key = ("loop", dim, tuple(r.shape for r in sides), shared, keep)
+    return gm.generated(ring, key, values, emit, lo, hi, rel_tol, *windows)
+
+
+def _run(rec: Recurrence, levels, keep: bool, lo: int, hi: int, *windows) -> Breakdown | None:
+    """Step ``rec`` alone from its window for n = lo .. hi-1, rebuilding
+    ``levels`` above it (_loop); returns the breakdown that stops the run,
+    if any. A value larger than MAX_PAYLOAD_BITS raises ConfigError."""
+    n, reason, *_ = _loop((rec,), levels, keep, lo, hi, None, *windows)
+    if reason is _OVERSIZE:
+        raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
+                          f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
+    return None if reason is None else Breakdown(n + 1, reason)
 
 
 def simulate_chain(factorization, initial, steps: int) -> ChainRun:
-    """Run a chain or the alsp substitution split: the deepest factor
-    through simulate, then every level above it rebuilt on payloads.
+    """Run a chain or the alsp substitution split: the deepest factor and
+    the rebuild of every level above it, in one pass of _run that keeps
+    every value.
 
     Level l of a chain covers indices l .. end-1: chain.steps[l] relates
     level l (cofactor) to level l+1 (factor) by w_{n+1} = alpha_l(n) * w_n
@@ -287,11 +331,11 @@ def simulate_chain(factorization, initial, steps: int) -> ChainRun:
                                             _window(factorization.base, initial))
     module, k = factor.module, factorization.base.k
     starts = [k + 1 - len(window) for window in windows]
-    below = simulate(factor, windows[0], steps, start=starts[0], level=names[0])
-    _rebuild(module, levels, k, below.end - 1, below.values[len(windows[0]):], windows[1:])
-    trajs = [below]
-    for name, start, vals in zip(names[1:], starts[1:], windows[1:]):
-        trajs.append(Trajectory(name, start, module, vals, _propagated(trajs[-1].breakdown)))
+    below = _run(factor, levels, True, k, k + steps, *windows)
+    trajs = []
+    for name, start, window in zip(names, starts, windows):
+        trajs.append(Trajectory(name, start, module, window, below))
+        below = _propagated(below)
     trajs.reverse()
     return ChainRun(trajs)
 
@@ -352,81 +396,6 @@ class EquivalenceReport:
         return "; ".join(lines)
 
 
-def _verify_loop(rec: Recurrence, factor: Recurrence, levels, *args):
-    """The generated loop of verify_equivalence, run on ``args``. Each n
-    steps the direct recurrence and the deepest factor, rebuilds the levels
-    above and compares the top level's value at n+1 with the direct one.
-
-    The loop takes (lo, hi, rel_tol, X, F, O0, ...), the payload windows of
-    the direct run, the factor and each level, and returns (n, first,
-    max_dev, X', F'). It stops at a step n where either side breaks down, or
-    gives a non-finite value or one past MAX_PAYLOAD_BITS (X', F' are the
-    windows before step n), or, on an exact ring, after the first divergence
-    (n is one past it, the windows after it); n = hi when it ran through.
-    Exact rings compare with ==, which is every exact ring's equality.
-
-    The direct recurrence and the factor read their values under the tags
-    X and F, as their windows are named, and their maps under G, or G and H
-    when they are two maps.
-    """
-    ring, dim = rec.ring, rec.module.dim
-    shared = factor.g is rec.g
-    sides = (("X", rec, "G"), ("F", factor, "G" if shared else "H"))
-    values = {"FIN": ring._finite, "BIG": ring._oversize, "DEV": _deviation,
-              "ZEROS": [ring.zero] * dim, "BREAKS": (DivisionByNonUnit, TanhUnsupported),
-              **_level_values(levels)}
-    for tag, r, gtag in sides:
-        values.update(r.values(tag, gtag))
-
-    def emit(e):
-        names = [[[f"{tag.lower()}{i}_{j}" for j in range(dim)] for i in range(r.order)]
-                 for tag, r, _ in sides]
-        for (tag, _, _), rows in zip(sides, names):
-            for i, row in enumerate(rows):
-                e.unpack(row, f"{tag}[{-1 - i}]")
-        lags = _unpack_levels(e, levels, dim)
-        state = ", ".join("[" + ", ".join(f"[{', '.join(row)}]" for row in reversed(rows)) + "]"
-                          for rows in names)
-        stop = f"return n, first, dev, {state}"
-        e.line(f"first, dev = None, {'None' if ring.exact else '0.0'}")
-        e.block("try:")
-        e.block("for n in range(lo, hi):")
-        news = []
-        for tag, r, gtag in sides:
-            new = []
-            for out in r.emit_periodic_step(e, tag.lower() + "{}_{}", tag, gtag):
-                out = e.reduced(out)
-                new.append(out if out.isidentifier() else e.let(out))
-            if ring._finite is not None:
-                e.line(f"if {' or '.join(f'not FIN({v})' for v in new)}: {stop}")
-            if ring._oversize is not None:
-                e.line(f"if {' or '.join(f'BIG({v})' for v in new)}: {stop}")
-            news.append(new)
-        for rows, new in zip(names, news):
-            for j, v in enumerate(new):
-                col = [row[j] for row in rows]
-                e.line(f"{', '.join(col)} = {', '.join([v, *col[:-1]])}")
-        top, direct = _emit_levels(e, levels, lags, news[1]), news[0]
-        if ring.exact:
-            e.line(f"if {' or '.join(f'{a} != {b}' for a, b in zip(direct, top))}: "
-                   f"return n + 1, n + 1, dev, {state}")
-        else:
-            a, b = e.let(f"[{', '.join(direct)}]"), e.let(f"[{', '.join(top)}]")
-            d = e.let(f"DEV({a}, {b})")
-            e.line(f"dev = max(dev, {d})")
-            e.line(f"if first is None and {d} > RT * max(DEV({a}, ZEROS), DEV({b}, ZEROS), "
-                   f"1.0): first = n + 1")
-        e.end()
-        e.end()
-        e.block("except BREAKS:")
-        e.line(stop)
-        e.end()
-        return (", ".join(["lo, hi, RT, X, F", *_level_params(levels)]),
-                f"hi, first, dev, {state}")
-    key = ("verify", dim, rec.shape, factor.shape, shared)
-    return gm.generated(ring, key, values, emit, *args)
-
-
 def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
                        rel_tol: float | None = None) -> EquivalenceReport:
     """Run both forms in one pass and compare the top level pointwise.
@@ -437,10 +406,10 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     indices differ by at most k (a non-unit reaches the two forms through
     windows of that width).
 
-    The pass is _verify_loop. The initial windows are not compared: both
-    forms start from the same payloads. When the loop stops early, each
-    side runs on from its window to find its breakdown and end, keeping
-    only the window; the direct side goes first, so its size-limit
+    The pass is _loop on both sides. The initial windows are not compared:
+    both forms start from the same payloads. When the loop stops early,
+    each side runs on alone from its window to find its breakdown and end
+    (_run, keeping no value); the direct side goes first, so its size-limit
     ConfigError wins, as when the direct run was simulated first.
     """
     ring = rec.ring
@@ -453,12 +422,12 @@ def verify_equivalence(rec: Recurrence, chain, initial, steps: int,
     direct = _window(rec, initial)
     factor, _, levels, windows = _split(chain, direct)
     lo, hi = rec.k, rec.k + steps
-    n, first_div, max_dev, direct, window = _verify_loop(rec, factor, levels,
-                                                         lo, hi, rel_tol, direct, *windows)
+    n, _, first_div, max_dev, direct, window = _loop((rec, factor), levels, False,
+                                                     lo, hi, rel_tol, direct, *windows)
     db = cb = None
     if n < hi:
-        db = _run(rec, deque(direct, maxlen=len(direct)), n, hi)
-        cb = _run(factor, deque(window, maxlen=len(window)), n, hi)
+        db = _run(rec, (), False, n, hi, direct)
+        cb = _run(factor, (), False, n, hi, window)
     compared = min(hi + 1 if db is None else db.index, hi + 1 if cb is None else cb.index)
     for _ in levels:
         cb = _propagated(cb)

@@ -38,21 +38,20 @@ holds fewer than INVERSE_MEMO_SIZE entries. Within one map, a repeated
 subtree and a repeated inverse are computed once per step, and a sum of
 coefficient terms is one expression.
 
-GMap.kernel, Recurrence.kernel, the engine's chain rebuild and its one-pass
-verify are built on it through generated, which writes and compiles a
-function once per process for each shape of job (keeping the
-COMPILE_CACHE_SIZE shapes used last). The shape is what the source depends
-on: the ring class, the dimension and orders, the zero pattern of each
-coefficient row and whether its period is 1, each map's kind and the form of
-its ASTs (expr_form: literals and sequence names by position), which maps
-share one scope, and the number of levels and whether each level's period is
-1. A job's values never enter the source. A walk over the job's objects
-collects them into one tuple, each named by its role (seq_values,
-map_values): coefficients, sequences, level alphas, literal payloads, and
-the ring's operations, m, ZERO, INVS, DIV, INV and TANH. The function
-unpacks the tuple into locals first, so a job of a seen shape emits
-nothing, and the cache keeps no job's value or ring. parse_expr keeps each
-text's AST the same way.
+GMap.kernel, Recurrence.kernel and the engine's one step loop are built on
+it through generated, which writes and compiles a function once per process
+for each shape of job (keeping the COMPILE_CACHE_SIZE shapes used last). The
+shape is what the source depends on: the ring class, the dimension and
+orders, the zero pattern of each coefficient row and whether its period is
+1, each map's kind and the form of its ASTs (expr_form: literals and
+sequence names by position), which maps share one scope, whether the values
+are kept, and the number of levels and whether each level's period is 1. A
+job's values never enter the source. A walk over the job's objects collects
+them into one tuple, each named by its role (seq_values, map_values):
+coefficients, sequences, level alphas, literal payloads, and the ring's
+operations, m, ZERO, INVS, DIV, INV and TANH. The function unpacks the tuple
+into locals first, so a job of a seen shape emits nothing, and the cache
+keeps no job's value or ring. parse_expr keeps each text's AST the same way.
 """
 
 from __future__ import annotations

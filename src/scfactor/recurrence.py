@@ -19,15 +19,14 @@ Families (build_family) construct specific coefficient patterns that are
 known to reduce; fold_system merges d scalar recurrences sharing the same
 coefficient rows into one module recurrence.
 
-Recurrence.kernel and GMap.kernel are the step and the map as generated
-Python functions on raw ring payloads (gmap.generated), built on first use.
-The step inlines g and reads each coefficient at n from its period, so one
-function serves every n; it is the code of Recurrence.emit_periodic_step,
-which the engine's one-pass verify emits too. Each object names the values
-its code reads (values) and what else its code depends on (shape), so the
-code is written once per shape. The simulation engine runs the kernel
-directly. Recurrence.step and GMap.apply call the kernels on payload lists,
-one per vector.
+The step inlines g and reads each coefficient at n from its period, so the
+same code serves every n: Recurrence.emit_periodic_step writes it into the
+engine's one step loop. Each object names the values its code reads
+(values) and what else its code depends on (shape), so the code is written
+once per shape. Recurrence.kernel and GMap.kernel are the step and the map
+alone as generated Python functions on raw ring payloads (gmap.generated),
+built on first use; they serve only Recurrence.step and GMap.apply, which
+call them on payload lists, one per vector.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ For every file under configs/ and every job of the first N blocks of each
 workload in bench/jobs.py (generated per seed, loaded read-only), runs
 ``factor``, ``verify`` and ``certify``, each with and without ``--json``, and
 records exit code, stdout and stderr. Every configs/ file also runs
-``simulate --emit csv`` and ``--emit json`` into a fresh temporary ``--out``
-directory, whose files are recorded by name with their text, and every one
-that sets ``run.seeds`` runs ``certify --json --horizon 1000``, whose
+``simulate --emit csv`` and ``--emit json``, and every job ``simulate --emit
+json``, each into a fresh temporary ``--out`` directory, whose files are
+recorded by name with their text; every configs/ file that sets
+``run.seeds`` runs ``certify --json --horizon 1000``, whose
 certificate outlives its period. The error paths are recorded too: a fixed
 list of malformed argv (help included), and ``factor`` on invalid configs,
 one per kind of schema keyword and per way the error search descends (a
@@ -117,8 +118,8 @@ def _variants(name: str, path: str):
             yield " ".join([command, name, *flags]), [command, path, *flags]
 
 
-def _simulate(main, name: str, path: str, replace: dict[str, str]):
-    for emit in ("csv", "json"):
+def _simulate(main, name: str, path: str, replace: dict[str, str], emits=("csv", "json")):
+    for emit in emits:
         with tempfile.TemporaryDirectory() as out:
             record = _run(main, ["simulate", path, "--emit", emit, "--out", out],
                           {out: "<out>", **replace})
@@ -173,6 +174,8 @@ def snapshot(root: Path, seeds: list[int], n_blocks: int) -> dict:
                 for job in (job for block in blocks for job in block):
                     for key, argv in _variants(f"{seed}/{job.id}", job.path):
                         records[key] = _run(main, argv, replace)
+                    records.update(_simulate(main, f"{seed}/{job.id}", job.path, replace,
+                                             emits=("json",)))
     return records
 
 

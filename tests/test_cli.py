@@ -315,6 +315,26 @@ class TestCertify:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["factor", "verify", "simulate", "certify"])
+    def test_window_past_the_limit(self, capsys, tmp_path, command):
+        # dim 29, order 53: 1537 window values, one past config.MAX_WINDOW_VALUES
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({
+            "ring": {"kind": "integers-mod-m", "modulus": 101}, "module": {"dim": 29},
+            "recurrence": {"a": ["1"] * 53, "b": ["1"] * 53,
+                           "g": {"kind": "expression",
+                                 "exprs": [f"u{i}*u{i % 29 + 1}" for i in range(1, 30)]}},
+            "initial": [["1"] * 29] * 53}))
+        argv = [command, str(p)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: dim 29 times order 53 is 1537 values per window, "
+                       "past the limit of 1536\n")
+
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "factor", "/no/such.json")
         assert code == 2

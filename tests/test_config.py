@@ -238,6 +238,45 @@ class TestBuildJob:
         assert not job.recurrence.constant_coeffs
 
 
+def wide_doc(kind, dim, order):
+    """A Z/101 job of the given dim and order: a plain recurrence, an fsc
+    family or a system of dim components."""
+    row = ["1"] + ["0"] * (order - 1)
+    exprs = [f"u{i}*u{i}" for i in range(1, dim + 1)]
+    doc = {"ring": {"kind": "integers-mod-m", "modulus": 101}, "module": {"dim": dim},
+           "initial": [["1"] * dim] * order}
+    if kind == "recurrence":
+        doc["recurrence"] = {"a": row, "b": row, "g": {"kind": "expression", "exprs": exprs}}
+    elif kind == "family":
+        doc["family"] = {"kind": "fsc", "params": {"r": "2", "b": ["1"] * (order - 1)},
+                         "g": {"kind": "expression", "exprs": exprs}}
+    else:
+        doc["system"] = {"components": [{"a": row, "b": row, "expr": e} for e in exprs]}
+    return doc
+
+
+class TestWindowLimit:
+    """config.MAX_WINDOW_VALUES bounds dim times the order of every kind of
+    recurrence; order 300 rows of dim 1 stay admitted."""
+
+    @pytest.mark.parametrize("kind, dim, order", [
+        ("recurrence", 1, 1536), ("recurrence", 1536, 1), ("recurrence", 1, 300),
+        ("family", 2, 768), ("system", 4, 384)])
+    def test_at_the_limit(self, kind, dim, order):
+        assert dim * order <= config.MAX_WINDOW_VALUES == 1536
+        job = build_job(wide_doc(kind, dim, order))
+        assert (job.module.dim, job.recurrence.order) == (dim, order)
+
+    @pytest.mark.parametrize("kind, dim, order", [
+        ("recurrence", 1, 1537), ("recurrence", 1537, 1), ("family", 1, 1537),
+        ("system", 29, 53)])
+    def test_one_past_the_limit(self, kind, dim, order):
+        with pytest.raises(ConfigError) as exc:
+            build_job(wide_doc(kind, dim, order))
+        assert str(exc.value) == (f"dim {dim} times order {order} is {dim * order} values "
+                                  "per window, past the limit of 1536")
+
+
 class TestFamilies:
     def test_family_kind_exposed(self):
         doc = {

@@ -2,19 +2,24 @@
 
 Trajectory values asserted here were worked out by hand (short tables over
 small rings) before the engine existed; the tests freeze those numbers. The
-one-pass verify is held against the simulate-then-compare code it replaced.
+one-pass verify is held against the simulate-then-compare code it replaced,
+run on the element-level reference, and every run is held to the one
+generated loop.
 """
 
+import ast
 import builtins
 import math
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from elements import El, seq_els
 from hypothesis import example, given, settings, strategies as st
-from test_kernel import KINDS, cases, elements
+from test_kernel import (KINDS, cases, elements, ref_simulate, ref_simulate_chain,
+                         ref_simulate_substitution)
 
 from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
                       FactorStep, GMap, Module, Recurrence, Trajectory, build_family, factor_chain,
@@ -22,8 +27,9 @@ from scfactor import (Breakdown, CoeffSeq, ConfigError, FactorizationChain,
                       simulate_substitution, substitution_factorization,
                       transport, trajectory_csv, trajectory_json_obj,
                       variable_chain, verify_equivalence)
+from scfactor import engine
 from scfactor.config import load_job
-from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation, _verify_loop
+from scfactor.engine import FLOAT_COMPARE_CAP, EquivalenceReport, _deviation, _loop
 from scfactor.factorize import SubstitutionFactorization
 from scfactor.gmap import _KERNELS, Emitter
 
@@ -379,19 +385,21 @@ class TestSerialization:
 
 def ref_verify(rec, chain, initial, steps, rel_tol=None):
     """verify_equivalence as it was: simulate the direct run and the chain
-    run whole, then compare the stored top levels."""
+    run whole, then compare the stored top levels. Both runs step through
+    the element-level reference (test_kernel.ref_simulate), not the
+    library's loop."""
     ring = rec.ring
     is_float = not ring.exact
     capped = False
     if is_float and steps > FLOAT_COMPARE_CAP:
         steps = FLOAT_COMPARE_CAP
         capped = True
-    direct = simulate(rec, initial, steps)
+    initial = [rec.module.payloads(v) for v in initial]
+    direct = Trajectory("x", 0, rec.module, *ref_simulate(rec, initial, steps))
     if isinstance(chain, SubstitutionFactorization):
-        run = simulate_substitution(chain, initial, steps)
+        rebuilt = ref_simulate_substitution(chain, initial, steps)[0]
     else:
-        run = simulate_chain(chain, initial, steps)
-    rebuilt = run.reconstructed
+        rebuilt = ref_simulate_chain(chain, initial, steps)[0]
     if rel_tol is None:
         rel_tol = 1e-9
     pairs = zip(direct.values, rebuilt.values)
@@ -649,7 +657,9 @@ def test_shared_map_subexpressions_computed_once_per_step(monkeypatch):
     monkeypatch.setattr(builtins, "compile",
                         lambda src, *a, **k: sources.append(src) or real_compile(src, *a, **k))
     rep = verify_equivalence(rec, chain, [["1", "2"], ["3", "4"], ["5", "6"]], 40)
-    [loop] = [src for src in sources if "for n in range(lo, hi)" in src]
+    # the breakdown search compiles one-side loops too; the two-side loop
+    # reads the windows X and F
+    [loop] = [src for src in sources if src.startswith("def make(V, lo, hi, RT, X, F,")]
     assert loop.count("INVS.get(") == 1 and loop.count("DIV(") + loop.count("INV(") == 1
     assert "pow(" not in loop
     assert rep.equal and rep.compared == 19
@@ -697,7 +707,7 @@ def count_emission(monkeypatch):
 
 def shape_case(kind="integers-mod-m", modulus=11, a=("0", "2", "1"), exprs=None,
                seq=("2",), levels=((4,),), shared=True):
-    """A direct recurrence, a factor and levels for _verify_loop: order 3
+    """A direct recurrence, a factor and levels for the two-side _loop: order 3
     and order 2 over R^2, one map of one sequence c and the literals 3, 5."""
     M = Module(make_ring(kind, modulus=modulus), 2)
     exprs = exprs or ["c[n]*u1*u2 + 3", "u1 - 5"]
@@ -714,8 +724,8 @@ def run_loop(rec, factor, levels, steps=6):
 
     def window(n):
         return [[ring.payload(i + j + 1) for j in range(dim)] for i in range(n)]
-    return _verify_loop(rec, factor, levels, rec.k, rec.k + steps, 1e-9, window(rec.order),
-                        window(factor.order), *[window(len(c)) for c in levels])
+    return _loop((rec, factor), levels, False, rec.k, rec.k + steps, 1e-9, window(rec.order),
+                 window(factor.order), *[window(len(c)) for c in levels])
 
 
 @pytest.mark.parametrize("change", [
@@ -786,3 +796,19 @@ def test_cache_keeps_no_job():
     ref = weakref.ref(ring)
     del ring, M, rec, chain
     assert ref() is None
+
+
+def test_engine_has_one_generated_loop():
+    # simulate, the chain rebuild, verify and its breakdown search all run
+    # _loop: engine.py names gmap's generated once and reads no step kernel
+    tree = ast.parse(Path(engine.__file__).read_text())
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "generated"
+             or isinstance(node, ast.Name) and node.id == "generated"
+             or isinstance(node, ast.alias) and node.name == "generated"]
+    assert len(names) == 1 and isinstance(names[0], ast.Attribute)
+    assert [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and node.func is names[0]]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "kernel"
+                or isinstance(node, ast.Constant) and node.value == "kernel"]

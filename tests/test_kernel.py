@@ -3,13 +3,14 @@
 The reference is the step as it was written on El and Vec values
 (elements.py): step summing its rows, apply dispatching on the map's
 shape, eval_expr walking the AST node by node, and below the simulate loop
-that checked every new value for finiteness. Hypothesis draws small
+that checked every new value for finiteness and size. Hypothesis draws small
 recurrences over all six ring kinds and all four map shapes, with periodic
 coefficients; the kernel must give bit-identical values, the same
 breakdown index and the same breakdown reason.
 
 The generated chain rebuild is held the same way against the per-value
-loops of simulate_chain and simulate_substitution that it replaced, and
+loops of simulate_chain and simulate_substitution that it replaced, whose
+deepest level steps through that reference simulate loop, and
 the initial windows of a chain's levels and of the substitution's s level,
 peeled on payloads, against the subtraction on Vec values they replaced.
 """
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import pytest
 from elements import El, apply, eval_expr, step, wrap
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scfactor import (Breakdown, ConfigError, DivisionByNonUnit, GMap, Module, Recurrence,
                       TanhUnsupported, make_ring, simulate, simulate_chain)
@@ -77,10 +78,13 @@ def ref_is_finite(v):
     return True
 
 
-def ref_simulate(rec, init, steps):
-    """The values (payload lists) and breakdown of a run from ``init``."""
+def ref_simulate(rec, init, steps, start=0):
+    """The values (payload lists) and breakdown of a run from ``init``, the
+    values at start .. start+k. A value with a numerator or denominator
+    longer than MAX_PAYLOAD_BITS, on the rings whose values can grow without
+    bound, raises the library's ConfigError."""
     values = list(init)
-    for n in range(rec.k, rec.k + steps):
+    for n in range(start + rec.k, start + rec.k + steps):
         window = [values[-1 - i] for i in range(rec.order)]
         try:
             nxt = ref_step(rec, n, window).v
@@ -88,6 +92,9 @@ def ref_simulate(rec, init, steps):
             return values, Breakdown(n + 1, str(exc))
         if not ref_is_finite(nxt):
             return values, Breakdown(n + 1, "value is not finite")
+        if rec.ring.kind in EXACT_SIZES and any(_ratio_bits(c) > MAX_PAYLOAD_BITS for c in nxt):
+            raise ConfigError(f"value at index {n + 1} exceeds the size limit of "
+                              f"{MAX_PAYLOAD_BITS} bits per numerator or denominator")
         values.append(nxt)
     return values, None
 
@@ -218,8 +225,17 @@ def outcome(fn, *args):
 # the differential checks
 
 
+def overflowing(kind):
+    """x_{n+1} = x_n^2 from 1e100 over a float ring, which the draws above
+    do not reach: the value at index 3 is not finite."""
+    M = Module(make_ring(kind), 1)
+    return Recurrence(M, ["0"], ["1"], GMap.expression(M, ["u1*u1"])), [M.payloads("1e100")], 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(cases())
+@example(overflowing("float-complex"))
+@example(overflowing("float-quaternion"))
 def test_kernel_matches_element_reference(case):
     rec, window, n = case
     want, want_breakdown = ref_simulate(rec, window, 6)
@@ -263,12 +279,14 @@ def test_lazy_exact_kernels_match_reference(case):
     # than MAX_LAZY_FACTORS factors: the values are the reference's, and
     # every stored value and map output is a canonical payload
     rec, window, n = case
-    want, want_breakdown = ref_simulate(rec, window, 6)
     try:
-        traj = simulate(rec, window, 6)
-    except ConfigError:
-        assert any(_ratio_bits(c) > MAX_PAYLOAD_BITS for v in want for c in v)
+        want, want_breakdown = ref_simulate(rec, window, 6)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            simulate(rec, window, 6)
+        assert str(got.value) == str(exc)
         return
+    traj = simulate(rec, window, 6)
     assert [bits(v) for v in traj.values] == [bits(v) for v in want]
     assert traj.breakdown == want_breakdown
     assert all(canonical(p) for v in traj.values for p in v)
@@ -564,8 +582,8 @@ def ref_simulate_chain(chain, initial, steps):
     k = chain.base.k
     module = chain.base.module
     add, mul = module.ring._add, module.ring._mul
-    below = simulate(chain.final_factor, windows[depth], steps,
-                     start=depth, level=level_name(depth))
+    below = Trajectory(level_name(depth), depth, module,
+                       *ref_simulate(chain.final_factor, windows[depth], steps, start=depth))
     end = below.end
     trajs = [below]
     deeper = below.values
@@ -587,8 +605,8 @@ def ref_simulate_substitution(sub, initial, steps):
     module = sub.base.module
     add, mul = module.ring._add, module.ring._mul
     k = sub.k
-    s_traj = simulate(sub.factor, [ref_substitution_window(sub, initial)], steps,
-                      start=k, level="s")
+    s_traj = Trajectory("s", k, module, *ref_simulate(
+        sub.factor, [ref_substitution_window(sub, initial)], steps, start=k))
     s_vals = s_traj.values
     coeffs = list(enumerate(sub.sub_coeffs, start=1))
     xs = list(initial)
