@@ -7,8 +7,9 @@ Four subcommands on a shared job-config format:
 * simulate  write trajectory files for the direct run and each chain level
 * certify   run the alpha recursion from a seed and report its status
 
-Exit codes: 0 success; 2 malformed config or an input past a stated limit;
-3 irreducible input or failed certificate; 4 trajectory verification failure.
+Exit codes: 0 success; 1 internal fault (one line naming the exception);
+2 malformed config or an input past a stated limit; 3 irreducible input or
+failed certificate; 4 trajectory verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -218,15 +218,17 @@ def _equiv_obj(rep) -> dict:
 # factorization dispatch
 
 
-@dataclass
 class FactorOutcome:
-    reducible: bool
-    chain: FactorizationChain | None = None
-    substitution: SubstitutionFactorization | None = None
-    o2b: O2bVerdict | None = None
-    reason: str | None = None
-    root_report: object | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("reducible", "chain", "substitution", "o2b", "reason", "root_report", "notes")
+
+    def __init__(self, reducible: bool):
+        self.reducible = reducible
+        self.chain: FactorizationChain | None = None
+        self.substitution: SubstitutionFactorization | None = None
+        self.o2b: O2bVerdict | None = None
+        self.reason: str | None = None
+        self.root_report: object | None = None
+        self.notes: list[str] = []
 
 
 def resolve_factorization(job: JobConfig) -> FactorOutcome:
@@ -327,12 +329,24 @@ def _print_outcome(job: JobConfig, out: FactorOutcome) -> None:
 # 0.04 s and engine.simulate_chain about 0.15 s, and writing the files the rest.
 MAX_STEPS = 100000
 
+# The most window values times steps (module.dim times order times steps)
+# verify and simulate run. At 10^6 the slowest planted Z/101 job measured,
+# `verify` of dim 1 and order 1536 for 651 steps, took 0.8-1.3 s and 77 MB;
+# at 100 steps the same job took 0.65-0.9 s.
+MAX_VALUE_STEPS = 1000000
+
 
 def _steps(args, job: JobConfig) -> int:
-    """The steps verify and simulate run: --steps, else run.steps, at most MAX_STEPS."""
+    """The steps verify and simulate run: --steps, else run.steps, at most
+    MAX_STEPS, and at most MAX_VALUE_STEPS times the window values."""
     steps = args.steps if args.steps is not None else job.run.steps
     if steps > MAX_STEPS:
         raise ConfigError(f"steps {steps} exceeds the limit of {MAX_STEPS}")
+    dim, order = job.module.dim, job.recurrence.order
+    if dim * order * steps > MAX_VALUE_STEPS:
+        raise ConfigError(f"dim {dim} times order {order} times steps {steps} is "
+                          f"{dim * order * steps} value-steps, past the limit of "
+                          f"{MAX_VALUE_STEPS}")
     return steps
 
 
@@ -483,18 +497,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class _Option:
     """One option after the config path: a switch (False unless given), or
     an option with a value, which ``convert`` turns from its text (raising
     ValueError with argparse's message) or which must be one of ``choices``."""
 
-    flag: str
-    convert: object = None
-    choices: tuple | None = None
-    default: object = None
-    required: bool = False
-    help: str | None = None
+    __slots__ = ("flag", "convert", "choices", "default", "required", "help")
+
+    def __init__(self, flag: str, convert=None, choices: tuple | None = None, default=None,
+                 required: bool = False, help: str | None = None):
+        self.flag = flag
+        self.convert = convert
+        self.choices = choices
+        self.default = default
+        self.required = required
+        self.help = help
 
     @property
     def dest(self) -> str:
@@ -606,3 +623,6 @@ def main(argv=None) -> int:
     except ScfactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1

@@ -23,12 +23,11 @@ messages against that validator, and the predicate against the walker.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
+from collections import namedtuple
 
 from .errors import ConfigError, GMapSyntaxError, ParseError, ScfactorError
 from .recurrence import FamilyInfo, GMap, Recurrence, build_family, fold_system
@@ -36,28 +35,27 @@ from .rings import Module, Ring, make_ring
 
 
 def schema() -> dict:
-    """The job-config JSON schema shipped with the package."""
-    text = resources.files("scfactor").joinpath("config.schema.json").read_text()
-    return json.loads(text)
+    """The job-config JSON schema shipped with the package, read through this
+    module's own loader, which reads a zipped install too."""
+    return json.loads(__spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "config.schema.json")))
 
 
-@dataclass
-class RunOptions:
-    steps: int = 100
-    horizon: int = 64
-    rel_tol: float | None = None
-    seeds: list[list] | None = None
-    roots: list[str] | None = None
+RunOptions = namedtuple("RunOptions", "steps horizon rel_tol seeds roots",
+                        defaults=(100, 64, None, None, None))
 
 
-@dataclass
 class JobConfig:
-    ring: Ring
-    module: Module
-    recurrence: Recurrence
-    family: FamilyInfo | None
-    initial: list
-    run: RunOptions = field(default_factory=RunOptions)
+    __slots__ = ("ring", "module", "recurrence", "family", "initial", "run")
+
+    def __init__(self, ring: Ring, module: Module, recurrence: Recurrence,
+                 family: FamilyInfo | None, initial: list, run: RunOptions = RunOptions()):
+        self.ring = ring
+        self.module = module
+        self.recurrence = recurrence
+        self.family = family
+        self.initial = initial
+        self.run = run
 
     @property
     def family_kind(self) -> str | None:
@@ -159,16 +157,19 @@ _MESSAGES = {
 }
 
 
-@dataclass(slots=True)
 class _Error:
     """One failed keyword; path is relative to the instance its walk began at."""
 
-    keyword: str
-    value: object
-    instance: object
-    node: dict
-    context: list | tuple = ()
-    path: tuple = ()
+    __slots__ = ("keyword", "value", "instance", "node", "context", "path")
+
+    def __init__(self, keyword: str, value, instance, node: dict,
+                 context: list | tuple = (), path: tuple = ()):
+        self.keyword = keyword
+        self.value = value
+        self.instance = instance
+        self.node = node
+        self.context = context
+        self.path = path
 
     def relevance(self):
         # the reference validator's best-match key: the shallowest error, then
@@ -238,7 +239,7 @@ def _best(errors: list) -> tuple[tuple, str]:
     path = best.path
     while best.context:
         # inside a failed oneOf: the deepest branch error, unless it ties
-        first, *rest = heapq.nsmallest(2, best.context, key=_Error.relevance)
+        first, *rest = sorted(best.context, key=_Error.relevance)[:2]
         if rest and first.relevance() == rest[0].relevance():
             break
         best = first
@@ -474,11 +475,7 @@ def _parse_run(module: Module, rdoc: dict | None, k: int) -> RunOptions:
     run = RunOptions()
     if not rdoc:
         return run
-    run.steps = rdoc.get("steps", run.steps)
-    run.horizon = rdoc.get("horizon", run.horizon)
-    run.rel_tol = rdoc.get("rel_tol")
-    if "roots" in rdoc:
-        run.roots = list(rdoc["roots"])
+    seeds = None
     if "seeds" in rdoc:
         # Seed windows feed the alpha recursion, so entries are ring scalars
         # regardless of the module dimension.
@@ -492,8 +489,9 @@ def _parse_run(module: Module, rdoc: dict | None, k: int) -> RunOptions:
                 seeds.append([module.ring.payload(v) for v in window])
             except (ParseError, ScfactorError) as exc:
                 raise ConfigError(f"run.seeds[{i}]: {exc}") from exc
-        run.seeds = seeds
-    return run
+    return RunOptions(rdoc.get("steps", run.steps), rdoc.get("horizon", run.horizon),
+                      rdoc.get("rel_tol"), seeds,
+                      list(rdoc["roots"]) if "roots" in rdoc else None)
 
 
 # The most values one window of a recurrence holds (module.dim times the

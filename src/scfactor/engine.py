@@ -49,7 +49,7 @@ ConfigError (exit 2) instead of running on for hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import gmap as gm
 from .errors import ConfigError, DivisionByNonUnit, TanhUnsupported
@@ -60,24 +60,27 @@ from .rings import MAX_PAYLOAD_BITS, Module
 FLOAT_COMPARE_CAP = 500
 
 
-@dataclass
-class Breakdown:
-    index: int          # the index whose value could not be produced
-    reason: str
+class Breakdown(namedtuple("Breakdown", "index reason")):
+    """index is the index whose value could not be produced."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"breakdown at index {self.index}: {self.reason}"
 
 
-@dataclass
 class Trajectory:
     """values[i] lists the component payloads of the value at start + i."""
 
-    level: str
-    start: int
-    module: Module
-    values: list[list]
-    breakdown: Breakdown | None = None
+    __slots__ = ("level", "start", "module", "values", "breakdown")
+
+    def __init__(self, level: str, start: int, module: Module, values: list[list],
+                 breakdown: Breakdown | None = None):
+        self.level = level
+        self.start = start
+        self.module = module
+        self.values = values
+        self.breakdown = breakdown
 
     @property
     def end(self) -> int:
@@ -126,7 +129,6 @@ def transport(chain: FactorizationChain, initial) -> list[list[list]]:
     return _split(chain, _window(chain.base, initial))[3][::-1]
 
 
-@dataclass
 class ChainRun:
     """All level trajectories from one chain simulation.
 
@@ -135,7 +137,10 @@ class ChainRun:
     levels. Breakdown anywhere truncates everything above it.
     """
 
-    trajectories: list[Trajectory]
+    __slots__ = ("trajectories",)
+
+    def __init__(self, trajectories: list[Trajectory]):
+        self.trajectories = trajectories
 
     @property
     def reconstructed(self) -> Trajectory:
@@ -362,19 +367,23 @@ def _deviation(a, b) -> float:
     return out
 
 
-@dataclass
-class EquivalenceReport:
-    """Pointwise comparison of the direct run against the chain run."""
+class EquivalenceReport(namedtuple(
+        "EquivalenceReport", "equal compared first_divergence max_deviation direct_breakdown "
+                             "chain_breakdown breakdowns_aligned capped notes")):
+    """Pointwise comparison of the direct run against the chain run.
 
-    equal: bool
-    compared: int                     # number of indices compared
-    first_divergence: int | None
-    max_deviation: float | None       # float rings only
-    direct_breakdown: Breakdown | None
-    chain_breakdown: Breakdown | None
-    breakdowns_aligned: bool
-    capped: bool = False
-    notes: list[str] = field(default_factory=list)
+    compared is the number of indices compared; max_deviation is set on float
+    rings only."""
+
+    __slots__ = ()
+
+    def __new__(cls, equal: bool, compared: int, first_divergence: int | None,
+                max_deviation: float | None, direct_breakdown: Breakdown | None,
+                chain_breakdown: Breakdown | None, breakdowns_aligned: bool,
+                capped: bool = False, notes: list[str] | None = None):
+        return super().__new__(cls, equal, compared, first_divergence, max_deviation,
+                               direct_breakdown, chain_breakdown, breakdowns_aligned, capped,
+                               [] if notes is None else notes)
 
     def describe(self) -> str:
         lines = []

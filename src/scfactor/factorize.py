@@ -46,7 +46,7 @@ canonical payload once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     CertificateFailure,
@@ -90,8 +90,7 @@ def level_name(i: int) -> str:
 # data model
 
 
-@dataclass
-class UnitCertificate:
+class UnitCertificate(namedtuple("UnitCertificate", "ring seed alphas horizon period notes")):
     """A verified run of the alpha recursion over ``ring``; seed and alphas
     are payloads.
 
@@ -101,12 +100,12 @@ class UnitCertificate:
     checked up to n = horizon.
     """
 
-    ring: Ring
-    seed: tuple
-    alphas: tuple
-    horizon: int
-    period: int | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, ring: Ring, seed: tuple, alphas: tuple, horizon: int,
+                period: int | None = None, notes: list[str] | None = None):
+        return super().__new__(cls, ring, seed, alphas, horizon, period,
+                               [] if notes is None else notes)
 
     @property
     def proved_periodic(self) -> bool:
@@ -128,17 +127,21 @@ class UnitCertificate:
         return CoeffSeq(self.ring, self.alphas[: self.period]).reduced()
 
 
-@dataclass
 class FactorStep:
     """One order reduction: cofactor data plus the factor recurrence; rho is
     a payload."""
 
-    route: str                      # "constant-root" | "certificate" | "shortcut"
-    alpha: CoeffSeq
-    factor: Recurrence
-    rho: object = None              # constant route only
-    certificate: UnitCertificate | None = None
-    root_report: RootReport | None = None
+    __slots__ = ("route", "alpha", "factor", "rho", "certificate", "root_report")
+
+    def __init__(self, route: str, alpha: CoeffSeq, factor: Recurrence, rho=None,
+                 certificate: UnitCertificate | None = None,
+                 root_report: RootReport | None = None):
+        self.route = route              # "constant-root" | "certificate" | "shortcut"
+        self.alpha = alpha
+        self.factor = factor
+        self.rho = rho                  # constant route only
+        self.certificate = certificate
+        self.root_report = root_report
 
     @property
     def p(self) -> tuple | None:
@@ -152,7 +155,6 @@ class FactorStep:
         return None if self.rho is None else tuple(seq.at(0) for seq in self.factor.b)
 
 
-@dataclass
 class FactorizationChain:
     """Reduction steps applied to base; final_factor is what remains.
 
@@ -161,9 +163,13 @@ class FactorizationChain:
     cofactor plus the terminal factor).
     """
 
-    base: Recurrence
-    steps: list[FactorStep]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("base", "steps", "notes")
+
+    def __init__(self, base: Recurrence, steps: list[FactorStep],
+                 notes: list[str] | None = None):
+        self.base = base
+        self.steps = steps
+        self.notes = [] if notes is None else notes
 
     @property
     def final_factor(self) -> Recurrence:
@@ -433,15 +439,18 @@ def second_order_shortcut(rec: Recurrence) -> FactorStep:
 # the chain
 
 
-@dataclass
 class _Job:
     """The job state the routes share; roots is None when each level searches."""
 
-    roots: list | None
-    seeds: list | None
-    horizon: int
-    steps: list[FactorStep] = field(default_factory=list)
-    report: RootReport | None = None
+    __slots__ = ("roots", "seeds", "horizon", "steps", "report")
+
+    def __init__(self, roots: list | None, seeds: list | None, horizon: int,
+                 steps: list[FactorStep] | None = None, report: RootReport | None = None):
+        self.roots = roots
+        self.seeds = seeds
+        self.horizon = horizon
+        self.steps = [] if steps is None else steps
+        self.report = report
 
 
 def _constant_root(level: Recurrence, job: _Job):
@@ -539,7 +548,6 @@ def variable_chain(rec: Recurrence, seeds=None, horizon: int = 64) -> Factorizat
 # family-specific routes
 
 
-@dataclass
 class SubstitutionFactorization:
     """Direct split for the alsp family.
 
@@ -548,10 +556,13 @@ class SubstitutionFactorization:
     x_{n+1} = sum_{j=1..k} a_{j-1} x_{n+1-j} + s_{n+1}.
     """
 
-    base: Recurrence
-    sub_coeffs: tuple               # payloads, as b
-    b: object
-    factor: Recurrence
+    __slots__ = ("base", "sub_coeffs", "b", "factor")
+
+    def __init__(self, base: Recurrence, sub_coeffs: tuple, b, factor: Recurrence):
+        self.base = base
+        self.sub_coeffs = sub_coeffs    # payloads, as b
+        self.b = b
+        self.factor = factor
 
     @property
     def k(self) -> int:
@@ -571,17 +582,20 @@ def substitution_factorization(fam) -> SubstitutionFactorization:
     return SubstitutionFactorization(rec, tuple(a_list), b, factor)
 
 
-@dataclass
 class O2bVerdict:
     """The o2b decision over ``ring``; b, p_at_b and q_at_b are payloads."""
 
-    ring: Ring
-    reducible: bool
-    b: object
-    b_is_unit: bool
-    p_at_b: object
-    q_at_b: object
-    reason: str
+    __slots__ = ("ring", "reducible", "b", "b_is_unit", "p_at_b", "q_at_b", "reason")
+
+    def __init__(self, ring: Ring, reducible: bool, b, b_is_unit: bool, p_at_b, q_at_b,
+                 reason: str):
+        self.ring = ring
+        self.reducible = reducible
+        self.b = b
+        self.b_is_unit = b_is_unit
+        self.p_at_b = p_at_b
+        self.q_at_b = q_at_b
+        self.reason = reason
 
 
 def o2b_reducibility(fam) -> O2bVerdict:

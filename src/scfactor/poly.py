@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import zip_longest
 
 from .errors import NoConvergence, NoncommutativeRing, NotAValidRoot, ParseError
@@ -271,8 +271,7 @@ def _root_multiplicity(p: Poly, rho) -> int:
         return count
 
 
-@dataclass
-class RootReport:
+class RootReport(namedtuple("RootReport", "ring roots method exhaustive notes gcd")):
     """Common unit roots of a (P, Q) pair over ``ring``, with provenance.
 
     roots holds (root payload, multiplicity) pairs in the ring's canonical
@@ -281,12 +280,12 @@ class RootReport:
     monic gcd(P, Q) of a search over a field (Z/p, Q, Q(i)), else None.
     """
 
-    ring: Ring
-    roots: list[tuple[object, int]]
-    method: str
-    exhaustive: bool
-    notes: list[str] = field(default_factory=list)
-    gcd: Poly | None = None
+    __slots__ = ()
+
+    def __new__(cls, ring: Ring, roots: list[tuple[object, int]], method: str,
+                exhaustive: bool, notes: list[str] | None = None, gcd: Poly | None = None):
+        return super().__new__(cls, ring, roots, method, exhaustive,
+                               [] if notes is None else notes, gcd)
 
     def deflated(self, rho) -> "RootReport":
         """The report for (P/(x - rho), Q/(x - rho)), rho one of the roots.

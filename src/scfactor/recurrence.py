@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import re as _re
-from dataclasses import dataclass
 
 from . import gmap as gm
 from .errors import GMapSyntaxError, NotFoldable, ParseError
@@ -391,14 +390,16 @@ def make_coeff(ring: Ring, entry) -> CoeffSeq:
 # families
 
 
-@dataclass
 class FamilyInfo:
     """What a family constructor produced, kept for reporting and for the
     family-specific reduction routes."""
 
-    kind: str
-    params: dict
-    recurrence: Recurrence
+    __slots__ = ("kind", "params", "recurrence")
+
+    def __init__(self, kind: str, params: dict, recurrence: Recurrence):
+        self.kind = kind
+        self.params = params
+        self.recurrence = recurrence
 
 
 def build_family(module: Module, kind: str, params: dict, g: GMap) -> FamilyInfo:

@@ -54,14 +54,30 @@ class TestFactor:
             "(worst residual at " in out
 
     def test_value_error_off_the_root_search_is_not_labelled_a_root_search(
-            self, configs_dir, monkeypatch):
+            self, capsys, configs_dir, monkeypatch):
         # a ValueError elsewhere is a fault, not a failed root search: it was
         # reported as "root search failed: broken certificate" with exit 3
         def broken(*args, **kwargs):
             raise ValueError("broken certificate")
         monkeypatch.setattr(factorize, "variable_certificate", broken)
-        with pytest.raises(ValueError, match="^broken certificate$"):
-            main(["factor", str(configs_dir / "np.json")])
+        code, out, err = run_cli(capsys, "factor", str(configs_dir / "np.json"))
+        assert (code, out) == (1, "")
+        assert err == "error: internal error: ValueError: broken certificate\n"
+
+    @pytest.mark.parametrize("command", ["factor", "verify", "simulate"])
+    def test_unexpected_exception_ends_in_one_line(self, capsys, tmp_path, configs_dir,
+                                                   monkeypatch, command):
+        # a fault in a route is exit 1 with one line naming the exception,
+        # not a traceback, so a caller tells it from every documented answer
+        def broken(*args, **kwargs):
+            raise RuntimeError("route fault")
+        monkeypatch.setattr(factorize, "factor_once", broken)
+        argv = [command, str(configs_dir / "zp_z26.json")]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == "error: internal error: RuntimeError: route fault\n"
 
     def test_o2b_verdict_line(self, capsys, configs_dir):
         code, out, _ = run_cli(capsys, "factor", str(configs_dir / "o2b_z7.json"))
@@ -571,6 +587,32 @@ class TestErrors:
         assert err == f"error: steps {steps} exceeds the limit of 100000\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, steps", [
+        ("verify", 50000), ("verify", 50001), ("simulate", 50001)])
+    def test_value_steps_limit(self, capsys, tmp_path, command, steps):
+        # dim 4 times order 5 is 20 values per window: 50000 steps reach
+        # cli.MAX_VALUE_STEPS and are run; one more step is refused at once
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({
+            "ring": {"kind": "integers-mod-m", "modulus": 101}, "module": {"dim": 4},
+            "recurrence": {"a": ["1", "0", "0", "0", "0"], "b": ["1", "-1", "0", "0", "0"],
+                           "g": {"kind": "expression",
+                                 "exprs": [f"u{i}*u{i % 4 + 1}" for i in range(1, 5)]}},
+            "initial": [[str(i + j) for j in range(4)] for i in range(5)]}))
+        argv = [command, str(p), "--steps", str(steps)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        if steps == 50000:
+            assert code == 0 and err == ""
+            return
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: dim 4 times order 5 times steps 50001 is 1000020 value-steps, "
+                       "past the limit of 1000000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_coefficient_period_limit(self, capsys, tmp_path):
         # periods 34, 39, 55 and 7 have lcm 510510 = 2*3*5*7*11*13*17
         rows = [[str(1 + i % 3) for i in range(p)] for p in (34, 39, 55, 7)]
@@ -800,20 +842,31 @@ def test_runtime_never_imports_fractions(configs_dir, argv):
 
 
 def test_well_formed_argv_never_imports_argparse(configs_dir):
-    # argparse is imported only for help and usage errors
+    # A fresh process imports only what a job needs: argparse only for help
+    # and usage errors; fractions and decimal never, as exact payloads are
+    # ints over one denominator; dataclasses (with inspect), heapq and
+    # importlib.resources never, as they cost start-up time. Only what
+    # scfactor newly imports counts, since site may preload some of them.
+    jobs = [("factor", "rational_repeated_root.json"), ("factor", "gaussian_chain.json"),
+            ("verify", "quaternion_family.json"), ("verify", "exzp_z11.json")]
+    argvs = [[command, str(configs_dir / name), "--json"] for command, name in jobs]
     script = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from scfactor.cli import main\n"
-        f"argv = ['verify', {str(configs_dir / 'exzp_z11.json')!r}, '--json']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(argv)\n"
-        "assert code == 0, code\n"
-        "assert 'argparse' not in sys.modules\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "heavy = ('dataclasses', 'inspect', 'heapq', 'importlib.resources', 'fractions',\n"
+        "         'decimal', 'argparse')\n"
+        "loaded = sorted((set(sys.modules) - before) & set(heavy))\n"
+        "assert not loaded, loaded\n"
         "main(argv + ['--steps', 'five'])\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120)
-    assert run.returncode == 2
+    assert run.returncode == 2, run.stderr
     assert run.stderr.endswith("scfactor verify: error: argument --steps: "
                                "invalid int value: 'five'\n"), run.stderr

@@ -619,7 +619,7 @@ def planted_jobs():
 @given(verify_jobs())
 @example_each(planted_jobs())
 def test_one_pass_matches_three_trajectory_reference(job):
-    # every field (repr of the dataclass) and describe() must match,
+    # every field (the repr of the report) and describe() must match,
     # including the ConfigError raised when a value grows past the limit
     assert report_or_error(verify_equivalence, job) == report_or_error(ref_verify, job)
 
